@@ -117,22 +117,6 @@ def cmd_longevity(args) -> int:
     return 1
 
 
-def _condition_tiles(text: str) -> int:
-    """``--condition-tiles`` value: a tile count, or ``auto`` (= 0) to
-    size the tiling from the worker count."""
-    if text.strip().lower() == "auto":
-        return 0
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("condition tile count must be >= 0")
-    return value
-
-
 def cmd_campaign(args) -> int:
     from .analysis.campaign import CharacterizationCampaign
     from .runner import graceful_stop
@@ -164,9 +148,6 @@ def cmd_campaign(args) -> int:
             resume=args.resume,
             progress=progress,
             chips_per_unit=args.chips_per_unit,
-            shared_population=False if args.no_shared_population else None,
-            megakernel=not args.no_megakernel,
-            condition_tiles=args.condition_tiles,
             should_stop=stop.is_set,
         )
     print(summary.to_text())
@@ -372,24 +353,6 @@ def main(argv=None) -> int:
         help="fleet-batch size: ship chips to workers in chunks of this "
              "many, evaluating each chunk with the fused fleet kernel "
              "(>1 enables batching; results are byte-identical)",
-    )
-    p_camp.add_argument(
-        "--no-shared-population", action="store_true", dest="no_shared_population",
-        help="disable the shared-memory population segment on the fleet "
-             "path (workers pickle per-chip samples instead; byte-identical)",
-    )
-    p_camp.add_argument(
-        "--no-megakernel", action="store_true", dest="no_megakernel",
-        help="disable the fused condition-grid megakernel in fleet workers "
-             "and sweep conditions one at a time (byte-identical)",
-    )
-    p_camp.add_argument(
-        "--condition-tiles", type=_condition_tiles, default=None,
-        dest="condition_tiles", metavar="N|auto",
-        help="shard each fleet chunk's condition grid into N contiguous "
-             "tiles and dispatch (chunk x tile) work units ('auto' sizes "
-             "the tiling from the worker count; requires --chips-per-unit "
-             "> 1; results are byte-identical for any tiling)",
     )
     p_camp.add_argument(
         "--progress", action="store_true",

@@ -19,7 +19,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,11 +40,9 @@ from ..runner import (
     ProgressCallback,
     RunnerEngine,
     aggregate_chip_results,
-    auto_condition_tiles,
     build_chip_units,
     campaign_fingerprint,
     fleet_dispatch,
-    fleet_tile_dispatch,
     measure_chip,
 )
 from ..runner.campaign import TREFI_HEADROOM
@@ -216,10 +214,6 @@ class CharacterizationCampaign:
         max_retries: int = 1,
         progress: Optional[ProgressCallback] = None,
         chips_per_unit: Optional[int] = None,
-        shared_population: Optional[bool] = None,
-        megakernel: bool = True,
-        condition_tiles: Optional[int] = None,
-        tile_progress: Optional[Callable[[Mapping[str, Any]], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
         observability: Optional[object] = None,
     ) -> CampaignSummary:
@@ -239,46 +233,22 @@ class CharacterizationCampaign:
         recorded, and ``progress`` observes every completed chip.
 
         ``chips_per_unit`` > 1 ships chips to workers in fleet-batched
-        chunks (one fused-evaluation :func:`repro.runner.measure_fleet`
-        call per chunk) instead of one pool round-trip per chip.  Results
-        are byte-identical to the per-chip path, the result store still
-        holds one row per chip, and the campaign fingerprint is unchanged
-        -- fleet and per-chip runs can resume each other's run
+        chunks instead of one pool round-trip per chip.  Each chunk is one
+        :func:`repro.runner.measure_fleet` call that evaluates the whole
+        condition grid fused
+        (:meth:`repro.core.fleetprof.FleetProfiler.run_grid`).  The
+        chunks' weak-cell populations live in one
+        ``multiprocessing.shared_memory`` struct-of-arrays segment built
+        once per run: workers attach zero-copy views by segment name
+        instead of redrawing every chip's tail per chunk.  The campaign
+        owns the segment's lifetime: it is unlinked in a ``finally``
+        (normal completion, cooperative cancel, and exceptions alike), and
+        a ``shm.json`` sidecar in the run directory lets the next open of
+        that directory reclaim the segment a SIGKILLed run left behind.
+        Results are byte-identical to the per-chip path, the result store
+        still holds one row per chip, and the campaign fingerprint is
+        unchanged -- fleet and per-chip runs can resume each other's run
         directories.  ``None``/1 keeps the per-chip path.
-
-        ``shared_population`` moves the fleet path's weak-cell populations
-        into one ``multiprocessing.shared_memory`` struct-of-arrays segment
-        built once per run: workers attach zero-copy views by segment name
-        instead of redrawing every chip's tail per chunk.  Defaults to on
-        whenever the fleet path is active; explicit ``True`` with
-        ``chips_per_unit`` <= 1 is refused (per-chip workers rebuild from
-        coordinates and never attach).  The campaign owns the segment's
-        lifetime: it is unlinked in a ``finally`` (normal completion,
-        cooperative cancel, and exceptions alike), and a ``shm.json``
-        sidecar in the run directory lets the next open of that directory
-        reclaim the segment a SIGKILLed run left behind.  Results are
-        byte-identical with the knob on or off, so it is excluded from the
-        campaign fingerprint.
-
-        ``megakernel`` fuses each worker's per-(interval, temperature)
-        profiling loop into whole-condition-grid numpy passes
-        (:meth:`repro.core.fleetprof.FleetProfiler.run_grid`); byte-
-        identical to the sequential loop and likewise fingerprint-exempt.
-
-        ``condition_tiles`` shards the fleet path's work plane in two
-        dimensions: each chunk's condition plan splits into that many
-        contiguous condition tiles, and every (chunk, tile) pair ships
-        as its own work unit (``0`` sizes the tiling automatically from
-        the worker count; ``None`` keeps plain chunk dispatch).  Tile
-        workers seek deterministically to their tile's entry state and
-        the parent folds partial counts with an exact order-independent
-        reduction, so summaries stay byte-identical to the chunk and
-        per-chip paths for any tiling -- the knob is recorded in the
-        manifest for operator forensics but excluded from the
-        fingerprint, and every dispatch mode resumes every other's run
-        directory.  ``tile_progress`` observes each completed tile with
-        a ``{"done", "total", "open_groups", "oldest_open_s"}`` mapping
-        (the service's live per-tile progress feed).
 
         ``should_stop`` plugs a cooperative-cancellation probe into the
         engine (graceful SIGINT/SIGTERM, the service's cancel endpoint):
@@ -298,21 +268,6 @@ class CharacterizationCampaign:
             )
         backend = backend_from_spec(backend, workers=workers)
         fleet_active = chips_per_unit is not None and chips_per_unit > 1
-        if shared_population and not fleet_active:
-            raise ConfigurationError(
-                "shared_population requires the fleet path (chips_per_unit > 1); "
-                "per-chip workers rebuild from coordinates and never attach"
-            )
-        use_shm = fleet_active if shared_population is None else bool(shared_population)
-        if condition_tiles is not None and condition_tiles < 0:
-            raise ConfigurationError(
-                f"condition_tiles must be >= 0 (0 = auto), got {condition_tiles!r}"
-            )
-        if condition_tiles is not None and not fleet_active:
-            raise ConfigurationError(
-                "condition_tiles requires the fleet path (chips_per_unit > 1); "
-                "per-chip workers already walk their own condition plan"
-            )
         # Reclaim the segment a SIGKILLed prior occupant of this run
         # directory may have left behind -- before creating our own.
         if run_dir is not None:
@@ -328,24 +283,6 @@ class CharacterizationCampaign:
             vendor_names=vendor_names,
             fast_path=self.fast_path,
         )
-        resolved_tiles: Optional[int] = None
-        if condition_tiles is not None:
-            n_conditions = len(intervals_s) + len(temperatures_c) - 1
-            if condition_tiles == 0:
-                pool = backend if isinstance(backend, ProcessPoolBackend) else None
-                n_chunks = -(-len(units) // int(chips_per_unit))
-                resolved_tiles = auto_condition_tiles(
-                    n_conditions,
-                    n_chunks,
-                    pool.workers if pool is not None else 1,
-                )
-                if resolved_tiles <= 1:
-                    # Auto says tiling buys nothing here (serial backend,
-                    # or plenty of chunks per worker already): fall back
-                    # to chunk dispatch and skip the tile machinery.
-                    resolved_tiles = None
-            else:
-                resolved_tiles = min(int(condition_tiles), n_conditions)
         manifest = {
             "kind": "characterization-campaign",
             "fingerprint": campaign_fingerprint(
@@ -368,44 +305,23 @@ class CharacterizationCampaign:
             # lake's analytics layer uses it to turn raw failure counts
             # into per-bit failure rates.
             "capacity_bits": int(self.geometry.capacity_bits),
-            # Likewise fingerprint-exempt (results are byte-identical
-            # for any tiling), but recorded so manifest_spec_diff names
-            # the work-plane geometry whenever configurations diverge.
-            "condition_tiles": resolved_tiles,
         }
         shm_store: Optional[SharedPopulationStore] = None
         dispatch = None
         if fleet_active:
-            shm_descriptor = None
-            if use_shm:
-                max_trefi_s = max(float(t) for t in intervals_s) * TREFI_HEADROOM
-                specs = [chip_sample_spec(u.payload, max_trefi_s) for u in units]
-                pool = backend if isinstance(backend, ProcessPoolBackend) else None
-                samples = build_population_samples(
-                    specs,
-                    executor=pool.executor if pool is not None else None,
-                    workers=pool.workers if pool is not None else None,
-                )
-                shm_store = SharedPopulationStore.create(samples)
-                del samples
-                if run_dir is not None:
-                    write_sidecar(run_dir, shm_store.segment_name)
-                shm_descriptor = shm_store.descriptor()
-            if resolved_tiles is not None:
-                dispatch = fleet_tile_dispatch(
-                    chips_per_unit,
-                    resolved_tiles,
-                    shm=shm_descriptor,
-                    megakernel=bool(megakernel),
-                    on_tile=tile_progress,
-                    observability=observability,  # type: ignore[arg-type]
-                )
-            else:
-                dispatch = fleet_dispatch(
-                    chips_per_unit,
-                    shm=shm_descriptor,
-                    megakernel=bool(megakernel),
-                )
+            max_trefi_s = max(float(t) for t in intervals_s) * TREFI_HEADROOM
+            specs = [chip_sample_spec(u.payload, max_trefi_s) for u in units]
+            pool = backend if isinstance(backend, ProcessPoolBackend) else None
+            samples = build_population_samples(
+                specs,
+                executor=pool.executor if pool is not None else None,
+                workers=pool.workers if pool is not None else None,
+            )
+            shm_store = SharedPopulationStore.create(samples)
+            del samples
+            if run_dir is not None:
+                write_sidecar(run_dir, shm_store.segment_name)
+            dispatch = fleet_dispatch(chips_per_unit, shm=shm_store.descriptor())
         engine = RunnerEngine(
             backend=backend,
             workers=workers,

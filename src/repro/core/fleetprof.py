@@ -2,25 +2,27 @@
 
 :class:`FleetProfiler` runs the same write/expose/read schedule as
 :class:`~repro.core.bruteforce.BruteForceProfiler` on a whole
-:class:`~repro.dram.fleet.ChipFleet` at once: each command fans out to the
-member chips (preserving exact per-chip clocks, traces, and RNG streams),
-while the failure evaluation of every read runs as one fused numpy pass
-over the stacked weak tails.  Observed-cell accumulation is likewise
-batched -- one boolean "discovered" mask over the concatenated cell space
-(the fleet analogue of :class:`~repro.core.device.ObservedCellAccumulator`)
+:class:`~repro.dram.fleet.ChipFleet` at once, over a whole condition grid
+per call: the command schedule is replayed once on scalars (every chip
+shares the clock trajectory), while per-chip RNG streams are consumed in
+exactly the order the per-chip walk would consume them and the failure
+evaluation of every read runs as fused numpy passes over the stacked weak
+tails.  Observed-cell accumulation is likewise batched -- one boolean
+"discovered" mask per condition over the concatenated cell space (the
+fleet analogue of :class:`~repro.core.device.ObservedCellAccumulator`)
 plus a small per-chip overflow set for VRT episodes striking outside the
 weak tail.
 
 The per-chip failing sets it reports are byte-identical to what a
 :class:`~repro.core.bruteforce.BruteForceProfiler` run over each chip
 standalone would have discovered under the same schedule -- the contract
-``tests/test_fleet.py`` and ``tests/test_fastpath_equivalence.py`` pin.
+``tests/test_fleet.py`` and ``tests/test_shm_megakernel.py`` pin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,37 +38,6 @@ from ..patterns import STANDARD_PATTERNS, DataPattern
 #: processed in row blocks -- value-identical, since per-chip block draws
 #: partition the stream exactly like the per-read draws they replace.
 _MEGAKERNEL_UNIFORM_CAP_BYTES = 128 * 1024 * 1024
-
-#: Block size of the draw-and-discard fallback in
-#: :func:`advance_uniform_doubles` (bounds the scratch allocation).
-_ADVANCE_BLOCK = 1 << 18
-
-
-def advance_uniform_doubles(rng: np.random.Generator, count: int) -> None:
-    """Advance ``rng`` exactly as ``count`` uniform float64 draws would.
-
-    ``Generator.random(dtype=np.float64)`` consumes one 64-bit output of
-    the underlying bit generator per double, so for bit generators that
-    expose ``advance`` (PCG64, the :func:`repro.rng.derive` default) the
-    seek is O(1) state arithmetic instead of O(count) generation -- the
-    primitive :meth:`FleetProfiler.seek_grid` builds tile entry states
-    from.  A generator holding a buffered 32-bit half-word
-    (``has_uint32``) or lacking ``advance`` falls back to drawing and
-    discarding in bounded blocks: same stream position, just slower.
-    ``tests/test_tile_dispatch.py`` pins advance == draw equivalence.
-    """
-    remaining = int(count)
-    if remaining <= 0:
-        return
-    bit_generator = rng.bit_generator
-    advance = getattr(bit_generator, "advance", None)
-    if advance is not None and not bit_generator.state.get("has_uint32", 0):
-        advance(remaining)
-        return
-    while remaining:
-        block = min(remaining, _ADVANCE_BLOCK)
-        rng.random(block)
-        remaining -= block
 
 
 @dataclass(frozen=True)
@@ -124,79 +95,23 @@ class FleetProfiler:
         self.patterns = tuple(patterns)
         self.iterations = iterations
 
-    def run(
-        self, fleet: ChipFleet, conditions: Conditions
-    ) -> Tuple[FleetChipResult, ...]:
-        """Profile every chip in ``fleet`` at ``conditions``.
-
-        Returns one :class:`FleetChipResult` per chip, in fleet order.
-        """
-        if conditions.trefi > fleet.max_trefi_s:
-            raise ProfilingError(
-                f"profiling interval {conditions.trefi!r}s exceeds the fleet's "
-                f"supported maximum of {fleet.max_trefi_s!r}s"
-            )
-        population = fleet.population
-        discovered = np.zeros(len(population), dtype=bool)
-        extras: List[Set[int]] = [set() for _ in fleet.chips]
-        with obs.span(
-            "profiler.fleet_run",
-            mechanism=self.mechanism_name,
-            chips=len(fleet),
-            trefi=conditions.trefi,
-        ):
-            for iteration in range(self.iterations):
-                for pattern in self.patterns:
-                    fleet.write_pattern(pattern)
-                    fleet.disable_refresh()
-                    fleet.wait(conditions.trefi)
-                    fleet.enable_refresh()
-                    mask, vrt = fleet.read_failures()
-                    discovered |= mask
-                    for chip_index, cells in vrt:
-                        self._fold_vrt(
-                            population, discovered, extras, chip_index, cells
-                        )
-                if obs.enabled():
-                    obs.counter(
-                        "profiler.iterations",
-                        len(fleet),
-                        mechanism=self.mechanism_name,
-                    )
-                    obs.emit(
-                        "profiler.fleet_iteration",
-                        mechanism=self.mechanism_name,
-                        chips=len(fleet),
-                        iteration=iteration,
-                        discovered=int(np.count_nonzero(discovered))
-                        + sum(len(e) for e in extras),
-                    )
-        results = []
-        for i, chip in enumerate(fleet.chips):
-            start, end = population.segment(i)
-            in_space = population.member_indices(i)[discovered[start:end]]
-            failing = frozenset(in_space.tolist()) | frozenset(extras[i])
-            results.append(FleetChipResult(chip_id=chip.chip_id, failing=failing))
-        return tuple(results)
-
     def run_grid(
-        self,
-        fleet: ChipFleet,
-        conditions_grid: Sequence[Conditions],
-        megakernel: bool = True,
-        tile: Optional[Tuple[int, int]] = None,
+        self, fleet: ChipFleet, conditions_grid: Sequence[Conditions]
     ) -> Tuple[Tuple[FleetChipResult, ...], ...]:
         """Profile every chip at every condition of a grid, fused.
 
-        Returns one result tuple per grid entry, in grid order -- each
+        Returns one result tuple per grid entry, in grid order, holding one
+        :class:`FleetChipResult` per chip in fleet order.  Each is
         byte-identical (results, traces, clocks, generator states, chip
-        state) to ``tuple(self.run(fleet, c) for c in conditions_grid)``.
+        state) to running a
+        :class:`~repro.core.bruteforce.BruteForceProfiler` over every
+        condition in turn on each chip standalone.
 
-        With ``megakernel=True``, the whole grid collapses into one pass:
-        the command schedule is replayed once on scalars (every chip
-        traverses the identical clock trajectory, so the per-step times,
-        exposures, and trace records are shared), DPD excitation draws
-        run only where the sequential path actually draws, VRT arrival
+        The whole grid collapses into one pass: the command schedule is
+        replayed once on scalars (every chip traverses the identical clock
+        trajectory, so the per-step times, exposures, and trace records
+        are shared), DPD excitation draws run only where the sequential
+        per-chip walk actually draws, VRT arrival
         checks batch into one vectorized Poisson per chip (falling back
         to the exact interleaved replay for the rare chip that draws an
         episode), and every read's uniforms and probability rows stack
@@ -206,25 +121,15 @@ class FleetProfiler:
 
         With observability enabled, the fused pass records phase-level
         ``kernel.*`` spans (schedule replay, DPD excitation, VRT, read
-        compare, commit) -- wall-clock observation only, so fused results
-        stay bit-equal with instrumentation on or off.  Per-*command*
-        telemetry needs the sequential command fan-out: pass
-        ``megakernel=False`` to trade the fused speed for the exact
-        per-command counter/event stream.
+        compare, commit) -- wall-clock observation only, so results stay
+        bit-equal with instrumentation on or off.  Per-*command* counters
+        and events come from the per-chip path
+        (:class:`~repro.core.bruteforce.BruteForceProfiler`).
 
         The only observable deviation is error *timing*: every condition's
         interval is validated up front, so an invalid grid entry raises
         before any command executes instead of after the preceding entries
         ran (no partial state, same exception and message).
-
-        ``tile=(start, stop)`` restricts evaluation to the grid's
-        half-open condition slice ``[start, stop)``: conditions before
-        ``start`` are *seeked* past (:meth:`seek_grid` -- the exact
-        entry-state replay, no read evaluation), conditions in the slice
-        are evaluated, and conditions at ``stop`` and beyond are left
-        untouched.  Returned results cover only the slice, in slice
-        order, and each is bit-equal to the matching entry of a full
-        ``run_grid`` over the whole grid.
         """
         conditions_grid = tuple(conditions_grid)
         for conditions in conditions_grid:
@@ -233,208 +138,9 @@ class FleetProfiler:
                     f"profiling interval {conditions.trefi!r}s exceeds the fleet's "
                     f"supported maximum of {fleet.max_trefi_s!r}s"
                 )
-        if tile is not None:
-            start, stop = int(tile[0]), int(tile[1])
-            if not 0 <= start <= stop <= len(conditions_grid):
-                raise ConfigurationError(
-                    f"tile {tile!r} out of range for a "
-                    f"{len(conditions_grid)}-condition grid"
-                )
-            if start:
-                self.seek_grid(fleet, conditions_grid[:start])
-            conditions_grid = conditions_grid[start:stop]
         if not conditions_grid:
             return ()
-        if not megakernel:
-            return tuple(self.run(fleet, c) for c in conditions_grid)
         return self._run_grid_fused(fleet, conditions_grid)
-
-    def _replay_schedule(
-        self, fleet: ChipFleet, conditions_grid: Tuple[Conditions, ...], t: float
-    ) -> Tuple[List[_ReadStep], List[CommandRecord], List[float], float]:
-        """Scalar clock replay of a condition grid starting at time ``t``.
-
-        Returns ``(steps, records, vrt_times, t_final)`` -- every per-step
-        clock value, exposure, and shared trace record the lockstep
-        command methods would have produced, computed with the identical
-        floating-point expressions in the identical order (bit-equal).
-        Shared by the fused evaluator and :meth:`seek_grid`, which is what
-        guarantees a seek lands on exactly the clock trajectory the
-        evaluated prefix would have left behind.
-        """
-        io = fleet._io_seconds
-        max_trefi = fleet._max_trefi_s
-        steps: List[_ReadStep] = []
-        records: List[CommandRecord] = []
-        vrt_times: List[float] = []
-        for ci, conditions in enumerate(conditions_grid):
-            trefi = conditions.trefi
-            for _ in range(self.iterations):
-                for pattern in self.patterns:
-                    t = t + io
-                    t_write = t
-                    t = t + trefi
-                    t_wait = t
-                    exposure = t_wait - t_write
-                    # Tolerate float accumulation error at the exact boundary.
-                    if exposure > max_trefi * (1.0 + 1e-9):
-                        raise ConfigurationError(
-                            f"exposure {exposure:.3f}s exceeds max_trefi_s={max_trefi!r}; "
-                            "construct the chip with a larger max_trefi_s"
-                        )
-                    t = t + io
-                    t_read = t
-                    steps.append(
-                        _ReadStep(
-                            cond=ci,
-                            pattern=pattern,
-                            exposure_s=exposure,
-                            t_write=t_write,
-                            t_wait=t_wait,
-                            t_read=t_read,
-                        )
-                    )
-                    records.append(
-                        CommandRecord(
-                            time=t_write,
-                            command=Command.WRITE_PATTERN,
-                            detail=pattern.key,
-                        )
-                    )
-                    records.append(
-                        CommandRecord(time=t_write, command=Command.REFRESH_DISABLE)
-                    )
-                    records.append(
-                        CommandRecord(
-                            time=t_wait, command=Command.WAIT, detail=f"{trefi:.6f}s"
-                        )
-                    )
-                    records.append(
-                        CommandRecord(time=t_wait, command=Command.REFRESH_ENABLE)
-                    )
-                    records.append(
-                        CommandRecord(
-                            time=t_read,
-                            command=Command.READ_COMPARE,
-                            detail=f"exposure={exposure:.6f}s",
-                        )
-                    )
-                    vrt_times.extend((t_write, t_wait, t_read))
-        return steps, records, vrt_times, t
-
-    def seek_grid(
-        self, fleet: ChipFleet, conditions_grid: Sequence[Conditions]
-    ) -> None:
-        """Advance every chip's state *past* ``conditions_grid`` without
-        evaluating a single read.
-
-        After the call, each chip's clock, trace, refresh state, VRT
-        process, and every RNG stream sit exactly where a full
-        :meth:`run_grid` (or the sequential per-condition walk -- both are
-        draw-for-draw identical) over the grid would have left them, so a
-        subsequent ``run_grid`` over later conditions produces bit-equal
-        results.  This is the tile entry-state seek: a condition-tile
-        worker replays its prefix in O(schedule) scalar work plus O(1)
-        RNG stream arithmetic per chip, instead of re-running the
-        prefix's numpy evaluation.
-
-        Draw accounting per chip over the prefix:
-
-        * **read stream** -- ``steps x tail`` uniforms, advanced in one
-          :func:`advance_uniform_doubles` call;
-        * **DPD stream** -- deterministic patterns draw only on their
-          first-ever excitation (the real ``excite`` call here also fills
-          the model's cache, so the tile's evaluated conditions reuse it
-          without redrawing); standard stochastic writes cost exactly
-          ``4 x tail`` doubles each and collapse into one advance; exotic
-          stochastic patterns replay ``excite`` verbatim;
-        * **VRT stream** -- the same vectorized arrival check as the
-          fused pass (scalar replay fallback on an arrival), minus the
-          RNG-pure failing-cell queries.
-
-        The last write's pattern/alignment arrays are deliberately *not*
-        reconstructed: they are write-only state, unconditionally
-        overwritten by the next condition's first write before any read
-        can observe them.
-        """
-        conditions_grid = tuple(conditions_grid)
-        for conditions in conditions_grid:
-            if conditions.trefi > fleet.max_trefi_s:
-                raise ProfilingError(
-                    f"profiling interval {conditions.trefi!r}s exceeds the fleet's "
-                    f"supported maximum of {fleet.max_trefi_s!r}s"
-                )
-        if not conditions_grid:
-            return
-        chips = fleet.chips
-        population = fleet.population
-        t = fleet._now_all()
-        for chip in chips:
-            if not chip._refresh_enabled:
-                raise CommandSequenceError("refresh is already disabled")
-        with obs.span(
-            "kernel.tile.seek", chips=len(chips), conditions=len(conditions_grid)
-        ):
-            steps, records, vrt_times, t_final = self._replay_schedule(
-                fleet, conditions_grid, t
-            )
-
-            # DPD stream: walk the writes in order so cached/advanced/
-            # replayed draws interleave exactly like the evaluated pass.
-            dpds = tuple(chip.population.dpd for chip in chips)
-            batch_ok = all(d.models_orientation for d in dpds)
-            cache = dpds[0]._cached
-            pending_writes = 0
-
-            def flush() -> None:
-                nonlocal pending_writes
-                if pending_writes:
-                    for dpd in dpds:
-                        advance_uniform_doubles(
-                            dpd._rng, 4 * dpd.n_cells * pending_writes
-                        )
-                    pending_writes = 0
-
-            for step in steps:
-                pattern = step.pattern
-                if pattern.stochastic:
-                    if (
-                        batch_ok
-                        and pattern.name == "random"
-                        and pattern.alignment_beta == (2.0, 2.0)
-                    ):
-                        pending_writes += 1
-                    else:
-                        flush()
-                        for dpd in dpds:
-                            dpd.excite(pattern)
-                elif pattern.key not in cache:
-                    flush()
-                    for dpd in dpds:
-                        dpd.excite(pattern)
-            flush()
-
-            # VRT: the batched arrival check consumes the stream exactly
-            # like the scalar walk; a chip that draws an arrival replays
-            # the schedule scalar (queries are RNG-pure -- skipped).
-            schedule = np.asarray(vrt_times, dtype=np.float64)
-            for chip in chips:
-                if not chip.vrt.advance_schedule(schedule, chip._temperature_c):
-                    for step in steps:
-                        chip.vrt.advance_to(step.t_write, chip._temperature_c)
-                        chip.vrt.advance_to(step.t_wait, chip._temperature_c)
-                        chip.vrt.advance_to(step.t_read, chip._temperature_c)
-
-            # Read streams + per-chip end state (clock, trace, refresh).
-            n_rows = len(steps)
-            for i, chip in enumerate(chips):
-                start, end = population.segment(i)
-                advance_uniform_doubles(chip.read_rng, n_rows * (end - start))
-                chip.clock._now = t_final
-                chip.trace.records.extend(records)
-                chip._refresh_enabled = True
-                chip._disable_time = None
-                chip._frozen_exposure = 0.0
 
     def _run_grid_fused(
         self, fleet: ChipFleet, conditions_grid: Tuple[Conditions, ...]
@@ -456,13 +162,67 @@ class FleetProfiler:
         # ------------------------------------------------------------------
         # Scalar schedule replay: one pass computes every step's clock
         # values, exposure, and the five shared trace records -- exactly
-        # the floating-point expressions the lockstep command methods
+        # the floating-point expressions the per-chip command methods
         # evaluate, in the same order, so every value is bit-equal.
         # ------------------------------------------------------------------
         with obs.span("kernel.schedule_replay", chips=n_chips, conditions=len(conditions_grid)):
-            steps, records, vrt_times, t_final = self._replay_schedule(
-                fleet, conditions_grid, t
-            )
+            steps: List[_ReadStep] = []
+            records: List[CommandRecord] = []
+            vrt_times: List[float] = []
+            for ci, conditions in enumerate(conditions_grid):
+                trefi = conditions.trefi
+                for _ in range(self.iterations):
+                    for pattern in self.patterns:
+                        t = t + io
+                        t_write = t
+                        t = t + trefi
+                        t_wait = t
+                        exposure = t_wait - t_write
+                        # Tolerate float accumulation error at the exact boundary.
+                        if exposure > max_trefi * (1.0 + 1e-9):
+                            raise ConfigurationError(
+                                f"exposure {exposure:.3f}s exceeds max_trefi_s={max_trefi!r}; "
+                                "construct the chip with a larger max_trefi_s"
+                            )
+                        t = t + io
+                        t_read = t
+                        steps.append(
+                            _ReadStep(
+                                cond=ci,
+                                pattern=pattern,
+                                exposure_s=exposure,
+                                t_write=t_write,
+                                t_wait=t_wait,
+                                t_read=t_read,
+                            )
+                        )
+                        records.append(
+                            CommandRecord(
+                                time=t_write,
+                                command=Command.WRITE_PATTERN,
+                                detail=pattern.key,
+                            )
+                        )
+                        records.append(
+                            CommandRecord(time=t_write, command=Command.REFRESH_DISABLE)
+                        )
+                        records.append(
+                            CommandRecord(
+                                time=t_wait, command=Command.WAIT, detail=f"{trefi:.6f}s"
+                            )
+                        )
+                        records.append(
+                            CommandRecord(time=t_wait, command=Command.REFRESH_ENABLE)
+                        )
+                        records.append(
+                            CommandRecord(
+                                time=t_read,
+                                command=Command.READ_COMPARE,
+                                detail=f"exposure={exposure:.6f}s",
+                            )
+                        )
+                        vrt_times.extend((t_write, t_wait, t_read))
+        t_final = t
         n_rows = len(steps)
 
         # ------------------------------------------------------------------
@@ -613,7 +373,7 @@ class FleetProfiler:
                 for key, rows in det_local.items():
                     # All of a deterministic pattern's rows share one cached
                     # alignment/stress draw, so the whole group stacks into one
-                    # ndtr pass (row-for-row bit-equal to deterministic_p).
+                    # ndtr pass (row-for-row bit-equal to per-read evaluation).
                     aligns, stresses = det_cache[key]
                     P[np.asarray(rows, dtype=np.intp)] = population.deterministic_p_grid(
                         [block[j].exposure_s for j in rows],
@@ -653,7 +413,6 @@ class FleetProfiler:
                         scales,
                         align_rows[b0 + j],
                         stress_rows[b0 + j],
-                        (),
                         # Rows of the column-major matrix are strided; the
                         # banded sampler runs several elementwise passes over
                         # u, so one contiguous copy up front is cheaper.

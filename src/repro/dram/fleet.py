@@ -24,35 +24,25 @@ cells fail, in the same order, from the same generator states:
   per-cell array built with ``np.repeat``, and ``x * scale`` is bit-equal
   whether ``scale`` broadcasts from a scalar or repeats per element;
 * RNG purity: each chip's uniforms are drawn from its own
-  ``(seed, chip_id)``-derived read generator, in chip order, directly into
-  the chip's segment of one shared buffer (``Generator.random(out=...)``
-  fills a contiguous slice with exactly the values -- and leaves exactly
-  the generator state -- of a plain ``rng.random(n)``), *before* the fused
-  compare.
+  ``(seed, chip_id)``-derived read generator, in chip order, into the
+  chip's segment of one shared buffer, *before* the fused compare.
 
 VRT episodes stay per-chip (each chip owns its episodic process and RNG
-stream); :meth:`ChipFleet.read_failures` returns them alongside the fused
-static mask so a batch profiler can fold both into its bookkeeping.
+stream); :class:`~repro.core.fleetprof.FleetProfiler` folds them into its
+bookkeeping alongside the fused static masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .. import obs
-from ..errors import CommandSequenceError, ConfigurationError, ProfilingError
-from .cell import (
-    _CHERNOFF_Z_MAX,
-    _FAST_CACHE_MAX_ENTRIES,
-    _FAST_CACHE_MAX_EXPOSURES,
-    WeakCellPopulation,
-)
-from .chip import PendingRead, SimulatedDRAMChip
-from .commands import Command, CommandRecord
+from ..errors import ConfigurationError, ProfilingError
+from .cell import _CHERNOFF_Z_MAX, _FAST_CACHE_MAX_ENTRIES, WeakCellPopulation
+from .chip import SimulatedDRAMChip
 
 
 def _same_arrays(refs: Tuple, arrays: Sequence) -> bool:
@@ -68,14 +58,12 @@ class _FleetPatternState:
     and ``sigma_eff`` are the concatenated scaled effective-retention
     arrays, pinned to the exact per-chip alignment arrays they were built
     from (a DPD redraw or temperature change misses the cache instead of
-    reusing stale state).  ``p_by_exposure`` caches finished probability
-    vectors per exposure, each pinned to the per-chip stress masks.
+    reusing stale state).
     """
 
     alignment_refs: Tuple[np.ndarray, ...]
     mu_eff: np.ndarray
     sigma_eff: np.ndarray
-    p_by_exposure: Dict[float, Tuple[Tuple, np.ndarray]] = field(default_factory=dict)
 
 
 class FleetPopulation:
@@ -84,7 +72,7 @@ class FleetPopulation:
     Construction concatenates each member population's ``mu_wc_s``,
     ``sigma_s``, and DPD susceptibility arrays; ``offsets[i]:offsets[i+1]``
     is chip ``i``'s segment in every concatenated array (and in the boolean
-    failure masks :meth:`sample_failures` returns).
+    failure masks the fleet profiler accumulates).
     """
 
     def __init__(
@@ -123,7 +111,6 @@ class FleetPopulation:
         # dividing by the precomputed array is the same IEEE divide as
         # dividing by the expression, so bits are unchanged.
         self._one_minus_s = 1.0 - self._susceptibility
-        self._u = np.empty(self._n_total, dtype=np.float64)
         # Scratch buffers for the fused elementwise pipelines: `out=`-chained
         # ufuncs apply the exact same operations as the operator expressions
         # (bit-identical results) without reallocating multi-hundred-KB
@@ -229,18 +216,6 @@ class FleetPopulation:
             )
         return np.concatenate(arrays)
 
-    def _draw_uniforms(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """One full-tail uniform draw per chip, in chip order, into the
-        shared buffer.  Each generator consumes exactly the values (and
-        ends in exactly the state) the per-chip path would produce."""
-        u = self._u
-        offsets = self._offsets
-        for i, rng in enumerate(rngs):
-            start, end = offsets[i], offsets[i + 1]
-            if end > start:
-                rng.random(out=u[start:end])
-        return u
-
     def _unscaled_mu(
         self, pattern_key: str, alignments: Sequence[np.ndarray]
     ) -> np.ndarray:
@@ -292,74 +267,6 @@ class FleetPopulation:
         self._states[key] = state
         return state
 
-    # ------------------------------------------------------------------
-    # Fused sampling
-    # ------------------------------------------------------------------
-    def sample_failures(
-        self,
-        exposure_s: float,
-        scales: Sequence[float],
-        alignments: Sequence[np.ndarray],
-        stresseds: Sequence[Optional[np.ndarray]],
-        rngs: Sequence[np.random.Generator],
-        pattern_key: Optional[str] = None,
-        stochastic: bool = True,
-    ) -> np.ndarray:
-        """Bernoulli-sample one fleet read-out as a fused pass.
-
-        ``scales``/``alignments``/``stresseds``/``rngs`` are per-chip, in
-        fleet order.  Returns a boolean mask over the concatenated cell
-        space; chip ``i``'s segment is bit-equal to the ``failed`` mask its
-        own :meth:`~repro.dram.cell.WeakCellPopulation.sample_failures`
-        would have produced (fast or reference mode -- they are identical).
-        """
-        if len(alignments) != self.n_chips or len(rngs) != self.n_chips:
-            raise ConfigurationError("per-chip inputs must match the fleet size")
-        if exposure_s < 0.0:
-            raise ConfigurationError(f"exposure must be non-negative, got {exposure_s!r}")
-        scales = tuple(float(s) for s in scales)
-        if exposure_s == 0.0:
-            # The per-chip path draws uniforms even for a zero exposure;
-            # match it so every generator state stays aligned.
-            self._draw_uniforms(rngs)
-            return np.zeros(self._n_total, dtype=bool)
-        if pattern_key is not None and not stochastic:
-            return self._sample_deterministic(
-                exposure_s, scales, pattern_key, alignments, stresseds, rngs
-            )
-        return self._sample_banded(exposure_s, scales, alignments, stresseds, rngs)
-
-    def deterministic_p(
-        self,
-        exposure_s: float,
-        scales: Tuple[float, ...],
-        pattern_key: str,
-        alignments: Sequence[np.ndarray],
-        stresseds: Sequence[Optional[np.ndarray]],
-    ) -> np.ndarray:
-        """The fused per-cell failure-probability vector for a deterministic
-        pattern at one exposure, memoized and pinned to the exact per-chip
-        alignment/stress arrays.  Comparing chip-ordered uniforms against it
-        is one read-out; the megakernel stacks these vectors row-wise to
-        evaluate a whole condition grid per chip in one compare."""
-        state = self._pattern_state(pattern_key, scales, alignments)
-        key = float(exposure_s)
-        entry = state.p_by_exposure.get(key)
-        if entry is None or not _same_arrays(entry[0], stresseds):
-            # One fused ndtr pass -- the per-chip expression, term for term,
-            # with the z pipeline staged through the scratch buffer.
-            z = np.subtract(exposure_s, state.mu_eff, out=self._z)
-            np.divide(z, state.sigma_eff, out=z)
-            p = ndtr(z)
-            stressed = self._concat_stressed(pattern_key, stresseds)
-            if stressed is not None:
-                np.multiply(p, stressed, out=p)
-            if len(state.p_by_exposure) >= _FAST_CACHE_MAX_EXPOSURES:
-                state.p_by_exposure.clear()
-            entry = (tuple(stresseds), p)
-            state.p_by_exposure[key] = entry
-        return entry[1]
-
     def deterministic_p_grid(
         self,
         exposures_s: Sequence[float],
@@ -368,16 +275,16 @@ class FleetPopulation:
         alignments: Sequence[np.ndarray],
         stresseds: Sequence[Optional[np.ndarray]],
     ) -> np.ndarray:
-        """Stacked :meth:`deterministic_p` rows for many exposures at once.
+        """Fused per-cell failure probabilities of a deterministic pattern
+        at many exposures at once.
 
         Returns a ``(len(exposures_s), n_total)`` matrix whose row ``k`` is
-        bit-equal to ``deterministic_p(exposures_s[k], ...)``: the z
+        bit-equal, segment by segment, to the probability vector each
+        chip's own evaluation at ``exposures_s[k]`` computes: the z
         pipeline and ndtr are elementwise ufuncs, so evaluating them on a
         broadcast matrix applies the identical scalar operation to the
         identical operands.  One ndtr call amortizes the per-row dispatch
-        overhead the megakernel would otherwise pay once per read (row
-        exposures are distinct floats -- each accumulates its own clock
-        error -- so the per-exposure memo cannot help there).
+        overhead the megakernel would otherwise pay once per read.
         """
         state = self._pattern_state(pattern_key, scales, alignments)
         p = np.subtract(
@@ -390,36 +297,20 @@ class FleetPopulation:
             np.multiply(p, stressed, out=p)
         return p
 
-    def _sample_deterministic(
-        self,
-        exposure_s: float,
-        scales: Tuple[float, ...],
-        pattern_key: str,
-        alignments: Sequence[np.ndarray],
-        stresseds: Sequence[Optional[np.ndarray]],
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Memoized fused probability-vector sampling (deterministic
-        patterns): the fleet analogue of ``_sample_deterministic_fast``."""
-        p = self.deterministic_p(exposure_s, scales, pattern_key, alignments, stresseds)
-        return self._draw_uniforms(rngs) < p
-
     def _sample_banded(
         self,
         exposure_s: float,
         scales: Tuple[float, ...],
         alignments: Sequence[np.ndarray],
         stresseds: Sequence[Optional[np.ndarray]],
-        rngs: Sequence[np.random.Generator],
-        u: Optional[np.ndarray] = None,
+        u: np.ndarray,
     ) -> np.ndarray:
         """Fused Chernoff-cut sampling (stochastic patterns): the fleet
         analogue of ``_sample_banded_fast``, candidates gathered globally.
 
-        ``u`` optionally supplies the chip-ordered uniforms (the megakernel
-        gathers them from per-chip block draws -- value-identical to the
-        per-read draw, so the compare is unchanged); without it each chip's
-        read generator is consumed in fleet order as usual."""
+        ``u`` supplies the chip-ordered uniforms (the megakernel gathers
+        them from per-chip block draws -- value-identical to the per-read
+        draw, so the compare is unchanged)."""
         scale_cells = self._scale_cells(scales)
         alignment = (
             alignments
@@ -433,8 +324,6 @@ class FleetPopulation:
         np.multiply(mu_eff, scale_cells, out=mu_eff)
         z = np.subtract(exposure_s, mu_eff, out=self._z)
         np.divide(z, self._sigma_eff(scales), out=z)
-        if u is None:
-            u = self._draw_uniforms(rngs)
         # Clamp the exponent exactly like the per-chip path: deep-tail
         # cells would otherwise push exp() into the subnormal slow path.
         # ``-0.5 * z * z`` associates left, so stage it as (-0.5 * z) * z;
@@ -458,14 +347,15 @@ class FleetPopulation:
 class ChipFleet:
     """A batch of chips driven through one command sequence together.
 
-    Every command method fans out to each member chip in fleet order (so
-    clocks, traces, VRT processes, and DPD draws evolve exactly as they
-    would standalone); only the read-out *evaluation* is fused through the
-    shared :class:`FleetPopulation`.
+    :meth:`repro.core.fleetprof.FleetProfiler.run_grid` replays the shared
+    command schedule once and applies its clock, trace, and refresh state
+    to every member, while each chip's VRT process and DPD/read generators
+    advance exactly as they would standalone; read-out *evaluation* is
+    fused through the shared :class:`FleetPopulation`.
 
-    Member chips must share geometry and ``max_trefi_s`` -- a fleet read
-    asserts that every chip reached the same exposure, which holds exactly
-    when the chips traverse identical clock trajectories.
+    Member chips must share geometry and ``max_trefi_s``, and their clocks
+    must agree whenever a fleet run starts -- the shared schedule is only
+    exact when the chips traverse identical clock trajectories.
     """
 
     def __init__(
@@ -503,34 +393,9 @@ class ChipFleet:
     def max_trefi_s(self) -> float:
         return self.chips[0].max_trefi_s
 
-    # ------------------------------------------------------------------
-    # Lockstep command interface
-    # ------------------------------------------------------------------
-    # Fleet chips traverse identical command trajectories (enforced by the
-    # clock/exposure divergence guards), so each command's bookkeeping --
-    # the new clock value, the exposure accounting, the trace record -- is
-    # computed once and applied to every member, while the per-chip RNG
-    # consumers (VRT arrival sync, DPD excitation, read uniforms) still run
-    # on each chip's own generators in fleet order.  This mirrors
-    # ``SimulatedDRAMChip``'s command methods statement for statement; the
-    # equivalence tests pin the two implementations to identical clocks,
-    # traces, generator states, and profiles.  When instrumentation is
-    # recording, commands fall back to the per-chip methods so per-chip
-    # telemetry counters stay exact.
-
-    def _advance_all(self, seconds: float) -> float:
-        chips = self.chips
-        now = chips[0].clock.advance(seconds)
-        for chip in chips[1:]:
-            if chip.clock.advance(seconds) != now:
-                raise ProfilingError(
-                    "fleet chips diverged: clocks disagree after a lockstep "
-                    "advance; fleet commands require identical command/clock "
-                    "trajectories per chip"
-                )
-        return now
-
     def _now_all(self) -> float:
+        """The members' shared clock value; raises when any member's clock
+        diverged (fleet runs require identical command/clock trajectories)."""
         chips = self.chips
         now = chips[0].clock.now
         for chip in chips[1:]:
@@ -540,178 +405,3 @@ class ChipFleet:
                     "require identical command/clock trajectories per chip"
                 )
         return now
-
-    def write_pattern(self, pattern) -> None:
-        if obs.enabled():
-            for chip in self.chips:
-                chip.write_pattern(pattern)
-            return
-        now = self._advance_all(self._io_seconds)
-        record = CommandRecord(time=now, command=Command.WRITE_PATTERN, detail=pattern.key)
-        for chip in self.chips:
-            chip.vrt.advance_to(now, chip._temperature_c)
-            chip._pattern = pattern
-            chip._alignment, chip._stressed = chip.population.dpd.excite(pattern)
-            if not chip._refresh_enabled:
-                chip._disable_time = now
-            chip._frozen_exposure = 0.0
-            chip.trace.records.append(record)
-
-    def disable_refresh(self) -> None:
-        if obs.enabled():
-            for chip in self.chips:
-                chip.disable_refresh()
-            return
-        now = self._now_all()
-        record = CommandRecord(time=now, command=Command.REFRESH_DISABLE)
-        for chip in self.chips:
-            if not chip._refresh_enabled:
-                raise CommandSequenceError("refresh is already disabled")
-            chip._refresh_enabled = False
-            chip._disable_time = now
-            chip.trace.records.append(record)
-
-    def enable_refresh(self) -> None:
-        if obs.enabled():
-            for chip in self.chips:
-                chip.enable_refresh()
-            return
-        now = self._now_all()
-        record = CommandRecord(time=now, command=Command.REFRESH_ENABLE)
-        for chip in self.chips:
-            if chip._refresh_enabled:
-                raise CommandSequenceError("refresh is already enabled")
-            assert chip._disable_time is not None
-            chip._frozen_exposure = now - chip._disable_time
-            chip._refresh_enabled = True
-            chip._disable_time = None
-            chip.trace.records.append(record)
-
-    def wait(self, seconds: float) -> None:
-        if obs.enabled():
-            for chip in self.chips:
-                chip.wait(seconds)
-            return
-        now = self._advance_all(seconds)
-        record = CommandRecord(time=now, command=Command.WAIT, detail=f"{seconds:.6f}s")
-        for chip in self.chips:
-            chip.vrt.advance_to(now, chip._temperature_c)
-            chip.trace.records.append(record)
-
-    # ------------------------------------------------------------------
-    # Fused read-out
-    # ------------------------------------------------------------------
-    def _begin_read_lockstep(self) -> Tuple[float, float]:
-        """One read-compare's command work for the whole fleet.
-
-        Mirrors :meth:`SimulatedDRAMChip.begin_read` per chip -- clock
-        advance, VRT sync, exposure accounting, bound check, trace record,
-        exposure restart -- with the shared bookkeeping computed once.
-        Returns ``(exposure_s, read_at_s)``.
-        """
-        now = self._advance_all(self._io_seconds)
-        max_trefi = self._max_trefi_s
-        exposure = 0.0
-        record: Optional[CommandRecord] = None
-        for chip in self.chips:
-            if chip._pattern is None or chip._alignment is None:
-                raise CommandSequenceError("no data pattern has been written")
-            chip.vrt.advance_to(now, chip._temperature_c)
-            if not chip._refresh_enabled and chip._disable_time is not None:
-                chip_exposure = now - chip._disable_time
-            else:
-                chip_exposure = chip._frozen_exposure
-            if record is None:
-                exposure = chip_exposure
-                # Tolerate float accumulation error at the exact boundary.
-                if exposure > max_trefi * (1.0 + 1e-9):
-                    raise ConfigurationError(
-                        f"exposure {exposure:.3f}s exceeds max_trefi_s={max_trefi!r}; "
-                        "construct the chip with a larger max_trefi_s"
-                    )
-                record = CommandRecord(
-                    time=now,
-                    command=Command.READ_COMPARE,
-                    detail=f"exposure={exposure:.6f}s",
-                )
-            elif chip_exposure != exposure:
-                raise ProfilingError(
-                    "fleet chips diverged: exposures "
-                    f"{chip_exposure!r} vs {exposure!r}; fleet reads "
-                    "require identical command/clock trajectories per chip"
-                )
-            chip.trace.records.append(record)
-            # Reading through the sense amplifiers restores the cells.
-            if not chip._refresh_enabled:
-                chip._disable_time = now
-            chip._frozen_exposure = 0.0
-        return exposure, now
-
-    def read_failures(
-        self,
-    ) -> Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]:
-        """One fused read-compare across the fleet.
-
-        Returns ``(static_mask, vrt_failures)``: a boolean mask over the
-        concatenated weak-cell space (chip ``i``'s segment bit-equal to its
-        standalone read) and the per-chip VRT failing-cell arrays as
-        ``(chip_index, sorted flat indices)`` pairs, only for chips with at
-        least one active episode.
-        """
-        if obs.enabled():
-            return self._read_failures_traced()
-        exposure, read_at = self._begin_read_lockstep()
-        chips = self.chips
-        lead_pattern = chips[0]._pattern
-        scales = tuple(
-            chip.population.retention_scale(chip._temperature_c) for chip in chips
-        )
-        mask = self.population.sample_failures(
-            exposure,
-            scales,
-            [chip._alignment for chip in chips],
-            [chip._stressed for chip in chips],
-            [chip.read_rng for chip in chips],
-            pattern_key=lead_pattern.key,
-            stochastic=lead_pattern.stochastic,
-        )
-        vrt: List[Tuple[int, np.ndarray]] = []
-        for i, chip in enumerate(chips):
-            cells = chip.vrt.failing_cells(read_at, exposure)
-            if len(cells):
-                vrt.append((i, cells))
-        return mask, vrt
-
-    def _read_failures_traced(
-        self,
-    ) -> Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]:
-        """Per-chip :meth:`~SimulatedDRAMChip.begin_read` fan-out -- the
-        instrumented path, identical results with exact per-chip counters."""
-        pendings: List[PendingRead] = [chip.begin_read() for chip in self.chips]
-        exposure = pendings[0].exposure_s
-        for pending in pendings[1:]:
-            if pending.exposure_s != exposure:
-                raise ProfilingError(
-                    "fleet chips diverged: exposures "
-                    f"{pending.exposure_s!r} vs {exposure!r}; fleet reads "
-                    "require identical command/clock trajectories per chip"
-                )
-        scales = tuple(
-            chip.population.retention_scale(pending.temperature_c)
-            for chip, pending in zip(self.chips, pendings)
-        )
-        mask = self.population.sample_failures(
-            exposure,
-            scales,
-            [pending.alignment for pending in pendings],
-            [pending.stressed for pending in pendings],
-            [chip.read_rng for chip in self.chips],
-            pattern_key=pendings[0].pattern_key,
-            stochastic=pendings[0].stochastic,
-        )
-        vrt: List[Tuple[int, np.ndarray]] = []
-        for i, (chip, pending) in enumerate(zip(self.chips, pendings)):
-            cells = chip.vrt.failing_cells(pending.read_at_s, pending.exposure_s)
-            if len(cells):
-                vrt.append((i, cells))
-        return mask, vrt

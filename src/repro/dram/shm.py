@@ -104,37 +104,10 @@ def _note_unmapped(name: str) -> None:
         _ACTIVE_SEGMENTS.pop(name, None)
 
 
-#: Cumulative attach count per segment name in this process (never
-#: decremented on detach).  Tile-sharded dispatch attaches a segment once
-#: per (chunk x tile) unit instead of once per chunk, so this table is
-#: what makes the attach amplification observable -- tests and capacity
-#: reviews read it through :func:`segment_attach_stats` -- without adding
-#: anything to the attach hot path beyond a dict increment.
-_ATTACH_COUNTS: Dict[str, int] = {}
-
-
-def _note_attach(name: str) -> None:
-    with _ACTIVE_LOCK:
-        _ATTACH_COUNTS[name] = _ATTACH_COUNTS.get(name, 0) + 1
-
-
 def active_segment_stats() -> Tuple[int, int]:
     """(count, total bytes) of segments currently mapped by this process."""
     with _ACTIVE_LOCK:
         return len(_ACTIVE_SEGMENTS), sum(_ACTIVE_SEGMENTS.values())
-
-
-def segment_attach_stats() -> Dict[str, int]:
-    """Cumulative per-segment attach counts for this process.
-
-    Counts every :meth:`SharedPopulationStore.attach` since process
-    start, including segments since detached or unlinked -- the
-    amplification signal for tile-sharded dispatch, where each segment
-    is attached ``tiles_per_chunk`` times more often than under chunk
-    dispatch (in the *worker* processes; the parent's table stays flat).
-    """
-    with _ACTIVE_LOCK:
-        return dict(_ATTACH_COUNTS)
 
 
 def new_segment_name() -> str:
@@ -249,9 +222,6 @@ class SharedPopulationStore:
             )
             _disown(shm)
         _note_mapped(shm.name, shm.buf.nbytes)
-        _note_attach(shm.name)
-        if obs.enabled():
-            obs.counter("shm.attaches")
         chips = {
             int(chip_id): (int(start), int(length))
             for chip_id, (start, length) in descriptor["chips"].items()

@@ -7,10 +7,8 @@ redraws one composite frame per interval --
 
 * service header: queue depth, running jobs, pool saturation, shared
   -memory segment usage, ledger lag;
-* per-tenant job table: state, progress, tile completion (done/total
-  plus the oldest open tile group's age, for straggler spotting on
-  tile-dispatched runs), EWMA throughput and ETA from the job record,
-  live p50/p99 unit latency from the per-job metrics;
+* per-tenant job table: state, progress, EWMA throughput and ETA from
+  the job record, live p50/p99 unit latency from the per-job metrics;
 * kernel-phase breakdown: mean duration and call count of the
   megakernel's ``span.kernel.*`` phase histograms, aggregated across
   every running (and completed) job from the OpenMetrics exposition;
@@ -146,7 +144,7 @@ def render_frame(
         ),
         "",
         f"{bold}{'TENANT':<12} {'JOB':<12} {'STATE':<12} {'PROGRESS':<12} "
-        f"{'TILES':<12} {'STRAGGLE':>9} {'UNITS/S':>8} {'P50':>8} {'P99':>8}{reset}",
+        f"{'UNITS/S':>8} {'P50':>8} {'P99':>8}{reset}",
     ]
     for record in sorted(jobs, key=lambda r: (r.get("tenant", ""), r.get("job_id", ""))):
         job_id = str(record.get("job_id", "?"))
@@ -154,20 +152,12 @@ def render_frame(
         done = progress.get("completed")
         total = progress.get("total")
         progress_text = f"{done}/{total}" if done is not None else "-"
-        tiles = progress.get("tiles") or {}
-        tiles_done = tiles.get("done")
-        tiles_text = (
-            f"{tiles_done}/{tiles.get('total', '?')}" if tiles_done is not None else "-"
-        )
-        oldest = tiles.get("oldest_open_s")
-        straggle_text = _fmt_seconds(float(oldest)) if oldest else "-"
         live = job_metrics.get(job_id) or {}
         rates = live.get("rates") or {}
         rate = rates.get("units_per_s_ewma")
         lines.append(
             f"{str(record.get('tenant', '?')):<12} {job_id:<12} "
             f"{str(record.get('state', '?')):<12} {progress_text:<12} "
-            f"{tiles_text:<12} {straggle_text:>9} "
             f"{(f'{rate:.2f}' if rate is not None else '-'):>8} "
             f"{_fmt_seconds(rates.get('unit_p50_s')):>8} "
             f"{_fmt_seconds(rates.get('unit_p99_s')):>8}"

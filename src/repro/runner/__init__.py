@@ -27,22 +27,14 @@ executions of the same campaign produce byte-identical summaries.
 from .campaign import (
     CHIP_UNIT_KIND,
     FLEET_UNIT_KIND,
-    TILE_UNIT_KIND,
     aggregate_chip_results,
-    auto_condition_tiles,
     build_chip_units,
     build_fleet_units,
-    build_tile_units,
     campaign_fingerprint,
-    condition_plan,
     expand_fleet_result,
     fleet_dispatch,
-    fleet_tile_dispatch,
     measure_chip,
     measure_fleet,
-    measure_fleet_tile,
-    merge_tile_counts,
-    tile_bounds,
 )
 from .engine import (
     ProgressCallback,
@@ -54,13 +46,11 @@ from .engine import (
 from .executors import (
     BACKEND_NAMES,
     Backend,
-    CostWindow,
     ProcessPoolBackend,
     SerialBackend,
     backend_from_spec,
     default_worker_count,
     execute_unit,
-    unit_cost,
 )
 from .interrupt import GracefulStop, graceful_stop
 from .progress import ProgressTracker
@@ -82,10 +72,8 @@ __all__ = [
     "BACKEND_NAMES",
     "Backend",
     "CHIP_UNIT_KIND",
-    "CostWindow",
     "EVENTS_NAME",
     "FLEET_UNIT_KIND",
-    "TILE_UNIT_KIND",
     "GracefulStop",
     "MANIFEST_NAME",
     "METRICS_NAME",
@@ -107,24 +95,16 @@ __all__ = [
     "UnitResult",
     "WorkUnit",
     "aggregate_chip_results",
-    "auto_condition_tiles",
     "backend_from_spec",
     "build_chip_units",
     "build_fleet_units",
-    "build_tile_units",
     "campaign_fingerprint",
-    "condition_plan",
     "default_worker_count",
     "execute_unit",
     "expand_fleet_result",
     "fleet_dispatch",
-    "fleet_tile_dispatch",
     "graceful_stop",
     "manifest_spec_diff",
     "measure_chip",
     "measure_fleet",
-    "measure_fleet_tile",
-    "merge_tile_counts",
-    "tile_bounds",
-    "unit_cost",
 ]

@@ -29,20 +29,8 @@ composes it with :class:`~repro.runner.engine.RunnerEngine`.
 
 from __future__ import annotations
 
-import time
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .. import obs as obs_mod
 from .. import rng as rng_mod
 from ..conditions import Conditions
 from ..core.bruteforce import BruteForceProfiler
@@ -61,9 +49,6 @@ CHIP_UNIT_KIND = "chip-measurement"
 
 #: Kind tag on every fleet (chunk-of-chips) measurement unit.
 FLEET_UNIT_KIND = "fleet-measurement"
-
-#: Kind tag on every (chip-chunk x condition-tile) measurement unit.
-TILE_UNIT_KIND = "fleet-tile-measurement"
 
 #: Headroom factor between the largest profiled interval and the chip's
 #: supported maximum, matching the legacy in-process campaign.
@@ -211,7 +196,6 @@ def build_fleet_units(
     units: Sequence[WorkUnit],
     chips_per_unit: int,
     shm: Optional[Mapping[str, Any]] = None,
-    megakernel: Optional[bool] = None,
 ) -> Tuple[WorkUnit, ...]:
     """Pack consecutive per-chip units into fleet transport chunks.
 
@@ -226,10 +210,9 @@ def build_fleet_units(
     ``shm`` is a :meth:`~repro.dram.shm.SharedPopulationStore.descriptor`;
     each chunk gets the descriptor narrowed to its own member chips, so a
     worker attaches to the run's shared segment instead of redrawing (or
-    unpickling) weak-cell populations.  ``megakernel`` (when not ``None``)
-    rides along as the worker's condition-grid fusion switch.  Both are
-    execution knobs only: payload-wise the member units -- and therefore
-    the per-chip results and resume fingerprints -- are unchanged.
+    unpickling) weak-cell populations.  It is an execution detail only:
+    payload-wise the member units -- and therefore the per-chip results
+    and resume fingerprints -- are unchanged.
     """
     if chips_per_unit <= 0:
         raise ConfigurationError(
@@ -262,8 +245,6 @@ def build_fleet_units(
                     for u in chunk
                 },
             }
-        if megakernel is not None:
-            payload["megakernel"] = bool(megakernel)
         chunks.append(
             WorkUnit(
                 unit_id=f"fleet-{chunk[0].unit_id}-{chunk[-1].unit_id}",
@@ -305,27 +286,21 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
     the base temperature, then the remaining temperatures at the top
     interval -- on every member chip at once through a
     :class:`~repro.infra.testbed.FleetBed` and
-    :class:`~repro.core.fleetprof.FleetProfiler`.  Returns
+    :class:`~repro.core.fleetprof.FleetProfiler`: the base-temperature
+    interval sweep is one :meth:`~repro.core.fleetprof.FleetProfiler.run_grid`
+    pass, and each remaining temperature point another.  Returns
     ``{"chips": [{"unit_id", "value"}, ...]}`` in member order, where each
     ``value`` is byte-identical to the member's :func:`measure_chip`
     return.
 
-    Two optional chunk-level keys change *how*, never *what*:
-
-    ``payload["shm"]``
-        Shared-memory descriptor from :func:`build_fleet_units`.  The
-        worker attaches to the run's population segment, builds every chip
-        on zero-copy views, and (when the chunk's chips are contiguous in
-        the segment) hands the stacked arrays to the fleet without
-        concatenating.  The segment is attached read-only for the duration
-        of the call and never unlinked here -- the campaign owns the
-        segment's lifetime.
-
-    ``payload["megakernel"]``
-        Condition-grid fusion switch (default on): the base-temperature
-        interval sweep collapses into one
-        :meth:`~repro.core.fleetprof.FleetProfiler.run_grid` pass, and each
-        remaining temperature point into another.
+    ``payload["shm"]`` (optional) is the shared-memory descriptor from
+    :func:`build_fleet_units`.  The worker attaches to the run's
+    population segment, builds every chip on zero-copy views, and (when
+    the chunk's chips are contiguous in the segment) hands the stacked
+    arrays to the fleet without concatenating.  The segment is attached
+    read-only for the duration of the call and never unlinked here -- the
+    campaign owns the segment's lifetime.  Without it every chip redraws
+    its own population; the values are identical.
     """
     members = list(payload["members"])
     if not members:
@@ -335,7 +310,6 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
     intervals = [float(t) for t in first["intervals_s"]]
     temperatures = [float(t) for t in first["temperatures_c"]]
     fast_path = first.get("fast_path")
-    megakernel = bool(payload.get("megakernel", True))
     chip_ids = [int(m["payload"]["chip_id"]) for m in members]
 
     store: Optional[SharedPopulationStore] = None
@@ -364,9 +338,7 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
         bed.set_ambient(base_temp)
         interval_failures: List[List[List[float]]] = [[] for _ in members]
         grid = [Conditions(trefi=t, temperature=base_temp) for t in intervals]
-        for ci, results in enumerate(
-            profiler.run_grid(fleet, grid, megakernel=megakernel)
-        ):
+        for ci, results in enumerate(profiler.run_grid(fleet, grid)):
             for i, result in enumerate(results):
                 interval_failures[i].append([intervals[ci], float(len(result))])
 
@@ -378,9 +350,7 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
         for temperature in temperatures[1:]:
             bed.set_ambient(temperature)
             (results,) = profiler.run_grid(
-                fleet,
-                [Conditions(trefi=top, temperature=temperature)],
-                megakernel=megakernel,
+                fleet, [Conditions(trefi=top, temperature=temperature)]
             )
             for i, result in enumerate(results):
                 temperature_failures[i].append([temperature, float(len(result))])
@@ -458,15 +428,13 @@ def expand_fleet_result(
 
 
 def fleet_dispatch(
-    chips_per_unit: int,
-    shm: Optional[Mapping[str, Any]] = None,
-    megakernel: Optional[bool] = None,
+    chips_per_unit: int, shm: Optional[Mapping[str, Any]] = None
 ) -> UnitDispatch:
     """A :class:`~repro.runner.engine.UnitDispatch` that ships chips to
     workers in fleet chunks of ``chips_per_unit``.
 
-    ``shm`` (a shared-population segment descriptor) and ``megakernel``
-    propagate to every chunk payload -- see :func:`build_fleet_units`.
+    ``shm`` (a shared-population segment descriptor) propagates to every
+    chunk payload -- see :func:`build_fleet_units`.
     """
     if chips_per_unit <= 0:
         raise ConfigurationError(
@@ -474,486 +442,9 @@ def fleet_dispatch(
         )
 
     def group(pending: Tuple[WorkUnit, ...]) -> Tuple[WorkUnit, ...]:
-        return build_fleet_units(
-            pending, chips_per_unit, shm=shm, megakernel=megakernel
-        )
+        return build_fleet_units(pending, chips_per_unit, shm=shm)
 
     return UnitDispatch(worker=measure_fleet, group=group, expand=expand_fleet_result)
-
-
-# ----------------------------------------------------------------------
-# Two-dimensional work-plane sharding: (chip-chunk x condition-tile).
-# ----------------------------------------------------------------------
-
-
-def condition_plan(
-    intervals_s: Sequence[float], temperatures_c: Sequence[float]
-) -> Tuple[Tuple[float, float], ...]:
-    """The campaign's per-chip condition sequence, in schedule order.
-
-    ``(trefi, temperature)`` pairs: index ``i < len(intervals)`` is the
-    interval sweep at the base temperature, index ``len(intervals) + j``
-    is the top interval at ``temperatures[1 + j]`` -- exactly the order
-    :func:`measure_chip` and :func:`measure_fleet` walk.  Condition tiles
-    are contiguous ``[start, stop)`` slices of this sequence.
-    """
-    intervals = [float(t) for t in intervals_s]
-    temperatures = [float(t) for t in temperatures_c]
-    if not intervals or not temperatures:
-        raise ConfigurationError("a condition plan needs intervals and temperatures")
-    top = max(intervals)
-    plan = [(trefi, temperatures[0]) for trefi in intervals]
-    plan.extend((top, temperature) for temperature in temperatures[1:])
-    return tuple(plan)
-
-
-def tile_bounds(n_conditions: int, tiles: int) -> Tuple[Tuple[int, int], ...]:
-    """Near-even contiguous partition of ``range(n_conditions)`` into
-    ``tiles`` half-open ``[start, stop)`` slices (never empty: the tile
-    count is clamped to the condition count)."""
-    if n_conditions <= 0:
-        raise ConfigurationError("n_conditions must be positive")
-    if tiles <= 0:
-        raise ConfigurationError(f"tiles must be positive, got {tiles!r}")
-    tiles = min(int(tiles), int(n_conditions))
-    base, extra = divmod(int(n_conditions), tiles)
-    bounds: List[Tuple[int, int]] = []
-    start = 0
-    for k in range(tiles):
-        stop = start + base + (1 if k < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return tuple(bounds)
-
-
-def auto_condition_tiles(n_conditions: int, n_chunks: int, workers: int) -> int:
-    """Tiles per chunk that keep roughly 8 schedulable units per worker.
-
-    Capped at 8 per chunk regardless of pool size: every tile pays a
-    fixed cost (bed construction, segment attach, prefix seek)
-    proportional to the chunk's chip count, so over-tiling trades real
-    work for replay.  One worker gets one tile -- the chunk path's exact
-    shape, minus reasons to pay the tile machinery at all.
-    """
-    if n_conditions <= 0:
-        raise ConfigurationError("n_conditions must be positive")
-    target = 8 * max(1, int(workers))
-    tiles = -(-target // max(1, int(n_chunks)))
-    return max(1, min(int(n_conditions), 8, tiles))
-
-
-def build_tile_units(
-    units: Sequence[WorkUnit],
-    chips_per_unit: int,
-    condition_tiles: int,
-    shm: Optional[Mapping[str, Any]] = None,
-    megakernel: Optional[bool] = None,
-) -> Tuple[WorkUnit, ...]:
-    """Cross fleet chunks with condition tiles into schedulable units.
-
-    Chips chunk exactly like :func:`build_fleet_units`; each chunk's
-    condition plan (see :func:`condition_plan`) splits into
-    ``condition_tiles`` contiguous tiles, and every ``(chunk, tile)``
-    pair becomes one :data:`TILE_UNIT_KIND` unit whose payload is the
-    chunk payload plus ``"tile": [start, stop)``.  Units are ordered by
-    descending :attr:`~repro.runner.units.WorkUnit.cost` -- the tile's
-    exposure-dominated weight, so the largest-interval tiles launch
-    first and the long poles never land last on a draining pool
-    (unit id breaks ties, keeping the order deterministic).
-    """
-    if condition_tiles <= 0:
-        raise ConfigurationError(
-            f"condition_tiles must be positive, got {condition_tiles!r}"
-        )
-    chunks = build_fleet_units(units, chips_per_unit, shm=shm, megakernel=megakernel)
-    if not chunks:
-        return ()
-    first = chunks[0].payload["members"][0]["payload"]
-    plan = condition_plan(first["intervals_s"], first["temperatures_c"])
-    top = max(trefi for trefi, _temperature in plan)
-    # Per-condition relative weight: one unit of fixed overhead plus the
-    # exposure itself (normalized by the top interval).  Seeked prefix
-    # conditions cost a few percent of an evaluated one.
-    weights = [1.0 + trefi / top for trefi, _temperature in plan]
-    bounds = tile_bounds(len(plan), condition_tiles)
-    tiles: List[WorkUnit] = []
-    for chunk in chunks:
-        n_members = len(chunk.payload["members"])
-        for start, stop in bounds:
-            cost = n_members * (
-                sum(weights[start:stop]) + 0.05 * sum(weights[:start]) + 1.0
-            )
-            tiles.append(
-                WorkUnit(
-                    unit_id=f"tile-{chunk.unit_id}-c{start:04d}-{stop:04d}",
-                    kind=TILE_UNIT_KIND,
-                    payload={**chunk.payload, "tile": [start, stop]},
-                    cost=cost,
-                )
-            )
-    tiles.sort(key=lambda unit: (-unit.cost, unit.unit_id))
-    return tuple(tiles)
-
-
-def measure_fleet_tile(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Measure one (chip-chunk x condition-tile) unit (worker function).
-
-    Builds the chunk's fleet exactly like :func:`measure_fleet`, then
-    walks the condition plan replaying every chamber set-point in order:
-    conditions before the tile are *seeked* past
-    (:meth:`~repro.core.fleetprof.FleetProfiler.seek_grid` -- the
-    deterministic entry-state replay: scalar clock schedule, O(1) RNG
-    stream advances, no read evaluation), conditions inside
-    ``payload["tile"] = [start, stop)`` are evaluated, and the walk stops
-    at the tile's end.  Returns partial per-chip accumulators::
-
-        {"chips": [{"unit_id": ..., "counts": [[cond_index, count], ...]},
-                   ...]}
-
-    keyed by plan index, which :func:`merge_tile_counts` folds -- exactly
-    and order-independently -- back into :func:`measure_chip` values.
-    """
-    members = list(payload["members"])
-    if not members:
-        raise ConfigurationError("a tile unit needs at least one member chip")
-    first = _shared_fleet_config(members)
-    geometry = ChipGeometry(**{k: int(v) for k, v in first["geometry"].items()})
-    intervals = [float(t) for t in first["intervals_s"]]
-    temperatures = [float(t) for t in first["temperatures_c"]]
-    fast_path = first.get("fast_path")
-    megakernel = bool(payload.get("megakernel", True))
-    n_intervals = len(intervals)
-    n_conditions = n_intervals + len(temperatures) - 1
-    tile = payload.get("tile", (0, n_conditions))
-    start, stop = int(tile[0]), int(tile[1])
-    if not 0 <= start < stop <= n_conditions:
-        raise ConfigurationError(
-            f"tile {tile!r} out of range for a {n_conditions}-condition plan"
-        )
-    chip_ids = [int(m["payload"]["chip_id"]) for m in members]
-
-    store: Optional[SharedPopulationStore] = None
-    samples = None
-    backing = None
-    if payload.get("shm") is not None:
-        store = SharedPopulationStore.attach(payload["shm"])
-        samples = {chip_id: store.sample(chip_id) for chip_id in chip_ids}
-        backing = store.fleet_backing(chip_ids)
-    try:
-        with obs_mod.span(
-            "kernel.tile.execute",
-            chips=len(members),
-            tile_start=start,
-            tile_stop=stop,
-            conditions=stop - start,
-        ):
-            bed = FleetBed.build(
-                members=[
-                    (chip_id, vendor_by_name(str(m["payload"]["vendor"])))
-                    for chip_id, m in zip(chip_ids, members)
-                ],
-                geometry=geometry,
-                seed=int(first["seed"]),
-                max_trefi_s=max(intervals) * TREFI_HEADROOM,
-                fast_path=None if fast_path is None else bool(fast_path),
-                samples=samples,
-            )
-            fleet = ChipFleet(bed.chips, backing=backing)
-            profiler = FleetProfiler(iterations=int(first["iterations"]))
-
-            counts: List[Tuple[int, List[float]]] = []
-            base_temp = temperatures[0]
-            bed.set_ambient(base_temp)
-            grid = [Conditions(trefi=t, temperature=base_temp) for t in intervals]
-            base_stop = min(stop, n_intervals)
-            if start < n_intervals:
-                for k, results in enumerate(
-                    profiler.run_grid(
-                        fleet, grid, megakernel=megakernel, tile=(start, base_stop)
-                    )
-                ):
-                    counts.append(
-                        (start + k, [float(len(r)) for r in results])
-                    )
-            else:
-                profiler.seek_grid(fleet, grid)
-
-            top = max(intervals)
-            for j, temperature in enumerate(temperatures[1:]):
-                cond_index = n_intervals + j
-                if cond_index >= stop:
-                    break
-                bed.set_ambient(temperature)
-                point = [Conditions(trefi=top, temperature=temperature)]
-                if cond_index < start:
-                    profiler.seek_grid(fleet, point)
-                else:
-                    (results,) = profiler.run_grid(
-                        fleet, point, megakernel=megakernel
-                    )
-                    counts.append(
-                        (cond_index, [float(len(r)) for r in results])
-                    )
-
-            return {
-                "chips": [
-                    {
-                        "unit_id": member["unit_id"],
-                        "counts": [
-                            [cond_index, per_chip[i]]
-                            for cond_index, per_chip in counts
-                        ],
-                    }
-                    for i, member in enumerate(members)
-                ]
-            }
-    finally:
-        if store is not None:
-            # Same detach discipline as measure_fleet: drop view-holding
-            # locals first, never unlink (the campaign owns the segment).
-            del samples, backing
-            try:
-                del bed, fleet
-            except UnboundLocalError:
-                pass
-            store.close()
-
-
-def merge_tile_counts(
-    members: Sequence[Mapping[str, Any]],
-    tile_values: Iterable[Any],
-) -> Dict[str, Dict[int, float]]:
-    """Fold tile workers' partial counts into per-chip count vectors.
-
-    The reduction is exact and order-independent: each ``(chip,
-    condition)`` count is *assigned*, never summed, so any arrival order
-    produces the same table, and a gap or an overlap -- a condition
-    measured by zero or by two tiles -- is a hard
-    :class:`~repro.errors.ConfigurationError` instead of a silently
-    wrong total.  Returns ``{member unit_id: {plan index: count}}``
-    covering every plan position.
-    """
-    first = _shared_fleet_config(members)
-    n_conditions = len(first["intervals_s"]) + len(first["temperatures_c"]) - 1
-    member_ids = [str(m["unit_id"]) for m in members]
-    merged: Dict[str, Dict[int, float]] = {uid: {} for uid in member_ids}
-    for value in tile_values:
-        chips = list(value["chips"]) if isinstance(value, Mapping) else None
-        if chips is None or [str(c["unit_id"]) for c in chips] != member_ids:
-            raise ConfigurationError(
-                "tile result does not cover its chunk's members exactly; "
-                "the worker and the chunk payload disagree"
-            )
-        for chip in chips:
-            table = merged[str(chip["unit_id"])]
-            for cond_index, count in chip["counts"]:
-                cond_index = int(cond_index)
-                if cond_index in table:
-                    raise ConfigurationError(
-                        f"condition {cond_index} of {chip['unit_id']!r} was "
-                        "measured by two tiles; the tile partition overlaps"
-                    )
-                table[cond_index] = float(count)
-    for unit_id, table in merged.items():
-        if len(table) != n_conditions:
-            missing = sorted(set(range(n_conditions)) - set(table))
-            raise ConfigurationError(
-                f"tile results for {unit_id!r} leave conditions "
-                f"{missing[:5]} unmeasured; the tile partition has gaps"
-            )
-    return merged
-
-
-def _assemble_chip_value(
-    member: Mapping[str, Any], counts: Mapping[int, float]
-) -> Dict[str, Any]:
-    """Reassemble one chip's :func:`measure_chip` value from merged
-    per-condition counts (same expressions, same pair order, same
-    first-match top-interval lookup -- byte-identical)."""
-    payload = member["payload"]
-    intervals = [float(t) for t in payload["intervals_s"]]
-    temperatures = [float(t) for t in payload["temperatures_c"]]
-    interval_failures = [
-        [trefi, counts[i]] for i, trefi in enumerate(intervals)
-    ]
-    top = max(intervals)
-    top_count = next(count for trefi, count in interval_failures if trefi == top)
-    temperature_failures = [[temperatures[0], top_count]]
-    for j, temperature in enumerate(temperatures[1:]):
-        temperature_failures.append([temperature, counts[len(intervals) + j]])
-    return {
-        "chip_id": int(payload["chip_id"]),
-        "vendor": str(payload["vendor"]),
-        "interval_failures": interval_failures,
-        "temperature_failures": temperature_failures,
-    }
-
-
-def fleet_tile_dispatch(
-    chips_per_unit: int,
-    condition_tiles: int,
-    shm: Optional[Mapping[str, Any]] = None,
-    megakernel: Optional[bool] = None,
-    on_tile: Optional[Callable[[Mapping[str, Any]], None]] = None,
-    observability: Optional["obs_mod.Observability"] = None,
-) -> UnitDispatch:
-    """A :class:`~repro.runner.engine.UnitDispatch` that shards the
-    (chips x conditions) work plane in two dimensions.
-
-    ``group`` crosses the pending chips' fleet chunks with
-    ``condition_tiles`` contiguous condition tiles
-    (:func:`build_tile_units`, largest-cost tiles first); ``expand``
-    holds each chunk's partial results until its last tile reports, then
-    folds them with the exact order-independent reduction
-    (:func:`merge_tile_counts`) into per-chip rows byte-identical to the
-    chunk and per-chip paths.  The engine's currency -- store rows,
-    resume keys, progress -- stays the per-chip unit, so tile runs,
-    chunk runs, and per-chip runs all resume each other's run
-    directories.
-
-    Every completed tile is observable twice over: the ``kernel.tile.*``
-    metric family (completed counter, duration histogram, open-tiles and
-    oldest-open-age gauges) lands on ``observability`` (default: the
-    process-wide layer when enabled), and ``on_tile`` -- when given --
-    receives a live ``{"done", "total", "open_groups", "oldest_open_s"}``
-    progress mapping (the service feeds ``repro top`` from it).  A
-    cooperative stop can leave chunks with only some tiles done; their
-    per-chip results are withheld (a partial merge would be wrong), the
-    dispatch's ``finalize`` emits a ``runner.tile.dropped`` diagnostic
-    per partial chunk, and a resume re-runs those chunks' tiles.
-    """
-    if chips_per_unit <= 0:
-        raise ConfigurationError(
-            f"chips_per_unit must be positive, got {chips_per_unit!r}"
-        )
-    if condition_tiles <= 0:
-        raise ConfigurationError(
-            f"condition_tiles must be positive, got {condition_tiles!r}"
-        )
-
-    state: Dict[str, Dict[str, Any]] = {}
-    progress = {"done": 0, "total": 0}
-
-    def layer() -> Optional["obs_mod.Observability"]:
-        if observability is not None:
-            return observability
-        return obs_mod.get() if obs_mod.enabled() else None
-
-    def group_key(unit: WorkUnit) -> str:
-        members = unit.payload["members"]
-        return f"{members[0]['unit_id']}-{members[-1]['unit_id']}"
-
-    def open_groups() -> List[Dict[str, Any]]:
-        return [
-            entry
-            for entry in state.values()
-            if set(entry["results"]) != entry["expected"]
-        ]
-
-    def group(pending: Tuple[WorkUnit, ...]) -> Tuple[WorkUnit, ...]:
-        state.clear()
-        tiles = build_tile_units(
-            pending, chips_per_unit, condition_tiles, shm=shm, megakernel=megakernel
-        )
-        now = time.monotonic()
-        progress["done"], progress["total"] = 0, len(tiles)
-        for unit in tiles:
-            entry = state.setdefault(
-                group_key(unit),
-                {"expected": set(), "results": {}, "members": None, "last": now},
-            )
-            entry["expected"].add(unit.unit_id)
-            entry["members"] = unit.payload["members"]
-        active = layer()
-        if active is not None and tiles:
-            active.gauge("kernel.tile.plan", len(tiles))
-            active.gauge("kernel.tile.open", len(tiles))
-        return tiles
-
-    def expand(
-        chunk_unit: WorkUnit, result: UnitResult
-    ) -> Tuple[UnitResult, ...]:
-        entry = state[group_key(chunk_unit)]
-        entry["results"][result.unit_id] = result
-        now = time.monotonic()
-        entry["last"] = now
-        progress["done"] += 1
-        complete = set(entry["results"]) == entry["expected"]
-        pending_entries = open_groups()
-        oldest = max((now - e["last"] for e in pending_entries), default=0.0)
-        active = layer()
-        if active is not None:
-            active.counter("kernel.tile.completed", status=result.status)
-            active.observe(
-                "kernel.tile.seconds", result.elapsed_s, status=result.status
-            )
-            active.gauge("kernel.tile.open", progress["total"] - progress["done"])
-            active.gauge("kernel.tile.oldest_open_s", oldest)
-            active.emit(
-                "runner.tile",
-                unit_id=result.unit_id,
-                tile=list(chunk_unit.payload.get("tile", ())),
-                status=result.status,
-                done=progress["done"],
-                total=progress["total"],
-            )
-        if on_tile is not None:
-            on_tile(
-                {
-                    "done": progress["done"],
-                    "total": progress["total"],
-                    "open_groups": len(pending_entries),
-                    "oldest_open_s": oldest,
-                }
-            )
-        if not complete:
-            return ()
-        members = list(entry["members"])
-        rows = [entry["results"][uid] for uid in sorted(entry["expected"])]
-        attempts = max(r.attempts for r in rows)
-        elapsed = sum(r.elapsed_s for r in rows) / len(members)
-        failed = next((r for r in rows if not r.ok), None)
-        if failed is not None:
-            return tuple(
-                UnitResult(
-                    unit_id=str(member["unit_id"]),
-                    status=STATUS_FAILED,
-                    error=failed.error,
-                    attempts=attempts,
-                    elapsed_s=elapsed,
-                )
-                for member in members
-            )
-        merged = merge_tile_counts(members, [r.value for r in rows])
-        return tuple(
-            UnitResult(
-                unit_id=str(member["unit_id"]),
-                status=STATUS_OK,
-                value=_assemble_chip_value(member, merged[str(member["unit_id"])]),
-                attempts=attempts,
-                elapsed_s=elapsed,
-            )
-            for member in members
-        )
-
-    def finalize() -> Tuple[UnitResult, ...]:
-        active = layer()
-        for key, entry in sorted(state.items()):
-            got = len(entry["results"])
-            if got and got < len(entry["expected"]):
-                if active is not None:
-                    active.emit(
-                        "runner.tile.dropped",
-                        group=key,
-                        completed=got,
-                        expected=len(entry["expected"]),
-                    )
-        state.clear()
-        return ()
-
-    return UnitDispatch(
-        worker=measure_fleet_tile, group=group, expand=expand, finalize=finalize
-    )
 
 
 def aggregate_chip_results(

@@ -82,20 +82,12 @@ class UnitDispatch:
     none) can be resumed by any other.
 
     ``expand`` receives ``(chunk_unit, chunk_result)`` and must return one
-    result per member, ok or failed, in member order.  A *stateful*
-    dispatch (e.g. the tile reduction, which folds several transport
-    units into each member's result) may return ``()`` from ``expand``
-    until it has seen everything a member needs; ``finalize`` -- when
-    set -- is then called once after the backend's result stream ends
-    (complete or cooperatively drained) and may return leftover per-unit
-    results to persist.  Most finalizers return ``()`` and only emit
-    diagnostics for work dropped by an interrupt.
+    result per member, ok or failed, in member order.
     """
 
     worker: WorkerFn
     group: Callable[[Tuple[WorkUnit, ...]], Tuple[WorkUnit, ...]]
     expand: Callable[[WorkUnit, UnitResult], Tuple[UnitResult, ...]]
-    finalize: Optional[Callable[[], Tuple[UnitResult, ...]]] = None
 
 
 @dataclass(frozen=True)
@@ -339,15 +331,6 @@ class RunnerEngine:
                             if active is not None:
                                 if dispatch is None:
                                     self._merge_telemetry(active, result)
-                                self._record_unit(active, result, tracker)
-                            if self.progress is not None:
-                                self.progress(result, tracker)
-                    if dispatch is not None and dispatch.finalize is not None:
-                        for result in dispatch.finalize():
-                            results[result.unit_id] = result
-                            store.append(result)
-                            tracker.update(result)
-                            if active is not None:
                                 self._record_unit(active, result, tracker)
                             if self.progress is not None:
                                 self.progress(result, tracker)

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
+import itertools
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from typing import Any, Callable, Iterator, Optional, Tuple, Union
 
 from .. import obs as obs_mod
 from ..errors import ConfigurationError
@@ -175,75 +175,6 @@ def default_worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def unit_cost(unit: WorkUnit) -> float:
-    """Relative execution cost of one unit, for submission windowing.
-
-    An explicit :attr:`~repro.runner.units.WorkUnit.cost` (stamped by
-    cost-aware builders such as ``build_tile_units``) wins.  Otherwise the
-    JSON byte size of the payload stands in: transport weight tracks work
-    for chunked campaign units (more member chips, bigger payload, more
-    work), and for uniform payloads every estimate collapses to the same
-    constant -- reproducing the fixed-window behaviour exactly.
-    """
-    if unit.cost is not None:
-        return max(float(unit.cost), 1e-9)
-    try:
-        nbytes = len(json.dumps(unit.payload, separators=(",", ":"), default=str))
-    except (TypeError, ValueError):  # pragma: no cover - non-JSON payload
-        nbytes = 4096
-    return max(1.0, nbytes / 4096.0)
-
-
-class CostWindow:
-    """Cost-aware in-flight window for the pool backend.
-
-    The old fixed ``4 x pool`` *unit* window misbehaves at both extremes
-    of a heterogeneous plan: many tiny units starve the pool (four cheap
-    units per worker drain faster than the coordinator's refill round
-    trip), while a few huge units hold ``4 x pool`` oversized payloads in
-    the coordinator at once.  This window admits units until their
-    *outstanding cost* reaches ``inflight_factor x pool x median-cost`` --
-    a homogeneous plan therefore gets exactly the old window -- bounded
-    below by ``pool + 1`` in-flight units (a worker must never idle
-    waiting on the coordinator, however huge the units) and above by
-    ``max_factor x pool`` units (absolute cap for degenerate estimates).
-    """
-
-    def __init__(
-        self,
-        pool_size: int,
-        costs: Sequence[float],
-        inflight_factor: int = 4,
-        max_factor: int = 32,
-    ) -> None:
-        pool_size = max(1, int(pool_size))
-        ordered = sorted(costs) or [1.0]
-        reference = max(float(ordered[len(ordered) // 2]), 1e-9)
-        self.budget = float(inflight_factor) * pool_size * reference
-        self.min_inflight = pool_size + 1
-        self.max_inflight = max(self.min_inflight, int(max_factor) * pool_size)
-        self.inflight = 0
-        self.inflight_cost = 0.0
-
-    def admit(self, cost: float) -> bool:
-        """Account for one more unit of ``cost`` if the window allows it."""
-        if self.inflight >= self.max_inflight:
-            return False
-        if (
-            self.inflight >= self.min_inflight
-            and self.inflight_cost + cost > self.budget
-        ):
-            return False
-        self.inflight += 1
-        self.inflight_cost += float(cost)
-        return True
-
-    def complete(self, cost: float) -> None:
-        """Release one unit's accounting as its result drains."""
-        self.inflight -= 1
-        self.inflight_cost -= float(cost)
-
-
 class ProcessPoolBackend:
     """Fan units out across worker processes.
 
@@ -263,14 +194,10 @@ class ProcessPoolBackend:
         ``workers`` then only sizes this run's submission window -- its
         fair share of the shared pool -- not the pool itself.
 
-    Submission is windowed by *cost* (:class:`CostWindow` over
-    :func:`unit_cost`): outstanding submissions are capped at roughly
-    ``INFLIGHT_FACTOR * workers`` median-cost units -- exactly the legacy
-    fixed window for homogeneous plans -- and the window refills as
-    results drain, so a 10k-unit campaign never holds every payload and
-    future in the coordinator at once, a plan of oversized chunks never
-    over-buffers them, and a plan of tiny tiles keeps enough in flight
-    (up to ``MAX_INFLIGHT_FACTOR * workers``) that workers never starve.
+    Submission is windowed: at most ``INFLIGHT_FACTOR * workers`` units are
+    in flight at once, refilled as results drain, so a 10k-unit campaign
+    never holds every payload and future in the coordinator at the same
+    time while workers still never starve.
 
     ``should_stop`` makes cancellation cooperative and lossless: once it
     reads ``True`` the backend stops submitting, cancels queued futures
@@ -282,12 +209,8 @@ class ProcessPoolBackend:
 
     name = "process"
 
-    #: Target in-flight cost per pool worker, in median-cost units.
+    #: In-flight submission window per pool worker.
     INFLIGHT_FACTOR = 4
-
-    #: Absolute in-flight *unit* cap per pool worker (guards the window
-    #: against degenerate cost estimates on plans of many tiny units).
-    MAX_INFLIGHT_FACTOR = 32
 
     def __init__(
         self,
@@ -314,53 +237,37 @@ class ProcessPoolBackend:
         if should_stop is not None and should_stop():
             return
         pool_size = min(self.workers, len(units))
-        costs: List[float] = [unit_cost(unit) for unit in units]
-        window = CostWindow(
-            pool_size,
-            costs,
-            inflight_factor=self.INFLIGHT_FACTOR,
-            max_factor=self.MAX_INFLIGHT_FACTOR,
-        )
+        window = max(1, self.INFLIGHT_FACTOR * pool_size)
         with contextlib.ExitStack() as stack:
             if self.executor is None:
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size))
             else:
                 pool = self.executor
-            next_index = 0
-            pending: Dict[Future, float] = {}
+            queue = iter(units)
 
-            def refill() -> None:
-                nonlocal next_index
-                while next_index < len(units) and window.admit(costs[next_index]):
-                    future = pool.submit(
-                        execute_unit,
-                        worker,
-                        units[next_index],
-                        max_retries,
-                        capture_telemetry,
+            def submit(batch):
+                return {
+                    pool.submit(
+                        execute_unit, worker, unit, max_retries, capture_telemetry
                     )
-                    pending[future] = costs[next_index]
-                    next_index += 1
+                    for unit in batch
+                }
 
-            refill()
+            pending = submit(itertools.islice(queue, window))
             # as_completed() holds every future to the end; draining with
             # wait() lets finished futures (and their result payloads) be
             # released incrementally, and the bounded window keeps the
             # not-yet-finished set small on large campaigns.
             while pending:
-                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                for future in done:
-                    window.complete(pending.pop(future))
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 if should_stop is not None and should_stop():
                     # Stop refilling, shed what never started, drain the
                     # rest.  Successfully cancelled futures leave `pending`
                     # here and never reach a later `done` set, so every
                     # future yielded below carries a real result.
-                    for future in list(pending):
-                        if future.cancel():
-                            window.complete(pending.pop(future))
+                    pending = {f for f in pending if not f.cancel()}
                 else:
-                    refill()
+                    pending |= submit(itertools.islice(queue, len(done)))
                 for future in done:
                     yield future.result()
 

@@ -47,20 +47,12 @@ class WorkUnit:
         metadata: excluded from equality, never fingerprinted, never
         persisted -- two units differing only in ``trace`` are the same
         unit.
-    cost:
-        Optional relative execution-cost hint for submission windowing
-        (see :func:`repro.runner.executors.unit_cost`); builders that
-        know their units' relative weight (e.g. condition tiles spanning
-        different interval sums) stamp it so the pool keeps a
-        cost-balanced in-flight set.  Pure scheduling metadata: excluded
-        from equality, never fingerprinted, never persisted.
     """
 
     unit_id: str
     kind: str
     payload: Mapping[str, Any] = field(default_factory=dict)
     trace: Optional[Mapping[str, Any]] = field(default=None, compare=False, repr=False)
-    cost: Optional[float] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.unit_id:

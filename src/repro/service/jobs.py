@@ -96,18 +96,6 @@ class CampaignJobSpec:
     #: Submission-window size for this job's share of the shared pool;
     #: ``None`` uses the manager's pool width.
     workers: Optional[int] = None
-    #: Shared-memory population segment for the fleet path (``None`` =
-    #: on whenever ``chips_per_unit`` > 1).  Execution knob only --
-    #: byte-identical results either way.
-    shared_population: Optional[bool] = None
-    #: Condition-grid megakernel fusion in fleet workers.  Execution knob
-    #: only -- byte-identical results either way.
-    megakernel: bool = True
-    #: Condition tiles per fleet chunk (``None`` = chunk dispatch, ``0``
-    #: = auto-size from the worker count, ``N`` = explicit).  Execution
-    #: knob only -- byte-identical results for any tiling; requires the
-    #: fleet path.
-    condition_tiles: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.chips_per_vendor <= 0:
@@ -126,21 +114,6 @@ class CampaignJobSpec:
             raise ConfigurationError("max_retries must be non-negative")
         if self.workers is not None and self.workers <= 0:
             raise ConfigurationError("workers must be positive")
-        if self.shared_population and (
-            self.chips_per_unit is None or self.chips_per_unit <= 1
-        ):
-            raise ConfigurationError(
-                "shared_population requires chips_per_unit > 1 (the fleet path)"
-            )
-        if self.condition_tiles is not None:
-            if self.condition_tiles < 0:
-                raise ConfigurationError(
-                    "condition_tiles must be >= 0 (0 = auto)"
-                )
-            if self.chips_per_unit is None or self.chips_per_unit <= 1:
-                raise ConfigurationError(
-                    "condition_tiles requires chips_per_unit > 1 (the fleet path)"
-                )
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, Any]:
@@ -155,9 +128,6 @@ class CampaignJobSpec:
             "max_retries": self.max_retries,
             "fast_path": self.fast_path,
             "workers": self.workers,
-            "shared_population": self.shared_population,
-            "megakernel": self.megakernel,
-            "condition_tiles": self.condition_tiles,
         }
 
     @classmethod
@@ -185,15 +155,11 @@ class CampaignJobSpec:
             kwargs["intervals_s"] = tuple(float(t) for t in data["intervals_s"])
         if "temperatures_c" in data:
             kwargs["temperatures_c"] = tuple(float(t) for t in data["temperatures_c"])
-        for key in ("chips_per_unit", "workers", "condition_tiles"):
+        for key in ("chips_per_unit", "workers"):
             if key in data and data[key] is not None:
                 kwargs[key] = int(data[key])
         if data.get("fast_path") is not None:
             kwargs["fast_path"] = bool(data["fast_path"])
-        if data.get("shared_population") is not None:
-            kwargs["shared_population"] = bool(data["shared_population"])
-        if "megakernel" in data:
-            kwargs["megakernel"] = bool(data["megakernel"])
         return cls(**kwargs)
 
     # ------------------------------------------------------------------

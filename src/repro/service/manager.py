@@ -84,6 +84,10 @@ SUMMARY_NAME = "summary.json"
 #: are always ``job-NNNNNN``, so the name can never collide with a run dir).
 LAKE_DIR_NAME = "lake"
 
+#: Spec keys of retired execution knobs that older ``jobs.jsonl`` rows
+#: still carry; ledger replay drops them (a live submission is refused).
+_RETIRED_SPEC_KEYS = ("shared_population", "megakernel", "condition_tiles")
+
 
 class Job:
     """Runtime state wrapped around one :class:`JobRecord`."""
@@ -206,7 +210,11 @@ class JobManager:
             spec_data = row.get("spec")
             if spec_data is None:
                 continue  # pre-spec rows cannot be rebuilt; skip defensively
-            spec = CampaignJobSpec.from_json_dict(spec_data)
+            # Ledgers written before these execution knobs were retired
+            # still carry them; they never changed results, so drop them.
+            spec = CampaignJobSpec.from_json_dict(
+                {k: v for k, v in spec_data.items() if k not in _RETIRED_SPEC_KEYS}
+            )
             tenant = str(row["tenant"])
             state = str(row["state"])
             trace_id = row.get("trace_id")
@@ -652,13 +660,8 @@ class JobManager:
             layer.tracer.context = job.trace
         self.plane.register_job(job.job_id, job.tenant, layer)
 
-        # Tile-dispatch runs report per-chunk tile completion out of band
-        # from the unit tracker; both callbacks rebuild the progress dict
-        # wholesale, so each re-merges the other's latest contribution.
-        tiles_state: Dict[str, Any] = {}
-
         def progress(result, tracker):
-            snapshot = {
+            job.record.progress = {
                 "total": tracker.total,
                 "completed": tracker.completed,
                 "succeeded": tracker.succeeded,
@@ -668,17 +671,7 @@ class JobManager:
                 "eta_s": tracker.eta_seconds,
                 "elapsed_s": tracker.elapsed_seconds,
             }
-            if tiles_state:
-                snapshot["tiles"] = dict(tiles_state)
-            job.record.progress = snapshot
             self.plane.note_unit(job.job_id, result.elapsed_s, result.status)
-
-        def tile_progress(info):
-            tiles_state.clear()
-            tiles_state.update(info)
-            merged = dict(job.record.progress)
-            merged["tiles"] = dict(tiles_state)
-            job.record.progress = merged
 
         try:
             summary = campaign.run(
@@ -690,12 +683,6 @@ class JobManager:
                 max_retries=spec.max_retries,
                 progress=progress,
                 chips_per_unit=spec.chips_per_unit,
-                shared_population=spec.shared_population,
-                megakernel=spec.megakernel,
-                condition_tiles=spec.condition_tiles,
-                tile_progress=(
-                    tile_progress if spec.condition_tiles is not None else None
-                ),
                 should_stop=job.stop.is_set,
                 observability=layer,
             )

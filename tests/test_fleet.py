@@ -4,7 +4,7 @@ The fleet path's whole value proposition is "byte-identical, just
 faster", so nearly every test here is an equality pin against the
 per-chip reference:
 
-* :class:`repro.core.fleetprof.FleetProfiler` over a
+* :meth:`repro.core.fleetprof.FleetProfiler.run_grid` over a
   :class:`repro.dram.fleet.ChipFleet` discovers exactly the cells a
   standalone :class:`~repro.core.bruteforce.BruteForceProfiler` run per
   chip would, and leaves every chip's read-RNG stream in the exact same
@@ -24,6 +24,8 @@ per-chip reference:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from repro.core.fleetprof import FleetProfiler
 from repro.dram.fleet import ChipFleet, FleetPopulation
 from repro.dram.geometry import ChipGeometry
 from repro.dram.vendor import VENDOR_A, VENDOR_B, vendor_by_name
-from repro.errors import ConfigurationError, ProfilingError
+from repro.errors import CommandSequenceError, ConfigurationError, ProfilingError
 from repro.infra.testbed import FleetBed, TestBed
 from repro.runner import (
     CHIP_UNIT_KIND,
@@ -96,14 +98,14 @@ class TestFleetPopulation:
         with pytest.raises(ConfigurationError):
             FleetPopulation([])
         bed = build_fleet_bed()
-        population = FleetPopulation([chip.population for chip in bed.chips])
-        rngs = [chip.read_rng for chip in bed.chips]
+        populations = [chip.population for chip in bed.chips]
+        # Backing arrays that do not cover every member's tail.
+        short = {
+            key: np.zeros(len(populations[0]))
+            for key in ("mu_wc_s", "sigma_s", "susceptibility")
+        }
         with pytest.raises(ConfigurationError):
-            population.sample_failures(1.0, (1.0,), [None], [None], rngs[:1])
-        with pytest.raises(ConfigurationError):
-            population.sample_failures(
-                -0.5, (1.0,) * 3, [None] * 3, [None] * 3, rngs
-            )
+            FleetPopulation(populations, backing=short)
 
 
 class TestChipFleet:
@@ -125,40 +127,28 @@ class TestChipFleet:
         with pytest.raises(ConfigurationError):
             ChipFleet([])
 
-    def test_read_failures_guards_exposure_divergence(self):
+    def test_run_grid_guards_clock_divergence(self):
         bed = build_fleet_bed()
         fleet = ChipFleet(bed.chips)
         bed.set_ambient(45.0)
-        from repro.patterns import STANDARD_PATTERNS
-
-        fleet.write_pattern(STANDARD_PATTERNS[0])
-        fleet.disable_refresh()
-        fleet.wait(0.512)
-        # Shrink one member's exposure window behind the fleet's back
-        # without touching its clock: a sneaky refresh burst restarts the
-        # window, so clocks agree but exposures do not.
-        rogue = bed.beds[1].chips[0]
-        rogue.enable_refresh()
-        rogue.disable_refresh()
-        fleet.wait(0.256)
-        fleet.enable_refresh()
-        with pytest.raises(ProfilingError):
-            fleet.read_failures()
-
-    def test_lockstep_commands_guard_clock_divergence(self):
-        bed = build_fleet_bed()
-        fleet = ChipFleet(bed.chips)
-        bed.set_ambient(45.0)
-        from repro.patterns import STANDARD_PATTERNS
-
-        fleet.write_pattern(STANDARD_PATTERNS[0])
-        fleet.disable_refresh()
-        fleet.wait(0.512)
-        # Advance one member's clock behind the fleet's back: the next
-        # lockstep command detects the divergence immediately.
+        # Advance one member's clock behind the fleet's back: the shared
+        # schedule would be wrong for it, so the run refuses to start.
         bed.beds[1].chips[0].wait(0.128)
         with pytest.raises(ProfilingError):
-            fleet.enable_refresh()
+            FleetProfiler(iterations=1).run_grid(
+                fleet, [Conditions(trefi=0.512, temperature=45.0)]
+            )
+
+    def test_run_grid_refuses_disabled_refresh(self):
+        bed = build_fleet_bed()
+        fleet = ChipFleet(bed.chips)
+        bed.set_ambient(45.0)
+        for chip in bed.chips:
+            chip.disable_refresh()
+        with pytest.raises(CommandSequenceError):
+            FleetProfiler(iterations=1).run_grid(
+                fleet, [Conditions(trefi=0.512, temperature=45.0)]
+            )
 
 
 class TestFleetBed:
@@ -197,8 +187,8 @@ class TestFleetProfilerEquivalence:
         fleet_bed = build_fleet_bed()
         fleet_bed.set_ambient(temperature)
         fleet = ChipFleet(fleet_bed.chips)
-        fleet_results = FleetProfiler(iterations=iterations).run(
-            fleet, Conditions(trefi=trefi, temperature=temperature)
+        (fleet_results,) = FleetProfiler(iterations=iterations).run_grid(
+            fleet, [Conditions(trefi=trefi, temperature=temperature)]
         )
 
         single_profiles = []
@@ -235,9 +225,11 @@ class TestFleetProfilerEquivalence:
         fleet_bed.set_ambient(45.0)
         fleet = ChipFleet(fleet_bed.chips)
         profiler = FleetProfiler(iterations=1)
-        profiler.run(fleet, Conditions(trefi=0.512, temperature=45.0))
+        profiler.run_grid(fleet, [Conditions(trefi=0.512, temperature=45.0)])
         fleet_bed.set_ambient(55.0)
-        second = profiler.run(fleet, Conditions(trefi=1.024, temperature=55.0))
+        (second,) = profiler.run_grid(
+            fleet, [Conditions(trefi=1.024, temperature=55.0)]
+        )
 
         singles = []
         for bed in build_single_beds():
@@ -256,8 +248,8 @@ class TestFleetProfilerEquivalence:
         bed = build_fleet_bed(max_trefi_s=1.1)
         fleet = ChipFleet(bed.chips)
         with pytest.raises(ProfilingError):
-            FleetProfiler(iterations=1).run(
-                fleet, Conditions(trefi=2.048, temperature=45.0)
+            FleetProfiler(iterations=1).run_grid(
+                fleet, [Conditions(trefi=2.048, temperature=45.0)]
             )
 
     def test_profiler_validation(self):
@@ -451,6 +443,28 @@ class TestFleetCampaign:
         resumed = fleet_campaign.run(run_dir=run_dir, resume=True, **FLEET_CAMPAIGN_KW)
         assert resumed == full
 
+    def test_chunk_run_resumes_tile_era_run_directory(self, fleet_campaign, tmp_path):
+        """Run dirs written while condition tiles existed carry a
+        ``condition_tiles`` manifest key; chunk dispatch resumes them."""
+        fresh = fleet_campaign.run(chips_per_unit=2, **FLEET_CAMPAIGN_KW)
+        run_dir = tmp_path / "run"
+        fleet_campaign.run(run_dir=str(run_dir), chips_per_unit=2, **FLEET_CAMPAIGN_KW)
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["condition_tiles"] = 3
+        manifest["status"] = "interrupted"
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        results_path = run_dir / "results.jsonl"
+        rows = results_path.read_text().splitlines()
+        results_path.write_text("\n".join(rows[:4]) + "\n")
+
+        resumed = fleet_campaign.run(
+            run_dir=str(run_dir), resume=True, chips_per_unit=2, **FLEET_CAMPAIGN_KW
+        )
+        assert json.dumps(resumed.to_json_dict(), sort_keys=True) == json.dumps(
+            fresh.to_json_dict(), sort_keys=True
+        )
+
 
 class _RecordingFuture:
     def __init__(self, value):
@@ -543,12 +557,14 @@ class TestDefaultWorkerCount:
         assert default_worker_count() == 7
 
     def test_never_returns_zero(self, monkeypatch):
+        # An empty affinity mask and an unknown core count must still
+        # floor at one worker, whatever host the test runs on.
         monkeypatch.setattr(
             executors_mod.os, "sched_getaffinity", lambda pid: set(), raising=False
         )
+        monkeypatch.setattr(executors_mod.os, "cpu_count", lambda: None)
         assert default_worker_count() == 1
         monkeypatch.delattr(executors_mod.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(executors_mod.os, "cpu_count", lambda: None)
         assert default_worker_count() == 1
 
     def test_pool_backend_defaults_from_worker_count(self, monkeypatch):

@@ -353,6 +353,21 @@ class TestZeroPerturbation:
         assert instrumented.to_text() == baseline.to_text()
         assert instrumented.to_text().encode() == baseline.to_text().encode()
 
+    def test_fleet_summary_byte_identical_with_kernel_spans(self, campaign):
+        obs.disable()
+        obs.reset()
+        baseline = campaign.run(**CAMPAIGN_KW)
+        try:
+            obs.enable()
+            instrumented = campaign.run(chips_per_unit=2, **CAMPAIGN_KW)
+            names = {row["name"] for row in obs.get().snapshot()}
+        finally:
+            obs.disable()
+            obs.reset()
+        assert instrumented.to_text() == baseline.to_text()
+        # The fleet path reports per-phase kernel spans.
+        assert "span.kernel.read_compare" in names
+
     def test_events_jsonl_lands_in_run_dir(self, campaign, tmp_path):
         run_dir = tmp_path / "run"
         try:

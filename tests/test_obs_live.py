@@ -357,7 +357,6 @@ FLEET_SPEC = {
     "chips_per_unit": 2,
     "intervals_s": [0.512],
     "temperatures_c": [45.0],
-    "megakernel": True,
 }
 
 

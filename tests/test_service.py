@@ -373,6 +373,39 @@ class TestJobManager:
         result = asyncio.run(resume_phase())
         assert canon(result) == canon(direct_summary(**TINY_SPEC))
 
+    def test_restart_adopts_ledger_with_retired_spec_keys(self, tmp_path):
+        """A ``jobs.jsonl`` written before the ``shared_population``,
+        ``megakernel`` and ``condition_tiles`` spec keys were retired still
+        re-adopts, and the job finishes byte-identical to the blocking run."""
+        spec = dict(TINY_SPEC, chips_per_unit=2)
+        rows = [
+            '{"job_id": "job-000001", "spec": {"capacity_gbit": 0.0625, '
+            '"chips_per_unit": 2, "chips_per_vendor": 1, "condition_tiles": null, '
+            '"fast_path": null, "intervals_s": [0.512], "iterations": 1, '
+            '"max_retries": 1, "megakernel": true, "seed": 24301, '
+            '"shared_population": null, "temperatures_c": [45.0], '
+            '"workers": null}, "state": "queued", "tenant": "acme", '
+            '"trace_id": "7d05a7955f8efbe68f15425e2cc7e05a", '
+            '"ts": 1792128513.5795019}',
+            '{"job_id": "job-000001", "state": "running", "tenant": "acme", '
+            '"ts": 1792128513.5796504}',
+        ]
+        (tmp_path / "jobs.jsonl").write_text("\n".join(rows) + "\n")
+
+        async def scenario():
+            manager = JobManager(tmp_path, pool_workers=0, max_running=1)
+            await manager.start()
+            try:
+                adopted = manager.job("job-000001")
+                assert adopted.spec == CampaignJobSpec(**spec)
+                await _wait_state(manager, "job-000001", (DONE,))
+                return manager.result("job-000001")
+            finally:
+                await manager.shutdown()
+
+        result = asyncio.run(scenario())
+        assert canon(result) == canon(direct_summary(**spec))
+
 
 # ----------------------------------------------------------------------
 # HTTP API (real sockets via ServiceThread)
@@ -441,6 +474,16 @@ class TestHttpApi:
             client.submit("bad/tenant", {})
         with pytest.raises(ConfigurationError):
             client.submit("acme", {"no_such_knob": 1})
+
+    def test_retired_spec_keys_rejected_on_submit(self, service):
+        client = ServiceClient(service.host, service.port)
+        for key, value in (
+            ("shared_population", True),
+            ("megakernel", False),
+            ("condition_tiles", 2),
+        ):
+            with pytest.raises(ConfigurationError, match="unknown spec keys"):
+                client.submit("acme", dict(TINY_SPEC, chips_per_unit=2, **{key: value}))
 
     def test_cancel_over_http(self, service):
         client = ServiceClient(service.host, service.port)

@@ -12,10 +12,11 @@ byte-identical results, just faster.  The tests here pin
   sidecar that the next open of the run directory reclaims;
 * :meth:`repro.core.fleetprof.FleetProfiler.run_grid` sweeps a whole
   condition grid to the same results, traces, clocks, and RNG end states
-  as per-condition :meth:`~repro.core.fleetprof.FleetProfiler.run`
-  calls, megakernel on or off;
-* the campaign knobs (``shared_population``/``megakernel``) change
-  nothing about the summary, and invalid combinations are refused;
+  as standalone per-chip
+  :class:`~repro.core.bruteforce.BruteForceProfiler` runs over the same
+  conditions;
+* pooled fleet campaigns on the shared segment match the serial per-chip
+  summary;
 * fleet chunking edge cases (``chips_per_unit`` larger than the
   population, trailing 1-chip chunks) keep resume fingerprints and
   summaries intact.
@@ -37,6 +38,7 @@ import pytest
 
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
+from repro.core.bruteforce import BruteForceProfiler
 from repro.core.fleetprof import FleetProfiler
 from repro.dram.geometry import ChipGeometry
 from repro.dram.shm import (
@@ -51,7 +53,7 @@ from repro.dram.shm import (
 )
 from repro.dram.vendor import VENDOR_A, VENDOR_B
 from repro.errors import ConfigurationError, ProfilingError
-from repro.infra.testbed import FleetBed
+from repro.infra.testbed import FleetBed, TestBed
 from repro.runner import build_chip_units, build_fleet_units
 
 from conftest import TEST_SEED
@@ -195,7 +197,19 @@ def fresh_fleet():
     return ChipFleet(bed.chips)
 
 
-def chip_end_state(fleet):
+def single_chips():
+    """The fleet's members, each racked standalone in its own bed."""
+    chips = []
+    for chip_id, vendor in MEMBERS:
+        bed = TestBed.build_single(
+            chip_id=chip_id, vendor=vendor, geometry=MICRO, seed=TEST_SEED
+        )
+        bed.set_ambient(45.0)
+        chips.append(bed.chips[0])
+    return chips
+
+
+def chip_end_state(chips):
     return [
         (
             chip.clock.now,
@@ -203,7 +217,7 @@ def chip_end_state(fleet):
             chip.vrt.rng.bit_generator.state if hasattr(chip.vrt, "rng") else None,
             len(chip.trace.records),
         )
-        for chip in fleet.chips
+        for chip in chips
     ]
 
 
@@ -214,43 +228,37 @@ class TestRunGridEquivalence:
         Conditions(2.048, temperature=45.0),
     )
 
-    def test_grid_matches_sequential_conditions(self):
-        profiler = FleetProfiler(iterations=2)
-        ref_fleet = fresh_fleet()
-        ref = tuple(profiler.run(ref_fleet, cond) for cond in self.GRID)
-
+    def test_grid_matches_per_chip_profiles(self):
         grid_fleet = fresh_fleet()
-        got = profiler.run_grid(grid_fleet, self.GRID)
+        got = FleetProfiler(iterations=2).run_grid(grid_fleet, self.GRID)
 
-        assert got == ref
+        chips = single_chips()
+        profiler = BruteForceProfiler(iterations=2)
+        for cond, results in zip(self.GRID, got):
+            for chip, result in zip(chips, results):
+                assert result.chip_id == chip.chip_id
+                assert result.failing == profiler.run(chip, cond).failing
         # End states match: clock, RNG streams, trace length and content.
-        assert chip_end_state(grid_fleet) == chip_end_state(ref_fleet)
-        for a, b in zip(grid_fleet.chips, ref_fleet.chips):
+        assert chip_end_state(grid_fleet.chips) == chip_end_state(chips)
+        for a, b in zip(grid_fleet.chips, chips):
             assert a.trace.records == b.trace.records
-
-    def test_megakernel_off_is_identical(self):
-        profiler = FleetProfiler(iterations=2)
-        fused = profiler.run_grid(fresh_fleet(), self.GRID)
-        seq_fleet = fresh_fleet()
-        seq = profiler.run_grid(seq_fleet, self.GRID, megakernel=False)
-        assert seq == fused
 
     def test_empty_grid_is_a_no_op(self):
         profiler = FleetProfiler(iterations=1)
         fleet = fresh_fleet()
-        before = chip_end_state(fleet)
+        before = chip_end_state(fleet.chips)
         assert profiler.run_grid(fleet, ()) == ()
-        assert chip_end_state(fleet) == before
+        assert chip_end_state(fleet.chips) == before
 
     def test_trefi_prechecked_before_any_state_changes(self):
         profiler = FleetProfiler(iterations=1)
         fleet = fresh_fleet()
-        before = chip_end_state(fleet)
+        before = chip_end_state(fleet.chips)
         bad = self.GRID + (Conditions(fleet.max_trefi_s * 4.0, temperature=45.0),)
         with pytest.raises(ProfilingError):
             profiler.run_grid(fleet, bad)
         # The bad condition is rejected up front: no partial grid ran.
-        assert chip_end_state(fleet) == before
+        assert chip_end_state(fleet.chips) == before
 
 
 @pytest.fixture(scope="module")
@@ -260,43 +268,13 @@ def campaign():
     )
 
 
-class TestCampaignKnobs:
-    def test_knobs_do_not_change_the_summary(self, campaign):
-        serial = campaign.run(**CAMPAIGN_KW)
-        default_fleet = campaign.run(chips_per_unit=3, **CAMPAIGN_KW)
-        no_shm = campaign.run(
-            chips_per_unit=3, shared_population=False, **CAMPAIGN_KW
-        )
-        no_mk = campaign.run(chips_per_unit=3, megakernel=False, **CAMPAIGN_KW)
-        neither = campaign.run(
-            chips_per_unit=3,
-            shared_population=False,
-            megakernel=False,
-            **CAMPAIGN_KW,
-        )
-        assert default_fleet == serial
-        assert no_shm == serial
-        assert no_mk == serial
-        assert neither == serial
-
+class TestCampaignSegment:
     def test_pooled_shm_matches_serial(self, campaign):
         serial = campaign.run(**CAMPAIGN_KW)
         pooled = campaign.run(
-            backend="process",
-            workers=2,
-            chips_per_unit=2,
-            shared_population=True,
-            **CAMPAIGN_KW,
+            backend="process", workers=2, chips_per_unit=2, **CAMPAIGN_KW
         )
         assert pooled == serial
-
-    def test_shared_population_requires_fleet_path(self, campaign):
-        with pytest.raises(ConfigurationError):
-            campaign.run(shared_population=True, **CAMPAIGN_KW)
-        with pytest.raises(ConfigurationError):
-            campaign.run(
-                chips_per_unit=1, shared_population=True, **CAMPAIGN_KW
-            )
 
     def test_no_segment_or_sidecar_survives_a_run(self, campaign, tmp_path):
         before = segment_names()
@@ -359,11 +337,7 @@ class TestFleetChunkingEdges:
         assert len(rows) == 6  # per-chip rows regardless of chunking
         results_path.write_text("\n".join(rows[:5]) + "\n")
         resumed = campaign.run(
-            run_dir=run_dir,
-            resume=True,
-            chips_per_unit=2,
-            shared_population=False,
-            **CAMPAIGN_KW,
+            run_dir=run_dir, resume=True, chips_per_unit=2, **CAMPAIGN_KW
         )
         assert resumed == full
 
@@ -469,7 +443,6 @@ def test_service_cancel_unlinks_segments(tmp_path):
                 temperatures_c=(45.0, 55.0),
                 fast_path=False,
                 chips_per_unit=2,
-                shared_population=True,
             )
             record = await manager.submit("acme", spec)
             deadline = time.monotonic() + 60.0
