@@ -75,7 +75,7 @@ def run_benchmark(rounds: int, gate: float = None, max_rounds: int = None):
     profiler = BruteForceProfiler(patterns=STANDARD_PATTERNS, iterations=ITERATIONS)
 
     def one_sample(mode: bool):
-        chip = SimulatedDRAMChip(geometry=GEOMETRY, seed=SEED, fast_path=True)
+        chip = SimulatedDRAMChip(geometry=GEOMETRY, seed=SEED)
         if mode:
             obs.reset()
             obs.enable()

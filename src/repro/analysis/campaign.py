@@ -178,12 +178,6 @@ class CharacterizationCampaign:
         Simulated chip capacity.
     iterations:
         Brute-force iterations per measurement point.
-    fast_path:
-        Failure-evaluation mode for the measurement workers (``None`` =
-        process default).  Byte-identical either way -- summaries from the
-        two modes compare equal, which tests assert -- so this is a
-        benchmarking/debugging knob, not a results knob, and it is
-        excluded from the campaign fingerprint.
     """
 
     def __init__(
@@ -192,7 +186,6 @@ class CharacterizationCampaign:
         geometry: ChipGeometry = DEFAULT_CHAR_GEOMETRY,
         iterations: int = 2,
         seed: int = rng_mod.DEFAULT_SEED,
-        fast_path: Optional[bool] = None,
     ) -> None:
         if chips_per_vendor <= 0:
             raise ConfigurationError("chips_per_vendor must be positive")
@@ -200,7 +193,6 @@ class CharacterizationCampaign:
         self.geometry = geometry
         self.iterations = iterations
         self.seed = seed
-        self.fast_path = fast_path
 
     def run(
         self,
@@ -281,7 +273,6 @@ class CharacterizationCampaign:
             intervals_s=intervals_s,
             temperatures_c=temperatures_c,
             vendor_names=vendor_names,
-            fast_path=self.fast_path,
         )
         manifest = {
             "kind": "characterization-campaign",

@@ -56,7 +56,6 @@ drops everything explicitly (device reset, tests).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -93,33 +92,6 @@ _FAST_CACHE_MAX_ENTRIES = 256
 #: guards pathological exposure sweeps from unbounded growth.
 _FAST_CACHE_MAX_EXPOSURES = 64
 
-_FAST_PATH_DEFAULT = os.environ.get("REPRO_FAST_PATH", "1") != "0"
-
-
-def fast_path_default() -> bool:
-    """Process-wide default for the profiling fast path.
-
-    Seeded from the ``REPRO_FAST_PATH`` environment variable (any value
-    other than ``"0"`` enables it) and adjustable at runtime via
-    :func:`set_fast_path_default`.
-    """
-    return _FAST_PATH_DEFAULT
-
-
-def set_fast_path_default(enabled: bool) -> bool:
-    """Set the process-wide fast-path default; returns the previous value.
-
-    Only populations (and chips) constructed *after* the change pick up the
-    new default; existing instances keep the mode they resolved at
-    construction.  The fast path is byte-identical to the reference
-    implementation, so this toggle exists for benchmarking and equivalence
-    testing, not correctness.
-    """
-    global _FAST_PATH_DEFAULT
-    previous = _FAST_PATH_DEFAULT
-    _FAST_PATH_DEFAULT = bool(enabled)
-    return previous
-
 
 @dataclass
 class _FastPatternState:
@@ -149,9 +121,10 @@ class _FastPatternState:
 class WeakCellPopulation:
     """The instantiated weak tail of one chip, with its failure model.
 
-    ``fast_path`` selects the memoized marginal-band evaluation for
-    :meth:`sample_failures` (byte-identical to the reference computation);
-    ``None`` resolves the process-wide default at construction time.
+    :meth:`sample_failures` runs the memoized marginal-band evaluation.
+    ``fast_path=False`` swaps in the reference computation it is tested
+    byte-identical against -- an oracle for tests and benchmarks, not a
+    production mode.
     """
 
     def __init__(
@@ -159,14 +132,14 @@ class WeakCellPopulation:
         sample: WeakCellSample,
         vendor: VendorModel,
         dpd: DPDModel,
-        fast_path: Optional[bool] = None,
+        fast_path: bool = True,
     ) -> None:
         if dpd.n_cells != len(sample):
             raise ConfigurationError("DPD model size does not match weak-cell sample")
         self._sample = sample
         self._vendor = vendor
         self._dpd = dpd
-        self._fast_path = fast_path_default() if fast_path is None else bool(fast_path)
+        self._fast_path = bool(fast_path)
         self._fast_states: Dict[Tuple[str, float], _FastPatternState] = {}
         self._scale_memo: Dict[float, float] = {}
         self._sigma_eff_memo: Dict[float, np.ndarray] = {}
@@ -198,10 +171,6 @@ class WeakCellPopulation:
     @property
     def dpd(self) -> DPDModel:
         return self._dpd
-
-    @property
-    def fast_path_enabled(self) -> bool:
-        return self._fast_path
 
     def scaled_parameters(self, temperature_c: float) -> tuple:
         """(mu, sigma) arrays at the given ambient temperature (Figure 7)."""

@@ -159,9 +159,9 @@ class SimulatedDRAMChip:
     temperature_c:
         Initial ambient temperature.
     fast_path:
-        Enable the memoized marginal-band failure evaluation in
-        :class:`~repro.dram.cell.WeakCellPopulation` (byte-identical to the
-        reference path); ``None`` resolves the process-wide default.
+        ``False`` swaps the memoized marginal-band failure evaluation in
+        :class:`~repro.dram.cell.WeakCellPopulation` for the reference
+        computation it is byte-identical to (the test oracle).
     sample:
         A prebuilt weak-cell population, exactly what
         :func:`sample_weak_cells` returns for the same (vendor, geometry,
@@ -181,7 +181,7 @@ class SimulatedDRAMChip:
         max_trefi_s: float = 2.6,
         max_temperature_c: float = MAX_SUPPORTED_TEMPERATURE_C,
         temperature_c: float = REFERENCE_TEMPERATURE_C,
-        fast_path: Optional[bool] = None,
+        fast_path: bool = True,
         sample: Optional[WeakCellSample] = None,
     ) -> None:
         if max_trefi_s <= 0.0:
@@ -207,7 +207,6 @@ class SimulatedDRAMChip:
         self._temperature_c = float(temperature_c)
         self._initial_temperature_c = float(temperature_c)
         self._external_clock = clock is not None
-        self._fast_path = fast_path
 
         self._weak_horizon_s = weak_cell_horizon_s(vendor, max_trefi_s)
 

@@ -51,14 +51,11 @@ class TestBed:
         seed: int = rng_mod.DEFAULT_SEED,
         max_trefi_s: float = 2.6,
         max_temperature_c: float = 60.0,
-        fast_path: Optional[bool] = None,
     ) -> "TestBed":
         """Populate a testbed with chips from each vendor.
 
         ``max_temperature_c`` defaults above the chamber range (40-55 degC)
         so chips never reject a temperature the chamber can legally reach.
-        ``fast_path`` selects the chips' failure-evaluation mode
-        (byte-identical either way; ``None`` = process default).
         """
         bed = cls(seed=seed)
         chosen = list(vendors) if vendors is not None else list(VENDORS.values())
@@ -74,7 +71,6 @@ class TestBed:
                         clock=bed.clock,
                         max_trefi_s=max_trefi_s,
                         max_temperature_c=max_temperature_c,
-                        fast_path=fast_path,
                     )
                 )
                 chip_id += 1
@@ -89,7 +85,7 @@ class TestBed:
         seed: int = rng_mod.DEFAULT_SEED,
         max_trefi_s: float = 2.6,
         max_temperature_c: float = 60.0,
-        fast_path: Optional[bool] = None,
+        fast_path: bool = True,
         sample=None,
     ) -> "TestBed":
         """Build a one-chip testbed for the chip with global id ``chip_id``.
@@ -103,6 +99,8 @@ class TestBed:
         ``sample`` optionally supplies the chip's prebuilt weak-cell
         population (e.g. shared-memory views); it must be exactly what
         :func:`repro.dram.chip.sample_weak_cells` returns for this chip.
+        ``fast_path=False`` builds the chip on the reference failure
+        evaluator (the oracle :func:`repro.runner.measure_chip` exposes).
         """
         bed = cls(seed=seed)
         bed.add_chip(
@@ -216,7 +214,6 @@ class FleetBed:
         seed: int = rng_mod.DEFAULT_SEED,
         max_trefi_s: float = 2.6,
         max_temperature_c: float = 60.0,
-        fast_path: Optional[bool] = None,
         samples: Optional[Dict[int, object]] = None,
     ) -> "FleetBed":
         """Build one single-chip bed per ``(chip_id, vendor)`` member.
@@ -237,7 +234,6 @@ class FleetBed:
                     seed=seed,
                     max_trefi_s=max_trefi_s,
                     max_temperature_c=max_temperature_c,
-                    fast_path=fast_path,
                     sample=None if samples is None else samples.get(chip_id),
                 )
                 for chip_id, vendor in members

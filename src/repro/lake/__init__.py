@@ -3,11 +3,9 @@
 JSONL run directories are the engine's durable write format; the lake is
 where they go to be *queried*.  :class:`ResultLake` compacts run dirs
 into schema-versioned numpy struct-of-arrays segments (``runs/*.npz``)
-under one catalog, :class:`LakeStore` lets the engine write straight into
-the lake through the ``ResultStore`` interface (delta journal + fold on
-close), and :mod:`repro.lake.query` derives canonical per-run summaries
--- byte-identical to the JSONL path -- plus cross-run trend, contour,
-and profile-longevity reports.
+under one catalog, and :mod:`repro.lake.query` derives canonical per-run
+summaries -- byte-identical to the JSONL path -- plus cross-run trend,
+contour, and profile-longevity reports.
 """
 
 from .columns import (
@@ -30,7 +28,6 @@ from .query import (
 )
 from .store import (
     CompactionReport,
-    LakeStore,
     ResultLake,
     fold_results_jsonl,
     read_events_jsonl,
@@ -45,7 +42,6 @@ __all__ = [
     "load_columns",
     "save_columns",
     "CompactionReport",
-    "LakeStore",
     "ResultLake",
     "fold_results_jsonl",
     "read_events_jsonl",

@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..runner.campaign import aggregate_chip_results
 from ..runner.units import UnitResult
-from .columns import KIND_CODE, VALUE_JSON, RunColumns, _chip_encodable
+from .columns import KIND_CODE, VALUE_JSON, RunColumns, _chip_encodable, decode_results
 from .store import ResultLake, fold_results_jsonl
 
 #: Version stamp carried by every canonical summary.
@@ -96,15 +96,13 @@ def summary_from_lake(lake: ResultLake, run_id: str) -> Dict[str, Any]:
 
     Byte-identical to :func:`summary_from_run_dir` over the same logical
     run.  Falls back to the exact row-reconstruction path when the run
-    carries a live delta journal or non-chip-shaped ``ok`` values --
-    correctness never depends on the fast path applying.
+    carries non-chip-shaped ``ok`` values -- correctness never depends on
+    the fast path applying.
     """
-    if lake.has_delta(run_id):
-        return run_summary(lake.results(run_id))
     cols = lake.columns(run_id)
     ok_mask = cols.status == 0
     if bool(np.any((cols.value_kind == VALUE_JSON) & ok_mask)):
-        return run_summary(lake.results(run_id))
+        return run_summary(decode_results(cols))
 
     failed = sorted(cols.unit_id[~ok_mask].tolist())
     vendors: Dict[str, Any] = {

@@ -1,26 +1,19 @@
-"""The columnar result lake: compaction, catalog, and a live store facade.
+"""The columnar result lake: offline compaction and the run catalog.
 
 A lake is one directory::
 
     <lake_root>/
         lake.json                   # schema-versioned catalog of runs
         runs/<run_id>.npz           # one columnar segment per run
-        runs/<run_id>.delta.jsonl   # live append journal (LakeStore only)
 
-:class:`ResultLake` is the offline half: :meth:`ResultLake.compact_run_dir`
-streams a run directory's ``results.jsonl``/``events.jsonl`` into one
-columnar segment (resume-aware -- later rows win, torn tails skipped --
-exactly like :meth:`repro.runner.store.ResultStore.load_results`), and the
-catalog remembers each run's manifest so cross-run queries can group by
-campaign configuration.
-
-:class:`LakeStore` is the online half: a drop-in implementation of the
-``ResultStore`` interface the engine writes through.  Completions append
-to a plain JSONL *delta journal* (same row format, same flush-per-row
-durability as ``results.jsonl``), and ``close()`` folds base + delta into
-a fresh columnar segment -- an LSM in miniature.  A crash between append
-and compaction loses nothing: readers always fold the surviving delta on
-top of the base segment.
+The engine writes run directories through
+:class:`~repro.runner.store.ResultStore`; the lake only reads them.
+:meth:`ResultLake.compact_run_dir` streams a run directory's
+``results.jsonl``/``events.jsonl`` into one columnar segment (resume-aware
+-- later rows win, torn tails skipped -- exactly like
+:meth:`repro.runner.store.ResultStore.load_results`), and the catalog
+remembers each run's manifest so cross-run queries can group by campaign
+configuration.
 """
 
 from __future__ import annotations
@@ -30,17 +23,15 @@ import os
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..runner.store import manifest_spec_diff
-from ..runner.units import STATUS_OK, UnitResult
+from ..runner.units import UnitResult
 from .columns import LAKE_SCHEMA, RunColumns, decode_results, encode_results, load_columns, save_columns
 
 CATALOG_NAME = "lake.json"
 RUNS_DIR_NAME = "runs"
 SEGMENT_SUFFIX = ".npz"
-DELTA_SUFFIX = ".delta.jsonl"
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,119}$")
 
@@ -62,11 +53,10 @@ def run_id_for_dir(run_dir: Union[str, os.PathLike]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Streaming JSONL folding (shared by compaction and the delta journal)
+# Streaming JSONL folding
 # ----------------------------------------------------------------------
 def fold_results_jsonl(
     path: Union[str, os.PathLike],
-    into: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> Tuple[Dict[str, Dict[str, Any]], int, int]:
     """Fold a results JSONL stream into ``unit_id -> final row``.
 
@@ -77,7 +67,7 @@ def fold_results_jsonl(
     compaction is an offline ingest pass, and one corrupt row should cost
     one row, not the whole run.  Returns ``(rows, raw_rows, skipped)``.
     """
-    rows: Dict[str, Dict[str, Any]] = into if into is not None else {}
+    rows: Dict[str, Dict[str, Any]] = {}
     raw_rows = 0
     skipped = 0
     path = pathlib.Path(path)
@@ -208,9 +198,6 @@ class ResultLake:
     def segment_path(self, run_id: str) -> pathlib.Path:
         return self.runs_dir / (run_id + SEGMENT_SUFFIX)
 
-    def delta_path(self, run_id: str) -> pathlib.Path:
-        return self.runs_dir / (run_id + DELTA_SUFFIX)
-
     # -- ingest --------------------------------------------------------
     def write_run(
         self,
@@ -295,7 +282,7 @@ class ResultLake:
 
     # -- read ----------------------------------------------------------
     def columns(self, run_id: str) -> RunColumns:
-        """One run's columnar segment (delta journal *not* folded in)."""
+        """One run's columnar segment."""
         self.entry(run_id)  # raises with the known-runs list if absent
         segment = self.segment_path(run_id)
         if not segment.exists():
@@ -305,150 +292,6 @@ class ResultLake:
             )
         return load_columns(segment)
 
-    def has_delta(self, run_id: str) -> bool:
-        delta = self.delta_path(run_id)
-        return delta.exists() and delta.stat().st_size > 0
-
     def results(self, run_id: str) -> Dict[str, UnitResult]:
-        """One run's final results, byte-identical to the JSONL loader.
-
-        Folds the delta journal (if a :class:`LakeStore` crash left one)
-        on top of the columnar base, later rows winning.
-        """
-        results = decode_results(self.columns(run_id))
-        if self.has_delta(run_id):
-            delta_rows, _, _ = fold_results_jsonl(self.delta_path(run_id))
-            for uid, row in delta_rows.items():
-                results[uid] = UnitResult.from_json_dict(row)
-        return results
-
-
-class LakeStore:
-    """``ResultStore``-interface adapter that persists into a lake.
-
-    The engine's contract -- ``open(manifest, resume)`` with fingerprint
-    guard, flush-per-append durability, later-rows-win ``load_results``,
-    ``completed_ids`` as the resume skip-set -- is preserved exactly;
-    only the bytes land differently: appends go to a per-run delta
-    journal, and ``close()`` folds base + delta into a fresh columnar
-    segment so an idle run costs one ``.npz`` file, not a JSONL heap.
-
-    ``run_dir`` is ``None`` by design: a lake run has no private
-    directory, so the engine skips the run-dir side artifacts
-    (``events.jsonl`` sink, ``metrics.json``) exactly as it does for
-    :class:`~repro.runner.store.NullStore`.
-    """
-
-    run_dir: Optional[pathlib.Path] = None
-
-    def __init__(self, lake_root: Union[str, os.PathLike], run_id: str) -> None:
-        self.lake = ResultLake(lake_root)
-        self.run_id = validate_run_id(run_id)
-        self._handle = None
-        self._manifest: Optional[Dict[str, Any]] = None
-
-    # -- lifecycle -----------------------------------------------------
-    def open(self, manifest: Mapping[str, Any], resume: bool = False) -> None:
-        if "fingerprint" not in manifest:
-            raise ConfigurationError("store manifest must carry a 'fingerprint'")
-        catalog = self.lake._load_catalog()
-        existing = catalog["runs"].get(self.run_id)
-        if existing is not None:
-            stored = existing.get("manifest") or {}
-            if stored.get("fingerprint") != manifest["fingerprint"]:
-                raise ConfigurationError(
-                    f"lake run {self.run_id!r} belongs to a different campaign "
-                    f"(manifest fingerprint {stored.get('fingerprint')!r} != "
-                    f"{manifest['fingerprint']!r}).  Differing configuration: "
-                    f"{manifest_spec_diff(stored, manifest)}.  Use a fresh "
-                    "run id, or relaunch with the run's original "
-                    "configuration to resume it"
-                )
-            has_rows = existing.get("units", 0) > 0 or self.lake.has_delta(self.run_id)
-            if not resume and has_rows:
-                raise ConfigurationError(
-                    f"lake run {self.run_id!r} already holds results; pass "
-                    "resume=True (--resume) to continue it"
-                )
-            # The stored manifest stays authoritative on resume, mirroring
-            # ResultStore (which never rewrites manifest.json on re-open).
-            self._manifest = dict(stored)
-        else:
-            self._manifest = dict(manifest)
-            # Register the run up front (empty segment) so a crash before
-            # the first completion still leaves a resumable catalog entry.
-            self.lake.write_run(self.run_id, {}, manifest=self._manifest)
-        self.lake.runs_dir.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.lake.delta_path(self.run_id), "a", encoding="utf-8")
-
-    def mark_status(self, status: str) -> None:
-        """Stamp the catalog entry's manifest ``status`` (atomic rewrite)."""
-        catalog = self.lake._load_catalog()
-        entry = catalog["runs"].get(self.run_id)
-        if entry is None:
-            return
-        manifest = dict(entry.get("manifest") or {})
-        manifest["status"] = str(status)
-        entry["manifest"] = manifest
-        self._manifest = manifest
-        self.lake._save_catalog(catalog)
-
-    def close(self) -> None:
-        """Close the journal and fold it into the columnar base segment."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self.compact()
-
-    def compact(self) -> None:
-        """Fold base + delta into a fresh segment; drop the journal."""
-        if not self.lake.has_delta(self.run_id):
-            delta = self.lake.delta_path(self.run_id)
-            if delta.exists():
-                delta.unlink()
-            return
-        rows = {
-            uid: result.to_json_dict()
-            for uid, result in decode_results(self.lake.columns(self.run_id)).items()
-        }
-        rows, raw_rows, skipped = fold_results_jsonl(
-            self.lake.delta_path(self.run_id), into=rows
-        )
-        entry = self.lake.entry(self.run_id)
-        self.lake.write_run(
-            self.run_id,
-            rows,
-            manifest=self._manifest if self._manifest is not None else entry.get("manifest"),
-            source=entry.get("source"),
-            source_rows=int(entry.get("source_rows", 0)) + raw_rows,
-            skipped_lines=int(entry.get("skipped_lines", 0)) + skipped,
-        )
-        self.lake.delta_path(self.run_id).unlink(missing_ok=True)
-
-    def __enter__(self) -> "LakeStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- read ----------------------------------------------------------
-    def load_results(self) -> Dict[str, UnitResult]:
-        return self.lake.results(self.run_id)
-
-    def completed_ids(self) -> Set[str]:
-        return {
-            uid
-            for uid, result in self.load_results().items()
-            if result.status == STATUS_OK
-        }
-
-    # -- write ---------------------------------------------------------
-    def append(self, result: UnitResult) -> None:
-        if self._handle is None:
-            raise ConfigurationError("store is not open for appending")
-        self._handle.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def append_all(self, results: Iterable[UnitResult]) -> None:
-        for result in results:
-            self.append(result)
+        """One run's final results, byte-identical to the JSONL loader."""
+        return decode_results(self.columns(run_id))

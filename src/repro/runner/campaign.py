@@ -97,7 +97,6 @@ def build_chip_units(
     intervals_s: Sequence[float],
     temperatures_c: Sequence[float],
     vendor_names: Optional[Sequence[str]] = None,
-    fast_path: Optional[bool] = None,
 ) -> Tuple[WorkUnit, ...]:
     """One work unit per chip, ids and chip numbering matching a full bed.
 
@@ -105,12 +104,6 @@ def build_chip_units(
     like :meth:`repro.infra.testbed.TestBed.build`, so a unit's chip is
     statistically identical to the one the legacy shared-bed campaign would
     have racked in the same slot.
-
-    ``fast_path`` selects the failure-evaluation mode for the measurement
-    worker (``None`` = worker-process default).  Both modes are
-    byte-identical, so the flag is deliberately *not* part of
-    :func:`campaign_fingerprint` -- results from either mode can resume
-    each other's run directories.
     """
     if chips_per_vendor <= 0:
         raise ConfigurationError("chips_per_vendor must be positive")
@@ -136,7 +129,6 @@ def build_chip_units(
                         },
                         "intervals_s": [float(t) for t in intervals_s],
                         "temperatures_c": [float(t) for t in temperatures_c],
-                        **({} if fast_path is None else {"fast_path": bool(fast_path)}),
                     },
                 )
             )
@@ -152,19 +144,22 @@ def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
     testbed.  Returns plain JSON: ordered ``[condition, failure_count]``
     pairs (pairs, not a mapping, so duplicate temperatures keep their
     legacy append semantics).
+
+    A payload carrying ``"fast_path": False`` measures on the reference
+    failure evaluator instead -- the oracle tests and the benchmark check
+    stored rows against.
     """
     geometry = ChipGeometry(**{k: int(v) for k, v in payload["geometry"].items()})
     intervals = [float(t) for t in payload["intervals_s"]]
     temperatures = [float(t) for t in payload["temperatures_c"]]
     chip_id = int(payload["chip_id"])
-    fast_path = payload.get("fast_path")
     bed = TestBed.build_single(
         chip_id=chip_id,
         vendor=vendor_by_name(str(payload["vendor"])),
         geometry=geometry,
         seed=int(payload["seed"]),
         max_trefi_s=max(intervals) * TREFI_HEADROOM,
-        fast_path=None if fast_path is None else bool(fast_path),
+        fast_path=bool(payload.get("fast_path", True)),
     )
     chip = bed.chips[0]
     profiler = BruteForceProfiler(iterations=int(payload["iterations"]))
@@ -259,8 +254,8 @@ def _shared_fleet_config(members: Sequence[Mapping[str, Any]]) -> Mapping[str, A
     """The chunk's shared measurement configuration, homogeneity-checked.
 
     Every key a fleet evaluates *together* (seed, iterations, geometry,
-    intervals, temperatures, fast-path mode) must agree across members --
-    a mixed chunk would silently measure chips under the wrong schedule.
+    intervals, temperatures) must agree across members -- a mixed chunk
+    would silently measure chips under the wrong schedule.
     """
     first = members[0]["payload"]
     shared_keys = ("seed", "iterations", "geometry", "intervals_s", "temperatures_c")
@@ -272,10 +267,6 @@ def _shared_fleet_config(members: Sequence[Mapping[str, Any]]) -> Mapping[str, A
                     f"fleet chunk members disagree on {key!r}: "
                     f"{payload.get(key)!r} vs {first.get(key)!r}"
                 )
-        if payload.get("fast_path") != first.get("fast_path"):
-            raise ConfigurationError(
-                "fleet chunk members disagree on 'fast_path'"
-            )
     return first
 
 
@@ -309,7 +300,6 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
     geometry = ChipGeometry(**{k: int(v) for k, v in first["geometry"].items()})
     intervals = [float(t) for t in first["intervals_s"]]
     temperatures = [float(t) for t in first["temperatures_c"]]
-    fast_path = first.get("fast_path")
     chip_ids = [int(m["payload"]["chip_id"]) for m in members]
 
     store: Optional[SharedPopulationStore] = None
@@ -328,7 +318,6 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
             geometry=geometry,
             seed=int(first["seed"]),
             max_trefi_s=max(intervals) * TREFI_HEADROOM,
-            fast_path=None if fast_path is None else bool(fast_path),
             samples=samples,
         )
         fleet = ChipFleet(bed.chips, backing=backing)

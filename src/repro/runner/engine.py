@@ -148,13 +148,6 @@ class RunnerEngine:
         Explicit :class:`repro.obs.Observability` instance to record
         into.  ``None`` (the default) uses the process-wide layer when
         :func:`repro.obs.enabled` says it is on, else records nothing.
-    store:
-        Explicit result-store instance (anything implementing the
-        :class:`~repro.runner.store.ResultStore` interface, e.g.
-        :class:`repro.lake.LakeStore` to persist straight into a columnar
-        lake).  When given, ``run_dir``/``resume`` construction is
-        bypassed -- the engine opens, appends to, and closes the injected
-        store instead.
     should_stop:
         Cooperative-cancellation probe (``() -> bool``).  Once it reads
         ``True`` the backend stops dispatching new units but *drains*
@@ -176,17 +169,11 @@ class RunnerEngine:
         progress: Optional[ProgressCallback] = None,
         observability: Optional["obs_mod.Observability"] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        store: Optional[Any] = None,
     ) -> None:
         if max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
-        if store is not None and run_dir is not None:
-            raise ConfigurationError(
-                "pass either run_dir or an explicit store, not both"
-            )
         self.backend = backend_from_spec(backend, workers=workers)
         self.run_dir = run_dir
-        self.store = store
         self.resume = bool(resume)
         self.max_retries = int(max_retries)
         self.progress = progress
@@ -224,13 +211,9 @@ class RunnerEngine:
         """
         units = tuple(units)
         check_unique_ids(units)
-        store: Any
-        if self.store is not None:
-            store = self.store
-        elif self.run_dir is not None:
-            store = ResultStore(self.run_dir)
-        else:
-            store = NullStore()
+        store: Union[ResultStore, NullStore] = (
+            ResultStore(self.run_dir) if self.run_dir is not None else NullStore()
+        )
         store.open(manifest, resume=self.resume)
         # A crash (or kill -9) leaves the manifest saying "running" -- the
         # truthful signal that the directory holds a resumable frontier.

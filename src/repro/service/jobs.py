@@ -74,6 +74,20 @@ def validate_tenant(tenant: str) -> str:
     return tenant
 
 
+def _spec_number(key: str, value: Any) -> float:
+    # bool is an int subclass, but ``true`` is never a meaningful number.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"spec key {key!r} must be a number, got {value!r}")
+    return value
+
+
+def _spec_int(key: str, value: Any) -> int:
+    number = _spec_number(key, value)
+    if isinstance(number, float) and not number.is_integer():
+        raise ConfigurationError(f"spec key {key!r} must be an integer, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class CampaignJobSpec:
     """One campaign submission: the CLI's knobs as a JSON document.
@@ -92,7 +106,6 @@ class CampaignJobSpec:
     temperatures_c: Tuple[float, ...] = (45.0, 55.0)
     chips_per_unit: Optional[int] = None
     max_retries: int = 1
-    fast_path: Optional[bool] = None
     #: Submission-window size for this job's share of the shared pool;
     #: ``None`` uses the manager's pool width.
     workers: Optional[int] = None
@@ -126,7 +139,6 @@ class CampaignJobSpec:
             "temperatures_c": [float(t) for t in self.temperatures_c],
             "chips_per_unit": self.chips_per_unit,
             "max_retries": self.max_retries,
-            "fast_path": self.fast_path,
             "workers": self.workers,
         }
 
@@ -136,7 +148,9 @@ class CampaignJobSpec:
 
         A typo'd knob silently falling back to its default would run the
         wrong campaign; refusing with the allowed-key list is cheaper for
-        everyone.
+        everyone.  Mistyped values (a string count, a fractional chip
+        count, a bare number where a list belongs) are refused the same
+        way rather than coerced.
         """
         allowed = set(cls().to_json_dict())
         unknown = sorted(set(data) - allowed)
@@ -148,18 +162,22 @@ class CampaignJobSpec:
         kwargs: Dict[str, Any] = {}
         for key in ("chips_per_vendor", "iterations", "seed", "max_retries"):
             if key in data:
-                kwargs[key] = int(data[key])
+                kwargs[key] = _spec_int(key, data[key])
         if "capacity_gbit" in data:
-            kwargs["capacity_gbit"] = float(data["capacity_gbit"])
-        if "intervals_s" in data:
-            kwargs["intervals_s"] = tuple(float(t) for t in data["intervals_s"])
-        if "temperatures_c" in data:
-            kwargs["temperatures_c"] = tuple(float(t) for t in data["temperatures_c"])
+            kwargs["capacity_gbit"] = float(
+                _spec_number("capacity_gbit", data["capacity_gbit"])
+            )
+        for key in ("intervals_s", "temperatures_c"):
+            if key in data:
+                values = data[key]
+                if not isinstance(values, (list, tuple)):
+                    raise ConfigurationError(
+                        f"spec key {key!r} must be a list of numbers, got {values!r}"
+                    )
+                kwargs[key] = tuple(float(_spec_number(key, v)) for v in values)
         for key in ("chips_per_unit", "workers"):
             if key in data and data[key] is not None:
-                kwargs[key] = int(data[key])
-        if data.get("fast_path") is not None:
-            kwargs["fast_path"] = bool(data["fast_path"])
+                kwargs[key] = _spec_int(key, data[key])
         return cls(**kwargs)
 
     # ------------------------------------------------------------------
@@ -176,7 +194,6 @@ class CampaignJobSpec:
             geometry=self.geometry(),
             iterations=self.iterations,
             seed=self.seed,
-            fast_path=self.fast_path,
         )
 
 

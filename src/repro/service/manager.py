@@ -86,7 +86,7 @@ LAKE_DIR_NAME = "lake"
 
 #: Spec keys of retired execution knobs that older ``jobs.jsonl`` rows
 #: still carry; ledger replay drops them (a live submission is refused).
-_RETIRED_SPEC_KEYS = ("shared_population", "megakernel", "condition_tiles")
+_RETIRED_SPEC_KEYS = ("shared_population", "megakernel", "condition_tiles", "fast_path")
 
 
 class Job:

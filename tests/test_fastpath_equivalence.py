@@ -9,6 +9,8 @@ tests pin that contract across deterministic and stochastic patterns,
 temperature changes, quiet-iteration early stops, and device reset/reuse.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +20,12 @@ from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
 from repro.core import BruteForceProfiler
 from repro.core.device import ObservedCellAccumulator
-from repro.dram.cell import Z_PIN_ONE, Z_PIN_ZERO, fast_path_default, set_fast_path_default
+from repro.dram.cell import Z_PIN_ONE, Z_PIN_ZERO
 from repro.dram.chip import SimulatedDRAMChip
 from repro.dram.geometry import ChipGeometry
 from repro.errors import CommandSequenceError
 from repro.patterns import CHECKERBOARD, RANDOM, STANDARD_PATTERNS
+from repro.runner import ResultStore, build_chip_units, measure_chip
 
 from conftest import TINY_GEOMETRY, TEST_SEED
 
@@ -34,6 +37,10 @@ def chip_pair(geometry=TINY_GEOMETRY, seed=TEST_SEED, **kwargs):
     ref = SimulatedDRAMChip(geometry=geometry, seed=seed, fast_path=False, **kwargs)
     fast = SimulatedDRAMChip(geometry=geometry, seed=seed, fast_path=True, **kwargs)
     return ref, fast
+
+
+def _canon(value):
+    return json.dumps(value, sort_keys=True)
 
 
 def assert_profiles_identical(a, b):
@@ -127,14 +134,42 @@ class TestProfileEquivalence:
         assert_profiles_identical(profiler.run(ref, conditions), profiler.run(fast, conditions))
 
 
-class TestCampaignEquivalence:
-    def test_campaign_summaries_byte_identical(self):
-        def summarize(fast_path):
-            return CharacterizationCampaign(
-                chips_per_vendor=1, geometry=MICRO, iterations=1, fast_path=fast_path
-            ).run(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
+ORACLE_GRID = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
 
-        assert summarize(False) == summarize(True)
+
+def reference_rows(campaign):
+    """Every chip of ``campaign`` re-measured on the reference evaluator
+    (``measure_chip`` with ``"fast_path": False``), keyed by unit id."""
+    units = build_chip_units(
+        chips_per_vendor=campaign.chips_per_vendor,
+        geometry=campaign.geometry,
+        iterations=campaign.iterations,
+        seed=campaign.seed,
+        **ORACLE_GRID,
+    )
+    return {
+        unit.unit_id: _canon(measure_chip(dict(unit.payload, fast_path=False)))
+        for unit in units
+    }
+
+
+def stored_rows(campaign, run_dir, chips_per_unit):
+    summary = campaign.run(run_dir=str(run_dir), chips_per_unit=chips_per_unit, **ORACLE_GRID)
+    stored = ResultStore(run_dir).load_results()
+    return summary, {uid: _canon(r.value) for uid, r in stored.items()}
+
+
+class TestCampaignEquivalence:
+    def test_campaign_summaries_byte_identical(self, tmp_path):
+        """Every row a per-chip campaign stores equals its chip re-measured
+        on the reference evaluator, so the summary built from those rows is
+        the reference summary."""
+        campaign = CharacterizationCampaign(chips_per_vendor=2, geometry=MICRO, iterations=1)
+        summary, rows = stored_rows(campaign, tmp_path, None)
+        assert rows == reference_rows(campaign)
+        assert _canon(campaign.run(**ORACLE_GRID).to_json_dict()) == _canon(
+            summary.to_json_dict()
+        )
 
 
 class TestFleetEquivalence:
@@ -155,23 +190,14 @@ class TestFleetEquivalence:
         assert summarize(3) == serial
         assert summarize(2) == serial
 
-    def test_fleet_composes_with_both_fast_path_modes(self):
-        """fast_path and fleet batching are orthogonal byte-identical
-        layers; all four combinations agree."""
-
-        def summarize(fast_path, chips_per_unit):
-            return CharacterizationCampaign(
-                chips_per_vendor=1, geometry=MICRO, iterations=1, fast_path=fast_path
-            ).run(
-                intervals_s=(0.512, 1.024),
-                temperatures_c=(45.0,),
-                chips_per_unit=chips_per_unit,
-            )
-
-        reference = summarize(False, None)
-        assert summarize(True, None) == reference
-        assert summarize(False, 3) == reference
-        assert summarize(True, 3) == reference
+    def test_fleet_composes_with_both_fast_path_modes(self, tmp_path):
+        """Fleet batching runs on the fast path; every row a fleet campaign
+        stores equals its chip re-measured on the reference evaluator, and
+        the fleet summary equals the per-chip one."""
+        campaign = CharacterizationCampaign(chips_per_vendor=2, geometry=MICRO, iterations=1)
+        fleet_summary, rows = stored_rows(campaign, tmp_path, 4)
+        assert rows == reference_rows(campaign)
+        assert fleet_summary == campaign.run(**ORACLE_GRID)
 
 
 class TestChipReset:
@@ -198,29 +224,6 @@ class TestChipReset:
         chip = SimulatedDRAMChip(geometry=TINY_GEOMETRY, seed=TEST_SEED, clock=SimClock())
         with pytest.raises(CommandSequenceError):
             chip.reset()
-
-
-class TestFastPathDefault:
-    def test_default_toggle_round_trip(self):
-        original = fast_path_default()
-        try:
-            previous = set_fast_path_default(False)
-            assert previous == original
-            assert not fast_path_default()
-            assert not SimulatedDRAMChip(geometry=MICRO).population.fast_path_enabled
-            set_fast_path_default(True)
-            assert SimulatedDRAMChip(geometry=MICRO).population.fast_path_enabled
-        finally:
-            set_fast_path_default(original)
-
-    def test_explicit_arg_overrides_default(self):
-        original = fast_path_default()
-        try:
-            set_fast_path_default(True)
-            chip = SimulatedDRAMChip(geometry=MICRO, fast_path=False)
-            assert not chip.population.fast_path_enabled
-        finally:
-            set_fast_path_default(original)
 
 
 class TestObservedCellAccumulator:

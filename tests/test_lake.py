@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError
 from repro.lake import (
     LAKE_SCHEMA,
     CompactionReport,
-    LakeStore,
     ResultLake,
     decode_results,
     encode_results,
@@ -185,8 +184,6 @@ class TestResultLake:
         assert _dumps(summary_from_lake(lake, run_id)) == _dumps(
             summary_from_run_dir(run_dir)
         )
-        # The fast path really engaged: all-chip run, no delta journal.
-        assert not lake.has_delta(run_id)
 
     def test_recompaction_is_idempotent(self, tmp_path):
         run_dir = _campaign_run(tmp_path, "round-0")
@@ -224,43 +221,21 @@ def _units(n, boom=()):
 MANIFEST = {"fingerprint": "f" * 32, "experiment": "lake-test", "n_units": 8}
 
 
-class TestLakeStore:
-    def test_engine_run_resume_and_fingerprint_guard(self, tmp_path):
-        lake_root = tmp_path / "lake"
-        store = LakeStore(lake_root, "run-a")
-        report = RunnerEngine(store=store).run(_worker, _units(8, boom={3}), MANIFEST)
+class TestSummaryFallback:
+    def test_non_chip_rows_summarize_like_the_jsonl(self, tmp_path):
+        """Non-chip ``ok`` values take the row-reconstruction fallback of
+        ``summary_from_lake``; it must still match the JSONL summary."""
+        run_dir = tmp_path / "run-a"
+        report = RunnerEngine(run_dir=str(run_dir), max_retries=0).run(
+            _worker, _units(8, boom={3}), MANIFEST
+        )
         assert report.stats.succeeded == 7 and report.stats.failed == 1
-
-        lake = ResultLake(lake_root)
-        assert not lake.has_delta("run-a")  # close() folded the journal
-        assert lake.entry("run-a")["manifest"]["status"] == "complete"
-        summary = summary_from_lake(lake, "run-a")
-        assert summary["ok"] == 7 and summary["failed_units"] == ["u-003"]
-        assert len(summary["other_ok_units"]) == 7  # non-chip values
-
-        # Reuse without resume is refused; resume executes only the gap.
-        with pytest.raises(ConfigurationError):
-            RunnerEngine(store=LakeStore(lake_root, "run-a")).run(
-                _worker, _units(8), MANIFEST
-            )
-        resumed = RunnerEngine(
-            store=LakeStore(lake_root, "run-a"), resume=True
-        ).run(_worker, _units(8), MANIFEST)
-        assert resumed.stats.executed == 1  # just the previously failed unit
-        assert resumed.stats.skipped == 7
-        assert summary_from_lake(lake, "run-a")["failed"] == 0
-
-        with pytest.raises(ConfigurationError):
-            RunnerEngine(
-                store=LakeStore(lake_root, "run-a"), resume=True
-            ).run(_worker, _units(8), {**MANIFEST, "fingerprint": "0" * 32})
-
-    def test_store_and_run_dir_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            RunnerEngine(
-                store=LakeStore(tmp_path / "lake", "run-a"),
-                run_dir=tmp_path / "run",
-            )
+        lake = ResultLake(tmp_path / "lake")
+        lake.compact_run_dir(run_dir)
+        summary = summary_from_lake(lake, run_id_for_dir(run_dir))
+        assert _dumps(summary) == _dumps(summary_from_run_dir(run_dir))
+        assert summary["failed_units"] == ["u-003"]
+        assert summary["other_ok_units"] == [f"u-{i:03d}" for i in range(8) if i != 3]
 
 
 class TestAnalytics:

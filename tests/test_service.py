@@ -17,6 +17,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -48,16 +49,18 @@ TINY_SPEC = dict(
     intervals_s=(0.512,),
     temperatures_c=(45.0,),
 )
-#: Deliberately slow spec (~200 ms per chip): full-size chips on the
-#: scalar path, so cancel/kill tests reliably land mid-run.
+#: Deliberately long spec: 48 chips, so cancel/kill tests land mid-run on
+#: any host -- the tests act after the first chip completes, with dozens
+#: still to go.
 SLOW_SPEC = dict(
-    chips_per_vendor=2,
-    capacity_gbit=1.0,
+    chips_per_vendor=16,
+    capacity_gbit=0.25,
     iterations=2,
     intervals_s=(0.512, 1.024, 2.048),
     temperatures_c=(45.0, 55.0),
-    fast_path=False,
 )
+#: Chips in a SLOW_SPEC campaign (one unit per chip, three vendors).
+SLOW_CHIPS = 3 * SLOW_SPEC["chips_per_vendor"]
 
 
 def direct_summary(**spec_kwargs) -> dict:
@@ -304,8 +307,8 @@ class TestJobManager:
         assert rows, "drained units must be persisted"
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "interrupted"
-        # partial: fewer persisted rows than the full campaign's 6 chips
-        assert len(rows) < 6
+        # partial: fewer persisted rows than the full campaign has chips
+        assert len(rows) < SLOW_CHIPS
 
     def test_unknown_job_and_premature_result(self, tmp_path):
         async def scenario():
@@ -375,13 +378,14 @@ class TestJobManager:
 
     def test_restart_adopts_ledger_with_retired_spec_keys(self, tmp_path):
         """A ``jobs.jsonl`` written before the ``shared_population``,
-        ``megakernel`` and ``condition_tiles`` spec keys were retired still
-        re-adopts, and the job finishes byte-identical to the blocking run."""
+        ``megakernel``, ``condition_tiles`` and ``fast_path`` spec keys were
+        retired still re-adopts, and the job finishes byte-identical to the
+        blocking run."""
         spec = dict(TINY_SPEC, chips_per_unit=2)
         rows = [
             '{"job_id": "job-000001", "spec": {"capacity_gbit": 0.0625, '
             '"chips_per_unit": 2, "chips_per_vendor": 1, "condition_tiles": null, '
-            '"fast_path": null, "intervals_s": [0.512], "iterations": 1, '
+            '"fast_path": false, "intervals_s": [0.512], "iterations": 1, '
             '"max_retries": 1, "megakernel": true, "seed": 24301, '
             '"shared_population": null, "temperatures_c": [45.0], '
             '"workers": null}, "state": "queued", "tenant": "acme", '
@@ -417,6 +421,26 @@ def service(tmp_path):
     )
     with ServiceThread(config) as svc:
         yield svc
+
+
+def _post_raw(service, body: str, content_length=None) -> "tuple[int, dict]":
+    """POST ``body`` to ``/v1/jobs`` over a bare socket, so the request
+    can carry a Content-Length no HTTP client library would send."""
+    encoded = body.encode("utf-8")
+    length = str(len(encoded)) if content_length is None else content_length
+    head = f"POST /v1/jobs HTTP/1.1\r\nHost: test\r\nContent-Length: {length}\r\n\r\n"
+    with socket.create_connection((service.host, service.port), timeout=30) as sock:
+        sock.sendall(head.encode("latin-1") + encoded)
+        sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    _, _, payload = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(payload)
 
 
 class TestHttpApi:
@@ -481,9 +505,34 @@ class TestHttpApi:
             ("shared_population", True),
             ("megakernel", False),
             ("condition_tiles", 2),
+            ("fast_path", False),
         ):
-            with pytest.raises(ConfigurationError, match="unknown spec keys"):
+            with pytest.raises(ConfigurationError, match="unknown spec keys") as excinfo:
                 client.submit("acme", dict(TINY_SPEC, chips_per_unit=2, **{key: value}))
+            allowed = str(excinfo.value).split("allowed: ", 1)[1].split(", ")
+            assert "chips_per_vendor" in allowed and key not in allowed
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"chips_per_vendor": "abc"},
+            {"chips_per_vendor": None},
+            {"chips_per_vendor": 2.7},
+            {"intervals_s": 5},
+            {"temperatures_c": [None]},
+        ],
+        ids=["string-count", "null-count", "fractional-count", "bare-intervals", "null-temperature"],
+    )
+    def test_malformed_spec_values_are_400(self, service, spec):
+        status, payload = _post_raw(service, json.dumps({"tenant": "acme", "spec": spec}))
+        assert status == 400
+        assert payload["error"]["type"] == "configuration"
+        assert not ServiceClient(service.host, service.port).jobs()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, service, length):
+        status, _ = _post_raw(service, "{}", content_length=length)
+        assert status == 400
 
     def test_cancel_over_http(self, service):
         client = ServiceClient(service.host, service.port)

@@ -435,13 +435,13 @@ def test_service_cancel_unlinks_segments(tmp_path):
         manager = JobManager(tmp_path, pool_workers=0, max_running=1)
         await manager.start()
         try:
+            # 24 two-chip chunks: the cancel lands with most still pending.
             spec = CampaignJobSpec(
-                chips_per_vendor=2,
-                capacity_gbit=1.0,
+                chips_per_vendor=16,
+                capacity_gbit=0.25,
                 iterations=2,
                 intervals_s=(0.512, 1.024, 2.048),
                 temperatures_c=(45.0, 55.0),
-                fast_path=False,
                 chips_per_unit=2,
             )
             record = await manager.submit("acme", spec)
