@@ -5,9 +5,11 @@ chips, the ``bench_campaign_368_chips`` configuration) end to end through
 the process-pool backend, once with the per-chip path -- one pool
 round-trip and one single-chip measurement per chip -- and once with
 fleet-batched dispatch: chips shipped to workers in chunks of
-``--chips-per-unit``, each chunk evaluated by the fused
-:func:`repro.runner.measure_fleet` kernel (one stacked numpy/ndtr pass per
-read across the whole chunk, one chamber settle replayed across members).
+``--chips-per-unit``, each chunk evaluated by
+:func:`repro.runner.measure_fleet` (one chamber settle replayed across
+members, then the condition-grid kernel
+:meth:`repro.core.fleetprof.FleetProfiler.run_grid`: block-drawn DPD and
+read uniforms, one Chernoff-cut evaluation per group of repeated reads).
 Both runs must produce byte-identical ``CampaignSummary`` objects; the
 script exits non-zero on divergence or when the measured speedup falls
 below ``--min-speedup``.
@@ -31,7 +33,9 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+from benchutil import host_stamp  # noqa: E402
 from repro.analysis.campaign import CharacterizationCampaign  # noqa: E402
 from repro.dram.geometry import ChipGeometry  # noqa: E402
 
@@ -108,6 +112,7 @@ def main(argv=None) -> int:
 
     result = {
         "benchmark": "fleet_campaign",
+        "host": host_stamp(workers=WORKERS),
         "config": {
             "chips": n_chips,
             "chips_per_vendor": CHIPS_PER_VENDOR,
@@ -133,6 +138,8 @@ def main(argv=None) -> int:
         "measured_chips": summary.n_chips,
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
+    out = args.out.resolve()
+    shown = out.relative_to(REPO_ROOT) if out.is_relative_to(REPO_ROOT) else out
 
     report = "\n".join(
         [
@@ -145,7 +152,7 @@ def main(argv=None) -> int:
             f"  fleet       : {fleet_s:.3f}s  ({n_chips / fleet_s:,.1f} chips/s)",
             f"  speedup     : {speedup:.2f}x",
             f"  byte-identical summaries: {equivalent}",
-            f"  json        : {args.out}",
+            f"  json        : {shown}",
         ]
     )
     REPORT_PATH.parent.mkdir(exist_ok=True)

@@ -6,11 +6,12 @@
 per call: the command schedule is replayed once on scalars (every chip
 shares the clock trajectory), while per-chip RNG streams are consumed in
 exactly the order the per-chip walk would consume them and the failure
-evaluation of every read runs as fused numpy passes over the stacked weak
-tails.  Observed-cell accumulation is likewise batched -- one boolean
-"discovered" mask per condition over the concatenated cell space (the
-fleet analogue of :class:`~repro.core.device.ObservedCellAccumulator`)
-plus a small per-chip overflow set for VRT episodes striking outside the
+evaluation runs as fused numpy passes over the stacked weak tails.
+Observed-cell accumulation is likewise batched -- one boolean
+``(conditions x cells)`` "discovered" array over the concatenated cell
+space (the fleet analogue of
+:class:`~repro.core.device.ObservedCellAccumulator`) plus small
+per-(condition, chip) overflow sets for VRT episodes striking outside the
 weak tail.
 
 The per-chip failing sets it reports are byte-identical to what a
@@ -29,6 +30,7 @@ import numpy as np
 from .. import obs
 from ..conditions import Conditions
 from ..dram.commands import Command, CommandRecord
+from ..dram.dpd import DPDModel, median_of_three
 from ..dram.fleet import ChipFleet
 from ..errors import CommandSequenceError, ConfigurationError, ProfilingError
 from ..patterns import STANDARD_PATTERNS, DataPattern
@@ -111,13 +113,16 @@ class FleetProfiler:
         replayed once on scalars (every chip traverses the identical clock
         trajectory, so the per-step times, exposures, and trace records
         are shared), DPD excitation draws run only where the sequential
-        per-chip walk actually draws, VRT arrival
-        checks batch into one vectorized Poisson per chip (falling back
-        to the exact interleaved replay for the rare chip that draws an
-        episode), and every read's uniforms and probability rows stack
-        into per-chip block compares.  Each transformation is draw-for-draw
-        equivalent to the sequential walk, which is what keeps the output
-        bit-equal.
+        per-chip walk actually draws (each run of random-pattern writes as
+        one block draw per chip), VRT arrival checks batch into one
+        vectorized Poisson per chip (falling back to the exact interleaved
+        replay for the rare chip that draws an episode), and every read's
+        uniforms stack into per-chip block draws, evaluated once per
+        (pattern, condition, exposure) group of repeated deterministic
+        reads and once per stochastic read, through a Chernoff cut that
+        leaves ``ndtr`` only the candidate cells.  Each transformation is
+        draw-for-draw equivalent to the sequential walk, which is what
+        keeps the output bit-equal.
 
         With observability enabled, the fused pass records phase-level
         ``kernel.*`` spans (schedule replay, DPD excitation, VRT, read
@@ -242,14 +247,15 @@ class FleetProfiler:
             spaces = [population.member_indices(i) for i in range(n_chips)]
             dpds = tuple(chip.population.dpd for chip in chips)
             excites = tuple(d.excite for d in dpds)
-            # The standard random pattern family batches across the fleet: one
-            # raw-uniform draw per chip (``random(4n)`` fills the identical
-            # doubles the per-chip ``(3, n)`` median draw plus ``(n,)`` bit
-            # draw would), then the column median, cap multiply, bit threshold,
-            # and orientation compare run once over the stacked tails --
-            # elementwise per cell, so each chip's slice is bit-equal to its
-            # own excite() call.  Exotic stochastic patterns (non-Beta(2,2) or
-            # non-random families) keep the per-chip path.
+            # The standard random pattern family batches across the fleet
+            # and across writes: each run of random-pattern writes becomes
+            # one (writes x 4n) raw draw per chip (see _excite_random_writes).
+            # Exotic stochastic patterns (non-Beta(2,2) or non-random
+            # families) keep the per-chip path.  Those and a first-time
+            # deterministic Beta draw are the stream's only other
+            # consumers, so the pending run is flushed before either --
+            # each chip's stream is then consumed in exactly the
+            # sequential walk's order.
             batch_ok = all(d.models_orientation for d in dpds)
             if batch_ok:
                 caps_cells = np.repeat(
@@ -257,13 +263,23 @@ class FleetProfiler:
                     [end - start for start, end in segments],
                 )
                 orientation_cells = np.concatenate([d._orientation for d in dpds])
-                raw_bufs = [
-                    np.empty(4 * (end - start)) for start, end in segments
-                ]
-                u3 = np.empty((3, n_total), dtype=np.float64)
-                bits_u = np.empty(n_total, dtype=np.float64)
-                data_bits = np.empty(n_total, dtype=bool)
+            pending: List[int] = []
             batched_last: Dict[str, int] = {}
+
+            def flush() -> None:
+                if pending:
+                    writes = _excite_random_writes(
+                        [steps[r].pattern.inverted for r in pending],
+                        dpds,
+                        segments,
+                        caps_cells,
+                        orientation_cells,
+                    )
+                    for r, (draw, stress) in zip(pending, writes):
+                        align_rows[r] = draw
+                        stress_rows[r] = stress
+                    pending.clear()
+
             for r, step in enumerate(steps):
                 pattern = step.pattern
                 if pattern.stochastic:
@@ -272,33 +288,21 @@ class FleetProfiler:
                         and pattern.name == "random"
                         and pattern.alignment_beta == (2.0, 2.0)
                     ):
-                        for i in range(n_chips):
-                            start, end = segments[i]
-                            n = end - start
-                            raw = dpds[i].excite_random_raw(out=raw_bufs[i])
-                            u3[:, start:end] = raw[: 3 * n].reshape(3, n)
-                            bits_u[start:end] = raw[3 * n :]
-                        u3.sort(axis=0)
-                        draw = np.multiply(u3[1], caps_cells)
-                        np.less(bits_u, 0.5, out=data_bits)
-                        mask = np.empty(n_total, dtype=np.float64)
-                        if pattern.inverted:
-                            np.not_equal(data_bits, orientation_cells, out=mask)
-                        else:
-                            np.equal(data_bits, orientation_cells, out=mask)
-                        align_rows[r] = draw
-                        stress_rows[r] = mask
+                        pending.append(r)
                         batched_last[pattern.key] = r
-                    else:
-                        align_rows[r], stress_rows[r] = zip(
-                            *[excite(pattern) for excite in excites]
-                        )
+                        continue
+                    flush()
+                    align_rows[r], stress_rows[r] = zip(
+                        *[excite(pattern) for excite in excites]
+                    )
                 else:
                     entry = det_cache.get(pattern.key)
                     if entry is None:
+                        flush()
                         entry = tuple(zip(*[excite(pattern) for excite in excites]))
                         det_cache[pattern.key] = entry
                     align_rows[r], stress_rows[r] = entry
+            flush()
 
         # ------------------------------------------------------------------
         # VRT: one vectorized arrival check per chip covers the whole grid.
@@ -330,12 +334,14 @@ class FleetProfiler:
         # ------------------------------------------------------------------
         # Fused read evaluation, blocked to cap uniform memory.  Per block:
         # one (rows x tail) uniform draw per chip (the block draw partitions
-        # each read stream exactly like the per-read draws), one stacked
-        # probability matrix computed pattern-by-pattern (all of a pattern's
-        # exposures through a single ndtr), one compare + per-condition
-        # any() reduction per chip.  Stochastic rows gather their
-        # chip-ordered uniforms out of the same blocks and go through the
-        # fleet's Chernoff-banded sampler unchanged.
+        # each read stream exactly like the per-read draws) lands in one
+        # chip-ordered, row-major uniform matrix.  Deterministic rows group
+        # by (pattern, condition) -- each group one Chernoff-cut evaluation
+        # per distinct exposure (FleetPopulation.deterministic_failures) --
+        # and stochastic rows run the Chernoff-banded sampler on their own
+        # row.  Zero exposures never fail (the sequential path short-
+        # circuits there while still consuming the uniforms, as the block
+        # draw does).
         # ------------------------------------------------------------------
         with obs.span("kernel.read_compare", chips=n_chips, rows=n_rows):
             scales = tuple(
@@ -345,91 +351,53 @@ class FleetProfiler:
             rows_per_block = max(
                 1, int(_MEGAKERNEL_UNIFORM_CAP_BYTES // max(1, n_total * 8))
             )
-            discovered = [np.zeros(n_total, dtype=bool) for _ in conditions_grid]
+            discovered = np.zeros((len(conditions_grid), n_total), dtype=bool)
             for b0 in range(0, n_rows, rows_per_block):
                 b1 = min(b0 + rows_per_block, n_rows)
                 nb = b1 - b0
-                block = steps[b0:b1]
-                # Column-major: each chip's segment of the uniform matrix (and
-                # the matching probability columns) is then one contiguous run,
-                # so the per-chip draws land with plain memcpys instead of
-                # row-strided scatter writes, and the any(axis=0) reduction
-                # walks contiguous columns.  Values are order-independent.
-                P = np.empty((nb, n_total), dtype=np.float64, order="F")
-                stoch_local: List[int] = []
-                det_local: Dict[str, List[int]] = {}
-                for j, step in enumerate(block):
+                u_all = np.empty((nb, n_total), dtype=np.float64)
+                for i, chip in enumerate(chips):
+                    start, end = segments[i]
+                    if end > start:
+                        u_all[:, start:end] = chip.read_rng.random((nb, end - start))
+                groups: Dict[Tuple[str, int], List[int]] = {}
+                for r in range(b0, b1):
+                    step = steps[r]
+                    if step.exposure_s == 0.0:
+                        continue
                     if step.pattern.stochastic:
-                        stoch_local.append(j)
-                        P[j] = 0.0
-                    elif step.exposure_s > 0.0:
-                        det_local.setdefault(step.pattern.key, []).append(j)
+                        discovered[step.cond] |= population._sample_banded(
+                            step.exposure_s,
+                            scales,
+                            align_rows[r],
+                            stress_rows[r],
+                            u=u_all[r - b0],
+                        )
                     else:
-                        # Zero exposures keep an all-zero row: the sequential
-                        # path short-circuits to "no failures" there (while
-                        # still consuming the uniforms, as the block draw does).
-                        P[j] = 0.0
-                has_det = bool(det_local)
-                for key, rows in det_local.items():
-                    # All of a deterministic pattern's rows share one cached
-                    # alignment/stress draw, so the whole group stacks into one
-                    # ndtr pass (row-for-row bit-equal to per-read evaluation).
+                        groups.setdefault((step.pattern.key, step.cond), []).append(r)
+                for (key, cond), rows in groups.items():
                     aligns, stresses = det_cache[key]
-                    P[np.asarray(rows, dtype=np.intp)] = population.deterministic_p_grid(
-                        [block[j].exposure_s for j in rows],
+                    hits = population.deterministic_failures(
+                        [steps[r].exposure_s for r in rows],
+                        [u_all[r - b0] for r in rows],
                         scales,
                         key,
                         aligns,
                         stresses,
                     )
-                # One chip-ordered uniform matrix covers the block: each chip's
-                # (rows x tail) draw partitions its read stream exactly like the
-                # per-read draws, and stacking the segments side by side lets
-                # the deterministic compare and the stochastic row gathers run
-                # on views instead of per-chip loops.
-                u_all = np.empty((nb, n_total), dtype=np.float64, order="F")
-                for i, chip in enumerate(chips):
-                    start, end = segments[i]
-                    if end > start:
-                        u_all[:, start:end] = chip.read_rng.random((nb, end - start))
-                if has_det:
-                    cmp = u_all < P
-                    # Rows arrive grouped by condition (the schedule walks the
-                    # grid in order), so each condition owns a contiguous row
-                    # range.  Stochastic and zero-exposure rows keep their
-                    # all-zero P row -- they contribute nothing to the compare
-                    # -- which lets the reduction run on plain slices.
-                    lo = 0
-                    for hi in range(1, nb + 1):
-                        if hi == nb or block[hi].cond != block[lo].cond:
-                            discovered[block[lo].cond] |= cmp[lo:hi].any(axis=0)
-                            lo = hi
-                for j in stoch_local:
-                    step = block[j]
-                    if step.exposure_s == 0.0:
-                        continue
-                    mask = population._sample_banded(
-                        step.exposure_s,
-                        scales,
-                        align_rows[b0 + j],
-                        stress_rows[b0 + j],
-                        # Rows of the column-major matrix are strided; the
-                        # banded sampler runs several elementwise passes over
-                        # u, so one contiguous copy up front is cheaper.
-                        u=np.ascontiguousarray(u_all[j]),
-                    )
-                    discovered[step.cond] |= mask
+                    discovered[cond, hits] = True
 
-        # Fold VRT hits into their step's condition.
-        extras: List[List[Set[int]]] = [
-            [set() for _ in chips] for _ in conditions_grid
-        ]
+        # Fold VRT hits into their step's condition; cells outside the
+        # chip's weak tail land in per-(condition, chip) overflow sets.
+        extras: Dict[Tuple[int, int], Set[int]] = {}
         for r, hits in vrt_hits.items():
             ci = steps[r].cond
             for chip_index, cells in hits:
-                self._fold_vrt(
-                    population, discovered[ci], extras[ci], chip_index, cells
-                )
+                outside = self._fold_vrt(population, discovered[ci], chip_index, cells)
+                if outside.size:
+                    extras.setdefault((ci, chip_index), set()).update(
+                        outside.tolist()
+                    )
 
         # ------------------------------------------------------------------
         # Commit per-chip end state: exactly what the sequential walk leaves
@@ -440,12 +408,15 @@ class FleetProfiler:
         # Batched rows bypassed excite()'s cache stores; replay the final
         # store per stochastic pattern (earlier writes' entries are
         # overwritten by later ones in the sequential walk, so only the
-        # last row per key is observable).
+        # last row per key is observable).  Each committed row is a copy,
+        # so the chips' caches never pin a whole excitation block.
         with obs.span("kernel.commit", chips=n_chips):
+            committed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
             for key, r in batched_last.items():
                 pattern = steps[r].pattern
-                draw = align_rows[r]
-                mask = stress_rows[r]
+                draw = align_rows[r].copy()
+                mask = stress_rows[r].copy()
+                committed[r] = (draw, mask)
                 for i in range(n_chips):
                     start, end = segments[i]
                     dpds[i].commit_random_write(
@@ -453,8 +424,9 @@ class FleetProfiler:
                     )
 
             last = steps[-1]
-            last_aligns = align_rows[-1]
-            last_stresses = stress_rows[-1]
+            last_aligns, last_stresses = committed.get(
+                n_rows - 1, (align_rows[-1], stress_rows[-1])
+            )
             last_stacked = isinstance(last_aligns, np.ndarray)
             for i, chip in enumerate(chips):
                 chip.clock._now = t_final
@@ -474,10 +446,10 @@ class FleetProfiler:
         out = []
         chip_ids = [chip.chip_id for chip in chips]
         empty = frozenset()
+        extra_conds = {ci for ci, _chip_index in extras}
         for ci in range(len(conditions_grid)):
             mask = discovered[ci]
-            cond_extras = extras[ci]
-            if not mask.any() and not any(cond_extras):
+            if ci not in extra_conds and not mask.any():
                 # Nothing discovered at this condition (typical for the
                 # short-interval end of a sweep): skip the per-chip
                 # boolean indexing entirely.
@@ -491,8 +463,10 @@ class FleetProfiler:
             results = []
             for i in range(n_chips):
                 start, end = segments[i]
-                in_space = spaces[i][mask[start:end]]
-                failing = frozenset(in_space.tolist()) | frozenset(cond_extras[i])
+                failing = frozenset(spaces[i][mask[start:end]].tolist())
+                extra = extras.get((ci, i))
+                if extra:
+                    failing = failing | frozenset(extra)
                 results.append(
                     FleetChipResult(chip_id=chip_ids[i], failing=failing)
                 )
@@ -503,25 +477,63 @@ class FleetProfiler:
     def _fold_vrt(
         population,
         discovered: np.ndarray,
-        extras: List[Set[int]],
         chip_index: int,
         cells: np.ndarray,
-    ) -> None:
+    ) -> np.ndarray:
         """Fold one chip's VRT failing cells into the fleet bookkeeping.
 
         Cells inside the chip's weak tail mark the shared mask (they are
         indistinguishable from static discoveries there, matching
-        :class:`~repro.core.device.ObservedCellAccumulator`); the rest land
-        in the chip's overflow set.
+        :class:`~repro.core.device.ObservedCellAccumulator`); the rest are
+        returned for the chip's overflow set.
         """
         space = population.member_indices(chip_index)
         start, _end = population.segment(chip_index)
-        if space.size:
-            pos = np.searchsorted(space, cells)
-            in_space = space[np.minimum(pos, space.size - 1)] == cells
-            discovered[start + pos[in_space]] = True
-            outside = cells[~in_space]
-        else:
-            outside = cells
-        if outside.size:
-            extras[chip_index].update(int(c) for c in outside)
+        if not space.size:
+            return cells
+        pos = np.searchsorted(space, cells)
+        in_space = space[np.minimum(pos, space.size - 1)] == cells
+        discovered[start + pos[in_space]] = True
+        return cells[~in_space]
+
+
+def _excite_random_writes(
+    inverted: Sequence[bool],
+    dpds: Sequence[DPDModel],
+    segments: Sequence[Tuple[int, int]],
+    caps_cells: np.ndarray,
+    orientation_cells: np.ndarray,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """DPD state of consecutive random-pattern writes on every chip.
+
+    ``inverted[k]`` says whether write ``k`` stores the inverse pattern.
+    Each chip draws the whole run (at most a uniform cap's worth of writes
+    at a time) in one :meth:`~repro.dram.dpd.DPDModel.excite_random_raw`
+    call -- the same doubles, in the same order, as one excite() per
+    write.  The median of three, cap multiply, bit threshold and
+    orientation compare then run once over the stacked ``(writes, cells)``
+    block; every step is elementwise, so each chip's slice of write
+    ``k``'s arrays is bit-equal to its own excite() on that write.
+    Returns one fleet-wide ``(alignment, stress)`` pair per write, as
+    row views of the block.
+    """
+    n_total = len(caps_cells)
+    per_block = max(1, int(_MEGAKERNEL_UNIFORM_CAP_BYTES // max(1, 32 * n_total)))
+    writes: List[Tuple[np.ndarray, np.ndarray]] = []
+    for k0 in range(0, len(inverted), per_block):
+        flags = np.array(inverted[k0 : k0 + per_block], dtype=bool)
+        k = len(flags)
+        raw = np.empty((k, 4, n_total), dtype=np.float64)
+        for dpd, (start, end) in zip(dpds, segments):
+            raw[:, :, start:end] = dpd.excite_random_raw(k).reshape(k, 4, end - start)
+        draw = median_of_three(raw[:, 0], raw[:, 1], raw[:, 2])
+        np.multiply(draw, caps_cells, out=draw)
+        # The inverted pattern stores ``1 - data``, and ``(1 - data) ==
+        # orientation`` is exactly ``data != orientation``: XOR the
+        # orientation match with the write's inversion flag.  Comparing
+        # straight into float64 yields the 1.0/0.0 values excite() stores.
+        matches = np.equal(np.less(raw[:, 3], 0.5), orientation_cells)
+        stress = np.empty((k, n_total), dtype=np.float64)
+        np.not_equal(matches, flags[:, None], out=stress)
+        writes.extend(zip(draw, stress))
+    return writes

@@ -135,10 +135,7 @@ class DPDModel:
         """
         if a == 2.0 and b == 2.0:
             u = self._rng.random((3, self.n_cells))
-            return np.maximum(
-                np.minimum(u[0], u[1]),
-                np.minimum(np.maximum(u[0], u[1]), u[2]),
-            )
+            return median_of_three(u[0], u[1], u[2])
         return self._rng.beta(a, b, size=self.n_cells)
 
     def stress_mask(self, pattern: DataPattern, fresh: bool = False) -> np.ndarray:
@@ -241,27 +238,28 @@ class DPDModel:
             self.stress_mask(pattern, fresh=True),
         )
 
-    def excite_random_raw(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Raw uniforms for one random-pattern write (fleet batching).
+    def excite_random_raw(self, writes: int) -> np.ndarray:
+        """Raw uniforms for ``writes`` consecutive random-pattern writes
+        (fleet batching).
 
-        Consumes this chip's DPD stream exactly like the random branch of
-        :meth:`excite`: one ``random(4n)`` call fills the identical doubles
-        the ``(3, n)`` median draw plus the ``(n,)`` bit draw would (the
-        generator fills arrays element by element from the same double
-        sequence regardless of chunking).  The caller runs the shared
-        post-processing -- column median, cap multiply, bit threshold,
-        orientation compare -- over the stacked fleet and commits each
-        chip's slice via :meth:`commit_random_write`.  Requires orientation
-        modeling (without it :meth:`excite` draws no bits, so the raw
-        consumption would differ).
+        Returns a ``(writes, 4n)`` array whose row ``k`` holds exactly the
+        doubles the random branch of :meth:`excite` would draw on the
+        ``k``-th write: the ``(3, n)`` median draw, then the ``(n,)`` bit
+        draw.  The generator fills arrays element by element from one
+        double sequence whatever their shape, so this single call consumes
+        the DPD stream exactly like ``writes`` successive excite() calls.
+        The caller runs the post-processing -- median of three, cap
+        multiply, bit threshold, orientation compare -- over the stacked
+        fleet and commits each chip's last write via
+        :meth:`commit_random_write`.  Requires orientation modeling
+        (without it :meth:`excite` draws no bits, so the raw consumption
+        would differ).
         """
         if self._orientation is None:
             raise ProfilingError(
                 "excite_random_raw requires orientation modeling; use excite()"
             )
-        if out is not None:
-            return self._rng.random(out=out)
-        return self._rng.random(4 * self._n_cells)
+        return self._rng.random((writes, 4 * self._n_cells))
 
     def commit_random_write(
         self, pattern: DataPattern, alignment: np.ndarray, stress: np.ndarray
@@ -278,3 +276,17 @@ class DPDModel:
     def worst_case_retention(self, mu_wc_s: np.ndarray) -> np.ndarray:
         """Alias for the worst-case (alignment = 1) retention times."""
         return np.asarray(mu_wc_s, dtype=np.float64)
+
+
+def median_of_three(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Elementwise median of three equal-shape arrays (Beta(2, 2) draws).
+
+    The min/max network ``max(min(a, b), min(max(a, b), c))`` selects the
+    middle value -- pure selection, no arithmetic, so the result is
+    bit-equal to sorting each column.  Overwrites ``a`` as scratch and
+    returns a fresh array.
+    """
+    lo = np.minimum(a, b)
+    np.maximum(a, b, out=a)
+    np.minimum(a, c, out=a)
+    return np.maximum(lo, a, out=lo)

@@ -9,7 +9,7 @@ that overhead across a *fleet*: the weak-cell tails of B chips are stacked
 into one struct-of-arrays population (concatenated ``mu``/``sigma``/
 susceptibility arrays with per-chip segment offsets), so one profiling
 read for B chips at the same (pattern, trefi, temperature) point runs as a
-handful of fused numpy/``ndtr`` calls plus per-segment reductions.
+handful of fused numpy calls plus per-segment reductions.
 
 Byte-identity contract
 ----------------------
@@ -34,8 +34,9 @@ bookkeeping alongside the fused static masks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -46,8 +47,14 @@ from .chip import SimulatedDRAMChip
 
 
 def _same_arrays(refs: Tuple, arrays: Sequence) -> bool:
-    """Identity comparison of two per-chip array tuples (cache pinning)."""
-    return len(refs) == len(arrays) and all(a is b for a, b in zip(refs, arrays))
+    """Identity comparison of two per-chip array tuples (cache pinning).
+
+    The pinned tuple itself is what a repeat caller usually hands back
+    (``tuple()`` of a tuple is the tuple), which settles it in one check.
+    """
+    return refs is arrays or (
+        len(refs) == len(arrays) and all(map(operator.is_, refs, arrays))
+    )
 
 
 @dataclass
@@ -267,35 +274,70 @@ class FleetPopulation:
         self._states[key] = state
         return state
 
-    def deterministic_p_grid(
+    def _chernoff_candidates(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Cells whose failure the Chernoff bound cannot rule out.
+
+        For ``z <= _CHERNOFF_Z_MAX`` the bound ``0.5 * exp(-z**2 / 2)``
+        dominates ``ndtr(z)`` -- and so the stress-masked probability --
+        with >= 43% slack, so ``u >= bound`` proves ``u >= p`` exactly.
+        The exponent is clamped like the per-chip path's (deep-tail cells
+        would otherwise push exp() into the subnormal slow path), which
+        only raises the bound.  The bound is staged through
+        ``self._scratch`` (``-0.5 * z * z`` associates left, hence
+        ``(-0.5 * z) * z``).
+        """
+        bound = np.multiply(-0.5, z, out=self._scratch)
+        np.multiply(bound, z, out=bound)
+        np.maximum(bound, -60.0, out=bound)
+        np.exp(bound, out=bound)
+        np.multiply(0.5, bound, out=bound)
+        return np.flatnonzero((z > _CHERNOFF_Z_MAX) | (u < bound))
+
+    def deterministic_failures(
         self,
         exposures_s: Sequence[float],
+        u_rows: Sequence[np.ndarray],
         scales: Tuple[float, ...],
         pattern_key: str,
         alignments: Sequence[np.ndarray],
         stresseds: Sequence[Optional[np.ndarray]],
     ) -> np.ndarray:
-        """Fused per-cell failure probabilities of a deterministic pattern
-        at many exposures at once.
+        """Cells that fail on at least one of several reads of a
+        deterministic pattern.
 
-        Returns a ``(len(exposures_s), n_total)`` matrix whose row ``k`` is
-        bit-equal, segment by segment, to the probability vector each
-        chip's own evaluation at ``exposures_s[k]`` computes: the z
-        pipeline and ndtr are elementwise ufuncs, so evaluating them on a
-        broadcast matrix applies the identical scalar operation to the
-        identical operands.  One ndtr call amortizes the per-row dispatch
-        overhead the megakernel would otherwise pay once per read.
+        Read ``k`` runs at ``exposures_s[k]`` with the chip-ordered uniforms
+        ``u_rows[k]``; per read, a cell fails exactly when its uniform is
+        below ``ndtr((exposure - mu_eff) / sigma_eff) * stressed``, the
+        per-chip expression.  Returns the flat indices of every cell some
+        read fails (possibly repeated).
+
+        Reads whose exposure floats are bit-equal share one probability
+        vector, and ``any_k(u_k < p)`` holds exactly when ``min_k(u_k) <
+        p``, so each exposure group evaluates one z vector against its
+        elementwise-minimum uniform row; the Chernoff cut then leaves
+        ``ndtr`` and the stress multiply only the few candidate cells.
         """
         state = self._pattern_state(pattern_key, scales, alignments)
-        p = np.subtract(
-            np.asarray(exposures_s, dtype=np.float64)[:, None], state.mu_eff
-        )
-        np.divide(p, state.sigma_eff, out=p)
-        ndtr(p, out=p)
         stressed = self._concat_stressed(pattern_key, stresseds)
-        if stressed is not None:
-            np.multiply(p, stressed, out=p)
-        return p
+        by_exposure: Dict[float, List[np.ndarray]] = {}
+        for exposure_s, u in zip(exposures_s, u_rows):
+            by_exposure.setdefault(exposure_s, []).append(u)
+        hits = []
+        for exposure_s, us in by_exposure.items():
+            umin = us[0]
+            if len(us) > 1:
+                umin = np.minimum(us[0], us[1])
+                for u in us[2:]:
+                    np.minimum(umin, u, out=umin)
+            z = np.subtract(exposure_s, state.mu_eff, out=self._z)
+            np.divide(z, state.sigma_eff, out=z)
+            candidates = self._chernoff_candidates(z, umin)
+            if len(candidates):
+                p = ndtr(z[candidates])
+                if stressed is not None:
+                    p = p * stressed[candidates]
+                hits.append(candidates[umin[candidates] < p])
+        return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
     def _sample_banded(
         self,
@@ -317,23 +359,15 @@ class FleetPopulation:
             if isinstance(alignments, np.ndarray)
             else np.concatenate(alignments)
         )
-        # Stage the whole z pipeline through the two scratch buffers: each
-        # step is the ufunc the operator expression would invoke, applied
-        # in the same order, so the bits are unchanged.
+        # Stage the z pipeline through the scratch buffers: each step is
+        # the ufunc the operator expression would invoke, applied in the
+        # same order, so the bits are unchanged.  mu_eff is dead once z
+        # exists, which frees its scratch buffer for the bound.
         mu_eff = self._effective_retention(alignment, out=self._scratch)
         np.multiply(mu_eff, scale_cells, out=mu_eff)
         z = np.subtract(exposure_s, mu_eff, out=self._z)
         np.divide(z, self._sigma_eff(scales), out=z)
-        # Clamp the exponent exactly like the per-chip path: deep-tail
-        # cells would otherwise push exp() into the subnormal slow path.
-        # ``-0.5 * z * z`` associates left, so stage it as (-0.5 * z) * z;
-        # mu_eff is dead here, freeing its scratch buffer for the bound.
-        bound = np.multiply(-0.5, z, out=self._scratch)
-        np.multiply(bound, z, out=bound)
-        np.maximum(bound, -60.0, out=bound)
-        np.exp(bound, out=bound)
-        np.multiply(0.5, bound, out=bound)
-        candidates = np.flatnonzero((z > _CHERNOFF_Z_MAX) | (u < bound))
+        candidates = self._chernoff_candidates(z, u)
         failed = np.zeros(self._n_total, dtype=bool)
         if len(candidates):
             p = ndtr(z[candidates])

@@ -25,12 +25,15 @@ into one ``multiprocessing.shared_memory`` segment built once per run:
 
 Lifecycle (the part that has to survive violence)
 -------------------------------------------------
-The store deliberately *disowns* Python's ``resource_tracker``: on this
-interpreter both create **and** attach register the segment with the
-calling process's tracker, which (a) double-books the name across the pool
-and (b) prints "leaked shared_memory" warnings -- and unlinks segments out
-from under a resumable run -- whenever any participant dies.  Instead the
-campaign owns cleanup explicitly:
+The store keeps Python's ``resource_tracker`` out of the segment's life:
+left to it, the tracker prints "leaked shared_memory" warnings -- and
+unlinks segments out from under a resumable run -- whenever any
+participant dies.  The creator *disowns* the name right after creating
+it, and workers attach without registering at all (``track=False`` on
+Python >= 3.13, a tracker-free mapping before): pool workers share one
+tracker, which keeps a set, so concurrent register-then-unregister pairs
+from two workers would unregister one entry twice and print ``KeyError``
+tracebacks.  Instead the campaign owns cleanup explicitly:
 
 * normal completion / cooperative cancel / exceptions: the campaign's
   ``finally`` block unlinks the segment;
@@ -46,8 +49,10 @@ campaign owns cleanup explicitly:
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import secrets
+import sys
 from concurrent.futures import Executor, ProcessPoolExecutor
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
@@ -121,17 +126,49 @@ def new_segment_name() -> str:
 
 
 def _disown(shm: shared_memory.SharedMemory) -> None:
-    """Remove ``shm`` from this process's resource tracker.
+    """Remove a freshly created ``shm`` from this process's resource tracker.
 
-    Both create and attach register the name here; left registered, any
-    participant's exit triggers "leaked shared_memory" warnings and -- far
-    worse -- a tracker-side unlink that yanks the population out from under
-    every other process still using it.  The campaign owns the unlink.
+    Creation registers the name; left registered, any participant's exit
+    triggers "leaked shared_memory" warnings and -- far worse -- a
+    tracker-side unlink that yanks the population out from under every
+    other process still using it.  The campaign owns the unlink.
     """
     try:
         resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
     except Exception:  # pragma: no cover - tracker API drift
         pass
+
+
+class _UntrackedSegment(shared_memory.SharedMemory):
+    """An existing POSIX segment mapped without telling the resource tracker.
+
+    Before Python 3.13, ``SharedMemory.__init__`` registers every segment
+    it opens.  This is its attach branch minus that call: open by name,
+    map the whole segment read-write.
+    """
+
+    def __init__(self, name: str) -> None:  # deliberately no super().__init__
+        import _posixshmem
+
+        self._name = "/" + name
+        self._fd = _posixshmem.shm_open(self._name, os.O_RDWR, mode=0o600)
+        try:
+            self._size = os.fstat(self._fd).st_size
+            self._mmap = mmap.mmap(self._fd, self._size)
+        except OSError:
+            os.close(self._fd)
+            self._fd = -1
+            raise
+        self._buf = memoryview(self._mmap)
+
+
+def _attach_untracked(name: str) -> shared_memory.SharedMemory:
+    """Map an existing segment without any resource-tracker registration."""
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    if os.name != "posix":  # pragma: no cover - only POSIX registers
+        return shared_memory.SharedMemory(name=name)
+    return _UntrackedSegment(name)
 
 
 class SharedPopulationStore:
@@ -217,10 +254,7 @@ class SharedPopulationStore:
             segment=str(descriptor.get("segment")),
             chips=len(descriptor.get("chips", ())),
         ):
-            shm = shared_memory.SharedMemory(
-                name=str(descriptor["segment"]), create=False
-            )
-            _disown(shm)
+            shm = _attach_untracked(str(descriptor["segment"]))
         _note_mapped(shm.name, shm.buf.nbytes)
         chips = {
             int(chip_id): (int(start), int(length))

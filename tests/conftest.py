@@ -14,6 +14,8 @@ from repro.conditions import Conditions
 from repro.dram.chip import SimulatedDRAMChip
 from repro.dram.geometry import ChipGeometry
 from repro.dram.vendor import VENDOR_B
+from repro.errors import ProfilingError
+from repro.patterns import STANDARD_PATTERNS
 
 TINY_GEOMETRY = ChipGeometry.from_capacity_gigabits(1.0 / 16.0)
 TEST_SEED = 1234
@@ -46,3 +48,22 @@ def chip_factory():
 @pytest.fixture
 def target_conditions() -> Conditions:
     return Conditions(trefi=1.024, temperature=45.0)
+
+
+def dpd_end_state(chip: SimulatedDRAMChip) -> tuple:
+    """A chip's DPD state as comparable bytes: the DPD generator state,
+    every written pattern's committed alignment (and, for stochastic
+    patterns, stress mask), and the last write's arrays the chip holds."""
+    dpd = chip.population.dpd
+    committed = []
+    for pattern in STANDARD_PATTERNS:
+        try:
+            alignment = dpd.alignment(pattern).tobytes()
+        except ProfilingError:  # never written to this chip
+            continue
+        stress = dpd.stress_mask(pattern).tobytes() if pattern.stochastic else None
+        committed.append((pattern.key, alignment, stress))
+    last = None
+    if chip._pattern is not None:
+        last = (chip._pattern.key, chip._alignment.tobytes(), chip._stressed.tobytes())
+    return dpd._rng.bit_generator.state, tuple(committed), last

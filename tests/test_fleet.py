@@ -38,6 +38,7 @@ from repro.dram.geometry import ChipGeometry
 from repro.dram.vendor import VENDOR_A, VENDOR_B, vendor_by_name
 from repro.errors import CommandSequenceError, ConfigurationError, ProfilingError
 from repro.infra.testbed import FleetBed, TestBed
+from repro.patterns import CHECKERBOARD
 from repro.runner import (
     CHIP_UNIT_KIND,
     FLEET_UNIT_KIND,
@@ -53,7 +54,7 @@ from repro.runner import executors as executors_mod
 from repro.runner.executors import ProcessPoolBackend, default_worker_count
 from repro.runner.units import STATUS_FAILED, STATUS_OK, UnitFailure
 
-from conftest import TEST_SEED
+from conftest import TEST_SEED, dpd_end_state
 
 # Small enough that a handful of fleet-vs-serial comparisons stays fast,
 # large enough for a weak tail worth comparing.
@@ -106,6 +107,52 @@ class TestFleetPopulation:
         }
         with pytest.raises(ConfigurationError):
             FleetPopulation(populations, backing=short)
+
+
+class TestDeterministicFailures:
+    """The grouped evaluator against the per-read reference compare."""
+
+    def test_matches_per_read_compare_at_the_boundary(self):
+        bed = build_fleet_bed()
+        bed.set_ambient(45.0)
+        chips = bed.chips
+        population = FleetPopulation([chip.population for chip in chips])
+        pattern = CHECKERBOARD
+        aligns, stresses = zip(*[chip.population.dpd.excite(pattern) for chip in chips])
+        scales = tuple(chip.population.retention_scale(45.0) for chip in chips)
+        e1, e2 = 1.024, 2.048
+
+        def reference_p(exposure):
+            return np.concatenate(
+                [
+                    chip.population.failure_probabilities(exposure, 45.0, a, m)
+                    for chip, a, m in zip(chips, aligns, stresses)
+                ]
+            )
+
+        p1 = reference_p(e1)
+        cells = np.arange(len(population))
+        # Uniforms sit exactly at p(e1), one ulp below it, or at 1.0 (never
+        # fails), so mixing up the exposures, comparing with <=, or
+        # dropping a row of a group each changes the answer.
+        u_rows = [
+            p1.copy(),  # e1, exactly at p: never fails
+            np.where(cells % 2 == 1, p1, 1.0),  # e2: fails where p1 < p2
+            np.where(cells % 4 == 2, np.nextafter(p1, 0.0), 1.0),  # e1 again
+        ]
+        exposures = [e1, e2, e1]
+        want = np.zeros(len(population), dtype=bool)
+        for exposure, u in zip(exposures, u_rows):
+            want |= u < reference_p(exposure)
+        assert want[cells % 2 == 1].any() and want[cells % 4 == 2].any()
+        assert not want[cells % 4 == 0].any()
+
+        hits = population.deterministic_failures(
+            exposures, u_rows, scales, pattern.key, aligns, stresses
+        )
+        got = np.zeros(len(population), dtype=bool)
+        got[hits] = True
+        assert np.array_equal(got, want)
 
 
 class TestChipFleet:
@@ -217,6 +264,7 @@ class TestFleetProfilerEquivalence:
                 == single_chip.read_rng.bit_generator.state
             )
             assert fleet_chip.clock.now == single_chip.clock.now
+            assert dpd_end_state(fleet_chip) == dpd_end_state(single_chip)
 
     def test_repeated_runs_continue_identically(self):
         """A second profiling pass (as the campaign's temperature sweep

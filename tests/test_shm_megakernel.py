@@ -31,14 +31,19 @@ import subprocess
 import sys
 import textwrap
 import time
+from multiprocessing import resource_tracker
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
 from repro.core.bruteforce import BruteForceProfiler
+from repro.core import fleetprof
 from repro.core.fleetprof import FleetProfiler
 from repro.dram.geometry import ChipGeometry
 from repro.dram.shm import (
@@ -54,9 +59,10 @@ from repro.dram.shm import (
 from repro.dram.vendor import VENDOR_A, VENDOR_B
 from repro.errors import ConfigurationError, ProfilingError
 from repro.infra.testbed import FleetBed, TestBed
+from repro.patterns import RANDOM, STANDARD_PATTERNS
 from repro.runner import build_chip_units, build_fleet_units
 
-from conftest import TEST_SEED
+from conftest import TEST_SEED, dpd_end_state
 
 MICRO = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 MEMBERS = [(0, VENDOR_B), (1, VENDOR_B), (2, VENDOR_A)]
@@ -156,6 +162,30 @@ class TestSharedPopulationStore:
         finally:
             store.unlink()
 
+    def test_attach_leaves_the_resource_tracker_alone(self, samples, monkeypatch):
+        """Pool workers share one tracker, which keeps a set: two workers
+        attaching concurrently and each unregistering again would remove
+        one entry twice (a KeyError traceback in the tracker).  Attaching
+        must neither register nor unregister."""
+        store = SharedPopulationStore.create(samples)
+        try:
+            calls = []
+            for name in ("register", "unregister"):
+                monkeypatch.setattr(
+                    resource_tracker,
+                    name,
+                    lambda seg, rtype, name=name: calls.append((name, seg, rtype)),
+                )
+            attached = SharedPopulationStore.attach(store.descriptor())
+            assert np.array_equal(
+                attached.sample(min(samples)).mu_wc_s, samples[min(samples)].mu_wc_s
+            )
+            attached.close()
+            monkeypatch.undo()
+            assert calls == []
+        finally:
+            store.unlink()
+
     def test_create_requires_chips(self):
         with pytest.raises(ConfigurationError):
             SharedPopulationStore.create({})
@@ -189,22 +219,22 @@ class TestSharedPopulationStore:
         remove_sidecar(tmp_path)  # no-op on a missing file
 
 
-def fresh_fleet():
+def fresh_fleet(temperature=45.0):
     bed = FleetBed.build(members=MEMBERS, geometry=MICRO, seed=TEST_SEED)
-    bed.set_ambient(45.0)
+    bed.set_ambient(temperature)
     from repro.dram.fleet import ChipFleet
 
     return ChipFleet(bed.chips)
 
 
-def single_chips():
+def single_chips(temperature=45.0):
     """The fleet's members, each racked standalone in its own bed."""
     chips = []
     for chip_id, vendor in MEMBERS:
         bed = TestBed.build_single(
             chip_id=chip_id, vendor=vendor, geometry=MICRO, seed=TEST_SEED
         )
-        bed.set_ambient(45.0)
+        bed.set_ambient(temperature)
         chips.append(bed.chips[0])
     return chips
 
@@ -216,6 +246,7 @@ def chip_end_state(chips):
             chip.read_rng.bit_generator.state,
             chip.vrt.rng.bit_generator.state if hasattr(chip.vrt, "rng") else None,
             len(chip.trace.records),
+            dpd_end_state(chip),
         )
         for chip in chips
     ]
@@ -259,6 +290,69 @@ class TestRunGridEquivalence:
             profiler.run_grid(fleet, bad)
         # The bad condition is rejected up front: no partial grid ran.
         assert chip_end_state(fleet.chips) == before
+
+
+DETERMINISTIC = [p for p in STANDARD_PATTERNS if not p.stochastic]
+
+
+@st.composite
+def pattern_orders(draw):
+    """1-3 deterministic patterns plus the random family, in any order --
+    random writes before, between and after the deterministic ones."""
+    def distinct(patterns, max_size):
+        return st.lists(
+            st.sampled_from(patterns),
+            min_size=1,
+            max_size=max_size,
+            unique_by=lambda p: p.key,
+        )
+
+    chosen = draw(distinct(DETERMINISTIC, 3)) + draw(distinct([RANDOM, RANDOM.inverse], 2))
+    return draw(st.permutations(chosen))
+
+
+class TestRunGridDifferential:
+    """run_grid against per-chip BruteForceProfiler runs on schedules the
+    campaign's standard pattern order never produces."""
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        patterns=pattern_orders(),
+        iterations=st.integers(min_value=1, max_value=3),
+        intervals=st.lists(
+            st.sampled_from([0.256, 0.512, 1.024, 2.048]), min_size=1, max_size=4
+        ),
+        temperature=st.sampled_from([45.0, 55.0]),
+        block_rows=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+    )
+    def test_grid_matches_oracle(
+        self, patterns, iterations, intervals, temperature, block_rows
+    ):
+        grid = [Conditions(t, temperature=temperature) for t in intervals]
+        fleet = fresh_fleet(temperature)
+        cap = fleetprof._MEGAKERNEL_UNIFORM_CAP_BYTES
+        if block_rows is not None:
+            # A few rows per read block (and fewer random writes per
+            # excitation block) split (pattern, condition) groups and runs
+            # of random writes across blocks.
+            cap = block_rows * 8 * len(fleet.population)
+        with mock.patch.object(fleetprof, "_MEGAKERNEL_UNIFORM_CAP_BYTES", cap):
+            got = FleetProfiler(patterns=patterns, iterations=iterations).run_grid(
+                fleet, grid
+            )
+
+        chips = single_chips(temperature)
+        profiler = BruteForceProfiler(patterns=patterns, iterations=iterations)
+        for cond, results in zip(grid, got):
+            for chip, result in zip(chips, results):
+                assert result.failing == profiler.run(chip, cond).failing
+        assert chip_end_state(fleet.chips) == chip_end_state(chips)
+        for a, b in zip(fleet.chips, chips):
+            assert a.trace.records == b.trace.records
 
 
 @pytest.fixture(scope="module")
