@@ -1,18 +1,31 @@
-"""Fleet-batched campaign benchmark: per-chip vs chunked fleet dispatch.
+"""Fleet-batched campaign benchmark: the per-chip walk vs the fused kernel.
 
 Times the paper-scale 369-chip characterization campaign (3 vendors x 123
 chips, the ``bench_campaign_368_chips`` configuration) end to end through
-the process-pool backend, once with the per-chip path -- one pool
-round-trip and one single-chip measurement per chip -- and once with
-fleet-batched dispatch: chips shipped to workers in chunks of
-``--chips-per-unit``, each chunk evaluated by
-:func:`repro.runner.measure_fleet` (one chamber settle replayed across
-members, then the condition-grid kernel
-:meth:`repro.core.fleetprof.FleetProfiler.run_grid`: block-drawn DPD and
-read uniforms, one Chernoff-cut evaluation per group of repeated reads).
-Both runs must produce byte-identical ``CampaignSummary`` objects; the
-script exits non-zero on divergence or when the measured speedup falls
-below ``--min-speedup``.
+the process-pool backend in three arms:
+
+``per-chip``
+    The per-chip reference walk: one pool round-trip and one
+    :func:`repro.runner.measure_chip` call (``BruteForceProfiler``, one
+    read at a time) per chip, driven through
+    :class:`repro.runner.RunnerEngine` with
+    :func:`repro.runner.build_chip_units`, since campaigns no longer take
+    this route.
+``fleet``
+    ``CharacterizationCampaign.run`` with chips shipped to workers in
+    chunks of ``--chips-per-unit``, each chunk evaluated by
+    :func:`repro.runner.measure_fleet` (one chamber settle replayed
+    across members, then the condition-grid kernel
+    :meth:`repro.core.fleetprof.FleetProfiler.run_grid`: block-drawn DPD
+    and read uniforms, one Chernoff-cut evaluation per group of repeated
+    reads).
+``default``
+    ``CharacterizationCampaign.run`` with the unit size it computes itself
+    (:func:`repro.runner.default_chips_per_unit`).
+
+All three must produce byte-identical ``CampaignSummary`` objects; the
+script exits non-zero on divergence or when the fleet arm's speedup over
+the per-chip walk falls below ``--min-speedup``.
 
 Emits ``BENCH_fleet_campaign.json`` at the repository root plus a
 human-readable report under ``benchmarks/results/``.
@@ -29,6 +42,7 @@ import json
 import os
 import pathlib
 import sys
+import tempfile
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,6 +52,14 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 from benchutil import host_stamp  # noqa: E402
 from repro.analysis.campaign import CharacterizationCampaign  # noqa: E402
 from repro.dram.geometry import ChipGeometry  # noqa: E402
+from repro.dram.vendor import VENDORS  # noqa: E402
+from repro.runner import (  # noqa: E402
+    RunnerEngine,
+    build_chip_units,
+    campaign_fingerprint,
+    default_chips_per_unit,
+    measure_chip,
+)
 
 GEOMETRY = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 CHIPS_PER_VENDOR = 123  # 3 x 123 = 369, the smallest symmetric population >= 368
@@ -48,9 +70,18 @@ TEMPERATURES_C = (45.0, 55.0)
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", 0)) or (os.cpu_count() or 1)
 DEFAULT_OUT = REPO_ROOT / "BENCH_fleet_campaign.json"
 REPORT_PATH = REPO_ROOT / "benchmarks" / "results" / "fleet_campaign.txt"
+BACKEND = "process" if WORKERS > 1 else "serial"
+GRID = dict(
+    chips_per_vendor=CHIPS_PER_VENDOR,
+    geometry=GEOMETRY,
+    iterations=ITERATIONS,
+    seed=SEED,
+    intervals_s=INTERVALS_S,
+    temperatures_c=TEMPERATURES_C,
+)
 
 
-def run_campaign(chips_per_unit):
+def run_campaign(chips_per_unit=None, **kwargs):
     campaign = CharacterizationCampaign(
         chips_per_vendor=CHIPS_PER_VENDOR,
         geometry=GEOMETRY,
@@ -60,32 +91,52 @@ def run_campaign(chips_per_unit):
     return campaign.run(
         intervals_s=INTERVALS_S,
         temperatures_c=TEMPERATURES_C,
-        backend="process" if WORKERS > 1 else "serial",
+        backend=BACKEND,
         workers=WORKERS,
         chips_per_unit=chips_per_unit,
+        **kwargs,
     )
 
 
-def run_benchmark(rounds: int, chips_per_unit: int):
-    """Best-of-``rounds`` wall time per mode, identity-checked every round.
+def run_per_chip():
+    """The per-chip walk: every chip one ``measure_chip`` unit through
+    the engine.  The rows land in a scratch run directory, which a
+    campaign then resumes -- measuring nothing -- for the summary."""
+    manifest = {
+        "fingerprint": campaign_fingerprint(vendor_names=tuple(VENDORS), **GRID)
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        run_dir = str(pathlib.Path(scratch) / "run")
+        start = time.perf_counter()
+        RunnerEngine(backend=BACKEND, workers=WORKERS, run_dir=run_dir).run(
+            measure_chip, build_chip_units(**GRID), manifest
+        )
+        seconds = time.perf_counter() - start
+        summary = run_campaign(run_dir=run_dir, resume=True)
+    return seconds, summary
 
-    Rounds are interleaved per-chip/fleet so CPU frequency or load drift
-    cannot bias one mode.  Every chip's measurement is a pure function of
+
+def run_benchmark(rounds: int, chips_per_unit: int):
+    """Best-of-``rounds`` wall time per arm, identity-checked every round.
+
+    Rounds are interleaved across arms so CPU frequency or load drift
+    cannot bias one arm.  Every chip's measurement is a pure function of
     ``(seed, chip_id)``, so there is no cross-round state to warm up --
     each campaign run pays its full cost, which is exactly what the
-    dispatch layer being measured amortizes.
+    dispatch layer being measured amortizes.  The per-chip arm's time
+    covers the engine run only, not the summary that resumes its rows.
     """
-    modes = {"per_chip": None, "fleet": chips_per_unit}
-    best = {name: float("inf") for name in modes}
-    summaries = {}
+    best = {name: float("inf") for name in ("per_chip", "fleet", "default")}
     equivalent = True
     for _ in range(rounds):
-        for name, cpu in modes.items():
+        seconds, reference = run_per_chip()
+        best["per_chip"] = min(best["per_chip"], seconds)
+        for name, cpu in (("fleet", chips_per_unit), ("default", None)):
             start = time.perf_counter()
-            summaries[name] = run_campaign(cpu)
+            summary = run_campaign(cpu)
             best[name] = min(best[name], time.perf_counter() - start)
-        equivalent = equivalent and summaries["per_chip"] == summaries["fleet"]
-    return best["per_chip"], best["fleet"], equivalent, summaries["per_chip"]
+            equivalent = equivalent and summary == reference
+    return best, equivalent, reference
 
 
 def main(argv=None) -> int:
@@ -100,15 +151,17 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=0.0,
-        help="exit non-zero if fleet/per-chip speedup falls below this",
+        help="exit non-zero if the fleet arm's speedup over the per-chip walk falls below this",
     )
     args = parser.parse_args(argv)
 
     n_chips = 3 * CHIPS_PER_VENDOR
-    per_chip_s, fleet_s, equivalent, summary = run_benchmark(
-        args.rounds, args.chips_per_unit
-    )
+    best, equivalent, summary = run_benchmark(args.rounds, args.chips_per_unit)
+    per_chip_s, fleet_s, default_s = best["per_chip"], best["fleet"], best["default"]
     speedup = per_chip_s / fleet_s
+    default_unit = default_chips_per_unit(
+        GEOMETRY.capacity_bits, n_chips, WORKERS if BACKEND == "process" else 1
+    )
 
     result = {
         "benchmark": "fleet_campaign",
@@ -123,6 +176,7 @@ def main(argv=None) -> int:
             "seed": SEED,
             "workers": WORKERS,
             "chips_per_unit": args.chips_per_unit,
+            "default_chips_per_unit": default_unit,
             "rounds": args.rounds,
         },
         "per_chip": {
@@ -133,7 +187,12 @@ def main(argv=None) -> int:
             "seconds": fleet_s,
             "chips_per_s": n_chips / fleet_s,
         },
+        "default": {
+            "seconds": default_s,
+            "chips_per_s": n_chips / default_s,
+        },
         "speedup": speedup,
+        "default_speedup": per_chip_s / default_s,
         "equivalent": equivalent,
         "measured_chips": summary.n_chips,
     }
@@ -143,14 +202,18 @@ def main(argv=None) -> int:
 
     report = "\n".join(
         [
-            "Fleet-batched campaign: per-chip vs chunked fleet dispatch",
+            "Fleet-batched campaign: the per-chip walk vs the fused kernel",
             f"  workload    : {n_chips} chips (3 vendors x {CHIPS_PER_VENDOR}), "
             f"{GEOMETRY.capacity_gigabits:g} Gbit each, "
             f"{len(INTERVALS_S)} intervals + {len(TEMPERATURES_C) - 1} extra temperature",
-            f"  execution   : {WORKERS} workers, fleet chunks of {args.chips_per_unit}",
-            f"  per-chip    : {per_chip_s:.3f}s  ({n_chips / per_chip_s:,.1f} chips/s)",
-            f"  fleet       : {fleet_s:.3f}s  ({n_chips / fleet_s:,.1f} chips/s)",
-            f"  speedup     : {speedup:.2f}x",
+            f"  execution   : {WORKERS} workers, best of {args.rounds} rounds",
+            f"  per-chip    : {per_chip_s:.3f}s  ({n_chips / per_chip_s:,.1f} chips/s)  "
+            "measure_chip, one chip per unit",
+            f"  fleet       : {fleet_s:.3f}s  ({n_chips / fleet_s:,.1f} chips/s)  "
+            f"chunks of {args.chips_per_unit}",
+            f"  default     : {default_s:.3f}s  ({n_chips / default_s:,.1f} chips/s)  "
+            f"computed unit size {default_unit}",
+            f"  speedup     : {speedup:.2f}x fleet, {per_chip_s / default_s:.2f}x default",
             f"  byte-identical summaries: {equivalent}",
             f"  json        : {shown}",
         ]
@@ -160,7 +223,7 @@ def main(argv=None) -> int:
     print(report)
 
     if not equivalent:
-        print("FAIL: fleet campaign summary differs from the per-chip summary", file=sys.stderr)
+        print("FAIL: a kernel campaign summary differs from the per-chip summary", file=sys.stderr)
         return 1
     if speedup < args.min_speedup:
         print(

@@ -350,9 +350,9 @@ def main(argv=None) -> int:
     )
     p_camp.add_argument(
         "--chips-per-unit", type=int, default=None, dest="chips_per_unit",
-        help="fleet-batch size: ship chips to workers in chunks of this "
-             "many, evaluating each chunk with the fused fleet kernel "
-             "(>1 enables batching; results are byte-identical)",
+        help="chips per work unit, each unit measured by the fused "
+             "condition-grid kernel (default: computed from chip capacity "
+             "and --workers; results are byte-identical at any size)",
     )
     p_camp.add_argument(
         "--progress", action="store_true",

@@ -42,6 +42,7 @@ from ..runner import (
     aggregate_chip_results,
     build_chip_units,
     campaign_fingerprint,
+    default_chips_per_unit,
     fleet_dispatch,
     measure_chip,
 )
@@ -224,23 +225,28 @@ class CharacterizationCampaign:
         ``max_retries`` bounds per-chip re-attempts before a failure row is
         recorded, and ``progress`` observes every completed chip.
 
-        ``chips_per_unit`` > 1 ships chips to workers in fleet-batched
-        chunks instead of one pool round-trip per chip.  Each chunk is one
+        Every chip is measured by the fused condition-grid kernel: chips
+        travel to workers in units of ``chips_per_unit``, each unit one
         :func:`repro.runner.measure_fleet` call that evaluates the whole
         condition grid fused
-        (:meth:`repro.core.fleetprof.FleetProfiler.run_grid`).  The
-        chunks' weak-cell populations live in one
+        (:meth:`repro.core.fleetprof.FleetProfiler.run_grid`).
+        ``chips_per_unit=None`` computes the unit size from the chip
+        capacity and the worker count
+        (:func:`repro.runner.default_chips_per_unit`): large chips travel
+        one per unit, small chips batch, never into fewer units than
+        workers.  A one-chip unit draws its chip's weak-cell population in
+        the worker.  Larger units' populations live in one
         ``multiprocessing.shared_memory`` struct-of-arrays segment built
         once per run: workers attach zero-copy views by segment name
-        instead of redrawing every chip's tail per chunk.  The campaign
+        instead of redrawing every chip's tail per unit.  The campaign
         owns the segment's lifetime: it is unlinked in a ``finally``
         (normal completion, cooperative cancel, and exceptions alike), and
         a ``shm.json`` sidecar in the run directory lets the next open of
         that directory reclaim the segment a SIGKILLed run left behind.
-        Results are byte-identical to the per-chip path, the result store
-        still holds one row per chip, and the campaign fingerprint is
-        unchanged -- fleet and per-chip runs can resume each other's run
-        directories.  ``None``/1 keeps the per-chip path.
+        Every stored row equals :func:`repro.runner.measure_chip` on its
+        chip (the per-chip reference walk), the result store holds one row
+        per chip, and the campaign fingerprint ignores the unit size -- any
+        unit size resumes any run directory.
 
         ``should_stop`` plugs a cooperative-cancellation probe into the
         engine (graceful SIGINT/SIGTERM, the service's cancel endpoint):
@@ -259,7 +265,7 @@ class CharacterizationCampaign:
                 f"chips_per_unit must be positive, got {chips_per_unit!r}"
             )
         backend = backend_from_spec(backend, workers=workers)
-        fleet_active = chips_per_unit is not None and chips_per_unit > 1
+        pool = backend if isinstance(backend, ProcessPoolBackend) else None
         # Reclaim the segment a SIGKILLed prior occupant of this run
         # directory may have left behind -- before creating our own.
         if run_dir is not None:
@@ -297,12 +303,16 @@ class CharacterizationCampaign:
             # into per-bit failure rates.
             "capacity_bits": int(self.geometry.capacity_bits),
         }
+        if chips_per_unit is None:
+            chips_per_unit = default_chips_per_unit(
+                self.geometry.capacity_bits,
+                len(units),
+                pool.workers if pool is not None else 1,
+            )
         shm_store: Optional[SharedPopulationStore] = None
-        dispatch = None
-        if fleet_active:
+        if chips_per_unit > 1:
             max_trefi_s = max(float(t) for t in intervals_s) * TREFI_HEADROOM
             specs = [chip_sample_spec(u.payload, max_trefi_s) for u in units]
-            pool = backend if isinstance(backend, ProcessPoolBackend) else None
             samples = build_population_samples(
                 specs,
                 executor=pool.executor if pool is not None else None,
@@ -312,7 +322,10 @@ class CharacterizationCampaign:
             del samples
             if run_dir is not None:
                 write_sidecar(run_dir, shm_store.segment_name)
-            dispatch = fleet_dispatch(chips_per_unit, shm=shm_store.descriptor())
+        dispatch = fleet_dispatch(
+            chips_per_unit,
+            shm=shm_store.descriptor() if shm_store is not None else None,
+        )
         engine = RunnerEngine(
             backend=backend,
             workers=workers,

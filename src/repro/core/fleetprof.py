@@ -35,11 +35,22 @@ from ..dram.fleet import ChipFleet
 from ..errors import CommandSequenceError, ConfigurationError, ProfilingError
 from ..patterns import STANDARD_PATTERNS, DataPattern
 
-#: Upper bound on the bytes of read uniforms a megakernel pass holds at
-#: once (across all chips).  Grids whose uniform block would exceed it are
-#: processed in row blocks -- value-identical, since per-chip block draws
-#: partition the stream exactly like the per-read draws they replace.
-_MEGAKERNEL_UNIFORM_CAP_BYTES = 128 * 1024 * 1024
+#: Byte budget of the kernel's transient per-block arrays: a read block
+#: holds the uniforms of as many whole conditions as fit (at least one),
+#: and a random-pattern excitation block the raw draws of as many writes
+#: as fit (at least one).  Blocks partition each chip's streams exactly
+#: like the per-read and per-write draws they replace, so the budget
+#: bounds memory without changing a value.
+_BLOCK_BUDGET_BYTES = 8 * 1024 * 1024
+
+#: The five commands of one write/expose/read step, in bus order.
+_STEP_COMMANDS = (
+    Command.WRITE_PATTERN,
+    Command.REFRESH_DISABLE,
+    Command.WAIT,
+    Command.REFRESH_ENABLE,
+    Command.READ_COMPARE,
+)
 
 
 @dataclass(frozen=True)
@@ -120,16 +131,22 @@ class FleetProfiler:
         uniforms stack into per-chip block draws, evaluated once per
         (pattern, condition, exposure) group of repeated deterministic
         reads and once per stochastic read, through a Chernoff cut that
-        leaves ``ndtr`` only the candidate cells.  Each transformation is
-        draw-for-draw equivalent to the sequential walk, which is what
-        keeps the output bit-equal.
+        leaves ``ndtr`` only the candidate cells.  DPD excitation and reads
+        run one block of whole conditions at a time under a fixed byte
+        budget, so a unit's transient memory does not grow with the grid.
+        Each transformation is draw-for-draw equivalent to the sequential
+        walk, which is what keeps the output bit-equal.
 
         With observability enabled, the fused pass records phase-level
         ``kernel.*`` spans (schedule replay, DPD excitation, VRT, read
         compare, commit) -- wall-clock observation only, so results stay
-        bit-equal with instrumentation on or off.  Per-*command* counters
-        and events come from the per-chip path
-        (:class:`~repro.core.bruteforce.BruteForceProfiler`).
+        bit-equal with instrumentation on or off -- and adds the exact
+        totals of the ``chip.commands``, ``profiler.iterations`` and
+        ``profiler.new_cells`` counters the sequential walk would reach.
+        The ``chip.sim_seconds`` and ``profiler.new_cells_per_iteration``
+        histograms and ``profiler.iteration`` events stay with
+        :class:`~repro.core.bruteforce.BruteForceProfiler`: the grouped
+        evaluation does not tell iterations apart.
 
         The only observable deviation is error *timing*: every condition's
         interval is validated up front, so an invalid grid entry raises
@@ -231,86 +248,14 @@ class FleetProfiler:
         n_rows = len(steps)
 
         # ------------------------------------------------------------------
-        # DPD excitation replay.  The sequential walk excites every chip at
-        # every write, but a deterministic pattern only *draws* on its first
-        # excitation (later calls return the cached arrays untouched), so
-        # exciting once per (chip, deterministic pattern) and reusing the
-        # returned arrays consumes each chip's DPD stream identically --
-        # including the object identities the fleet caches pin on.
-        # Stochastic patterns redraw every write, exactly like the walk.
-        # ------------------------------------------------------------------
-        with obs.span("kernel.dpd_excite", chips=n_chips, rows=n_rows):
-            align_rows: List[object] = [None] * n_rows
-            stress_rows: List[object] = [None] * n_rows
-            det_cache: Dict[str, Tuple[tuple, tuple]] = {}
-            segments = [population.segment(i) for i in range(n_chips)]
-            spaces = [population.member_indices(i) for i in range(n_chips)]
-            dpds = tuple(chip.population.dpd for chip in chips)
-            excites = tuple(d.excite for d in dpds)
-            # The standard random pattern family batches across the fleet
-            # and across writes: each run of random-pattern writes becomes
-            # one (writes x 4n) raw draw per chip (see _excite_random_writes).
-            # Exotic stochastic patterns (non-Beta(2,2) or non-random
-            # families) keep the per-chip path.  Those and a first-time
-            # deterministic Beta draw are the stream's only other
-            # consumers, so the pending run is flushed before either --
-            # each chip's stream is then consumed in exactly the
-            # sequential walk's order.
-            batch_ok = all(d.models_orientation for d in dpds)
-            if batch_ok:
-                caps_cells = np.repeat(
-                    [d._random_cap for d in dpds],
-                    [end - start for start, end in segments],
-                )
-                orientation_cells = np.concatenate([d._orientation for d in dpds])
-            pending: List[int] = []
-            batched_last: Dict[str, int] = {}
-
-            def flush() -> None:
-                if pending:
-                    writes = _excite_random_writes(
-                        [steps[r].pattern.inverted for r in pending],
-                        dpds,
-                        segments,
-                        caps_cells,
-                        orientation_cells,
-                    )
-                    for r, (draw, stress) in zip(pending, writes):
-                        align_rows[r] = draw
-                        stress_rows[r] = stress
-                    pending.clear()
-
-            for r, step in enumerate(steps):
-                pattern = step.pattern
-                if pattern.stochastic:
-                    if (
-                        batch_ok
-                        and pattern.name == "random"
-                        and pattern.alignment_beta == (2.0, 2.0)
-                    ):
-                        pending.append(r)
-                        batched_last[pattern.key] = r
-                        continue
-                    flush()
-                    align_rows[r], stress_rows[r] = zip(
-                        *[excite(pattern) for excite in excites]
-                    )
-                else:
-                    entry = det_cache.get(pattern.key)
-                    if entry is None:
-                        flush()
-                        entry = tuple(zip(*[excite(pattern) for excite in excites]))
-                        det_cache[pattern.key] = entry
-                    align_rows[r], stress_rows[r] = entry
-            flush()
-
-        # ------------------------------------------------------------------
         # VRT: one vectorized arrival check per chip covers the whole grid.
         # Chips with no arrival (the overwhelming majority) still answer
         # read queries against any pre-existing episodes -- post-hoc is
         # exact there because the episode set is constant over the grid.
         # A chip that would draw an episode replays the schedule with the
-        # sequential advance/query interleaving, bit for bit.
+        # sequential advance/query interleaving, bit for bit.  VRT owns its
+        # own stream, so running it before the DPD and read blocks leaves
+        # every draw unchanged.
         # ------------------------------------------------------------------
         with obs.span("kernel.vrt", chips=n_chips):
             schedule = np.asarray(vrt_times, dtype=np.float64)
@@ -332,60 +277,68 @@ class FleetProfiler:
                             vrt_hits.setdefault(r, []).append((i, cells))
 
         # ------------------------------------------------------------------
-        # Fused read evaluation, blocked to cap uniform memory.  Per block:
-        # one (rows x tail) uniform draw per chip (the block draw partitions
-        # each read stream exactly like the per-read draws) lands in one
-        # chip-ordered, row-major uniform matrix.  Deterministic rows group
-        # by (pattern, condition) -- each group one Chernoff-cut evaluation
-        # per distinct exposure (FleetPopulation.deterministic_failures) --
-        # and stochastic rows run the Chernoff-banded sampler on their own
-        # row.  Zero exposures never fail (the sequential path short-
-        # circuits there while still consuming the uniforms, as the block
-        # draw does).
+        # DPD excitation and fused read evaluation, one block of whole
+        # conditions at a time, so the transient arrays stay under
+        # _BLOCK_BUDGET_BYTES however large the grid (at least one
+        # condition per block).  DPD and read draws come from separate
+        # per-chip streams, each consumed in row order block after block,
+        # which partitions every stream exactly like the per-write and
+        # per-read draws of the sequential walk.  Per block: the writes'
+        # fleet-stacked DPD states (_DPDReplay), then one (rows x tail)
+        # uniform draw per chip into one chip-ordered, row-major matrix.
+        # Deterministic rows group by (pattern, condition) -- each group
+        # one Chernoff-cut evaluation per distinct exposure
+        # (FleetPopulation.deterministic_failures) -- and stochastic rows
+        # run the Chernoff-banded sampler on their own row.  Zero
+        # exposures never fail (the sequential path short-circuits there
+        # while still consuming the uniforms, as the block draw does).
         # ------------------------------------------------------------------
-        with obs.span("kernel.read_compare", chips=n_chips, rows=n_rows):
-            scales = tuple(
-                float(chip.population.retention_scale(chip._temperature_c))
-                for chip in chips
-            )
-            rows_per_block = max(
-                1, int(_MEGAKERNEL_UNIFORM_CAP_BYTES // max(1, n_total * 8))
-            )
-            discovered = np.zeros((len(conditions_grid), n_total), dtype=bool)
-            for b0 in range(0, n_rows, rows_per_block):
-                b1 = min(b0 + rows_per_block, n_rows)
-                nb = b1 - b0
-                u_all = np.empty((nb, n_total), dtype=np.float64)
-                for i, chip in enumerate(chips):
-                    start, end = segments[i]
-                    if end > start:
-                        u_all[:, start:end] = chip.read_rng.random((nb, end - start))
+        segments = [population.segment(i) for i in range(n_chips)]
+        dpd = _DPDReplay(chips, population, segments, steps)
+        scales = tuple(
+            float(chip.population.retention_scale(chip._temperature_c))
+            for chip in chips
+        )
+        rows_per_condition = self.iterations * len(self.patterns)
+        rows_per_block = rows_per_condition * max(
+            1, _BLOCK_BUDGET_BYTES // max(1, rows_per_condition * n_total * 8)
+        )
+        discovered = np.zeros((len(conditions_grid), n_total), dtype=bool)
+        for b0 in range(0, n_rows, rows_per_block):
+            block = steps[b0 : b0 + rows_per_block]
+            nb = len(block)
+            with obs.span("kernel.dpd_excite", chips=n_chips, rows=nb):
+                states = dpd.excite(b0, block)
+            with obs.span("kernel.read_compare", chips=n_chips, rows=nb):
+                if n_chips == 1:
+                    u_all = chips[0].read_rng.random((nb, n_total))
+                else:
+                    u_all = np.empty((nb, n_total), dtype=np.float64)
+                    for chip, (start, end) in zip(chips, segments):
+                        if end > start:
+                            u_all[:, start:end] = chip.read_rng.random((nb, end - start))
                 groups: Dict[Tuple[str, int], List[int]] = {}
-                for r in range(b0, b1):
-                    step = steps[r]
+                for k, step in enumerate(block):
                     if step.exposure_s == 0.0:
                         continue
                     if step.pattern.stochastic:
+                        alignment, stressed = states[k]
                         discovered[step.cond] |= population._sample_banded(
-                            step.exposure_s,
-                            scales,
-                            align_rows[r],
-                            stress_rows[r],
-                            u=u_all[r - b0],
+                            step.exposure_s, scales, alignment, stressed, u=u_all[k]
                         )
                     else:
-                        groups.setdefault((step.pattern.key, step.cond), []).append(r)
-                for (key, cond), rows in groups.items():
-                    aligns, stresses = det_cache[key]
+                        groups.setdefault((step.pattern.key, step.cond), []).append(k)
+                for (_key, cond), ks in groups.items():
+                    alignment, stressed = states[ks[0]]
                     hits = population.deterministic_failures(
-                        [steps[r].exposure_s for r in rows],
-                        [u_all[r - b0] for r in rows],
+                        [block[k].exposure_s for k in ks],
+                        [u_all[k] for k in ks],
                         scales,
-                        key,
-                        aligns,
-                        stresses,
+                        alignment,
+                        stressed,
                     )
                     discovered[cond, hits] = True
+            del states, u_all
 
         # Fold VRT hits into their step's condition; cells outside the
         # chip's weak tail land in per-(condition, chip) overflow sets.
@@ -398,50 +351,6 @@ class FleetProfiler:
                     extras.setdefault((ci, chip_index), set()).update(
                         outside.tolist()
                     )
-
-        # ------------------------------------------------------------------
-        # Commit per-chip end state: exactly what the sequential walk leaves
-        # behind -- clock at the final read, the shared records appended in
-        # order, the last write's pattern/DPD arrays, refresh re-enabled
-        # with the exposure restarted by the final read's restore.
-        # ------------------------------------------------------------------
-        # Batched rows bypassed excite()'s cache stores; replay the final
-        # store per stochastic pattern (earlier writes' entries are
-        # overwritten by later ones in the sequential walk, so only the
-        # last row per key is observable).  Each committed row is a copy,
-        # so the chips' caches never pin a whole excitation block.
-        with obs.span("kernel.commit", chips=n_chips):
-            committed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            for key, r in batched_last.items():
-                pattern = steps[r].pattern
-                draw = align_rows[r].copy()
-                mask = stress_rows[r].copy()
-                committed[r] = (draw, mask)
-                for i in range(n_chips):
-                    start, end = segments[i]
-                    dpds[i].commit_random_write(
-                        pattern, draw[start:end], mask[start:end]
-                    )
-
-            last = steps[-1]
-            last_aligns, last_stresses = committed.get(
-                n_rows - 1, (align_rows[-1], stress_rows[-1])
-            )
-            last_stacked = isinstance(last_aligns, np.ndarray)
-            for i, chip in enumerate(chips):
-                chip.clock._now = t_final
-                chip.trace.records.extend(records)
-                chip._pattern = last.pattern
-                if last_stacked:
-                    start, end = segments[i]
-                    chip._alignment = last_aligns[start:end]
-                    chip._stressed = last_stresses[start:end]
-                else:
-                    chip._alignment = last_aligns[i]
-                    chip._stressed = last_stresses[i]
-                chip._refresh_enabled = True
-                chip._disable_time = None
-                chip._frozen_exposure = 0.0
 
         out = []
         chip_ids = [chip.chip_id for chip in chips]
@@ -463,7 +372,9 @@ class FleetProfiler:
             results = []
             for i in range(n_chips):
                 start, end = segments[i]
-                failing = frozenset(spaces[i][mask[start:end]].tolist())
+                failing = frozenset(
+                    population.member_indices(i)[mask[start:end]].tolist()
+                )
                 extra = extras.get((ci, i))
                 if extra:
                     failing = failing | frozenset(extra)
@@ -471,6 +382,46 @@ class FleetProfiler:
                     FleetChipResult(chip_id=chip_ids[i], failing=failing)
                 )
             out.append(tuple(results))
+
+        # ------------------------------------------------------------------
+        # Commit per-chip end state: exactly what the sequential walk leaves
+        # behind -- clock at the final read, the shared records appended in
+        # order, the last write's pattern/DPD arrays, refresh re-enabled
+        # with the exposure restarted by the final read's restore.
+        # ------------------------------------------------------------------
+        with obs.span("kernel.commit", chips=n_chips):
+            dpd.commit()
+            # Every chip's DPD cache now holds each pattern's last write
+            # -- for the final pattern, the arrays of the final write.
+            last = steps[-1].pattern
+            for chip in chips:
+                model = chip.population.dpd
+                chip.clock._now = t_final
+                chip.trace.records.extend(records)
+                chip._pattern = last
+                chip._alignment = model.alignment(last)
+                chip._stressed = model.stress_mask(last)
+                chip._refresh_enabled = True
+                chip._disable_time = None
+                chip._frozen_exposure = 0.0
+            if obs.enabled():
+                # The records bypassed CommandTrace.append, so count them
+                # here in bulk: the exact integer totals the sequential
+                # walk's per-command and per-iteration counters reach.  A
+                # chip's new cells summed over a condition's iterations
+                # are exactly its discovered set there.
+                for command in _STEP_COMMANDS:
+                    obs.counter("chip.commands", n_rows * n_chips, command=command.value)
+                obs.counter(
+                    "profiler.iterations",
+                    self.iterations * len(conditions_grid) * n_chips,
+                    mechanism=self.mechanism_name,
+                )
+                obs.counter(
+                    "profiler.new_cells",
+                    sum(len(result) for results in out for result in results),
+                    mechanism=self.mechanism_name,
+                )
         return tuple(out)
 
     @staticmethod
@@ -497,6 +448,124 @@ class FleetProfiler:
         return cells[~in_space]
 
 
+class _DPDReplay:
+    """Each write's fleet-stacked DPD state, drawn in the sequential
+    walk's order, one block of rows at a time.
+
+    The sequential walk excites every chip at every write, but a
+    deterministic pattern only *draws* on its first excitation (later
+    calls return the cached arrays untouched), so exciting once per
+    (chip, deterministic pattern) and reusing the returned arrays
+    consumes each chip's DPD stream identically -- including the object
+    identities the chips' caches pin on.  Stochastic patterns redraw
+    every write, exactly like the walk.  The standard random pattern
+    family batches across the fleet and across writes: each run of
+    random-pattern writes within a block becomes one block draw per chip
+    (see :func:`_excite_random_writes`).  Exotic stochastic patterns
+    (non-Beta(2,2) or non-random families) keep the per-chip path.
+    Those and a first-time deterministic Beta draw are the stream's only
+    other consumers, so the pending run is flushed before either -- each
+    chip's stream is then consumed in exactly the sequential walk's
+    order.
+    """
+
+    def __init__(
+        self,
+        chips: Sequence,
+        population,
+        segments: Sequence[Tuple[int, int]],
+        steps: Sequence[_ReadStep],
+    ) -> None:
+        self.population = population
+        self.segments = segments
+        self.dpds = tuple(chip.population.dpd for chip in chips)
+        self.batch_ok = all(d.models_orientation for d in self.dpds)
+        if self.batch_ok:
+            self.caps_cells = np.repeat(
+                [d._random_cap for d in self.dpds],
+                [end - start for start, end in segments],
+            )
+            self.orientation_cells = population.stack(
+                [d._orientation for d in self.dpds]
+            )
+        #: pattern key -> fleet-stacked (alignment, stress mask).
+        self.deterministic: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        #: Batched rows bypass excite()'s cache stores; only the last row
+        #: per random pattern is observable (later writes overwrite
+        #: earlier ones in the sequential walk), so those rows are kept
+        #: as copies -- the chips' caches never pin an excitation block.
+        self.last_batched: Dict[str, int] = {}
+        for r, step in enumerate(steps):
+            if self._batched(step.pattern):
+                self.last_batched[step.pattern.key] = r
+        #: pattern key -> (pattern, alignment copy, stress copy).
+        self.committed: Dict[str, Tuple[DataPattern, np.ndarray, np.ndarray]] = {}
+
+    def _batched(self, pattern: DataPattern) -> bool:
+        return (
+            self.batch_ok
+            and pattern.stochastic
+            and pattern.name == "random"
+            and pattern.alignment_beta == (2.0, 2.0)
+        )
+
+    def _per_chip(self, pattern: DataPattern) -> Tuple[tuple, tuple]:
+        return tuple(zip(*[dpd.excite(pattern) for dpd in self.dpds]))
+
+    def excite(
+        self, first_row: int, block: Sequence[_ReadStep]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The fleet-stacked ``(alignment, stress)`` of every write in
+        ``block``, whose first step is row ``first_row`` of the grid."""
+        stack = self.population.stack
+        states: List = [None] * len(block)
+        pending: List[int] = []
+
+        def flush() -> None:
+            if not pending:
+                return
+            writes = _excite_random_writes(
+                [block[k].pattern.inverted for k in pending],
+                self.dpds,
+                self.segments,
+                self.caps_cells,
+                self.orientation_cells,
+            )
+            for k, (draw, stress) in zip(pending, writes):
+                states[k] = (draw, stress)
+                pattern = block[k].pattern
+                if self.last_batched[pattern.key] == first_row + k:
+                    self.committed[pattern.key] = (pattern, draw.copy(), stress.copy())
+            pending.clear()
+
+        for k, step in enumerate(block):
+            pattern = step.pattern
+            if self._batched(pattern):
+                pending.append(k)
+                continue
+            if pattern.stochastic:
+                flush()
+                aligns, stresses = self._per_chip(pattern)
+                states[k] = (stack(aligns), stack(stresses))
+            else:
+                entry = self.deterministic.get(pattern.key)
+                if entry is None:
+                    flush()
+                    aligns, stresses = self._per_chip(pattern)
+                    entry = (stack(aligns), stack(stresses))
+                    self.deterministic[pattern.key] = entry
+                states[k] = entry
+        flush()
+        return states
+
+    def commit(self) -> None:
+        """Store each random pattern's last batched write in every chip's
+        DPD cache, as that write's excite() would have."""
+        for pattern, draw, stress in self.committed.values():
+            for dpd, (start, end) in zip(self.dpds, self.segments):
+                dpd.commit_random_write(pattern, draw[start:end], stress[start:end])
+
+
 def _excite_random_writes(
     inverted: Sequence[bool],
     dpds: Sequence[DPDModel],
@@ -507,8 +576,8 @@ def _excite_random_writes(
     """DPD state of consecutive random-pattern writes on every chip.
 
     ``inverted[k]`` says whether write ``k`` stores the inverse pattern.
-    Each chip draws the whole run (at most a uniform cap's worth of writes
-    at a time) in one :meth:`~repro.dram.dpd.DPDModel.excite_random_raw`
+    Each chip draws the whole run (at most a block budget's worth of
+    writes at a time) in one :meth:`~repro.dram.dpd.DPDModel.excite_random_raw`
     call -- the same doubles, in the same order, as one excite() per
     write.  The median of three, cap multiply, bit threshold and
     orientation compare then run once over the stacked ``(writes, cells)``
@@ -518,14 +587,17 @@ def _excite_random_writes(
     row views of the block.
     """
     n_total = len(caps_cells)
-    per_block = max(1, int(_MEGAKERNEL_UNIFORM_CAP_BYTES // max(1, 32 * n_total)))
+    per_block = max(1, int(_BLOCK_BUDGET_BYTES // max(1, 32 * n_total)))
     writes: List[Tuple[np.ndarray, np.ndarray]] = []
     for k0 in range(0, len(inverted), per_block):
         flags = np.array(inverted[k0 : k0 + per_block], dtype=bool)
         k = len(flags)
-        raw = np.empty((k, 4, n_total), dtype=np.float64)
-        for dpd, (start, end) in zip(dpds, segments):
-            raw[:, :, start:end] = dpd.excite_random_raw(k).reshape(k, 4, end - start)
+        if len(dpds) == 1:
+            raw = dpds[0].excite_random_raw(k).reshape(k, 4, n_total)
+        else:
+            raw = np.empty((k, 4, n_total), dtype=np.float64)
+            for dpd, (start, end) in zip(dpds, segments):
+                raw[:, :, start:end] = dpd.excite_random_raw(k).reshape(k, 4, end - start)
         draw = median_of_three(raw[:, 0], raw[:, 1], raw[:, 2])
         np.multiply(draw, caps_cells, out=draw)
         # The inverted pattern stores ``1 - data``, and ``(1 - data) ==
@@ -533,6 +605,7 @@ def _excite_random_writes(
         # orientation match with the write's inversion flag.  Comparing
         # straight into float64 yields the 1.0/0.0 values excite() stores.
         matches = np.equal(np.less(raw[:, 3], 0.5), orientation_cells)
+        del raw
         stress = np.empty((k, n_total), dtype=np.float64)
         np.not_equal(matches, flags[:, None], out=stress)
         writes.extend(zip(draw, stress))

@@ -34,8 +34,6 @@ bookkeeping alongside the fused static masks.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,40 +44,19 @@ from .cell import _CHERNOFF_Z_MAX, _FAST_CACHE_MAX_ENTRIES, WeakCellPopulation
 from .chip import SimulatedDRAMChip
 
 
-def _same_arrays(refs: Tuple, arrays: Sequence) -> bool:
-    """Identity comparison of two per-chip array tuples (cache pinning).
-
-    The pinned tuple itself is what a repeat caller usually hands back
-    (``tuple()`` of a tuple is the tuple), which settles it in one check.
-    """
-    return refs is arrays or (
-        len(refs) == len(arrays) and all(map(operator.is_, refs, arrays))
-    )
-
-
-@dataclass
-class _FleetPatternState:
-    """Memoized per-(pattern, temperature-vector) fused evaluation state.
-
-    The fleet analogue of ``repro.dram.cell._FastPatternState``: ``mu_eff``
-    and ``sigma_eff`` are the concatenated scaled effective-retention
-    arrays, pinned to the exact per-chip alignment arrays they were built
-    from (a DPD redraw or temperature change misses the cache instead of
-    reusing stale state).
-    """
-
-    alignment_refs: Tuple[np.ndarray, ...]
-    mu_eff: np.ndarray
-    sigma_eff: np.ndarray
-
-
 class FleetPopulation:
     """The stacked weak tails of a batch of chips, evaluated fused.
 
     Construction concatenates each member population's ``mu_wc_s``,
-    ``sigma_s``, and DPD susceptibility arrays; ``offsets[i]:offsets[i+1]``
-    is chip ``i``'s segment in every concatenated array (and in the boolean
+    ``sigma_s``, and DPD susceptibility arrays (a one-chip fleet uses its
+    member's arrays as they are); ``offsets[i]:offsets[i+1]`` is chip
+    ``i``'s segment in every concatenated array (and in the boolean
     failure masks the fleet profiler accumulates).
+
+    Nothing per pattern is memoized here: the profiler stacks each
+    pattern's DPD arrays once per grid (:meth:`stack`) and the evaluators
+    rebuild the effective retention per call, so a population's memory
+    is its stacked tail plus a few scratch vectors.
     """
 
     def __init__(
@@ -109,11 +86,9 @@ class FleetPopulation:
             self._sigma = backing["sigma_s"]
             self._susceptibility = backing["susceptibility"]
         else:
-            self._mu_wc = np.concatenate([p.mu_wc_s for p in members])
-            self._sigma = np.concatenate([p.sigma_s for p in members])
-            self._susceptibility = np.concatenate(
-                [p.dpd.susceptibility for p in members]
-            )
+            self._mu_wc = self.stack([p.mu_wc_s for p in members])
+            self._sigma = self.stack([p.sigma_s for p in members])
+            self._susceptibility = self.stack([p.dpd.susceptibility for p in members])
         # (1 - s) is a loop invariant of the effective-retention expression;
         # dividing by the precomputed array is the same IEEE divide as
         # dividing by the expression, so bits are unchanged.
@@ -124,15 +99,8 @@ class FleetPopulation:
         # temporaries on every read.
         self._z = np.empty(self._n_total, dtype=np.float64)
         self._scratch = np.empty(self._n_total, dtype=np.float64)
-        self._states: Dict[Tuple[str, Tuple[float, ...]], _FleetPatternState] = {}
         self._scale_cells_memo: Dict[Tuple[float, ...], np.ndarray] = {}
         self._sigma_eff_memo: Dict[Tuple[float, ...], np.ndarray] = {}
-        #: pattern_key -> (alignment refs, unscaled concatenated mu_eff).
-        #: The DPD term depends only on the alignment draw, not on
-        #: temperature, so it survives across scale states.
-        self._mu_unscaled: Dict[str, Tuple[Tuple[np.ndarray, ...], np.ndarray]] = {}
-        #: pattern_key -> (stress-mask refs, concatenated stress mask).
-        self._stressed_memo: Dict[str, Tuple[Tuple, Optional[np.ndarray]]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -157,13 +125,14 @@ class FleetPopulation:
         """Chip ``chip_index``'s sorted weak-cell flat indices."""
         return self._members[chip_index].indices
 
-    def invalidate_cache(self) -> None:
-        """Drop every memoized fused evaluation state."""
-        self._states.clear()
-        self._scale_cells_memo.clear()
-        self._sigma_eff_memo.clear()
-        self._mu_unscaled.clear()
-        self._stressed_memo.clear()
+    @staticmethod
+    def stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-chip arrays as one fleet-ordered array: the concatenation,
+        or the single member's array itself (no copy) for a one-chip
+        fleet."""
+        if len(arrays) == 1:
+            return arrays[0]
+        return np.concatenate(arrays)
 
     # ------------------------------------------------------------------
     # Fused evaluation building blocks
@@ -190,11 +159,15 @@ class FleetPopulation:
             self._sigma_eff_memo[scales] = sigma_eff
         return sigma_eff
 
-    def _effective_retention(
-        self, alignment: np.ndarray, out: Optional[np.ndarray] = None
+    def _scaled_mu(
+        self,
+        alignment: np.ndarray,
+        scales: Tuple[float, ...],
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Concatenated DPD effective retention -- the per-chip expression
-        ``mu_wc_s * (1 - s*a) / (1 - s)`` term for term.
+        """Concatenated temperature-scaled DPD effective retention -- the
+        per-chip expression ``mu_wc_s * (1 - s*a) / (1 - s) * scale`` term
+        for term.
 
         Every step is the same ufunc the operator expression would invoke
         (multiplication commutes bitwise under IEEE 754), so chaining them
@@ -205,74 +178,8 @@ class FleetPopulation:
         tmp = np.multiply(self._susceptibility, alignment, out=out)
         np.subtract(1.0, tmp, out=tmp)
         np.multiply(self._mu_wc, tmp, out=tmp)
-        return np.divide(tmp, self._one_minus_s, out=tmp)
-
-    def _concat_optional(
-        self, arrays: "Sequence[Optional[np.ndarray]] | np.ndarray"
-    ) -> Optional[np.ndarray]:
-        if isinstance(arrays, np.ndarray):
-            # Already stacked over the fleet (megakernel batched rows).
-            return arrays
-        present = [a is not None for a in arrays]
-        if not any(present):
-            return None
-        if not all(present):
-            raise ConfigurationError(
-                "fleet chips disagree on stress-mask availability; all chips "
-                "must model orientation or none"
-            )
-        return np.concatenate(arrays)
-
-    def _unscaled_mu(
-        self, pattern_key: str, alignments: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Concatenated effective retention *before* temperature scaling,
-        memoized per pattern and pinned to the per-chip alignment arrays.
-        The DPD term is a pure function of the alignment draw, so it is
-        shared across every temperature state built from the same draw."""
-        entry = self._mu_unscaled.get(pattern_key)
-        if entry is not None and _same_arrays(entry[0], alignments):
-            return entry[1]
-        mu = self._effective_retention(np.concatenate(alignments))
-        if len(self._mu_unscaled) >= _FAST_CACHE_MAX_ENTRIES:
-            self._mu_unscaled.clear()
-        self._mu_unscaled[pattern_key] = (tuple(alignments), mu)
-        return mu
-
-    def _concat_stressed(
-        self, pattern_key: str, stresseds: Sequence[Optional[np.ndarray]]
-    ) -> Optional[np.ndarray]:
-        """Concatenated stress mask, memoized per pattern and pinned to the
-        per-chip mask arrays (deterministic patterns reuse their masks)."""
-        entry = self._stressed_memo.get(pattern_key)
-        if entry is not None and _same_arrays(entry[0], stresseds):
-            return entry[1]
-        stressed = self._concat_optional(stresseds)
-        if len(self._stressed_memo) >= _FAST_CACHE_MAX_ENTRIES:
-            self._stressed_memo.clear()
-        self._stressed_memo[pattern_key] = (tuple(stresseds), stressed)
-        return stressed
-
-    def _pattern_state(
-        self,
-        pattern_key: str,
-        scales: Tuple[float, ...],
-        alignments: Sequence[np.ndarray],
-    ) -> _FleetPatternState:
-        key = (pattern_key, scales)
-        state = self._states.get(key)
-        if state is not None and _same_arrays(state.alignment_refs, alignments):
-            return state
-        state = _FleetPatternState(
-            alignment_refs=tuple(alignments),
-            mu_eff=self._unscaled_mu(pattern_key, alignments)
-            * self._scale_cells(scales),
-            sigma_eff=self._sigma_eff(scales),
-        )
-        if len(self._states) >= _FAST_CACHE_MAX_ENTRIES:
-            self._states.clear()
-        self._states[key] = state
-        return state
+        np.divide(tmp, self._one_minus_s, out=tmp)
+        return np.multiply(tmp, self._scale_cells(scales), out=tmp)
 
     def _chernoff_candidates(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Cells whose failure the Chernoff bound cannot rule out.
@@ -298,18 +205,18 @@ class FleetPopulation:
         exposures_s: Sequence[float],
         u_rows: Sequence[np.ndarray],
         scales: Tuple[float, ...],
-        pattern_key: str,
-        alignments: Sequence[np.ndarray],
-        stresseds: Sequence[Optional[np.ndarray]],
+        alignment: np.ndarray,
+        stressed: np.ndarray,
     ) -> np.ndarray:
         """Cells that fail on at least one of several reads of a
         deterministic pattern.
 
-        Read ``k`` runs at ``exposures_s[k]`` with the chip-ordered uniforms
-        ``u_rows[k]``; per read, a cell fails exactly when its uniform is
-        below ``ndtr((exposure - mu_eff) / sigma_eff) * stressed``, the
-        per-chip expression.  Returns the flat indices of every cell some
-        read fails (possibly repeated).
+        ``alignment`` and ``stressed`` are the pattern's fleet-stacked DPD
+        arrays (:meth:`stack`).  Read ``k`` runs at ``exposures_s[k]`` with
+        the chip-ordered uniforms ``u_rows[k]``; per read, a cell fails
+        exactly when its uniform is below ``ndtr((exposure - mu_eff) /
+        sigma_eff) * stressed``, the per-chip expression.  Returns the flat
+        indices of every cell some read fails (possibly repeated).
 
         Reads whose exposure floats are bit-equal share one probability
         vector, and ``any_k(u_k < p)`` holds exactly when ``min_k(u_k) <
@@ -317,8 +224,8 @@ class FleetPopulation:
         elementwise-minimum uniform row; the Chernoff cut then leaves
         ``ndtr`` and the stress multiply only the few candidate cells.
         """
-        state = self._pattern_state(pattern_key, scales, alignments)
-        stressed = self._concat_stressed(pattern_key, stresseds)
+        mu_eff = self._scaled_mu(alignment, scales)
+        sigma_eff = self._sigma_eff(scales)
         by_exposure: Dict[float, List[np.ndarray]] = {}
         for exposure_s, u in zip(exposures_s, u_rows):
             by_exposure.setdefault(exposure_s, []).append(u)
@@ -329,13 +236,11 @@ class FleetPopulation:
                 umin = np.minimum(us[0], us[1])
                 for u in us[2:]:
                     np.minimum(umin, u, out=umin)
-            z = np.subtract(exposure_s, state.mu_eff, out=self._z)
-            np.divide(z, state.sigma_eff, out=z)
+            z = np.subtract(exposure_s, mu_eff, out=self._z)
+            np.divide(z, sigma_eff, out=z)
             candidates = self._chernoff_candidates(z, umin)
             if len(candidates):
-                p = ndtr(z[candidates])
-                if stressed is not None:
-                    p = p * stressed[candidates]
+                p = ndtr(z[candidates]) * stressed[candidates]
                 hits.append(candidates[umin[candidates] < p])
         return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
@@ -343,37 +248,28 @@ class FleetPopulation:
         self,
         exposure_s: float,
         scales: Tuple[float, ...],
-        alignments: Sequence[np.ndarray],
-        stresseds: Sequence[Optional[np.ndarray]],
+        alignment: np.ndarray,
+        stressed: np.ndarray,
         u: np.ndarray,
     ) -> np.ndarray:
         """Fused Chernoff-cut sampling (stochastic patterns): the fleet
         analogue of ``_sample_banded_fast``, candidates gathered globally.
 
-        ``u`` supplies the chip-ordered uniforms (the megakernel gathers
-        them from per-chip block draws -- value-identical to the per-read
-        draw, so the compare is unchanged)."""
-        scale_cells = self._scale_cells(scales)
-        alignment = (
-            alignments
-            if isinstance(alignments, np.ndarray)
-            else np.concatenate(alignments)
-        )
+        ``alignment`` and ``stressed`` are the write's fleet-stacked DPD
+        arrays; ``u`` supplies the chip-ordered uniforms (the kernel
+        gathers them from per-chip block draws -- value-identical to the
+        per-read draw, so the compare is unchanged)."""
         # Stage the z pipeline through the scratch buffers: each step is
         # the ufunc the operator expression would invoke, applied in the
         # same order, so the bits are unchanged.  mu_eff is dead once z
         # exists, which frees its scratch buffer for the bound.
-        mu_eff = self._effective_retention(alignment, out=self._scratch)
-        np.multiply(mu_eff, scale_cells, out=mu_eff)
+        mu_eff = self._scaled_mu(alignment, scales, out=self._scratch)
         z = np.subtract(exposure_s, mu_eff, out=self._z)
         np.divide(z, self._sigma_eff(scales), out=z)
         candidates = self._chernoff_candidates(z, u)
         failed = np.zeros(self._n_total, dtype=bool)
         if len(candidates):
-            p = ndtr(z[candidates])
-            stressed = self._concat_optional(stresseds)
-            if stressed is not None:
-                p = p * stressed[candidates]
+            p = ndtr(z[candidates]) * stressed[candidates]
             failed[candidates] = u[candidates] < p
         return failed
 

@@ -31,6 +31,7 @@ from .campaign import (
     build_chip_units,
     build_fleet_units,
     campaign_fingerprint,
+    default_chips_per_unit,
     expand_fleet_result,
     fleet_dispatch,
     measure_chip,
@@ -99,6 +100,7 @@ __all__ = [
     "build_chip_units",
     "build_fleet_units",
     "campaign_fingerprint",
+    "default_chips_per_unit",
     "default_worker_count",
     "execute_unit",
     "expand_fleet_result",

@@ -11,12 +11,20 @@ own thermally controlled environment.  This module makes that explicit:
     measurement needs.
 
 ``measure_chip``
-    The picklable worker.  It rebuilds the chip's world from the payload --
-    a single-chip :class:`~repro.infra.testbed.TestBed` whose weak-cell
-    population, VRT process, and placement offset are all keyed by
-    ``(seed, chip_id)`` via :func:`repro.rng.derive` -- so the result is a
-    pure function of the payload: independent of which process runs it,
-    in what order, or how many times the campaign was resumed.
+    The per-chip reference walk.  It rebuilds the chip's world from the
+    payload -- a single-chip :class:`~repro.infra.testbed.TestBed` whose
+    weak-cell population, VRT process, and placement offset are all keyed
+    by ``(seed, chip_id)`` via :func:`repro.rng.derive` -- so the result is
+    a pure function of the payload: independent of which process runs it,
+    in what order, or how many times the campaign was resumed.  Campaigns
+    do not run it; tests and the benchmark's oracle re-measure stored rows
+    with it.
+
+``fleet_dispatch`` / ``measure_fleet``
+    How campaigns execute: the per-chip units travel to workers in units
+    of several chips (:func:`default_chips_per_unit` sizes them), each
+    measured by the fused condition-grid kernel and expanded back to
+    per-chip rows equal to :func:`measure_chip`'s.
 
 ``aggregate_chip_results``
     Folds ok results (sorted by chip id, so completion order is erased)
@@ -57,6 +65,11 @@ TREFI_HEADROOM = 1.05
 #: vendor -> interval -> failure counts in ascending chip order.
 CountTable = Dict[str, Dict[float, List[int]]]
 
+#: Most chip capacity one computed work unit batches: chips of this size
+#: or larger travel one per unit (DESIGN.md "Work-plane dispatch" has the
+#: measurements that chose it).
+UNIT_CAPACITY_BITS = 2**28
+
 
 def campaign_fingerprint(
     chips_per_vendor: int,
@@ -87,6 +100,23 @@ def campaign_fingerprint(
         "vendors",
         *vendor_names,
     )
+
+
+def default_chips_per_unit(capacity_bits: int, n_chips: int, workers: int) -> int:
+    """The campaign's unit size when none is given.
+
+    Chips batch up to :data:`UNIT_CAPACITY_BITS` of capacity per unit, so
+    a worker never holds more than one large population at a time, but
+    never into fewer units than ``workers`` (the pool width, 1 for serial
+    execution), so no worker idles for want of a unit.
+    """
+    if capacity_bits <= 0 or n_chips <= 0 or workers <= 0:
+        raise ConfigurationError(
+            "capacity_bits, n_chips and workers must be positive, got "
+            f"{capacity_bits!r}, {n_chips!r}, {workers!r}"
+        )
+    per_worker = -(-n_chips // workers)
+    return max(1, min(UNIT_CAPACITY_BITS // capacity_bits, per_worker))
 
 
 def build_chip_units(
@@ -137,7 +167,7 @@ def build_chip_units(
 
 
 def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Measure one chip's full campaign contribution (worker function).
+    """Measure one chip's full campaign contribution on the per-chip walk.
 
     Runs the interval sweep at the base temperature, then the remaining
     temperatures at the top interval, inside this chip's own single-chip
@@ -197,7 +227,7 @@ def build_fleet_units(
     Each chunk is a :data:`FLEET_UNIT_KIND` unit whose payload carries the
     member units verbatim (``{"members": [{"unit_id", "payload"}, ...]}``),
     so :func:`expand_fleet_result` can reconstruct exactly the per-chip
-    results the per-chip path would have produced.  Chunk ids are derived
+    results :func:`measure_chip` would have produced.  Chunk ids are derived
     from the member ids but are *transient* -- they never reach the result
     store (the engine expands chunks back to per-chip rows before
     persisting), so any chunk size can resume any run directory.
@@ -290,8 +320,9 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
     the chunk's chips are contiguous in the segment) hands the stacked
     arrays to the fleet without concatenating.  The segment is attached
     read-only for the duration of the call and never unlinked here -- the
-    campaign owns the segment's lifetime.  Without it every chip redraws
-    its own population; the values are identical.
+    campaign owns the segment's lifetime.  Without it every chip draws
+    its own population here (what a campaign's one-chip units do); the
+    values are identical.
     """
     members = list(payload["members"])
     if not members:
@@ -420,10 +451,12 @@ def fleet_dispatch(
     chips_per_unit: int, shm: Optional[Mapping[str, Any]] = None
 ) -> UnitDispatch:
     """A :class:`~repro.runner.engine.UnitDispatch` that ships chips to
-    workers in fleet chunks of ``chips_per_unit``.
+    workers in fleet chunks of ``chips_per_unit``, each measured by
+    :func:`measure_fleet` -- the route every campaign takes.
 
     ``shm`` (a shared-population segment descriptor) propagates to every
-    chunk payload -- see :func:`build_fleet_units`.
+    chunk payload -- see :func:`build_fleet_units`; without it each
+    worker draws its chunk's populations itself.
     """
     if chips_per_unit <= 0:
         raise ConfigurationError(

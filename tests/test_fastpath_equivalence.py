@@ -27,7 +27,7 @@ from repro.errors import CommandSequenceError
 from repro.patterns import CHECKERBOARD, RANDOM, STANDARD_PATTERNS
 from repro.runner import ResultStore, build_chip_units, measure_chip
 
-from conftest import TINY_GEOMETRY, TEST_SEED
+from conftest import TINY_GEOMETRY, TEST_SEED, per_chip_summary
 
 MICRO = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 
@@ -161,7 +161,7 @@ def stored_rows(campaign, run_dir, chips_per_unit):
 
 class TestCampaignEquivalence:
     def test_campaign_summaries_byte_identical(self, tmp_path):
-        """Every row a per-chip campaign stores equals its chip re-measured
+        """Every row a default campaign stores equals its chip re-measured
         on the reference evaluator, so the summary built from those rows is
         the reference summary."""
         campaign = CharacterizationCampaign(chips_per_vendor=2, geometry=MICRO, iterations=1)
@@ -176,19 +176,16 @@ class TestFleetEquivalence:
     """Fleet-batched evaluation extends the same contract: stacking B
     chips into one fused numpy call must not change a single byte."""
 
-    def test_fleet_campaign_summaries_byte_identical(self):
-        def summarize(chips_per_unit):
-            return CharacterizationCampaign(
-                chips_per_vendor=1, geometry=MICRO, iterations=1
-            ).run(
-                intervals_s=(0.512, 1.024),
-                temperatures_c=(45.0, 55.0),
-                chips_per_unit=chips_per_unit,
-            )
+    def test_fleet_campaign_summaries_byte_identical(self, tmp_path):
+        campaign = CharacterizationCampaign(chips_per_vendor=1, geometry=MICRO, iterations=1)
 
-        serial = summarize(None)
-        assert summarize(3) == serial
-        assert summarize(2) == serial
+        def summarize(chips_per_unit):
+            return campaign.run(chips_per_unit=chips_per_unit, **ORACLE_GRID)
+
+        reference = per_chip_summary(campaign, tmp_path / "per-chip", **ORACLE_GRID)
+        assert summarize(None) == reference
+        assert summarize(3) == reference
+        assert summarize(2) == reference
 
     def test_fleet_composes_with_both_fast_path_modes(self, tmp_path):
         """Fleet batching runs on the fast path; every row a fleet campaign

@@ -14,10 +14,10 @@ per-chip reference:
   single-chip beds;
 * :func:`repro.runner.measure_fleet` returns, member for member, the
   same JSON :func:`repro.runner.measure_chip` would;
-* a campaign run with ``chips_per_unit`` > 1 -- serial or pooled --
-  produces the same :class:`CampaignSummary` as the per-chip path, and
-  fleet runs resume per-chip run directories (the store only ever holds
-  per-chip rows);
+* a campaign -- any unit size, serial or pooled -- produces the
+  :class:`CampaignSummary` of per-chip ``measure_chip`` rows, and kernel
+  and per-chip runs resume each other's run directories (the store only
+  ever holds per-chip rows);
 * the process-pool backend keeps its submission window bounded and
   derives its default worker count from the CPU affinity mask.
 """
@@ -25,10 +25,12 @@ per-chip reference:
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.analysis import campaign as analysis_campaign
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
 from repro.core.bruteforce import BruteForceProfiler
@@ -42,11 +44,14 @@ from repro.patterns import CHECKERBOARD
 from repro.runner import (
     CHIP_UNIT_KIND,
     FLEET_UNIT_KIND,
+    ResultStore,
     UnitResult,
     WorkUnit,
     build_chip_units,
     build_fleet_units,
+    default_chips_per_unit,
     expand_fleet_result,
+    fleet_dispatch,
     measure_chip,
     measure_fleet,
 )
@@ -54,7 +59,12 @@ from repro.runner import executors as executors_mod
 from repro.runner.executors import ProcessPoolBackend, default_worker_count
 from repro.runner.units import STATUS_FAILED, STATUS_OK, UnitFailure
 
-from conftest import TEST_SEED, dpd_end_state
+from conftest import (
+    TEST_SEED,
+    dpd_end_state,
+    per_chip_summary,
+    write_per_chip_run_dir,
+)
 
 # Small enough that a handful of fleet-vs-serial comparisons stays fast,
 # large enough for a weak tail worth comparing.
@@ -148,7 +158,11 @@ class TestDeterministicFailures:
         assert not want[cells % 4 == 0].any()
 
         hits = population.deterministic_failures(
-            exposures, u_rows, scales, pattern.key, aligns, stresses
+            exposures,
+            u_rows,
+            scales,
+            population.stack(aligns),
+            population.stack(stresses),
         )
         got = np.zeros(len(population), dtype=bool)
         got[hits] = True
@@ -344,6 +358,40 @@ class TestMeasureFleetWorker:
         with pytest.raises(ConfigurationError):
             measure_fleet({"members": []})
 
+    def test_one_chip_unit_peaks_no_higher_than_the_per_chip_walk(self):
+        """A one-chip kernel unit on a 1 Gbit chip (52 k weak cells) holds
+        no more transient memory than ``measure_chip`` on the same chip:
+        read and DPD blocks stay under the block budget and nothing is
+        memoized per pattern."""
+        grid = dict(
+            geometry=ChipGeometry.from_capacity_gigabits(1.0),
+            iterations=2,
+            seed=368,
+            intervals_s=(0.512, 1.024, 2.048),
+            temperatures_c=(45.0, 55.0),
+        )
+        unit = build_chip_units(chips_per_vendor=20, **grid)[1]
+        (chunk,) = build_fleet_units([unit], chips_per_unit=1)
+        # Warm both paths on a small chip so lazy imports and one-time
+        # tables are not charged to either peak.
+        (warm,) = build_chip_units(**self.UNIT_KW)[:1]
+        measure_chip(warm.payload)
+        measure_fleet(build_fleet_units([warm], chips_per_unit=1)[0].payload)
+
+        peaks, values = {}, {}
+        for name, worker, payload in (
+            ("walk", measure_chip, unit.payload),
+            ("kernel", measure_fleet, chunk.payload),
+        ):
+            tracemalloc.start()
+            try:
+                values[name] = worker(payload)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert values["kernel"]["chips"][0]["value"] == values["walk"]
+        assert peaks["kernel"] <= peaks["walk"], peaks
+
 
 class TestFleetUnits:
     def make_units(self, n=5):
@@ -438,57 +486,92 @@ FLEET_CAMPAIGN_KW = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0)
 
 
 class TestFleetCampaign:
-    def test_fleet_serial_and_pooled_match_per_chip(self, fleet_campaign):
-        serial = fleet_campaign.run(**FLEET_CAMPAIGN_KW)
+    def test_fleet_serial_and_pooled_match_per_chip(self, fleet_campaign, tmp_path):
+        reference = per_chip_summary(fleet_campaign, tmp_path / "per-chip", **FLEET_CAMPAIGN_KW)
+        default = fleet_campaign.run(**FLEET_CAMPAIGN_KW)
         fleet = fleet_campaign.run(chips_per_unit=2, **FLEET_CAMPAIGN_KW)
         pooled = fleet_campaign.run(
             backend="process", workers=2, chips_per_unit=4, **FLEET_CAMPAIGN_KW
         )
-        assert fleet == serial
-        assert pooled == serial
-        assert fleet.to_text() == serial.to_text()
+        assert default == reference
+        assert fleet == reference
+        assert pooled == reference
+        assert fleet.to_text() == reference.to_text()
 
-    def test_chips_per_unit_one_is_the_per_chip_path(self, fleet_campaign):
-        serial = fleet_campaign.run(**FLEET_CAMPAIGN_KW)
-        assert fleet_campaign.run(chips_per_unit=1, **FLEET_CAMPAIGN_KW) == serial
+    def test_chips_per_unit_one_matches_the_per_chip_walk(self, fleet_campaign, tmp_path):
+        """``chips_per_unit=1`` runs one-chip kernel units; every row they
+        store equals ``measure_chip`` on its chip."""
+        run_dir = tmp_path / "run"
+        summary = fleet_campaign.run(
+            run_dir=str(run_dir), chips_per_unit=1, **FLEET_CAMPAIGN_KW
+        )
+        stored = ResultStore(run_dir).load_results()
+        units = build_chip_units(
+            chips_per_vendor=fleet_campaign.chips_per_vendor,
+            geometry=fleet_campaign.geometry,
+            iterations=fleet_campaign.iterations,
+            seed=fleet_campaign.seed,
+            **FLEET_CAMPAIGN_KW,
+        )
+        assert {uid: row.value for uid, row in stored.items()} == {
+            unit.unit_id: measure_chip(unit.payload) for unit in units
+        }
+        assert summary == per_chip_summary(
+            fleet_campaign, tmp_path / "per-chip", **FLEET_CAMPAIGN_KW
+        )
 
     def test_chips_per_unit_validation(self, fleet_campaign):
         with pytest.raises(ConfigurationError):
             fleet_campaign.run(chips_per_unit=0, **FLEET_CAMPAIGN_KW)
 
     def test_fleet_run_resumes_per_chip_run_directory(self, fleet_campaign, tmp_path):
-        run_dir = str(tmp_path / "run")
-        full = fleet_campaign.run(run_dir=run_dir, **FLEET_CAMPAIGN_KW)
-
-        results_path = tmp_path / "run" / "results.jsonl"
+        """A run dir the per-chip walk wrote (what older versions left
+        behind) resumes under an explicit unit size and under the default
+        to the summary its per-chip rows give."""
+        run_dir = tmp_path / "run"
+        full = per_chip_summary(fleet_campaign, run_dir, **FLEET_CAMPAIGN_KW)
+        results_path = run_dir / "results.jsonl"
         kept = results_path.read_text().splitlines()[:2]
-        results_path.write_text("\n".join(kept) + "\n")
 
-        executed = []
-        resumed = fleet_campaign.run(
-            run_dir=run_dir,
-            resume=True,
-            chips_per_unit=3,
-            progress=lambda result, tracker: executed.append(result.unit_id),
-            **FLEET_CAMPAIGN_KW,
-        )
-        assert resumed == full
-        # Per-chip rows, per-chip progress: chunk ids never surface.
-        assert len(executed) == 4
-        assert all(unit_id.startswith("chip-") for unit_id in executed)
+        for chips_per_unit in (3, None):
+            results_path.write_text("\n".join(kept) + "\n")
+            executed = []
+            resumed = fleet_campaign.run(
+                run_dir=str(run_dir),
+                resume=True,
+                chips_per_unit=chips_per_unit,
+                progress=lambda result, tracker: executed.append(result.unit_id),
+                **FLEET_CAMPAIGN_KW,
+            )
+            assert json.dumps(resumed.to_json_dict(), sort_keys=True) == json.dumps(
+                full.to_json_dict(), sort_keys=True
+            )
+            # Per-chip rows, per-chip progress: chunk ids never surface.
+            assert len(executed) == 4
+            assert all(unit_id.startswith("chip-") for unit_id in executed)
 
     def test_per_chip_run_resumes_fleet_run_directory(self, fleet_campaign, tmp_path):
-        run_dir = str(tmp_path / "run")
+        """The per-chip walk resumes a kernel-written run dir; the mixed
+        rows give the kernel run's summary."""
+        run_dir = tmp_path / "run"
         full = fleet_campaign.run(
-            run_dir=run_dir, chips_per_unit=2, **FLEET_CAMPAIGN_KW
+            run_dir=str(run_dir), chips_per_unit=2, **FLEET_CAMPAIGN_KW
         )
-        results_path = tmp_path / "run" / "results.jsonl"
+        results_path = run_dir / "results.jsonl"
         rows = results_path.read_text().splitlines()
         # The store holds one per-chip row per chip regardless of chunking.
         assert len(rows) == 6
-        kept = rows[:3]
-        results_path.write_text("\n".join(kept) + "\n")
-        resumed = fleet_campaign.run(run_dir=run_dir, resume=True, **FLEET_CAMPAIGN_KW)
+        results_path.write_text("\n".join(rows[:3]) + "\n")
+        write_per_chip_run_dir(fleet_campaign, run_dir, resume=True, **FLEET_CAMPAIGN_KW)
+        assert len(results_path.read_text().splitlines()) == 6
+        executed = []
+        resumed = fleet_campaign.run(
+            run_dir=str(run_dir),
+            resume=True,
+            progress=lambda result, tracker: executed.append(result.unit_id),
+            **FLEET_CAMPAIGN_KW,
+        )
+        assert not executed
         assert resumed == full
 
     def test_chunk_run_resumes_tile_era_run_directory(self, fleet_campaign, tmp_path):
@@ -512,6 +595,60 @@ class TestFleetCampaign:
         assert json.dumps(resumed.to_json_dict(), sort_keys=True) == json.dumps(
             fresh.to_json_dict(), sort_keys=True
         )
+
+
+class TestComputedUnitSize:
+    @pytest.mark.parametrize(
+        "capacity_gbit, n_chips, workers, expected",
+        [
+            (1.0, 60, 2, 1),  # the CLI's 1 Gbit chips travel alone
+            (1.0 / 16.0, 6, 2, 3),  # a service job: never fewer units than workers
+            (1.0 / 64.0, 369, 2, 16),  # paper-scale small chips: capacity-bound
+            (1.0 / 64.0, 369, 1, 16),
+            (1.0 / 1024.0, 10, 4, 3),
+            (4.0, 5, 1, 1),
+        ],
+    )
+    def test_rule(self, capacity_gbit, n_chips, workers, expected):
+        bits = ChipGeometry.from_capacity_gigabits(capacity_gbit).capacity_bits
+        assert default_chips_per_unit(bits, n_chips, workers) == expected
+
+    def test_rejects_non_positive_inputs(self):
+        for args in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            with pytest.raises(ConfigurationError):
+                default_chips_per_unit(*args)
+
+    @pytest.mark.parametrize(
+        "backend_kw, expected",
+        [
+            (dict(backend="serial"), 6),
+            (dict(backend="process", workers=2), 3),
+            (dict(backend=None, workers=4), 2),
+        ],
+    )
+    def test_campaign_sizes_units_from_the_backend(
+        self, fleet_campaign, monkeypatch, backend_kw, expected
+    ):
+        """Serial runs count one worker, pooled runs the pool width."""
+        sizes = []
+
+        def spy(chips_per_unit, shm=None):
+            sizes.append((chips_per_unit, shm is not None))
+            return fleet_dispatch(chips_per_unit, shm=shm)
+
+        monkeypatch.setattr(analysis_campaign, "fleet_dispatch", spy)
+        fleet_campaign.run(**backend_kw, **FLEET_CAMPAIGN_KW)
+        assert sizes == [(expected, True)]
+
+    def test_one_chip_units_draw_populations_in_the_worker(
+        self, fleet_campaign, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("one-chip units must not build a shared population")
+
+        monkeypatch.setattr(analysis_campaign, "build_population_samples", refuse)
+        summary = fleet_campaign.run(chips_per_unit=1, **FLEET_CAMPAIGN_KW)
+        assert summary.n_chips == 6
 
 
 class _RecordingFuture:

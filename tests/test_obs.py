@@ -33,7 +33,13 @@ from repro.obs import (
     Tracer,
     render_report,
 )
-from repro.runner import EVENTS_NAME, RunnerEngine, WorkUnit
+from repro.runner import (
+    EVENTS_NAME,
+    RunnerEngine,
+    WorkUnit,
+    build_chip_units,
+    measure_chip,
+)
 
 from conftest import TINY_GEOMETRY, TEST_SEED
 
@@ -382,7 +388,10 @@ class TestZeroPerturbation:
         kinds = [r["event"] for r in rows]
         assert kinds[0] == "runner.start" and "runner.finish" in kinds
         assert kinds.count("runner.unit") == 3
-        assert any(k == "profiler.iteration" for k in kinds)
+        assert any(
+            r["event"] == "span" and r.get("name") == "kernel.read_compare"
+            for r in rows
+        )
         # The results store is untouched by the event log.
         assert (run_dir / "results.jsonl").exists()
 
@@ -391,5 +400,49 @@ class TestZeroPerturbation:
         text = obs.report(title="campaign metrics")
         assert "campaign metrics" in text
         assert "chip.commands" in text
+        assert "profiler.iterations" in text
+        assert "profiler.new_cells" in text
         assert "runner.units" in text
-        assert "span.profiler.run" in text
+        assert "span.kernel.read_compare" in text
+
+
+def _counter_totals(snapshot):
+    """Counter totals comparable across profilers: ``chip.commands`` per
+    command kind, the ``profiler.*`` counters summed over their
+    ``mechanism`` label."""
+    totals = {}
+    for row in snapshot:
+        if row["kind"] != "counter":
+            continue
+        if row["name"] == "chip.commands":
+            key = (row["name"], row["labels"]["command"])
+        elif row["name"].startswith("profiler."):
+            key = (row["name"], None)
+        else:
+            continue
+        totals[key] = totals.get(key, 0.0) + row["value"]
+    return totals
+
+
+class TestKernelCounters:
+    @pytest.mark.parametrize("chips_per_unit", [1, 3])
+    def test_kernel_counters_equal_the_per_chip_walk(
+        self, campaign, enabled_obs, chips_per_unit
+    ):
+        """The kernel adds in bulk exactly the per-command and
+        per-iteration counts the per-chip walk records one by one."""
+        campaign.run(chips_per_unit=chips_per_unit, **CAMPAIGN_KW)
+        kernel = _counter_totals(obs.snapshot())
+        obs.reset()
+        for unit in build_chip_units(
+            chips_per_vendor=campaign.chips_per_vendor,
+            geometry=campaign.geometry,
+            iterations=campaign.iterations,
+            seed=campaign.seed,
+            **CAMPAIGN_KW,
+        ):
+            measure_chip(unit.payload)
+        walk = _counter_totals(obs.snapshot())
+        assert walk[("chip.commands", "read_compare")] > 0
+        assert walk[("profiler.new_cells", None)] > 0
+        assert kernel == walk

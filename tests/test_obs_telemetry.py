@@ -9,8 +9,8 @@ replays the buffered events.  These tests pin the contracts end to end:
   indistinguishable from observing the concatenated stream (property
   test, including empty and single-observation edges);
 * a ``--workers 4`` campaign's merged report carries the worker-side
-  series (``chip.commands``, profiler-iteration histograms) with the
-  same totals as the serial run of the same campaign;
+  series (``chip.commands``, profiler counters, kernel-phase spans) with
+  the same totals as the serial run of the same campaign;
 * campaign summaries stay byte-identical with observability on vs off on
   the multiprocess path;
 * the transport itself: ``capture`` isolation, ``execute_unit``
@@ -290,9 +290,13 @@ def _series_index(snapshot):
 
 class TestMultiprocessParity:
     def test_merged_report_matches_serial(self, campaign):
-        serial_summary, serial_snap = _run_with_metrics(campaign, backend="serial")
+        # One unit size for both runs: the computed default differs with
+        # the worker count, and so would the series structure.
+        serial_summary, serial_snap = _run_with_metrics(
+            campaign, backend="serial", chips_per_unit=1
+        )
         pool_summary, pool_snap = _run_with_metrics(
-            campaign, backend=None, workers=4
+            campaign, backend=None, workers=4, chips_per_unit=1
         )
         # Same simulation outcome either way.
         assert pool_summary == serial_summary
@@ -302,11 +306,10 @@ class TestMultiprocessParity:
         # both runs -- the pool run lost no worker-side series.
         assert set(serial_idx) == set(pool_idx)
 
-        # The worker-side series the issue pins explicitly.
+        # The worker-side series: bulk kernel counters and phase spans.
         assert any(name == "chip.commands" for name, _ in serial_idx)
-        assert any(
-            name == "profiler.new_cells_per_iteration" for name, _ in serial_idx
-        )
+        assert any(name == "profiler.new_cells" for name, _ in serial_idx)
+        assert any(name == "span.kernel.read_compare" for name, _ in serial_idx)
 
         for key, serial_row in serial_idx.items():
             pool_row = pool_idx[key]

@@ -33,7 +33,7 @@ from repro.runner import (
 )
 from repro.runner.units import STATUS_FAILED, STATUS_OK
 
-from conftest import TINY_GEOMETRY
+from conftest import TINY_GEOMETRY, per_chip_summary
 
 MANIFEST = {"fingerprint": "f" * 32}
 
@@ -428,9 +428,11 @@ CAMPAIGN_KW = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
 
 
 class TestCampaignThroughRunner:
-    def test_parallel_matches_serial_byte_identical(self, campaign):
+    def test_parallel_matches_serial_byte_identical(self, campaign, tmp_path):
+        reference = per_chip_summary(campaign, tmp_path / "per-chip", **CAMPAIGN_KW)
         serial = campaign.run(backend="serial", **CAMPAIGN_KW)
         parallel = campaign.run(backend="process", workers=4, **CAMPAIGN_KW)
+        assert serial == reference
         assert parallel == serial
         assert parallel.to_text() == serial.to_text()
 

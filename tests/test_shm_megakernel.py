@@ -62,7 +62,7 @@ from repro.infra.testbed import FleetBed, TestBed
 from repro.patterns import RANDOM, STANDARD_PATTERNS
 from repro.runner import build_chip_units, build_fleet_units
 
-from conftest import TEST_SEED, dpd_end_state
+from conftest import TEST_SEED, dpd_end_state, per_chip_summary
 
 MICRO = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 MEMBERS = [(0, VENDOR_B), (1, VENDOR_B), (2, VENDOR_A)]
@@ -334,13 +334,13 @@ class TestRunGridDifferential:
     ):
         grid = [Conditions(t, temperature=temperature) for t in intervals]
         fleet = fresh_fleet(temperature)
-        cap = fleetprof._MEGAKERNEL_UNIFORM_CAP_BYTES
+        budget = fleetprof._BLOCK_BUDGET_BYTES
         if block_rows is not None:
-            # A few rows per read block (and fewer random writes per
-            # excitation block) split (pattern, condition) groups and runs
-            # of random writes across blocks.
-            cap = block_rows * 8 * len(fleet.population)
-        with mock.patch.object(fleetprof, "_MEGAKERNEL_UNIFORM_CAP_BYTES", cap):
+            # A budget of a few rows puts every condition in a read block
+            # of its own and splits runs of random writes across several
+            # excitation blocks.
+            budget = block_rows * 8 * len(fleet.population)
+        with mock.patch.object(fleetprof, "_BLOCK_BUDGET_BYTES", budget):
             got = FleetProfiler(patterns=patterns, iterations=iterations).run_grid(
                 fleet, grid
             )
@@ -363,12 +363,14 @@ def campaign():
 
 
 class TestCampaignSegment:
-    def test_pooled_shm_matches_serial(self, campaign):
+    def test_pooled_shm_matches_serial(self, campaign, tmp_path):
+        reference = per_chip_summary(campaign, tmp_path / "per-chip", **CAMPAIGN_KW)
         serial = campaign.run(**CAMPAIGN_KW)
         pooled = campaign.run(
             backend="process", workers=2, chips_per_unit=2, **CAMPAIGN_KW
         )
-        assert pooled == serial
+        assert serial == reference
+        assert pooled == reference
 
     def test_no_segment_or_sidecar_survives_a_run(self, campaign, tmp_path):
         before = segment_names()
@@ -397,10 +399,10 @@ class TestCampaignSegment:
 
 
 class TestFleetChunkingEdges:
-    def test_chips_per_unit_larger_than_population(self, campaign):
-        serial = campaign.run(**CAMPAIGN_KW)
+    def test_chips_per_unit_larger_than_population(self, campaign, tmp_path):
+        reference = per_chip_summary(campaign, tmp_path / "per-chip", **CAMPAIGN_KW)
         oversized = campaign.run(chips_per_unit=64, **CAMPAIGN_KW)
-        assert oversized == serial
+        assert oversized == reference
 
     def test_build_fleet_units_oversized_makes_one_chunk(self):
         units = build_chip_units(
@@ -470,7 +472,7 @@ def test_kill9_leaves_no_tracked_leak_and_resumes_identically(campaign, tmp_path
     """SIGKILL mid-run: the segment survives (by design -- only the sidecar
     knows about it), the next open of the run directory reclaims it, and the
     resumed campaign is byte-identical to an uninterrupted one."""
-    reference = campaign.run(**CAMPAIGN_KW)
+    reference = per_chip_summary(campaign, tmp_path / "per-chip", **CAMPAIGN_KW)
 
     before = segment_names()
     run_dir = tmp_path / "run"
