@@ -13,8 +13,10 @@ The campaign executes through the ``repro.runner`` process-pool backend
 (``REPRO_BENCH_WORKERS`` overrides the pool size, default ``os.cpu_count()``;
 set it to 0 for the serial reference path), so the timed number measures
 the parallel execution engine at the paper's population scale.  The
-runner's determinism contract -- parallel byte-identical to serial -- is
-covered by ``tests/test_runner.py``.
+runner's determinism contract -- parallel, serial and resumed runs all
+giving the per-chip reference rows' summary -- is covered by
+``tests/test_differential.py``, whose golden summaries include this very
+population (run serially).
 """
 
 import os

@@ -18,6 +18,7 @@ order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -347,6 +348,9 @@ class CharacterizationCampaign:
                 if run_dir is not None:
                     remove_sidecar(run_dir)
         counts, temp_counts = aggregate_chip_results(report.results.values())
+        chips_by_vendor = Counter(
+            str(r.value["vendor"]) for r in report.results.values() if r.ok
+        )
 
         # The Eq-1 fit is only meaningful across distinct temperatures.
         fit_temperatures = len({float(t) for t in temperatures_c}) >= 2
@@ -362,7 +366,7 @@ class CharacterizationCampaign:
                 )
                 for trefi, values in by_interval.items()
             }
-            n_chips = max(len(values) for values in by_interval.values())
+            n_chips = chips_by_vendor[vendor_name]
             measured_chips += n_chips
             coefficient = (
                 self._fit_temp_coefficient(temp_counts[vendor_name])

@@ -17,7 +17,8 @@ weak tail.
 The per-chip failing sets it reports are byte-identical to what a
 :class:`~repro.core.bruteforce.BruteForceProfiler` run over each chip
 standalone would have discovered under the same schedule -- the contract
-``tests/test_fleet.py`` and ``tests/test_shm_megakernel.py`` pin.
+``tests/test_differential.py`` checks against both the fast and the
+reference per-chip evaluator.
 """
 
 from __future__ import annotations

@@ -3,20 +3,37 @@
 A 1/16 Gbit chip carries a weak tail of a few hundred cells -- large enough
 for statistically meaningful profiling assertions, small enough that the
 whole suite stays fast.
+
+Also the two checks of the differential harness (``tests/test_differential.py``
+draws their arguments; other modules pin named cases of them):
+:func:`profile_routes` and :func:`assert_campaign_matches_reference`.
 """
 
 from __future__ import annotations
 
+import json
+import tempfile
+from collections import Counter
+from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
+
 import pytest
 
-from repro.clock import SimClock
+from repro import obs
 from repro.conditions import Conditions
+from repro.core import fleetprof
+from repro.core.bruteforce import BruteForceProfiler
+from repro.core.fleetprof import FleetProfiler
 from repro.dram.chip import SimulatedDRAMChip
+from repro.dram.fleet import ChipFleet
 from repro.dram.geometry import ChipGeometry
 from repro.dram.vendor import VENDOR_B, VENDORS
 from repro.errors import ProfilingError
+from repro.infra.testbed import FleetBed, TestBed
 from repro.patterns import STANDARD_PATTERNS
 from repro.runner import (
+    ResultStore,
     RunnerEngine,
     build_chip_units,
     campaign_fingerprint,
@@ -75,11 +92,34 @@ def dpd_end_state(chip: SimulatedDRAMChip) -> tuple:
     return dpd._rng.bit_generator.state, tuple(committed), last
 
 
+def chip_end_state(chips) -> list:
+    """Everything a profiling run leaves on each chip, as comparable
+    values: clock, read and VRT generator states, trace records and the
+    DPD end state."""
+    return [
+        (
+            chip.clock.now,
+            chip.read_rng.bit_generator.state,
+            chip.vrt._rng.bit_generator.state,
+            tuple(chip.trace.records),
+            dpd_end_state(chip),
+        )
+        for chip in chips
+    ]
+
+
+def measure_reference(payload) -> dict:
+    """``measure_chip`` on the reference failure evaluator: the oracle
+    every stored campaign row must equal."""
+    return measure_chip({**payload, "fast_path": False})
+
+
 def write_per_chip_run_dir(
-    campaign, run_dir, intervals_s, temperatures_c, resume=False
+    campaign, run_dir, intervals_s, temperatures_c, resume=False, worker=measure_chip,
+    progress=None,
 ) -> None:
     """Write ``run_dir`` the way the per-chip walk did: every chip of
-    ``campaign`` measured by ``measure_chip`` through a plain
+    ``campaign`` measured by ``worker`` (``measure_chip``) through a plain
     :class:`RunnerEngine` run, under the campaign's fingerprint.  With
     ``resume`` only the chips the directory lacks are measured."""
     grid = dict(
@@ -91,16 +131,16 @@ def write_per_chip_run_dir(
         temperatures_c=temperatures_c,
     )
     manifest = {"fingerprint": campaign_fingerprint(vendor_names=tuple(VENDORS), **grid)}
-    RunnerEngine(run_dir=str(run_dir), resume=resume).run(
-        measure_chip, build_chip_units(**grid), manifest
+    RunnerEngine(run_dir=str(run_dir), resume=resume, progress=progress).run(
+        worker, build_chip_units(**grid), manifest
     )
 
 
-def per_chip_summary(campaign, run_dir, intervals_s, temperatures_c):
-    """``campaign``'s summary built from per-chip reference rows only: a
-    run dir written by :func:`write_per_chip_run_dir`, resumed by
-    ``campaign.run``, which finds every chip stored and measures none."""
-    write_per_chip_run_dir(campaign, run_dir, intervals_s, temperatures_c)
+def per_chip_summary(campaign, run_dir, intervals_s, temperatures_c, worker=measure_chip):
+    """``campaign``'s summary built from per-chip rows only: a run dir
+    written by :func:`write_per_chip_run_dir`, resumed by ``campaign.run``,
+    which finds every chip stored and measures none."""
+    write_per_chip_run_dir(campaign, run_dir, intervals_s, temperatures_c, worker=worker)
     executed = []
     summary = campaign.run(
         intervals_s=intervals_s,
@@ -111,3 +151,143 @@ def per_chip_summary(campaign, run_dir, intervals_s, temperatures_c):
     )
     assert not executed
     return summary
+
+
+# ----------------------------------------------------------------------
+# Differential harness: every route against the per-chip reference walk
+# ----------------------------------------------------------------------
+class ProfileOutcome(NamedTuple):
+    """What one route's profiling left: failing sets per condition and
+    chip, and :func:`chip_end_state` of its chips."""
+
+    failing: list
+    end_state: list
+
+
+def profile_routes(
+    members, geometry, seed, temperatures, intervals, patterns=STANDARD_PATTERNS,
+    iterations=1, block_rows=None,
+):
+    """Profile the chips ``members`` ((chip_id, vendor) pairs) at every
+    refresh interval, at each of ``temperatures`` in turn, along three
+    routes: :meth:`FleetProfiler.run_grid` on one fleet, and
+    :class:`BruteForceProfiler` on the same chips racked standalone, on the
+    fast path and on the reference evaluator.  Returns their
+    :class:`ProfileOutcome` in that order; all three must be equal.
+
+    ``block_rows`` shrinks the kernel's block budget to a few rows, which
+    puts every condition in a read block of its own and splits runs of
+    random writes across several excitation blocks."""
+    runs = [
+        [Conditions(t, temperature=temperature) for t in intervals] for temperature in temperatures
+    ]
+
+    bed = FleetBed.build(members=members, geometry=geometry, seed=seed)
+    fleet = ChipFleet(bed.chips)
+    kernel = FleetProfiler(patterns=patterns, iterations=iterations)
+    budget = fleetprof._BLOCK_BUDGET_BYTES
+    if block_rows is not None:
+        budget = block_rows * 8 * len(fleet.population)
+    failing = []
+    with mock.patch.object(fleetprof, "_BLOCK_BUDGET_BYTES", budget):
+        for temperature, grid in zip(temperatures, runs):
+            bed.set_ambient(temperature)
+            for results in kernel.run_grid(fleet, grid):
+                failing.append([result.failing for result in results])
+    outcomes = [ProfileOutcome(failing, chip_end_state(fleet.chips))]
+
+    for fast_path in (True, False):
+        beds = [
+            TestBed.build_single(
+                chip_id=chip_id, vendor=vendor, geometry=geometry, seed=seed, fast_path=fast_path
+            )
+            for chip_id, vendor in members
+        ]
+        chips = [single.chips[0] for single in beds]
+        walk = BruteForceProfiler(patterns=patterns, iterations=iterations)
+        failing = []
+        for temperature, grid in zip(temperatures, runs):
+            for single in beds:
+                single.set_ambient(temperature)
+            for conditions in grid:
+                failing.append([walk.run(chip, conditions).failing for chip in chips])
+        outcomes.append(ProfileOutcome(failing, chip_end_state(chips)))
+    return tuple(outcomes)
+
+
+#: A route that measures with the per-chip walk instead of the kernel.
+PER_CHIP = "per-chip walk"
+
+
+def stored_rows(run_dir) -> dict:
+    return {uid: row.value for uid, row in ResultStore(run_dir).load_results().items()}
+
+
+def canonical(summary_dict) -> str:
+    return json.dumps(summary_dict, sort_keys=True)
+
+
+def assert_campaign_matches_reference(
+    campaign, intervals_s, temperatures_c, *, chips_per_unit=None, backend="serial",
+    workers=None, observed=False, stop_after=None, resume_with=None,
+):
+    """Run ``campaign`` along one route and check it against the reference.
+
+    The run writes a fresh run dir, measured in units of ``chips_per_unit``
+    (``None`` for the computed size, or :data:`PER_CHIP`) on ``backend``,
+    with observability on if ``observed``.  With ``stop_after`` the store is
+    then cut back to its first k rows, as a kill would leave it, and resumed
+    in units of ``resume_with`` (the same choices).  Checks:
+
+    * every stored row equals ``measure_chip`` on the reference evaluator;
+    * each run measures exactly the chips the store lacks, reported under
+      their per-chip ids;
+    * the summary is the one those reference rows give, byte for byte,
+      counting each chip once, per vendor and in all."""
+    grid = dict(intervals_s=tuple(intervals_s), temperatures_c=tuple(temperatures_c))
+    measured = []
+
+    def record(result, tracker):
+        measured.append(result.unit_id)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp, "run")
+
+        def run(unit_size, resume):
+            if unit_size == PER_CHIP:
+                write_per_chip_run_dir(campaign, run_dir, resume=resume, progress=record, **grid)
+                unit_size, resume = None, True  # the run below finds every chip stored
+            return campaign.run(
+                run_dir=str(run_dir), resume=resume, backend=backend, workers=workers,
+                chips_per_unit=unit_size, progress=record, **grid,
+            )
+
+        reference = per_chip_summary(
+            campaign, Path(tmp, "reference"), worker=measure_reference, **grid
+        )
+        reference_rows = stored_rows(Path(tmp, "reference"))
+        if observed:
+            obs.enable()
+        try:
+            summary = run(chips_per_unit, resume=False)
+            assert sorted(measured) == sorted(reference_rows)
+            if stop_after is not None:
+                results = run_dir / "results.jsonl"
+                results.write_text(
+                    "".join(results.read_text().splitlines(keepends=True)[:stop_after])
+                )
+                kept = stored_rows(run_dir)
+                measured.clear()
+                summary = run(resume_with, resume=True)
+                assert sorted(measured) == sorted(set(reference_rows) - set(kept))
+            rows = stored_rows(run_dir)
+        finally:
+            if observed:
+                obs.disable()
+                obs.reset()
+    assert rows == reference_rows
+    assert canonical(summary.to_json_dict()) == canonical(reference.to_json_dict())
+    assert summary.to_text() == reference.to_text()
+    assert summary.n_chips == len(rows)
+    per_vendor = Counter(str(value["vendor"]) for value in rows.values())
+    assert {name: stats.n_chips for name, stats in summary.vendors.items()} == per_vendor

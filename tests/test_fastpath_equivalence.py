@@ -4,12 +4,15 @@ The vectorized fast path (memoized per-(pattern, temperature) retention
 arrays + marginal-band ndtr cut in ``repro.dram.cell``, numpy observed-cell
 accumulation in ``repro.core.device``) must be *byte-identical* to the
 reference implementation: same failing sets, same per-read records, same
-runtimes, same campaign summaries, same RNG stream consumption.  These
-tests pin that contract across deterministic and stochastic patterns,
-temperature changes, quiet-iteration early stops, and device reset/reuse.
+runtimes, same campaign summaries, same RNG stream consumption.
+``tests/test_differential.py`` checks that on drawn schedules and
+campaigns.  This module compares whole profiles of one chip pair --
+records, runtimes, JSON -- across temperature changes and quiet-iteration
+early stops, pins named campaign cases of the differential check, and
+covers the pieces the fast path rests on: the exact ``ndtr`` saturation of
+the band-cut pin constants, replaying a reset chip, and the numpy
+observed-cell accumulator against set bookkeeping.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -25,9 +28,8 @@ from repro.dram.chip import SimulatedDRAMChip
 from repro.dram.geometry import ChipGeometry
 from repro.errors import CommandSequenceError
 from repro.patterns import CHECKERBOARD, RANDOM, STANDARD_PATTERNS
-from repro.runner import ResultStore, build_chip_units, measure_chip
 
-from conftest import TINY_GEOMETRY, TEST_SEED, per_chip_summary
+from conftest import TINY_GEOMETRY, TEST_SEED, assert_campaign_matches_reference
 
 MICRO = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 
@@ -37,10 +39,6 @@ def chip_pair(geometry=TINY_GEOMETRY, seed=TEST_SEED, **kwargs):
     ref = SimulatedDRAMChip(geometry=geometry, seed=seed, fast_path=False, **kwargs)
     fast = SimulatedDRAMChip(geometry=geometry, seed=seed, fast_path=True, **kwargs)
     return ref, fast
-
-
-def _canon(value):
-    return json.dumps(value, sort_keys=True)
 
 
 def assert_profiles_identical(a, b):
@@ -90,8 +88,7 @@ class TestProfileEquivalence:
             stop_after_quiet_iterations=2,
         )
         conditions = Conditions(trefi=0.768, temperature=45.0)
-        a, b = profiler.run(ref, conditions), profiler.run(fast, conditions)
-        assert_profiles_identical(a, b)
+        assert_profiles_identical(profiler.run(ref, conditions), profiler.run(fast, conditions))
 
     def test_rng_streams_stay_aligned_after_run(self):
         """Both paths consume identical uniforms, so the *next* read after a
@@ -137,64 +134,31 @@ class TestProfileEquivalence:
 ORACLE_GRID = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
 
 
-def reference_rows(campaign):
-    """Every chip of ``campaign`` re-measured on the reference evaluator
-    (``measure_chip`` with ``"fast_path": False``), keyed by unit id."""
-    units = build_chip_units(
-        chips_per_vendor=campaign.chips_per_vendor,
-        geometry=campaign.geometry,
-        iterations=campaign.iterations,
-        seed=campaign.seed,
-        **ORACLE_GRID,
-    )
-    return {
-        unit.unit_id: _canon(measure_chip(dict(unit.payload, fast_path=False)))
-        for unit in units
-    }
-
-
-def stored_rows(campaign, run_dir, chips_per_unit):
-    summary = campaign.run(run_dir=str(run_dir), chips_per_unit=chips_per_unit, **ORACLE_GRID)
-    stored = ResultStore(run_dir).load_results()
-    return summary, {uid: _canon(r.value) for uid, r in stored.items()}
-
-
 class TestCampaignEquivalence:
-    def test_campaign_summaries_byte_identical(self, tmp_path):
+    def test_campaign_summaries_byte_identical(self):
         """Every row a default campaign stores equals its chip re-measured
         on the reference evaluator, so the summary built from those rows is
         the reference summary."""
         campaign = CharacterizationCampaign(chips_per_vendor=2, geometry=MICRO, iterations=1)
-        summary, rows = stored_rows(campaign, tmp_path, None)
-        assert rows == reference_rows(campaign)
-        assert _canon(campaign.run(**ORACLE_GRID).to_json_dict()) == _canon(
-            summary.to_json_dict()
-        )
+        assert_campaign_matches_reference(campaign, **ORACLE_GRID)
 
 
 class TestFleetEquivalence:
     """Fleet-batched evaluation extends the same contract: stacking B
     chips into one fused numpy call must not change a single byte."""
 
-    def test_fleet_campaign_summaries_byte_identical(self, tmp_path):
+    def test_fleet_campaign_summaries_byte_identical(self):
         campaign = CharacterizationCampaign(chips_per_vendor=1, geometry=MICRO, iterations=1)
+        for chips_per_unit in (None, 3, 2):
+            assert_campaign_matches_reference(
+                campaign, **ORACLE_GRID, chips_per_unit=chips_per_unit
+            )
 
-        def summarize(chips_per_unit):
-            return campaign.run(chips_per_unit=chips_per_unit, **ORACLE_GRID)
-
-        reference = per_chip_summary(campaign, tmp_path / "per-chip", **ORACLE_GRID)
-        assert summarize(None) == reference
-        assert summarize(3) == reference
-        assert summarize(2) == reference
-
-    def test_fleet_composes_with_both_fast_path_modes(self, tmp_path):
+    def test_fleet_composes_with_both_fast_path_modes(self):
         """Fleet batching runs on the fast path; every row a fleet campaign
-        stores equals its chip re-measured on the reference evaluator, and
-        the fleet summary equals the per-chip one."""
+        stores equals its chip re-measured on the reference evaluator."""
         campaign = CharacterizationCampaign(chips_per_vendor=2, geometry=MICRO, iterations=1)
-        fleet_summary, rows = stored_rows(campaign, tmp_path, 4)
-        assert rows == reference_rows(campaign)
-        assert fleet_summary == campaign.run(**ORACLE_GRID)
+        assert_campaign_matches_reference(campaign, **ORACLE_GRID, chips_per_unit=4)
 
 
 class TestChipReset:

@@ -1,23 +1,20 @@
 """Tests for the fleet-batched campaign kernel.
 
-The fleet path's whole value proposition is "byte-identical, just
-faster", so nearly every test here is an equality pin against the
-per-chip reference:
+That the kernel reproduces the per-chip reference walk -- failing sets,
+traces, clocks, generator end states, stored rows and summaries, at any
+unit size, serial or pooled, resumed either way -- is the contract
+``tests/test_differential.py`` checks on drawn cases; this module pins
+named cases of it (run_grid on a 3-chip fleet, ``measure_fleet`` values,
+serial, pooled and cross-resumed campaigns) and the pieces:
 
-* :meth:`repro.core.fleetprof.FleetProfiler.run_grid` over a
-  :class:`repro.dram.fleet.ChipFleet` discovers exactly the cells a
-  standalone :class:`~repro.core.bruteforce.BruteForceProfiler` run per
-  chip would, and leaves every chip's read-RNG stream in the exact same
-  end state;
-* :class:`repro.infra.testbed.FleetBed` settles to the same ambient, the
-  same clock time, and the same chip temperatures as independent
-  single-chip beds;
-* :func:`repro.runner.measure_fleet` returns, member for member, the
-  same JSON :func:`repro.runner.measure_chip` would;
-* a campaign -- any unit size, serial or pooled -- produces the
-  :class:`CampaignSummary` of per-chip ``measure_chip`` rows, and kernel
-  and per-chip runs resume each other's run directories (the store only
-  ever holds per-chip rows);
+* :class:`repro.dram.fleet.FleetPopulation` segments and the grouped
+  deterministic evaluator at its exact boundary;
+* :class:`repro.dram.fleet.ChipFleet` and
+  :class:`repro.infra.testbed.FleetBed` validation, and the bed's
+  settle replay onto member clocks;
+* :func:`repro.runner.measure_fleet` validation and its one-chip memory
+  peak; fleet transport chunks and their expansion to per-chip rows;
+* the computed unit size, and tile-era run directories resuming;
 * the process-pool backend keeps its submission window bounded and
   derives its default worker count from the CPU affinity mask.
 """
@@ -33,18 +30,16 @@ import pytest
 from repro.analysis import campaign as analysis_campaign
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
-from repro.core.bruteforce import BruteForceProfiler
 from repro.core.fleetprof import FleetProfiler
 from repro.dram.fleet import ChipFleet, FleetPopulation
 from repro.dram.geometry import ChipGeometry
-from repro.dram.vendor import VENDOR_A, VENDOR_B, vendor_by_name
+from repro.dram.vendor import VENDOR_A, VENDOR_B
 from repro.errors import CommandSequenceError, ConfigurationError, ProfilingError
 from repro.infra.testbed import FleetBed, TestBed
 from repro.patterns import CHECKERBOARD
 from repro.runner import (
     CHIP_UNIT_KIND,
     FLEET_UNIT_KIND,
-    ResultStore,
     UnitResult,
     WorkUnit,
     build_chip_units,
@@ -60,14 +55,13 @@ from repro.runner.executors import ProcessPoolBackend, default_worker_count
 from repro.runner.units import STATUS_FAILED, STATUS_OK, UnitFailure
 
 from conftest import (
+    PER_CHIP,
     TEST_SEED,
-    dpd_end_state,
-    per_chip_summary,
-    write_per_chip_run_dir,
+    assert_campaign_matches_reference,
+    measure_reference,
+    profile_routes,
 )
 
-# Small enough that a handful of fleet-vs-serial comparisons stays fast,
-# large enough for a weak tail worth comparing.
 MICRO = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 
 MEMBERS = [(0, VENDOR_B), (1, VENDOR_B), (2, VENDOR_A)]
@@ -242,69 +236,29 @@ class TestFleetBed:
 
 
 class TestFleetProfilerEquivalence:
-    """The core contract: fleet-fused == per-chip, bit for bit."""
-
-    def run_both(self, iterations=2, trefi=1.024, temperature=45.0):
-        fleet_bed = build_fleet_bed()
-        fleet_bed.set_ambient(temperature)
-        fleet = ChipFleet(fleet_bed.chips)
-        (fleet_results,) = FleetProfiler(iterations=iterations).run_grid(
-            fleet, [Conditions(trefi=trefi, temperature=temperature)]
-        )
-
-        single_profiles = []
-        single_chips = []
-        for bed in build_single_beds():
-            bed.set_ambient(temperature)
-            chip = bed.chips[0]
-            profile = BruteForceProfiler(iterations=iterations).run(
-                chip, Conditions(trefi=trefi, temperature=temperature)
-            )
-            single_profiles.append(profile)
-            single_chips.append(chip)
-        return fleet_bed, fleet_results, single_chips, single_profiles
+    """The core contract, fleet-fused == per-chip bit for bit, on named
+    cases of the differential check; then FleetProfiler's own guards."""
 
     def test_failing_sets_identical_to_per_chip_runs(self):
-        _, fleet_results, _, single_profiles = self.run_both()
-        for fleet_result, profile in zip(fleet_results, single_profiles):
-            assert fleet_result.failing == profile.failing
-            assert len(fleet_result) == len(profile)
+        kernel, fast, reference = profile_routes(
+            MEMBERS, MICRO, TEST_SEED, [45.0], [1.024], iterations=2
+        )
+        assert kernel.failing == fast.failing == reference.failing
 
     def test_rng_streams_end_in_identical_state(self):
-        fleet_bed, _, single_chips, _ = self.run_both()
-        for fleet_chip, single_chip in zip(fleet_bed.chips, single_chips):
-            assert (
-                fleet_chip.read_rng.bit_generator.state
-                == single_chip.read_rng.bit_generator.state
-            )
-            assert fleet_chip.clock.now == single_chip.clock.now
-            assert dpd_end_state(fleet_chip) == dpd_end_state(single_chip)
+        """Clocks, read, VRT and DPD generators and traces end alike."""
+        kernel, fast, reference = profile_routes(
+            MEMBERS, MICRO, TEST_SEED, [45.0], [1.024], iterations=2
+        )
+        assert kernel.end_state == fast.end_state == reference.end_state
 
     def test_repeated_runs_continue_identically(self):
         """A second profiling pass (as the campaign's temperature sweep
         does) stays byte-identical -- RNG and clock state carry over."""
-        fleet_bed = build_fleet_bed()
-        fleet_bed.set_ambient(45.0)
-        fleet = ChipFleet(fleet_bed.chips)
-        profiler = FleetProfiler(iterations=1)
-        profiler.run_grid(fleet, [Conditions(trefi=0.512, temperature=45.0)])
-        fleet_bed.set_ambient(55.0)
-        (second,) = profiler.run_grid(
-            fleet, [Conditions(trefi=1.024, temperature=55.0)]
+        kernel, fast, reference = profile_routes(
+            MEMBERS, MICRO, TEST_SEED, [45.0, 55.0], [0.512, 1.024], iterations=1
         )
-
-        singles = []
-        for bed in build_single_beds():
-            bed.set_ambient(45.0)
-            chip = bed.chips[0]
-            single_profiler = BruteForceProfiler(iterations=1)
-            single_profiler.run(chip, Conditions(trefi=0.512, temperature=45.0))
-            bed.set_ambient(55.0)
-            singles.append(
-                single_profiler.run(chip, Conditions(trefi=1.024, temperature=55.0))
-            )
-        for fleet_result, profile in zip(second, singles):
-            assert fleet_result.failing == profile.failing
+        assert kernel == fast == reference
 
     def test_trefi_above_fleet_maximum_rejected(self):
         bed = build_fleet_bed(max_trefi_s=1.1)
@@ -333,19 +287,19 @@ class TestMeasureFleetWorker:
 
     def test_values_identical_to_measure_chip(self):
         units = build_chip_units(**self.UNIT_KW)
-        serial = [measure_chip(unit.payload) for unit in units]
         (chunk,) = build_fleet_units(units, chips_per_unit=len(units))
         fleet = measure_fleet(chunk.payload)
         assert [c["unit_id"] for c in fleet["chips"]] == [u.unit_id for u in units]
-        assert [c["value"] for c in fleet["chips"]] == serial
+        assert [c["value"] for c in fleet["chips"]] == [
+            measure_reference(unit.payload) for unit in units
+        ]
 
     def test_chunking_does_not_change_values(self):
         units = build_chip_units(**self.UNIT_KW)
-        serial = [measure_chip(unit.payload) for unit in units]
         values = []
         for chunk in build_fleet_units(units, chips_per_unit=2):
             values.extend(c["value"] for c in measure_fleet(chunk.payload)["chips"])
-        assert values == serial
+        assert values == [measure_reference(unit.payload) for unit in units]
 
     def test_rejects_heterogeneous_chunks(self):
         units = build_chip_units(**self.UNIT_KW)
@@ -486,93 +440,40 @@ FLEET_CAMPAIGN_KW = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0)
 
 
 class TestFleetCampaign:
-    def test_fleet_serial_and_pooled_match_per_chip(self, fleet_campaign, tmp_path):
-        reference = per_chip_summary(fleet_campaign, tmp_path / "per-chip", **FLEET_CAMPAIGN_KW)
-        default = fleet_campaign.run(**FLEET_CAMPAIGN_KW)
-        fleet = fleet_campaign.run(chips_per_unit=2, **FLEET_CAMPAIGN_KW)
-        pooled = fleet_campaign.run(
-            backend="process", workers=2, chips_per_unit=4, **FLEET_CAMPAIGN_KW
-        )
-        assert default == reference
-        assert fleet == reference
-        assert pooled == reference
-        assert fleet.to_text() == reference.to_text()
+    def test_fleet_serial_and_pooled_match_per_chip(self, fleet_campaign):
+        for route in (
+            dict(),
+            dict(chips_per_unit=2),
+            dict(backend="process", workers=2, chips_per_unit=4),
+        ):
+            assert_campaign_matches_reference(fleet_campaign, **FLEET_CAMPAIGN_KW, **route)
 
-    def test_chips_per_unit_one_matches_the_per_chip_walk(self, fleet_campaign, tmp_path):
+    def test_chips_per_unit_one_matches_the_per_chip_walk(self, fleet_campaign):
         """``chips_per_unit=1`` runs one-chip kernel units; every row they
-        store equals ``measure_chip`` on its chip."""
-        run_dir = tmp_path / "run"
-        summary = fleet_campaign.run(
-            run_dir=str(run_dir), chips_per_unit=1, **FLEET_CAMPAIGN_KW
-        )
-        stored = ResultStore(run_dir).load_results()
-        units = build_chip_units(
-            chips_per_vendor=fleet_campaign.chips_per_vendor,
-            geometry=fleet_campaign.geometry,
-            iterations=fleet_campaign.iterations,
-            seed=fleet_campaign.seed,
-            **FLEET_CAMPAIGN_KW,
-        )
-        assert {uid: row.value for uid, row in stored.items()} == {
-            unit.unit_id: measure_chip(unit.payload) for unit in units
-        }
-        assert summary == per_chip_summary(
-            fleet_campaign, tmp_path / "per-chip", **FLEET_CAMPAIGN_KW
-        )
+        store equals the per-chip walk on its chip."""
+        assert_campaign_matches_reference(fleet_campaign, **FLEET_CAMPAIGN_KW, chips_per_unit=1)
 
     def test_chips_per_unit_validation(self, fleet_campaign):
         with pytest.raises(ConfigurationError):
             fleet_campaign.run(chips_per_unit=0, **FLEET_CAMPAIGN_KW)
 
-    def test_fleet_run_resumes_per_chip_run_directory(self, fleet_campaign, tmp_path):
+    def test_fleet_run_resumes_per_chip_run_directory(self, fleet_campaign):
         """A run dir the per-chip walk wrote (what older versions left
-        behind) resumes under an explicit unit size and under the default
-        to the summary its per-chip rows give."""
-        run_dir = tmp_path / "run"
-        full = per_chip_summary(fleet_campaign, run_dir, **FLEET_CAMPAIGN_KW)
-        results_path = run_dir / "results.jsonl"
-        kept = results_path.read_text().splitlines()[:2]
-
+        behind) resumes under an explicit unit size and under the default,
+        measuring the missing chips under per-chip ids."""
         for chips_per_unit in (3, None):
-            results_path.write_text("\n".join(kept) + "\n")
-            executed = []
-            resumed = fleet_campaign.run(
-                run_dir=str(run_dir),
-                resume=True,
-                chips_per_unit=chips_per_unit,
-                progress=lambda result, tracker: executed.append(result.unit_id),
-                **FLEET_CAMPAIGN_KW,
+            assert_campaign_matches_reference(
+                fleet_campaign, **FLEET_CAMPAIGN_KW,
+                chips_per_unit=PER_CHIP, stop_after=2, resume_with=chips_per_unit,
             )
-            assert json.dumps(resumed.to_json_dict(), sort_keys=True) == json.dumps(
-                full.to_json_dict(), sort_keys=True
-            )
-            # Per-chip rows, per-chip progress: chunk ids never surface.
-            assert len(executed) == 4
-            assert all(unit_id.startswith("chip-") for unit_id in executed)
 
-    def test_per_chip_run_resumes_fleet_run_directory(self, fleet_campaign, tmp_path):
+    def test_per_chip_run_resumes_fleet_run_directory(self, fleet_campaign):
         """The per-chip walk resumes a kernel-written run dir; the mixed
-        rows give the kernel run's summary."""
-        run_dir = tmp_path / "run"
-        full = fleet_campaign.run(
-            run_dir=str(run_dir), chips_per_unit=2, **FLEET_CAMPAIGN_KW
+        rows give the reference summary."""
+        assert_campaign_matches_reference(
+            fleet_campaign, **FLEET_CAMPAIGN_KW,
+            chips_per_unit=2, stop_after=3, resume_with=PER_CHIP,
         )
-        results_path = run_dir / "results.jsonl"
-        rows = results_path.read_text().splitlines()
-        # The store holds one per-chip row per chip regardless of chunking.
-        assert len(rows) == 6
-        results_path.write_text("\n".join(rows[:3]) + "\n")
-        write_per_chip_run_dir(fleet_campaign, run_dir, resume=True, **FLEET_CAMPAIGN_KW)
-        assert len(results_path.read_text().splitlines()) == 6
-        executed = []
-        resumed = fleet_campaign.run(
-            run_dir=str(run_dir),
-            resume=True,
-            progress=lambda result, tracker: executed.append(result.unit_id),
-            **FLEET_CAMPAIGN_KW,
-        )
-        assert not executed
-        assert resumed == full
 
     def test_chunk_run_resumes_tile_era_run_directory(self, fleet_campaign, tmp_path):
         """Run dirs written while condition tiles existed carry a

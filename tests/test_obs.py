@@ -8,9 +8,11 @@ Covers the layer's contracts:
   events;
 * gating -- disabled instrumentation records nothing, enabling is
   reversible, injection into the engine works without the global flag;
-* **zero perturbation** -- a campaign summary is byte-identical with
-  observability enabled vs disabled, and the run directory gains an
-  ``events.jsonl`` without any change to ``results.jsonl`` semantics.
+* **zero perturbation** -- a campaign summary with observability enabled
+  is byte-identical to the per-chip reference summary (a named case of
+  the check ``tests/test_differential.py`` draws), and the run directory
+  gains an ``events.jsonl`` without any change to ``results.jsonl``
+  semantics.
 """
 
 import json
@@ -41,7 +43,7 @@ from repro.runner import (
     measure_chip,
 )
 
-from conftest import TINY_GEOMETRY, TEST_SEED
+from conftest import TINY_GEOMETRY, TEST_SEED, assert_campaign_matches_reference
 
 MANIFEST = {"fingerprint": "f" * 32}
 
@@ -343,34 +345,12 @@ CAMPAIGN_KW = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
 
 
 class TestZeroPerturbation:
-    def test_summary_byte_identical_with_obs_on_vs_off(self, campaign, tmp_path):
-        obs.disable()
-        obs.reset()
-        baseline = campaign.run(**CAMPAIGN_KW)
-        try:
-            obs.enable()
-            instrumented = campaign.run(
-                run_dir=str(tmp_path / "run"), **CAMPAIGN_KW
-            )
-        finally:
-            obs.disable()
-            obs.reset()
-        assert instrumented == baseline
-        assert instrumented.to_text() == baseline.to_text()
-        assert instrumented.to_text().encode() == baseline.to_text().encode()
+    def test_summary_byte_identical_with_obs_on_vs_off(self, campaign):
+        assert_campaign_matches_reference(campaign, **CAMPAIGN_KW, observed=True)
 
-    def test_fleet_summary_byte_identical_with_kernel_spans(self, campaign):
-        obs.disable()
-        obs.reset()
-        baseline = campaign.run(**CAMPAIGN_KW)
-        try:
-            obs.enable()
-            instrumented = campaign.run(chips_per_unit=2, **CAMPAIGN_KW)
-            names = {row["name"] for row in obs.get().snapshot()}
-        finally:
-            obs.disable()
-            obs.reset()
-        assert instrumented.to_text() == baseline.to_text()
+    def test_fleet_run_reports_kernel_spans(self, campaign, enabled_obs):
+        campaign.run(chips_per_unit=2, **CAMPAIGN_KW)
+        names = {row["name"] for row in obs.get().snapshot()}
         # The fleet path reports per-phase kernel spans.
         assert "span.kernel.read_compare" in names
 

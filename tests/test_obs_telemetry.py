@@ -12,7 +12,8 @@ replays the buffered events.  These tests pin the contracts end to end:
   series (``chip.commands``, profiler counters, kernel-phase spans) with
   the same totals as the serial run of the same campaign;
 * campaign summaries stay byte-identical with observability on vs off on
-  the multiprocess path;
+  the multiprocess path (a named case of the check
+  ``tests/test_differential.py`` draws);
 * the transport itself: ``capture`` isolation, ``execute_unit``
   attachment, result-equality/JSON neutrality, engine-side merge and
   event replay, and the durable ``metrics.json`` at run end.
@@ -28,12 +29,12 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.errors import ConfigurationError
-from repro.obs import BufferedEventSink, ListEventSink, Observability
-from repro.obs.metrics import DEFAULT_BUCKET_BOUNDS, Histogram
+from repro.obs import ListEventSink, Observability
+from repro.obs.metrics import Histogram
 from repro.runner import METRICS_NAME, RunnerEngine, WorkUnit
 from repro.runner.executors import execute_unit
 
-from conftest import TINY_GEOMETRY
+from conftest import TINY_GEOMETRY, assert_campaign_matches_reference
 
 MANIFEST = {"fingerprint": "f" * 32}
 CAMPAIGN_KW = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
@@ -274,12 +275,11 @@ def _run_with_metrics(campaign, **kwargs):
     obs.reset()
     obs.enable()
     try:
-        summary = campaign.run(**CAMPAIGN_KW, **kwargs)
-        snapshot = obs.snapshot()
+        campaign.run(**CAMPAIGN_KW, **kwargs)
+        return obs.snapshot()
     finally:
         obs.disable()
         obs.reset()
-    return summary, snapshot
 
 
 def _series_index(snapshot):
@@ -292,15 +292,10 @@ class TestMultiprocessParity:
     def test_merged_report_matches_serial(self, campaign):
         # One unit size for both runs: the computed default differs with
         # the worker count, and so would the series structure.
-        serial_summary, serial_snap = _run_with_metrics(
-            campaign, backend="serial", chips_per_unit=1
-        )
-        pool_summary, pool_snap = _run_with_metrics(
+        serial_snap = _run_with_metrics(campaign, backend="serial", chips_per_unit=1)
+        pool_snap = _run_with_metrics(
             campaign, backend=None, workers=4, chips_per_unit=1
         )
-        # Same simulation outcome either way.
-        assert pool_summary == serial_summary
-
         serial_idx, pool_idx = _series_index(serial_snap), _series_index(pool_snap)
         # Identical series structure: every (name, labels) pair exists in
         # both runs -- the pool run lost no worker-side series.
@@ -336,14 +331,6 @@ class TestMultiprocessParity:
                 )
 
     def test_multiprocess_summary_byte_identical_obs_on_vs_off(self, campaign):
-        obs.disable()
-        obs.reset()
-        baseline = campaign.run(backend=None, workers=2, **CAMPAIGN_KW)
-        try:
-            obs.enable()
-            instrumented = campaign.run(backend=None, workers=2, **CAMPAIGN_KW)
-        finally:
-            obs.disable()
-            obs.reset()
-        assert instrumented == baseline
-        assert instrumented.to_text().encode() == baseline.to_text().encode()
+        assert_campaign_matches_reference(
+            campaign, **CAMPAIGN_KW, backend=None, workers=2, observed=True
+        )

@@ -1,14 +1,17 @@
 """Tests for the parallel campaign execution engine (`repro.runner`).
 
-Covers the subsystem's three contracts:
+Covers the engine's contracts on toy units:
 
-* determinism -- a process-pool run produces a byte-identical
-  ``CampaignSummary`` to the serial backend;
+* determinism -- a process-pool run returns the serial backend's
+  results, and a pooled campaign the per-chip reference summary;
 * checkpoint/resume -- a run interrupted after K units relaunches from its
   run directory, executes only the remaining units, and reproduces the
-  uninterrupted summary;
+  uninterrupted results;
 * failure capture -- a raising work unit is retried, recorded as a
   structured failure row, and does not abort the run.
+
+The campaign cases are named cases of the differential check that
+``tests/test_differential.py`` runs on drawn campaigns.
 """
 
 import json
@@ -33,7 +36,7 @@ from repro.runner import (
 )
 from repro.runner.units import STATUS_FAILED, STATUS_OK
 
-from conftest import TINY_GEOMETRY, per_chip_summary
+from conftest import TINY_GEOMETRY, assert_campaign_matches_reference
 
 MANIFEST = {"fingerprint": "f" * 32}
 
@@ -428,32 +431,13 @@ CAMPAIGN_KW = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
 
 
 class TestCampaignThroughRunner:
-    def test_parallel_matches_serial_byte_identical(self, campaign, tmp_path):
-        reference = per_chip_summary(campaign, tmp_path / "per-chip", **CAMPAIGN_KW)
-        serial = campaign.run(backend="serial", **CAMPAIGN_KW)
-        parallel = campaign.run(backend="process", workers=4, **CAMPAIGN_KW)
-        assert serial == reference
-        assert parallel == serial
-        assert parallel.to_text() == serial.to_text()
+    def test_parallel_matches_serial_byte_identical(self, campaign):
+        for route in (dict(backend="serial"), dict(backend="process", workers=4)):
+            assert_campaign_matches_reference(campaign, **CAMPAIGN_KW, **route)
 
-    def test_resume_completes_only_remaining_chips(self, campaign, tmp_path):
-        run_dir = str(tmp_path / "run")
-        full = campaign.run(run_dir=run_dir, **CAMPAIGN_KW)
-
+    def test_resume_completes_only_remaining_chips(self, campaign):
         # Keep only the first chip's row: the "crash" lost two of three.
-        results_path = tmp_path / "run" / "results.jsonl"
-        kept = results_path.read_text().splitlines()[:1]
-        results_path.write_text("\n".join(kept) + "\n")
-
-        executed = []
-        resumed = campaign.run(
-            run_dir=run_dir,
-            resume=True,
-            progress=lambda result, tracker: executed.append(result.unit_id),
-            **CAMPAIGN_KW,
-        )
-        assert len(executed) == 2
-        assert resumed == full
+        assert_campaign_matches_reference(campaign, **CAMPAIGN_KW, stop_after=1)
 
     def test_single_temperature_reports_none_coefficient(self, campaign):
         summary = campaign.run(intervals_s=(0.512, 1.024), temperatures_c=(45.0,))

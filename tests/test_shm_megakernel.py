@@ -1,7 +1,9 @@
-"""Shared-memory populations and the condition-grid megakernel.
+"""Shared-memory populations and the condition-grid kernel.
 
-Both features carry the same contract as every other fleet optimization:
-byte-identical results, just faster.  The tests here pin
+That the kernel on shared populations reproduces the per-chip reference
+walk -- serial or pooled, at any unit size, resumed under any other -- is
+checked by ``tests/test_differential.py`` on drawn cases.  The tests here
+pin
 
 * :class:`repro.dram.shm.SharedPopulationStore` round-trips weak-cell
   samples through a segment bit-for-bit, including chunk-narrowed
@@ -11,20 +13,20 @@ byte-identical results, just faster.  The tests here pin
   segment, kill -9 leaves exactly one segment plus a ``shm.json``
   sidecar that the next open of the run directory reclaims;
 * :meth:`repro.core.fleetprof.FleetProfiler.run_grid` sweeps a whole
-  condition grid to the same results, traces, clocks, and RNG end states
-  as standalone per-chip
-  :class:`~repro.core.bruteforce.BruteForceProfiler` runs over the same
-  conditions;
-* pooled fleet campaigns on the shared segment match the serial per-chip
-  summary;
-* fleet chunking edge cases (``chips_per_unit`` larger than the
-  population, trailing 1-chip chunks) keep resume fingerprints and
-  summaries intact.
+  condition grid, and a schedule the standard pattern order never
+  produces, to the per-chip walks' results and end states, and leaves the
+  chips untouched on an empty grid and on a grid it rejects;
+* pooled campaigns on the shared segment, and fleet chunking edges
+  (``chips_per_unit`` larger than the population, a trailing 1-chip chunk
+  resumed under another size), match the per-chip reference;
+* an oversized unit size packs every chip into one chunk.
+
+The lifecycle tests watch ``/dev/shm``; on a host without it they skip,
+since a leak there could not be seen.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -33,18 +35,14 @@ import textwrap
 import time
 from multiprocessing import resource_tracker
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
-from repro.core.bruteforce import BruteForceProfiler
-from repro.core import fleetprof
 from repro.core.fleetprof import FleetProfiler
+from repro.dram.fleet import ChipFleet
 from repro.dram.geometry import ChipGeometry
 from repro.dram.shm import (
     SIDECAR_NAME,
@@ -58,11 +56,17 @@ from repro.dram.shm import (
 )
 from repro.dram.vendor import VENDOR_A, VENDOR_B
 from repro.errors import ConfigurationError, ProfilingError
-from repro.infra.testbed import FleetBed, TestBed
-from repro.patterns import RANDOM, STANDARD_PATTERNS
+from repro.infra.testbed import FleetBed
+from repro.patterns import CHECKERBOARD, RANDOM, SOLID_ZERO
 from repro.runner import build_chip_units, build_fleet_units
 
-from conftest import TEST_SEED, dpd_end_state, per_chip_summary
+from conftest import (
+    TEST_SEED,
+    assert_campaign_matches_reference,
+    chip_end_state,
+    per_chip_summary,
+    profile_routes,
+)
 
 MICRO = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 MEMBERS = [(0, VENDOR_B), (1, VENDOR_B), (2, VENDOR_A)]
@@ -70,12 +74,18 @@ MEMBERS = [(0, VENDOR_B), (1, VENDOR_B), (2, VENDOR_A)]
 CAMPAIGN_KW = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
 
 
+SHM_ROOT = Path("/dev/shm")
+
+#: Leak checks compare the segments in /dev/shm before and after; without
+#: it they would pass without checking anything.
+needs_dev_shm = pytest.mark.skipif(
+    not SHM_ROOT.is_dir(), reason="no /dev/shm: segment leaks cannot be observed"
+)
+
+
 def segment_names() -> set:
-    """Names of our live shared-memory segments (Linux: files in /dev/shm)."""
-    shm_root = Path("/dev/shm")
-    if not shm_root.is_dir():  # pragma: no cover - non-Linux fallback
-        return set()
-    return {p.name for p in shm_root.glob("*repro-fleet-*")}
+    """Names of our live shared-memory segments (files in /dev/shm)."""
+    return {p.name for p in SHM_ROOT.glob("*repro-fleet-*")}
 
 
 def sample_specs(n_chips: int = 3):
@@ -219,37 +229,10 @@ class TestSharedPopulationStore:
         remove_sidecar(tmp_path)  # no-op on a missing file
 
 
-def fresh_fleet(temperature=45.0):
+def fresh_fleet():
     bed = FleetBed.build(members=MEMBERS, geometry=MICRO, seed=TEST_SEED)
-    bed.set_ambient(temperature)
-    from repro.dram.fleet import ChipFleet
-
+    bed.set_ambient(45.0)
     return ChipFleet(bed.chips)
-
-
-def single_chips(temperature=45.0):
-    """The fleet's members, each racked standalone in its own bed."""
-    chips = []
-    for chip_id, vendor in MEMBERS:
-        bed = TestBed.build_single(
-            chip_id=chip_id, vendor=vendor, geometry=MICRO, seed=TEST_SEED
-        )
-        bed.set_ambient(temperature)
-        chips.append(bed.chips[0])
-    return chips
-
-
-def chip_end_state(chips):
-    return [
-        (
-            chip.clock.now,
-            chip.read_rng.bit_generator.state,
-            chip.vrt.rng.bit_generator.state if hasattr(chip.vrt, "rng") else None,
-            len(chip.trace.records),
-            dpd_end_state(chip),
-        )
-        for chip in chips
-    ]
 
 
 class TestRunGridEquivalence:
@@ -260,19 +243,12 @@ class TestRunGridEquivalence:
     )
 
     def test_grid_matches_per_chip_profiles(self):
-        grid_fleet = fresh_fleet()
-        got = FleetProfiler(iterations=2).run_grid(grid_fleet, self.GRID)
-
-        chips = single_chips()
-        profiler = BruteForceProfiler(iterations=2)
-        for cond, results in zip(self.GRID, got):
-            for chip, result in zip(chips, results):
-                assert result.chip_id == chip.chip_id
-                assert result.failing == profiler.run(chip, cond).failing
-        # End states match: clock, RNG streams, trace length and content.
-        assert chip_end_state(grid_fleet.chips) == chip_end_state(chips)
-        for a, b in zip(grid_fleet.chips, chips):
-            assert a.trace.records == b.trace.records
+        """run_grid over a grid leaves the per-chip walks' failing sets,
+        traces, clocks and RNG end states, fast path or reference."""
+        kernel, fast, reference = profile_routes(
+            MEMBERS, MICRO, TEST_SEED, [45.0], [c.trefi for c in self.GRID], iterations=2
+        )
+        assert kernel == fast == reference
 
     def test_empty_grid_is_a_no_op(self):
         profiler = FleetProfiler(iterations=1)
@@ -292,67 +268,20 @@ class TestRunGridEquivalence:
         assert chip_end_state(fleet.chips) == before
 
 
-DETERMINISTIC = [p for p in STANDARD_PATTERNS if not p.stochastic]
-
-
-@st.composite
-def pattern_orders(draw):
-    """1-3 deterministic patterns plus the random family, in any order --
-    random writes before, between and after the deterministic ones."""
-    def distinct(patterns, max_size):
-        return st.lists(
-            st.sampled_from(patterns),
-            min_size=1,
-            max_size=max_size,
-            unique_by=lambda p: p.key,
-        )
-
-    chosen = draw(distinct(DETERMINISTIC, 3)) + draw(distinct([RANDOM, RANDOM.inverse], 2))
-    return draw(st.permutations(chosen))
-
-
 class TestRunGridDifferential:
-    """run_grid against per-chip BruteForceProfiler runs on schedules the
-    campaign's standard pattern order never produces."""
+    """run_grid against per-chip BruteForceProfiler runs on a schedule the
+    campaign's standard pattern order never produces (drawn ones are in
+    tests/test_differential.py)."""
 
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        patterns=pattern_orders(),
-        iterations=st.integers(min_value=1, max_value=3),
-        intervals=st.lists(
-            st.sampled_from([0.256, 0.512, 1.024, 2.048]), min_size=1, max_size=4
-        ),
-        temperature=st.sampled_from([45.0, 55.0]),
-        block_rows=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
-    )
-    def test_grid_matches_oracle(
-        self, patterns, iterations, intervals, temperature, block_rows
-    ):
-        grid = [Conditions(t, temperature=temperature) for t in intervals]
-        fleet = fresh_fleet(temperature)
-        budget = fleetprof._BLOCK_BUDGET_BYTES
-        if block_rows is not None:
-            # A budget of a few rows puts every condition in a read block
-            # of its own and splits runs of random writes across several
-            # excitation blocks.
-            budget = block_rows * 8 * len(fleet.population)
-        with mock.patch.object(fleetprof, "_BLOCK_BUDGET_BYTES", budget):
-            got = FleetProfiler(patterns=patterns, iterations=iterations).run_grid(
-                fleet, grid
-            )
-
-        chips = single_chips(temperature)
-        profiler = BruteForceProfiler(patterns=patterns, iterations=iterations)
-        for cond, results in zip(grid, got):
-            for chip, result in zip(chips, results):
-                assert result.failing == profiler.run(chip, cond).failing
-        assert chip_end_state(fleet.chips) == chip_end_state(chips)
-        for a, b in zip(fleet.chips, chips):
-            assert a.trace.records == b.trace.records
+    def test_grid_matches_oracle(self):
+        # Random writes before a first-time deterministic one and between
+        # two, a repeated interval, and read blocks of one row.
+        kernel, fast, reference = profile_routes(
+            MEMBERS, MICRO, TEST_SEED, [55.0], [2.048, 0.256, 2.048],
+            patterns=(RANDOM, SOLID_ZERO.inverse, RANDOM.inverse, CHECKERBOARD),
+            iterations=2, block_rows=1,
+        )
+        assert kernel == fast == reference
 
 
 @pytest.fixture(scope="module")
@@ -363,15 +292,11 @@ def campaign():
 
 
 class TestCampaignSegment:
-    def test_pooled_shm_matches_serial(self, campaign, tmp_path):
-        reference = per_chip_summary(campaign, tmp_path / "per-chip", **CAMPAIGN_KW)
-        serial = campaign.run(**CAMPAIGN_KW)
-        pooled = campaign.run(
-            backend="process", workers=2, chips_per_unit=2, **CAMPAIGN_KW
-        )
-        assert serial == reference
-        assert pooled == reference
+    def test_pooled_shm_matches_serial(self, campaign):
+        for route in (dict(), dict(backend="process", workers=2, chips_per_unit=2)):
+            assert_campaign_matches_reference(campaign, **CAMPAIGN_KW, **route)
 
+    @needs_dev_shm
     def test_no_segment_or_sidecar_survives_a_run(self, campaign, tmp_path):
         before = segment_names()
         run_dir = tmp_path / "run"
@@ -379,6 +304,7 @@ class TestCampaignSegment:
         assert segment_names() == before
         assert not (run_dir / SIDECAR_NAME).exists()
 
+    @needs_dev_shm
     def test_cooperative_cancel_unlinks_the_segment(self, campaign, tmp_path):
         before = segment_names()
         seen = []
@@ -399,10 +325,8 @@ class TestCampaignSegment:
 
 
 class TestFleetChunkingEdges:
-    def test_chips_per_unit_larger_than_population(self, campaign, tmp_path):
-        reference = per_chip_summary(campaign, tmp_path / "per-chip", **CAMPAIGN_KW)
-        oversized = campaign.run(chips_per_unit=64, **CAMPAIGN_KW)
-        assert oversized == reference
+    def test_chips_per_unit_larger_than_population(self, campaign):
+        assert_campaign_matches_reference(campaign, **CAMPAIGN_KW, chips_per_unit=64)
 
     def test_build_fleet_units_oversized_makes_one_chunk(self):
         units = build_chip_units(
@@ -420,22 +344,13 @@ class TestFleetChunkingEdges:
             u.unit_id for u in units
         ]
 
-    def test_trailing_single_chip_chunk_round_trips_resume(
-        self, campaign, tmp_path
-    ):
+    def test_trailing_single_chip_chunk_round_trips_resume(self, campaign):
         """6 chips at chips_per_unit=5 leaves a 1-chip trailing chunk; the
         run directory it writes must resume under any other chunking (the
         fingerprint covers the workload, not the dispatch)."""
-        run_dir = str(tmp_path / "run")
-        full = campaign.run(run_dir=run_dir, chips_per_unit=5, **CAMPAIGN_KW)
-        results_path = tmp_path / "run" / "results.jsonl"
-        rows = results_path.read_text().splitlines()
-        assert len(rows) == 6  # per-chip rows regardless of chunking
-        results_path.write_text("\n".join(rows[:5]) + "\n")
-        resumed = campaign.run(
-            run_dir=run_dir, resume=True, chips_per_unit=2, **CAMPAIGN_KW
+        assert_campaign_matches_reference(
+            campaign, **CAMPAIGN_KW, chips_per_unit=5, stop_after=5, resume_with=2
         )
-        assert resumed == full
 
 
 KILL9_SCRIPT = textwrap.dedent(
@@ -467,6 +382,7 @@ KILL9_SCRIPT = textwrap.dedent(
 )
 
 
+@needs_dev_shm
 @pytest.mark.slow
 def test_kill9_leaves_no_tracked_leak_and_resumes_identically(campaign, tmp_path):
     """SIGKILL mid-run: the segment survives (by design -- only the sidecar
@@ -517,6 +433,7 @@ def test_kill9_leaves_no_tracked_leak_and_resumes_identically(campaign, tmp_path
     assert not (run_dir / SIDECAR_NAME).exists()
 
 
+@needs_dev_shm
 @pytest.mark.slow
 def test_service_cancel_unlinks_segments(tmp_path):
     """A cancelled fleet job must not leak its population segment across
