@@ -49,7 +49,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from benchutil import host_stamp  # noqa: E402
+from benchutil import host_stamp, output_paths  # noqa: E402
 from repro.analysis.campaign import CharacterizationCampaign  # noqa: E402
 from repro.dram.geometry import ChipGeometry  # noqa: E402
 from repro.dram.vendor import VENDORS  # noqa: E402
@@ -146,7 +146,13 @@ def main(argv=None) -> int:
         "--chips-per-unit", type=int, default=32, dest="chips_per_unit",
         help="fleet chunk size for the batched mode",
     )
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT, help="JSON output path")
+    parser.add_argument(
+        "--out",
+        type=pathlib.Path,
+        default=None,
+        help=f"JSON output path (default {DEFAULT_OUT.name} at the repository root); "
+        "the text report goes beside it",
+    )
     parser.add_argument(
         "--min-speedup",
         type=float,
@@ -154,6 +160,7 @@ def main(argv=None) -> int:
         help="exit non-zero if the fleet arm's speedup over the per-chip walk falls below this",
     )
     args = parser.parse_args(argv)
+    out_path, report_path = output_paths(args.out, DEFAULT_OUT, REPORT_PATH)
 
     n_chips = 3 * CHIPS_PER_VENDOR
     best, equivalent, summary = run_benchmark(args.rounds, args.chips_per_unit)
@@ -196,8 +203,8 @@ def main(argv=None) -> int:
         "equivalent": equivalent,
         "measured_chips": summary.n_chips,
     }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    out = args.out.resolve()
+    out_path.write_text(json.dumps(result, indent=2) + "\n")
+    out = out_path.resolve()
     shown = out.relative_to(REPO_ROOT) if out.is_relative_to(REPO_ROOT) else out
 
     report = "\n".join(
@@ -218,8 +225,8 @@ def main(argv=None) -> int:
             f"  json        : {shown}",
         ]
     )
-    REPORT_PATH.parent.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(report + "\n")
+    report_path.parent.mkdir(exist_ok=True)
+    report_path.write_text(report + "\n")
     print(report)
 
     if not equivalent:

@@ -53,6 +53,7 @@ from repro.core import BruteForceProfiler  # noqa: E402
 from repro.dram.chip import SimulatedDRAMChip  # noqa: E402
 from repro.dram.geometry import ChipGeometry  # noqa: E402
 from repro.patterns import STANDARD_PATTERNS  # noqa: E402
+from benchutil import output_paths  # noqa: E402
 
 GEOMETRY = ChipGeometry.from_capacity_gigabits(4.0)
 CONDITIONS = Conditions(trefi=1.024, temperature=45.0)
@@ -123,7 +124,13 @@ def run_benchmark(rounds: int, gate: float = None, max_rounds: int = None):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=5, help="off/on round pairs (median-of)")
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT, help="JSON output path")
+    parser.add_argument(
+        "--out",
+        type=pathlib.Path,
+        default=None,
+        help=f"JSON output path (default {DEFAULT_OUT.name} at the repository root); "
+        "the text report goes beside it",
+    )
     parser.add_argument(
         "--max-overhead",
         type=float,
@@ -131,6 +138,7 @@ def main(argv=None) -> int:
         help="exit non-zero if enabled-instrumentation overhead exceeds this fraction",
     )
     args = parser.parse_args(argv)
+    out_path, report_path = output_paths(args.out, DEFAULT_OUT, REPORT_PATH)
 
     passes = ITERATIONS * len(STANDARD_PATTERNS)
     off_seconds, on_seconds, overhead, equivalent, rounds_run = run_benchmark(
@@ -156,7 +164,7 @@ def main(argv=None) -> int:
         "overhead_fraction": overhead,
         "equivalent": equivalent,
     }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    out_path.write_text(json.dumps(result, indent=2) + "\n")
 
     report = "\n".join(
         [
@@ -169,11 +177,11 @@ def main(argv=None) -> int:
             f"  overhead    : {overhead:+.2%} (gate {args.max_overhead:.0%}, "
             f"best of {rounds_run} rounds)",
             f"  byte-identical profiles: {equivalent}",
-            f"  json        : {args.out}",
+            f"  json        : {out_path}",
         ]
     )
-    REPORT_PATH.parent.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(report + "\n")
+    report_path.parent.mkdir(exist_ok=True)
+    report_path.write_text(report + "\n")
     print(report)
 
     if not equivalent:

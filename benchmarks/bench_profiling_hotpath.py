@@ -32,6 +32,7 @@ from repro.core import BruteForceProfiler  # noqa: E402
 from repro.dram.chip import SimulatedDRAMChip  # noqa: E402
 from repro.dram.geometry import ChipGeometry  # noqa: E402
 from repro.patterns import STANDARD_PATTERNS  # noqa: E402
+from benchutil import output_paths  # noqa: E402
 
 GEOMETRY = ChipGeometry.from_capacity_gigabits(2.0)
 CONDITIONS = Conditions(trefi=1.024, temperature=45.0)
@@ -77,7 +78,13 @@ def run_benchmark(rounds: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=3, help="timing rounds per mode (best-of)")
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT, help="JSON output path")
+    parser.add_argument(
+        "--out",
+        type=pathlib.Path,
+        default=None,
+        help=f"JSON output path (default {DEFAULT_OUT.name} at the repository root); "
+        "the text report goes beside it",
+    )
     parser.add_argument(
         "--min-speedup",
         type=float,
@@ -85,6 +92,7 @@ def main(argv=None) -> int:
         help="exit non-zero if fast/reference speedup falls below this",
     )
     args = parser.parse_args(argv)
+    out_path, report_path = output_paths(args.out, DEFAULT_OUT, REPORT_PATH)
 
     passes = ITERATIONS * len(STANDARD_PATTERNS)
     ref_seconds, fast_seconds, equivalent, ref_profile = run_benchmark(args.rounds)
@@ -116,7 +124,7 @@ def main(argv=None) -> int:
         "equivalent": equivalent,
         "failing_cells": len(ref_profile),
     }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    out_path.write_text(json.dumps(result, indent=2) + "\n")
 
     report = "\n".join(
         [
@@ -128,11 +136,11 @@ def main(argv=None) -> int:
             f"  fast path   : {fast_seconds:.3f}s  ({passes / fast_seconds:,.0f} passes/s)",
             f"  speedup     : {speedup:.2f}x",
             f"  byte-identical profiles: {equivalent}",
-            f"  json        : {args.out}",
+            f"  json        : {out_path}",
         ]
     )
-    REPORT_PATH.parent.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(report + "\n")
+    report_path.parent.mkdir(exist_ok=True)
+    report_path.write_text(report + "\n")
     print(report)
 
     if not equivalent:

@@ -42,6 +42,7 @@ from repro.lake import (  # noqa: E402
     summary_from_lake,
     summary_from_run_dir,
 )
+from benchutil import output_paths  # noqa: E402
 
 SEED = 368
 VENDORS = ("A", "B", "C")
@@ -139,7 +140,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=100_000, help="raw result rows to synthesize")
     parser.add_argument("--rounds", type=int, default=3, help="timing rounds per path (best-of)")
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT, help="JSON output path")
+    parser.add_argument(
+        "--out",
+        type=pathlib.Path,
+        default=None,
+        help=f"JSON output path (default {DEFAULT_OUT.name} at the repository root); "
+        "the text report goes beside it",
+    )
     parser.add_argument(
         "--min-speedup",
         type=float,
@@ -147,6 +154,7 @@ def main(argv=None) -> int:
         help="exit non-zero if lake/jsonl speedup falls below this",
     )
     args = parser.parse_args(argv)
+    out_path, report_path = output_paths(args.out, DEFAULT_OUT, REPORT_PATH)
 
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench_result_lake_"))
     try:
@@ -197,7 +205,7 @@ def main(argv=None) -> int:
         "byte_identical": identical,
         "summary_units": summary["units"],
     }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    out_path.write_text(json.dumps(result, indent=2) + "\n")
 
     report_text = "\n".join(
         [
@@ -211,11 +219,11 @@ def main(argv=None) -> int:
             f"  speedup     : {speedup:.2f}x",
             f"  compression : {jsonl_bytes / segment_bytes:.2f}x",
             f"  byte-identical summaries: {identical}",
-            f"  json        : {args.out}",
+            f"  json        : {out_path}",
         ]
     )
-    REPORT_PATH.parent.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(report_text + "\n")
+    report_path.parent.mkdir(exist_ok=True)
+    report_path.write_text(report_text + "\n")
     print(report_text)
 
     if not identical:

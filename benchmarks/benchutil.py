@@ -1,4 +1,5 @@
-"""Shared helpers for benchmark scripts: host stamping and CPU counts.
+"""Shared helpers for benchmark scripts: host stamping, CPU counts and
+output paths.
 
 Benchmark JSONs are committed artifacts, so every emitted result must say
 *where* it was measured: worker count, usable CPU cores, interpreter and
@@ -11,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pathlib
 import platform
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +59,24 @@ def host_stamp(workers: Optional[int] = None) -> Dict[str, Any]:
     if workers is not None:
         stamp["workers"] = int(workers)
     return stamp
+
+
+def output_paths(
+    out: Optional[pathlib.Path], default_json: pathlib.Path, default_report: pathlib.Path
+) -> Tuple[pathlib.Path, pathlib.Path]:
+    """Where a benchmark writes its JSON result and its text report.
+
+    Without ``--out`` (``out is None``) these are the committed defaults;
+    with it, the JSON goes to ``out`` and the report beside it with a
+    ``.txt`` suffix (``.report.txt`` when ``out`` itself ends in ``.txt``),
+    so a measurement aimed elsewhere leaves the committed files alone.
+    """
+    if out is None:
+        return default_json, default_report
+    report = out.with_suffix(".txt")
+    if report == out:
+        report = out.with_name(out.stem + ".report.txt")
+    return out, report
 
 
 if __name__ == "__main__":  # pragma: no cover - debugging aid

@@ -84,7 +84,11 @@ class FleetProfiler:
     ----------
     patterns:
         Data patterns tested each iteration; defaults to the paper's six
-        base patterns plus inverses.
+        base patterns plus inverses.  A stochastic pattern must belong to
+        the random family (``name == "random"``, Beta(2, 2) alignment, as
+        :data:`~repro.patterns.RANDOM` and its inverse do): the kernel
+        draws its writes in blocks (:func:`_excite_random_writes`), which
+        models no other stochastic pattern.
     iterations:
         Number of rounds (the campaign worker uses the campaign's
         ``iterations``).
@@ -106,6 +110,12 @@ class FleetProfiler:
             raise ConfigurationError(f"iterations must be positive, got {iterations!r}")
         if not patterns:
             raise ConfigurationError("at least one data pattern is required")
+        for pattern in patterns:
+            if pattern.stochastic and not _random_family(pattern):
+                raise ConfigurationError(
+                    f"stochastic pattern {pattern.key!r} is outside the random "
+                    "Beta(2, 2) family the fleet kernel draws in blocks"
+                )
         self.patterns = tuple(patterns)
         self.iterations = iterations
 
@@ -290,7 +300,8 @@ class FleetProfiler:
         # Deterministic rows group by (pattern, condition) -- each group
         # one Chernoff-cut evaluation per distinct exposure
         # (FleetPopulation.deterministic_failures) -- and stochastic rows
-        # run the Chernoff-banded sampler on their own row.  Zero
+        # one each (FleetPopulation.stochastic_failures); both cut through
+        # repro.dram.cell.chernoff_hits.  Zero
         # exposures never fail (the sequential path short-circuits there
         # while still consuming the uniforms, as the block draw does).
         # ------------------------------------------------------------------
@@ -324,9 +335,10 @@ class FleetProfiler:
                         continue
                     if step.pattern.stochastic:
                         alignment, stressed = states[k]
-                        discovered[step.cond] |= population._sample_banded(
-                            step.exposure_s, scales, alignment, stressed, u=u_all[k]
+                        hits = population.stochastic_failures(
+                            step.exposure_s, scales, alignment, stressed, u_all[k]
                         )
+                        discovered[step.cond, hits] = True
                     else:
                         groups.setdefault((step.pattern.key, step.cond), []).append(k)
                 for (_key, cond), ks in groups.items():
@@ -449,6 +461,11 @@ class FleetProfiler:
         return cells[~in_space]
 
 
+def _random_family(pattern: DataPattern) -> bool:
+    """Is ``pattern`` a random-data pattern with Beta(2, 2) alignment?"""
+    return pattern.name == "random" and pattern.alignment_beta == (2.0, 2.0)
+
+
 class _DPDReplay:
     """Each write's fleet-stacked DPD state, drawn in the sequential
     walk's order, one block of rows at a time.
@@ -458,16 +475,14 @@ class _DPDReplay:
     calls return the cached arrays untouched), so exciting once per
     (chip, deterministic pattern) and reusing the returned arrays
     consumes each chip's DPD stream identically -- including the object
-    identities the chips' caches pin on.  Stochastic patterns redraw
-    every write, exactly like the walk.  The standard random pattern
-    family batches across the fleet and across writes: each run of
+    identities the chips' caches pin on.  Stochastic patterns (the random
+    family, :class:`FleetProfiler` admits no other) redraw every write,
+    batched across the fleet and across writes: each run of
     random-pattern writes within a block becomes one block draw per chip
-    (see :func:`_excite_random_writes`).  Exotic stochastic patterns
-    (non-Beta(2,2) or non-random families) keep the per-chip path.
-    Those and a first-time deterministic Beta draw are the stream's only
-    other consumers, so the pending run is flushed before either -- each
-    chip's stream is then consumed in exactly the sequential walk's
-    order.
+    (see :func:`_excite_random_writes`).  A first-time deterministic
+    excitation is the stream's only other consumer, so the pending run is
+    flushed before it -- each chip's stream is then consumed in exactly
+    the sequential walk's order.
     """
 
     def __init__(
@@ -480,15 +495,11 @@ class _DPDReplay:
         self.population = population
         self.segments = segments
         self.dpds = tuple(chip.population.dpd for chip in chips)
-        self.batch_ok = all(d.models_orientation for d in self.dpds)
-        if self.batch_ok:
-            self.caps_cells = np.repeat(
-                [d._random_cap for d in self.dpds],
-                [end - start for start, end in segments],
-            )
-            self.orientation_cells = population.stack(
-                [d._orientation for d in self.dpds]
-            )
+        self.caps_cells = np.repeat(
+            [d._random_cap for d in self.dpds],
+            [end - start for start, end in segments],
+        )
+        self.orientation_cells = population.stack([d._orientation for d in self.dpds])
         #: pattern key -> fleet-stacked (alignment, stress mask).
         self.deterministic: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         #: Batched rows bypass excite()'s cache stores; only the last row
@@ -497,21 +508,10 @@ class _DPDReplay:
         #: as copies -- the chips' caches never pin an excitation block.
         self.last_batched: Dict[str, int] = {}
         for r, step in enumerate(steps):
-            if self._batched(step.pattern):
+            if step.pattern.stochastic:
                 self.last_batched[step.pattern.key] = r
         #: pattern key -> (pattern, alignment copy, stress copy).
         self.committed: Dict[str, Tuple[DataPattern, np.ndarray, np.ndarray]] = {}
-
-    def _batched(self, pattern: DataPattern) -> bool:
-        return (
-            self.batch_ok
-            and pattern.stochastic
-            and pattern.name == "random"
-            and pattern.alignment_beta == (2.0, 2.0)
-        )
-
-    def _per_chip(self, pattern: DataPattern) -> Tuple[tuple, tuple]:
-        return tuple(zip(*[dpd.excite(pattern) for dpd in self.dpds]))
 
     def excite(
         self, first_row: int, block: Sequence[_ReadStep]
@@ -541,21 +541,16 @@ class _DPDReplay:
 
         for k, step in enumerate(block):
             pattern = step.pattern
-            if self._batched(pattern):
+            if pattern.stochastic:
                 pending.append(k)
                 continue
-            if pattern.stochastic:
+            entry = self.deterministic.get(pattern.key)
+            if entry is None:
                 flush()
-                aligns, stresses = self._per_chip(pattern)
-                states[k] = (stack(aligns), stack(stresses))
-            else:
-                entry = self.deterministic.get(pattern.key)
-                if entry is None:
-                    flush()
-                    aligns, stresses = self._per_chip(pattern)
-                    entry = (stack(aligns), stack(stresses))
-                    self.deterministic[pattern.key] = entry
-                states[k] = entry
+                aligns, stresses = zip(*[dpd.excite(pattern) for dpd in self.dpds])
+                entry = (stack(aligns), stack(stresses))
+                self.deterministic[pattern.key] = entry
+            states[k] = entry
         flush()
         return states
 

@@ -30,10 +30,9 @@ redundant:
   computed once per (pattern, temperature, exposure) and reused;
 * for a stochastic pattern the alignment is redrawn on every write, but
   most cells still have a vanishing failure probability: the Chernoff
-  bound ``ndtr(z) <= 0.5 * exp(-z**2 / 2)`` (for ``z <= 0``) proves
-  ``u >= p`` for almost every drawn uniform ``u`` without evaluating the
-  CDF, so exact ``ndtr`` runs only over the few *candidate* cells whose
-  uniform landed under the bound.
+  cut (:func:`chernoff_hits`) proves ``u >= p`` for almost every drawn
+  uniform ``u`` without evaluating the CDF, so exact ``ndtr`` runs only
+  over the few *candidate* cells whose uniform landed under the bound.
 
 ``ndtr`` also saturates in double precision -- exactly ``1.0`` at or beyond
 :data:`Z_PIN_ONE` and exactly ``0.0`` at or beyond :data:`Z_PIN_ZERO` -- which
@@ -81,6 +80,49 @@ Z_PIN_ZERO = -39.0
 #: can bridge -- so ``u >= bound`` proves ``u >= ndtr(z)`` exactly.  Cells
 #: above this threshold are always treated as candidates.
 _CHERNOFF_Z_MAX = -0.5
+
+
+def chernoff_hits(
+    z: np.ndarray,
+    u: np.ndarray,
+    stressed: Optional[np.ndarray],
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Cells that fail a read: ascending indices where ``u < ndtr(z) * stressed``.
+
+    ``z`` holds the cells' z-scores ``(exposure - mu_eff) / sigma_eff``,
+    ``u`` their uniforms, and ``stressed`` the 0/1 stress mask of the
+    written pattern (``None`` when every cell is stressed).  The result is
+    exactly the compare against the full probability vector, computed
+    without evaluating ``ndtr`` on almost any cell:
+
+    * for ``z <= _CHERNOFF_Z_MAX`` the Chernoff bound
+      ``0.5 * exp(-z**2 / 2)`` exceeds ``ndtr(z)`` -- and so the
+      stress-masked probability -- by >= 43%, far more than rounding can
+      bridge, so ``u >= bound`` proves the cell did not fail;
+    * the exponent is clamped at -60: deep-tail cells would otherwise push
+      ``exp`` into the subnormal slow path, and raising the bound (to
+      ~4e-27) only makes the cut more conservative;
+    * ``ndtr`` and the stress multiply then run on the few *candidate*
+      cells (the uniform fell under the bound, or ``z`` is above the
+      threshold) with the very expressions of the full pass, so each
+      candidate's probability is bit-equal to the full vector's.
+
+    The bound is staged through ``scratch`` when given (a float64 buffer of
+    ``len(z)``; ``-0.5 * z * z`` associates left, hence ``(-0.5 * z) * z``),
+    else through one fresh array; the staging changes allocations, not bits.
+    """
+    bound = np.multiply(-0.5, z, out=scratch)
+    np.multiply(bound, z, out=bound)
+    np.maximum(bound, -60.0, out=bound)
+    np.exp(bound, out=bound)
+    np.multiply(0.5, bound, out=bound)
+    candidates = np.flatnonzero((z > _CHERNOFF_Z_MAX) | (u < bound))
+    p = ndtr(z[candidates])
+    if stressed is not None:
+        p = p * stressed[candidates]
+    return candidates[u[candidates] < p]
+
 
 #: Upper bound on memoized (pattern, temperature) states per population;
 #: far above any realistic sweep (12 patterns x a handful of temperatures),
@@ -359,29 +401,14 @@ class WeakCellPopulation:
 
         The alignment changes on every write, so there is nothing to
         memoize -- but almost every cell's failure probability is tiny, and
-        a read only needs ``ndtr(z)`` exactly when the drawn uniform might
-        land under it.  For ``z <= _CHERNOFF_Z_MAX`` the Chernoff bound
-        ``0.5 * exp(-z**2 / 2)`` dominates ``ndtr(z)`` with >= 43% slack,
-        so ``u >= bound`` proves the cell did not fail; the exact CDF runs
-        only over the few candidates whose uniform fell under the bound
-        (plus all cells above the threshold).
+        :func:`chernoff_hits` evaluates ``ndtr`` only where the drawn
+        uniform might land under it.  Returns the failing cells' positions
+        in the weak tail, ascending.
         """
         scale = self.retention_scale(temperature_c)
         mu_eff = self._dpd.effective_retention(self._sample.mu_wc_s, alignment) * scale
         z = (exposure_s - mu_eff) / self._sigma_eff(temperature_c)
-        u = rng.random(len(z))
-        # Clamp the exponent: deep-tail cells would otherwise push exp()
-        # into the subnormal slow path, and raising the bound (to ~4e-27)
-        # only makes it more conservative -- never less correct.
-        bound = 0.5 * np.exp(np.maximum(-0.5 * z * z, -60.0))
-        candidates = np.flatnonzero((z > _CHERNOFF_Z_MAX) | (u < bound))
-        failed = np.zeros(len(z), dtype=bool)
-        if len(candidates):
-            p = ndtr(z[candidates])
-            if stressed is not None:
-                p = p * stressed[candidates]
-            failed[candidates] = u[candidates] < p
-        return failed
+        return chernoff_hits(z, rng.random(len(z)), stressed)
 
     def oracle_failing(self, conditions: Conditions, p_min: float = 0.05) -> np.ndarray:
         """Ground-truth failing set at ``conditions``.

@@ -106,33 +106,6 @@ def sample_weak_cells(
     return sampler.sample(geometry.capacity_bits, weak_cell_horizon_s(vendor, max_trefi_s))
 
 
-@dataclasses.dataclass(frozen=True)
-class PendingRead:
-    """One read-compare's evaluation point, captured before sampling.
-
-    :meth:`SimulatedDRAMChip.begin_read` performs everything a read does
-    *except* the failure evaluation -- the IO clock advance, VRT sync,
-    exposure bookkeeping, trace append, and the sense-amplifier restore --
-    and returns this record.  A caller then evaluates failures itself
-    (``population.sample_failures`` with the chip's own read RNG, or a
-    fused fleet pass over many chips) against exactly the state a plain
-    :meth:`~SimulatedDRAMChip.read_errors` would have used.
-
-    ``alignment``/``stressed`` are the DPD arrays of the written pattern
-    (the very objects the chip holds, so fast-path caches pin correctly);
-    ``read_at_s`` is the clock time of the read, the instant VRT episodes
-    are queried at.
-    """
-
-    exposure_s: float
-    temperature_c: float
-    alignment: np.ndarray
-    stressed: Optional[np.ndarray]
-    pattern_key: str
-    stochastic: bool
-    read_at_s: float
-
-
 class SimulatedDRAMChip:
     """One simulated DRAM chip with retention, VRT, and DPD behaviour.
 
@@ -411,15 +384,12 @@ class SimulatedDRAMChip:
         """
         return self._read_rng
 
-    def begin_read(self) -> PendingRead:
-        """Perform one read-compare's command work, deferring the evaluation.
+    def read_errors(self) -> np.ndarray:
+        """Read the array back and compare against the written pattern.
 
-        Advances the clock through the IO pass, syncs VRT, checks the
-        exposure bound, records the command, and restores the cells (the
-        exposure restarts) -- everything :meth:`read_errors` does around
-        the failure evaluation itself.  The returned :class:`PendingRead`
-        carries the exact evaluation point; sampling from it with the
-        chip's :attr:`read_rng` reproduces :meth:`read_errors` bit for bit.
+        Returns the sorted flat indices of cells that lost their data during
+        the current retention exposure.  Reading restores cell contents, so
+        the exposure restarts afterwards.
         """
         if self._pattern is None or self._alignment is None:
             raise CommandSequenceError("no data pattern has been written")
@@ -433,42 +403,23 @@ class SimulatedDRAMChip:
                 "construct the chip with a larger max_trefi_s"
             )
         self.trace.append(self.clock.now, Command.READ_COMPARE, f"exposure={exposure:.6f}s")
-        pending = PendingRead(
-            exposure_s=exposure,
-            temperature_c=self._temperature_c,
-            alignment=self._alignment,
-            stressed=self._stressed,
-            pattern_key=self._pattern.key,
-            stochastic=self._pattern.stochastic,
-            read_at_s=self.clock.now,
-        )
         # Reading through the sense amplifiers restores the cells.
         if not self._refresh_enabled:
             self._disable_time = self.clock.now
         self._frozen_exposure = 0.0
-        return pending
-
-    def read_errors(self) -> np.ndarray:
-        """Read the array back and compare against the written pattern.
-
-        Returns the sorted flat indices of cells that lost their data during
-        the current retention exposure.  Reading restores cell contents, so
-        the exposure restarts afterwards.
-        """
-        pending = self.begin_read()
         static = self.population.sample_failures(
-            pending.exposure_s,
-            pending.temperature_c,
-            pending.alignment,
+            exposure,
+            self._temperature_c,
+            self._alignment,
             self._read_rng,
-            stressed=pending.stressed,
-            pattern_key=pending.pattern_key,
-            stochastic=pending.stochastic,
+            stressed=self._stressed,
+            pattern_key=self._pattern.key,
+            stochastic=self._pattern.stochastic,
         )
-        vrt = self.vrt.failing_cells(pending.read_at_s, pending.exposure_s)
+        vrt = self.vrt.failing_cells(self.clock.now, exposure)
         if len(vrt) == 0:
-            # ``static`` is already sorted and unique (a boolean mask over
-            # the sorted weak-cell indices), so the union is the identity.
+            # ``static`` is already sorted and unique (a subset of the
+            # sorted weak-cell indices), so the union is the identity.
             return static
         return np.union1d(static, vrt)
 

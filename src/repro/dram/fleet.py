@@ -37,10 +37,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import ConfigurationError, ProfilingError
-from .cell import _CHERNOFF_Z_MAX, _FAST_CACHE_MAX_ENTRIES, WeakCellPopulation
+from .cell import _FAST_CACHE_MAX_ENTRIES, WeakCellPopulation, chernoff_hits
 from .chip import SimulatedDRAMChip
 
 
@@ -181,25 +180,6 @@ class FleetPopulation:
         np.divide(tmp, self._one_minus_s, out=tmp)
         return np.multiply(tmp, self._scale_cells(scales), out=tmp)
 
-    def _chernoff_candidates(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Cells whose failure the Chernoff bound cannot rule out.
-
-        For ``z <= _CHERNOFF_Z_MAX`` the bound ``0.5 * exp(-z**2 / 2)``
-        dominates ``ndtr(z)`` -- and so the stress-masked probability --
-        with >= 43% slack, so ``u >= bound`` proves ``u >= p`` exactly.
-        The exponent is clamped like the per-chip path's (deep-tail cells
-        would otherwise push exp() into the subnormal slow path), which
-        only raises the bound.  The bound is staged through
-        ``self._scratch`` (``-0.5 * z * z`` associates left, hence
-        ``(-0.5 * z) * z``).
-        """
-        bound = np.multiply(-0.5, z, out=self._scratch)
-        np.multiply(bound, z, out=bound)
-        np.maximum(bound, -60.0, out=bound)
-        np.exp(bound, out=bound)
-        np.multiply(0.5, bound, out=bound)
-        return np.flatnonzero((z > _CHERNOFF_Z_MAX) | (u < bound))
-
     def deterministic_failures(
         self,
         exposures_s: Sequence[float],
@@ -221,8 +201,7 @@ class FleetPopulation:
         Reads whose exposure floats are bit-equal share one probability
         vector, and ``any_k(u_k < p)`` holds exactly when ``min_k(u_k) <
         p``, so each exposure group evaluates one z vector against its
-        elementwise-minimum uniform row; the Chernoff cut then leaves
-        ``ndtr`` and the stress multiply only the few candidate cells.
+        elementwise-minimum uniform row through :func:`chernoff_hits`.
         """
         mu_eff = self._scaled_mu(alignment, scales)
         sigma_eff = self._sigma_eff(scales)
@@ -238,13 +217,10 @@ class FleetPopulation:
                     np.minimum(umin, u, out=umin)
             z = np.subtract(exposure_s, mu_eff, out=self._z)
             np.divide(z, sigma_eff, out=z)
-            candidates = self._chernoff_candidates(z, umin)
-            if len(candidates):
-                p = ndtr(z[candidates]) * stressed[candidates]
-                hits.append(candidates[umin[candidates] < p])
+            hits.append(chernoff_hits(z, umin, stressed, scratch=self._scratch))
         return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
-    def _sample_banded(
+    def stochastic_failures(
         self,
         exposure_s: float,
         scales: Tuple[float, ...],
@@ -252,8 +228,9 @@ class FleetPopulation:
         stressed: np.ndarray,
         u: np.ndarray,
     ) -> np.ndarray:
-        """Fused Chernoff-cut sampling (stochastic patterns): the fleet
-        analogue of ``_sample_banded_fast``, candidates gathered globally.
+        """Cells that fail one read of a stochastic pattern: the fleet
+        analogue of ``WeakCellPopulation._sample_banded_fast``, as ascending
+        indices into the stacked tail.
 
         ``alignment`` and ``stressed`` are the write's fleet-stacked DPD
         arrays; ``u`` supplies the chip-ordered uniforms (the kernel
@@ -266,12 +243,7 @@ class FleetPopulation:
         mu_eff = self._scaled_mu(alignment, scales, out=self._scratch)
         z = np.subtract(exposure_s, mu_eff, out=self._z)
         np.divide(z, self._sigma_eff(scales), out=z)
-        candidates = self._chernoff_candidates(z, u)
-        failed = np.zeros(self._n_total, dtype=bool)
-        if len(candidates):
-            p = ndtr(z[candidates]) * stressed[candidates]
-            failed[candidates] = u[candidates] < p
-        return failed
+        return chernoff_hits(z, u, stressed, scratch=self._scratch)
 
 
 class ChipFleet:

@@ -2,14 +2,13 @@
 
 from .chamber import CHAMBER_ACCURACY_C, ThermalChamber
 from .pid import PIDController
-from .testbed import FleetBed, TestBed
+from .testbed import TestBed
 from .thermal_profiling import ThermalReachReport, profile_with_thermal_reach
 
 __all__ = [
     "PIDController",
     "ThermalChamber",
     "CHAMBER_ACCURACY_C",
-    "FleetBed",
     "TestBed",
     "ThermalReachReport",
     "profile_with_thermal_reach",

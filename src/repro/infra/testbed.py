@@ -10,13 +10,14 @@ sources behind the paper's footnote about imperfect contours.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import rng as rng_mod
 from ..clock import SimClock
 from ..conditions import Conditions
 from ..dram.chip import DEFAULT_GEOMETRY, SimulatedDRAMChip
 from ..dram.geometry import ChipGeometry
+from ..dram.retention import WeakCellSample
 from ..dram.vendor import VENDORS, VendorModel
 from ..errors import ConfigurationError
 from .chamber import ThermalChamber
@@ -77,46 +78,50 @@ class TestBed:
         return bed
 
     @classmethod
-    def build_single(
+    def build_members(
         cls,
-        chip_id: int,
-        vendor: VendorModel,
+        members: Sequence[Tuple[int, VendorModel]],
         geometry: ChipGeometry = DEFAULT_GEOMETRY,
         seed: int = rng_mod.DEFAULT_SEED,
         max_trefi_s: float = 2.6,
         max_temperature_c: float = 60.0,
         fast_path: bool = True,
-        sample=None,
+        samples: Optional[Mapping[int, WeakCellSample]] = None,
     ) -> "TestBed":
-        """Build a one-chip testbed for the chip with global id ``chip_id``.
+        """Rack the chips ``members`` (``(chip_id, vendor)`` pairs) in one bed.
 
-        The chip is identical to the one a full :meth:`build` would create
+        Each chip is identical to the one a full :meth:`build` would create
         under the same (seed, chip_id), and its placement offset comes from
-        :meth:`placement_offset`, so the construction is independent of any
-        other chip -- the basis for decomposing a campaign into per-chip
-        work units that can run anywhere, in any order.
+        :meth:`placement_offset`, so no chip depends on which others share
+        its bed -- the basis for decomposing a campaign into work units of
+        any size that run anywhere, in any order.  The chamber is seeded
+        with ``seed`` as well, and every chamber of one seed settles along
+        the same trajectory, so a chip sees the same clock and temperatures
+        here as in a bed of its own.
 
-        ``sample`` optionally supplies the chip's prebuilt weak-cell
-        population (e.g. shared-memory views); it must be exactly what
-        :func:`repro.dram.chip.sample_weak_cells` returns for this chip.
-        ``fast_path=False`` builds the chip on the reference failure
-        evaluator (the oracle :func:`repro.runner.measure_chip` exposes).
+        ``samples`` optionally maps chip ids to prebuilt weak-cell
+        populations (e.g. shared-memory views); each must be exactly what
+        :func:`repro.dram.chip.sample_weak_cells` returns for its chip, and
+        chips without one draw their own.  ``fast_path=False`` builds the
+        chips on the reference failure evaluator (the oracle
+        :func:`repro.runner.measure_chip` exposes).
         """
         bed = cls(seed=seed)
-        bed.add_chip(
-            SimulatedDRAMChip(
-                vendor=vendor,
-                geometry=geometry,
-                seed=seed,
-                chip_id=chip_id,
-                clock=bed.clock,
-                max_trefi_s=max_trefi_s,
-                max_temperature_c=max_temperature_c,
-                fast_path=fast_path,
-                sample=sample,
-            ),
-            placement_offset=cls.placement_offset(seed, chip_id),
-        )
+        for chip_id, vendor in members:
+            bed.add_chip(
+                SimulatedDRAMChip(
+                    vendor=vendor,
+                    geometry=geometry,
+                    seed=seed,
+                    chip_id=chip_id,
+                    clock=bed.clock,
+                    max_trefi_s=max_trefi_s,
+                    max_temperature_c=max_temperature_c,
+                    fast_path=fast_path,
+                    sample=None if samples is None else samples.get(chip_id),
+                ),
+                placement_offset=cls.placement_offset(seed, chip_id),
+            )
         return bed
 
     @staticmethod
@@ -124,8 +129,8 @@ class TestBed:
         """Deterministic airflow-placement offset for one chip.
 
         Keyed by (seed, chip_id) so it does not depend on the order chips
-        were racked -- unlike the legacy sequential draw in
-        :meth:`add_chip`, which remains for full-bed construction.
+        were racked -- unlike the sequential draw in :meth:`add_chip`,
+        which remains for full-bed construction.
         """
         return float(rng_mod.derive(seed, "placement", chip_id).normal(0.0, 0.1))
 
@@ -174,90 +179,3 @@ class TestBed:
         for chip in self.chips:
             results[chip.chip_id] = profiler.run(chip, conditions)
         return results
-
-
-class FleetBed:
-    """A batch of single-chip testbeds operated in lock-step.
-
-    The fleet measurement worker needs B chips whose *construction* and
-    *environment* are byte-identical to what B independent per-chip
-    :meth:`TestBed.build_single` workers would have produced -- same weak
-    tails, same placement offsets, same chamber trajectories.  So a
-    FleetBed simply holds B single-chip beds (one chamber and clock each,
-    all seeded identically) and exploits a structural fact for speed:
-    chambers constructed from the same seed replay *identical* PID/noise
-    trajectories, so one settle on the lead bed yields exactly the elapsed
-    time and settled ambient every member bed's own settle would have
-    produced.  :meth:`set_ambient` therefore settles the lead chamber once
-    and replays the result onto the other members (clock advance, VRT
-    sync, per-chip placement-offset temperature) -- byte-identical to
-    settling each bed, at ~1/B the cost.
-    """
-
-    def __init__(self, beds: Sequence[TestBed]) -> None:
-        members = tuple(beds)
-        if not members:
-            raise ConfigurationError("a fleet bed needs at least one member bed")
-        for bed in members:
-            if len(bed.chips) != 1:
-                raise ConfigurationError(
-                    "fleet beds are built from single-chip testbeds; got a "
-                    f"bed with {len(bed.chips)} chips"
-                )
-        self.beds = members
-
-    @classmethod
-    def build(
-        cls,
-        members: Sequence[tuple],
-        geometry: ChipGeometry = DEFAULT_GEOMETRY,
-        seed: int = rng_mod.DEFAULT_SEED,
-        max_trefi_s: float = 2.6,
-        max_temperature_c: float = 60.0,
-        samples: Optional[Dict[int, object]] = None,
-    ) -> "FleetBed":
-        """Build one single-chip bed per ``(chip_id, vendor)`` member.
-
-        Each member bed comes from :meth:`TestBed.build_single` with the
-        shared ``seed``, so every chip -- population, VRT, placement offset
-        -- is the exact chip an independent per-chip worker would build.
-
-        ``samples`` optionally maps chip ids to prebuilt weak-cell samples
-        (shared-memory views); missing chips fall back to drawing their own.
-        """
-        return cls(
-            [
-                TestBed.build_single(
-                    chip_id=chip_id,
-                    vendor=vendor,
-                    geometry=geometry,
-                    seed=seed,
-                    max_trefi_s=max_trefi_s,
-                    max_temperature_c=max_temperature_c,
-                    sample=None if samples is None else samples.get(chip_id),
-                )
-                for chip_id, vendor in members
-            ]
-        )
-
-    @property
-    def chips(self) -> List[SimulatedDRAMChip]:
-        return [bed.chips[0] for bed in self.beds]
-
-    def set_ambient(self, ambient_c: float, settle: bool = True) -> float:
-        """Retarget every member chamber; settle once, replay everywhere.
-
-        Returns the seconds spent settling (identical for every member by
-        the same-seed replay argument; the lead bed's settle is the one
-        actually computed).
-        """
-        lead = self.beds[0]
-        elapsed = lead.set_ambient(ambient_c, settle=settle)
-        ambient = lead.chamber.ambient_c
-        for bed in self.beds[1:]:
-            bed.chamber.set_target(ambient_c)
-            bed.clock.advance(elapsed)
-            chip = bed.chips[0]
-            chip.sync()
-            chip.set_temperature(ambient + bed._placement_offsets[0])
-        return elapsed

@@ -28,7 +28,9 @@ Design contract -- **zero perturbation, near-zero overhead**:
 * State is **process-wide but injectable**: components call the module
   helpers (which hit the process default), while anything that wants an
   isolated instance -- tests, the runner engine -- constructs its own
-  :class:`Observability` and passes it explicitly.
+  :class:`Observability` and passes it explicitly.  :func:`capture`
+  redirects the helpers for its own thread only, so units executing in
+  several threads at once record into their own layers.
 
 Typical use::
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from .events import (
@@ -185,10 +188,22 @@ class Observability:
         self.metrics.reset()
 
 
-#: Process-wide default instance.  Module-level helpers target it; the
-#: ``_ENABLED`` flag gates them so disabled instrumentation costs one
-#: boolean check per call site.
+class _ThreadLayer(threading.local):
+    #: The :func:`capture` layer this thread records into, if any.
+    layer: Optional[Observability] = None
+
+
+#: Process-wide default instance: module-level helpers target it while
+#: :func:`enable` is in force, except in threads inside :func:`capture`.
 _DEFAULT = Observability()
+_DEFAULT_ENABLED = False
+_THREAD = _ThreadLayer()
+#: Open :func:`capture` blocks, across all threads.
+_CAPTURES = 0
+_CAPTURES_LOCK = threading.Lock()
+#: True while anything records (the default is enabled or some thread is
+#: inside a capture): the one boolean check disabled instrumentation pays
+#: per call site.
 _ENABLED = False
 
 #: Shared no-op context manager handed out by :func:`span` when disabled
@@ -200,77 +215,105 @@ _NULL_SPAN = contextlib.nullcontext()
 _NULL_SINK = NullEventSink()
 
 
+def _active() -> Optional[Observability]:
+    """The instance this thread records into, or ``None`` if it records
+    nothing (call only once ``_ENABLED`` holds)."""
+    layer = _THREAD.layer
+    if layer is not None:
+        return layer
+    return _DEFAULT if _DEFAULT_ENABLED else None
+
+
+def _set_default_enabled(on: bool) -> None:
+    global _DEFAULT_ENABLED, _ENABLED
+    with _CAPTURES_LOCK:
+        _DEFAULT_ENABLED = on
+        _ENABLED = on or _CAPTURES > 0
+
+
 def enabled() -> bool:
-    """Is the process-wide instrumentation currently recording?"""
-    return _ENABLED
+    """Is instrumentation recording in the calling thread?"""
+    return _ENABLED and _active() is not None
 
 
 def enable(events_path: Optional[Union[str, os.PathLike]] = None) -> Observability:
-    """Turn the process-wide layer on (idempotent); returns the instance.
+    """Turn the layer on (idempotent); returns the instance.
 
+    Outside :func:`capture` that is the process-wide default; inside, the
+    calling thread's capture layer, which already records.
     ``events_path`` optionally routes events to a JSONL file immediately;
     the runner engine attaches its own per-run sink regardless.
     """
-    global _ENABLED
-    _ENABLED = True
+    layer = get()
+    if layer is _DEFAULT:
+        _set_default_enabled(True)
     if events_path is not None:
         sink = JsonlEventSink(events_path)
-        previous = _DEFAULT.sink
+        previous = layer.sink
         if getattr(previous, "tee_through", False):
             # The displaced sink must keep receiving (a capture buffer, a
             # service broadcast): fan out instead of replacing.  No
             # set_sink here -- it would close `previous`, which stays live.
             installed = TeeEventSink(sink, previous)
-            _DEFAULT.sink = installed
-            _DEFAULT.tracer.sink = installed
+            layer.sink = installed
+            layer.tracer.sink = installed
         else:
-            _DEFAULT.set_sink(sink)
-    return _DEFAULT
+            layer.set_sink(sink)
+    return layer
 
 
 def disable() -> None:
-    """Stop recording.  Accumulated metrics stay readable via report()."""
-    global _ENABLED
-    _ENABLED = False
+    """Stop the process-wide default recording.  Accumulated metrics stay
+    readable via report(); open :func:`capture` blocks keep recording."""
+    _set_default_enabled(False)
     _DEFAULT.set_sink(NullEventSink())  # closes whatever sink was attached
 
 
 def get() -> Observability:
-    """The process-wide instance (whether or not it is enabled)."""
-    return _DEFAULT
+    """The calling thread's capture layer inside :func:`capture`, else the
+    process-wide instance (whether or not it is enabled)."""
+    layer = _THREAD.layer
+    return _DEFAULT if layer is None else layer
 
 
 @contextlib.contextmanager
 def capture() -> Iterator[Observability]:
-    """Record into a fresh, isolated process-default instance.
+    """Record the calling thread into a fresh, isolated instance.
 
     The worker half of cross-process telemetry: for the duration of the
-    with-block the process-wide default -- the instance every module-level
-    instrumentation call site targets -- is a fresh :class:`Observability`
-    with a :class:`BufferedEventSink`, and recording is force-enabled.  On
-    exit the previous default and enabled flag come back untouched, so the
-    caller can snapshot the yielded instance (``layer.snapshot()``,
-    ``layer.sink.events``) and ship it across the process boundary.
+    with-block every module-level instrumentation call made *in this
+    thread* targets a fresh :class:`Observability` with a
+    :class:`BufferedEventSink`, and records whether or not the process
+    default is enabled.  Other threads -- in or out of their own capture
+    -- are unaffected, and on exit this thread targets whatever it did
+    before, so the caller can snapshot the yielded instance
+    (``layer.snapshot()``, ``layer.sink.events``) and ship it across the
+    process boundary.
 
     Capture is pure observation -- it swaps observability state only, never
     simulation state -- so it preserves the zero-perturbation contract.
 
     Nested ``enable(events_path=...)`` inside the capture block targets
-    the *fresh* instance (enable hits whatever the process default is --
-    here, the capture layer) and tees through the buffer, so events land
-    in both the file and ``layer.sink.events``.  On exit the buffer is
+    the *fresh* instance and tees through the buffer, so events land in
+    both the file and ``layer.sink.events``.  On exit the buffer is
     re-installed and any displaced file sink is closed, so the shipment
     read works and the pre-capture sink handle comes back untouched.
     """
-    global _DEFAULT, _ENABLED
-    previous = (_DEFAULT, _ENABLED)
+    global _CAPTURES, _ENABLED
+    previous = _THREAD.layer
     buffer = BufferedEventSink()
     fresh = Observability(sink=buffer)
-    _DEFAULT, _ENABLED = fresh, True
+    with _CAPTURES_LOCK:
+        _CAPTURES += 1
+        _ENABLED = True
+    _THREAD.layer = fresh
     try:
         yield fresh
     finally:
-        _DEFAULT, _ENABLED = previous
+        _THREAD.layer = previous
+        with _CAPTURES_LOCK:
+            _CAPTURES -= 1
+            _ENABLED = _DEFAULT_ENABLED or _CAPTURES > 0
         displaced = fresh.sink
         if displaced is not buffer:
             # A nested enable/set_sink displaced the capture buffer; put
@@ -289,52 +332,63 @@ def capture() -> Iterator[Observability]:
 # ----------------------------------------------------------------------
 def counter(name: str, amount: float = 1.0, **labels: Any) -> None:
     if _ENABLED:
-        _DEFAULT.metrics.series(Counter, name, labels).inc(amount)
+        layer = _active()
+        if layer is not None:
+            layer.metrics.series(Counter, name, labels).inc(amount)
 
 
 def gauge(name: str, value: float, **labels: Any) -> None:
     if _ENABLED:
-        _DEFAULT.metrics.series(Gauge, name, labels).set(value)
+        layer = _active()
+        if layer is not None:
+            layer.metrics.series(Gauge, name, labels).set(value)
 
 
 def observe(name: str, value: float, **labels: Any) -> None:
     if _ENABLED:
-        _DEFAULT.metrics.series(Histogram, name, labels).observe(value)
+        layer = _active()
+        if layer is not None:
+            layer.metrics.series(Histogram, name, labels).observe(value)
 
 
 def span(name: str, **attrs: Any):
-    if not _ENABLED:
+    layer = _active() if _ENABLED else None
+    if layer is None:
         return _NULL_SPAN
-    return _DEFAULT.span(name, **attrs)
+    return layer.span(name, **attrs)
 
 
 def emit(event: str, **fields: Any) -> None:
     if _ENABLED:
-        _DEFAULT.emit(event, **fields)
+        layer = _active()
+        if layer is not None:
+            layer.emit(event, **fields)
 
 
 def sink_to(path: Union[str, os.PathLike]):
-    """Route the default instance's events to ``path`` for a with-block.
+    """Route the calling thread's instance's events to ``path`` for a
+    with-block.
 
-    When the layer is disabled this is a no-op context that still yields
-    a :class:`NullEventSink` (never ``None``), so callers can use the
-    yielded sink identically on both paths.
+    When the thread records nothing this is a no-op context that still
+    yields a :class:`NullEventSink` (never ``None``), so callers can use
+    the yielded sink identically on both paths.
     """
-    if not _ENABLED:
+    layer = _active() if _ENABLED else None
+    if layer is None:
         return contextlib.nullcontext(_NULL_SINK)
-    return _DEFAULT.sink_to(path)
+    return layer.sink_to(path)
 
 
 # ----------------------------------------------------------------------
 # Reading helpers (work whether or not recording is enabled).
 # ----------------------------------------------------------------------
 def snapshot() -> List[Dict[str, Any]]:
-    return _DEFAULT.snapshot()
+    return get().snapshot()
 
 
 def report(title: str = "observability report") -> str:
-    return _DEFAULT.report(title=title)
+    return get().report(title=title)
 
 
 def reset() -> None:
-    _DEFAULT.reset()
+    get().reset()

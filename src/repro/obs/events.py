@@ -53,9 +53,10 @@ class JsonlEventSink:
     def _next_seq(path: pathlib.Path) -> int:
         """First unused ``seq`` in an existing event log (0 when fresh).
 
-        Scans for the largest recorded ``seq``; unparseable lines (a torn
-        tail from a crash) fall back to the line count so the sequence
-        still moves strictly forward.
+        Scans for the largest recorded ``seq``; lines without one --
+        unparseable (a torn tail from a crash) or not a JSON object --
+        fall back to the line count so the sequence still moves strictly
+        forward.
         """
         try:
             raw = path.read_text(encoding="utf-8")
@@ -66,9 +67,10 @@ class JsonlEventSink:
             if not line.strip():
                 continue
             try:
-                seq = json.loads(line).get("seq")
+                row = json.loads(line)
             except json.JSONDecodeError:
-                seq = None
+                row = None
+            seq = row.get("seq") if isinstance(row, dict) else None
             if isinstance(seq, int):
                 next_seq = max(next_seq, seq + 1)
             else:

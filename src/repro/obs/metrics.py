@@ -9,9 +9,9 @@ properties drive the design:
   no randomness, no simulated time, no control flow -- so enabling them
   cannot perturb a campaign's results.
 * **Bounded memory.**  Histograms keep running aggregates (count, sum,
-  sum of squares, min, max) plus a fixed set of bucket counts, never
-  sample lists, so a six-day campaign's instrumentation stays
-  O(#distinct metric series).
+  sum of squares, mean, sum of squared deviations, min, max) plus a
+  fixed set of bucket counts, never sample lists, so a six-day
+  campaign's instrumentation stays O(#distinct metric series).
 * **Deterministic snapshots.**  :meth:`MetricsRegistry.snapshot` orders
   series by (name, sorted labels), so two runs that perform the same
   operations produce identical snapshots regardless of dict insertion
@@ -117,14 +117,20 @@ class Gauge:
 class Histogram:
     """Running aggregates plus bucket counts over an observed stream.
 
-    Keeps count/sum/sum-of-squares/min/max -- enough for mean and standard
-    deviation -- and one count per bucket of :data:`DEFAULT_BUCKET_BOUNDS`
+    Keeps count/sum/sum-of-squares/min/max, the running mean and the sum
+    of squared deviations from it (``m2``, Welford's update on observe,
+    Chan's pairwise formula on merge) -- so the standard deviation does
+    not cancel on near-constant streams the way ``sum_sq / n - mean**2``
+    does -- and one count per bucket of :data:`DEFAULT_BUCKET_BOUNDS`
     (last bucket +Inf), enough for p50/p95/p99 estimation and Prometheus
-    exposition.  All of it merges exactly: combining two histograms is
-    indistinguishable from observing both value streams on one.
+    exposition.  All of it merges exactly up to rounding: combining two
+    histograms is indistinguishable from observing both value streams on
+    one.
     """
 
-    __slots__ = ("count", "total", "sum_sq", "min", "max", "bounds", "bucket_counts")
+    __slots__ = (
+        "count", "total", "sum_sq", "_mean", "m2", "min", "max", "bounds", "bucket_counts"
+    )
 
     def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS) -> None:
         bounds = tuple(float(b) for b in bounds)
@@ -133,6 +139,8 @@ class Histogram:
         self.count = 0
         self.total = 0.0
         self.sum_sq = 0.0
+        self._mean = 0.0
+        self.m2 = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.bounds = bounds
@@ -143,6 +151,9 @@ class Histogram:
         self.count += 1
         self.total += value
         self.sum_sq += value * value
+        delta = value - self._mean
+        self._mean += delta / self.count
+        self.m2 += delta * (value - self._mean)
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
         # Bucket i holds values <= bounds[i]; the final bucket is +Inf.
@@ -150,15 +161,13 @@ class Histogram:
 
     @property
     def mean(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
+        return self._mean if self.count else None
 
     @property
     def stddev(self) -> Optional[float]:
         if not self.count:
             return None
-        mean = self.total / self.count
-        variance = max(0.0, self.sum_sq / self.count - mean * mean)
-        return math.sqrt(variance)
+        return math.sqrt(max(0.0, self.m2) / self.count)
 
     def percentile(self, q: float) -> Optional[float]:
         """Estimate the ``q``-quantile (0 <= q <= 1) from the buckets.
@@ -193,7 +202,12 @@ class Histogram:
             raise ConfigurationError(
                 "cannot merge histograms with different bucket bounds"
             )
-        self.count += other.count
+        if other.count:
+            count = self.count + other.count
+            delta = other._mean - self._mean
+            self._mean += delta * (other.count / count)
+            self.m2 += other.m2 + delta * delta * (self.count * other.count / count)
+            self.count = count
         self.total += other.total
         self.sum_sq += other.sum_sq
         if other.min is not None:
@@ -285,6 +299,7 @@ class MetricsRegistry:
                     count=series.count,
                     total=series.total,
                     sum_sq=series.sum_sq,
+                    m2=series.m2,
                     mean=series.mean,
                     stddev=series.stddev,
                     min=series.min,
@@ -303,7 +318,9 @@ class MetricsRegistry:
 
         Merge semantics match the primitives: counters sum, gauges take
         the incoming observation, histograms merge exactly through their
-        ``(count, total, sum_sq, min, max)`` aggregates and bucket counts
+        ``(count, total, sum_sq, mean, m2, min, max)`` aggregates and
+        bucket counts (rows without ``m2``, from before it was recorded,
+        derive it from ``sum_sq``)
         -- so a parent registry that merges N worker snapshots reports the
         same content as one process observing everything itself.
         """
@@ -349,6 +366,11 @@ def _histogram_from_row(row: Mapping[str, Any]) -> Histogram:
     hist.count = int(row["count"])
     hist.total = float(row["total"])
     hist.sum_sq = float(row.get("sum_sq", 0.0))
+    if hist.count:
+        mean, m2 = row.get("mean"), row.get("m2")
+        hist._mean = hist.total / hist.count if mean is None else float(mean)
+        # Rows written before m2 was recorded derive it from sum_sq.
+        hist.m2 = max(0.0, hist.sum_sq - hist.total * hist._mean) if m2 is None else float(m2)
     hist.min = None if row.get("min") is None else float(row["min"])
     hist.max = None if row.get("max") is None else float(row["max"])
     buckets = row.get("buckets")

@@ -48,7 +48,7 @@ from ..dram.geometry import ChipGeometry
 from ..dram.shm import SharedPopulationStore
 from ..dram.vendor import VENDORS, vendor_by_name
 from ..errors import ConfigurationError
-from ..infra.testbed import FleetBed, TestBed
+from ..infra.testbed import TestBed
 from .engine import UnitDispatch
 from .units import STATUS_FAILED, STATUS_OK, UnitResult, WorkUnit
 
@@ -183,9 +183,8 @@ def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
     intervals = [float(t) for t in payload["intervals_s"]]
     temperatures = [float(t) for t in payload["temperatures_c"]]
     chip_id = int(payload["chip_id"])
-    bed = TestBed.build_single(
-        chip_id=chip_id,
-        vendor=vendor_by_name(str(payload["vendor"])),
+    bed = TestBed.build_members(
+        [(chip_id, vendor_by_name(str(payload["vendor"])))],
         geometry=geometry,
         seed=int(payload["seed"]),
         max_trefi_s=max(intervals) * TREFI_HEADROOM,
@@ -305,8 +304,9 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
     Runs exactly :func:`measure_chip`'s schedule -- the interval sweep at
     the base temperature, then the remaining temperatures at the top
-    interval -- on every member chip at once through a
-    :class:`~repro.infra.testbed.FleetBed` and
+    interval -- on every member chip at once, racked in one
+    :meth:`~repro.infra.testbed.TestBed.build_members` bed (one clock, one
+    chamber settled once per temperature) and measured by
     :class:`~repro.core.fleetprof.FleetProfiler`: the base-temperature
     interval sweep is one :meth:`~repro.core.fleetprof.FleetProfiler.run_grid`
     pass, and each remaining temperature point another.  Returns
@@ -341,8 +341,8 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
         samples = {chip_id: store.sample(chip_id) for chip_id in chip_ids}
         backing = store.fleet_backing(chip_ids)
     try:
-        bed = FleetBed.build(
-            members=[
+        bed = TestBed.build_members(
+            [
                 (chip_id, vendor_by_name(str(m["payload"]["vendor"])))
                 for chip_id, m in zip(chip_ids, members)
             ],

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Dict, Iterable, Mapping, Optional, Set, Union
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Set, Union
 
 from ..errors import ConfigurationError
 from .units import STATUS_OK, UnitResult
@@ -43,6 +43,45 @@ STATUS_INTERRUPTED = "interrupted"
 #: Manifest keys that are lifecycle bookkeeping, not campaign identity --
 #: excluded from the collision-guard spec diff.
 _MANIFEST_META_KEYS = ("fingerprint", "status", "kind")
+
+
+def _json_object(line: str) -> Union[Dict[str, Any], str]:
+    """``line`` parsed as a JSON object, or why it is not one."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    if not isinstance(row, dict):
+        return f"expected a JSON object, got {type(row).__name__}"
+    return row
+
+
+def read_jsonl(path: pathlib.Path, what: str) -> Iterator[Dict[str, Any]]:
+    """The rows of an append-only JSONL file of objects, in file order.
+
+    The crash contract of every such file here (``results.jsonl``, the
+    service's ``jobs.jsonl``): a final line without its newline that is not
+    a JSON object is a torn write and is skipped, while any other line
+    that is not a JSON object -- unparseable, or valid JSON of another
+    type -- is corruption and raises
+    :class:`~repro.errors.ConfigurationError` naming ``path:line`` and
+    ``what`` the rows are.  A missing file has no rows.
+    """
+    if not path.exists():
+        return
+    lines = path.read_text(encoding="utf-8").split("\n")
+    tail = lines.pop()  # "" after a final newline, else a possibly torn write
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        row = _json_object(line)
+        if isinstance(row, str):
+            raise ConfigurationError(f"{path}:{lineno}: corrupt {what} row: {row}")
+        yield row
+    if tail.strip():
+        row = _json_object(tail)
+        if not isinstance(row, str):
+            yield row
 
 
 def manifest_spec_diff(
@@ -179,35 +218,13 @@ class ResultStore:
         """All persisted results, keyed by unit id.
 
         Later rows win (a resumed run re-records units whose earlier row was
-        ``failed``).  A torn final line -- no trailing newline and invalid
-        JSON -- is skipped as a crash artifact; torn interior lines raise.
+        ``failed``).  A torn final line is skipped as a crash artifact;
+        corrupt interior lines raise (:func:`read_jsonl`).
         """
         results: Dict[str, UnitResult] = {}
-        if not self.results_path.exists():
-            return results
-        raw = self.results_path.read_text(encoding="utf-8")
-        lines = raw.split("\n")
-        complete = raw.endswith("\n")
-        body = lines[:-1]  # the final element is "" (complete) or a torn tail
-        for lineno, line in enumerate(body, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"{self.results_path}:{lineno}: corrupt result row: {exc}"
-                ) from exc
+        for row in read_jsonl(self.results_path, "result"):
             result = UnitResult.from_json_dict(row)
             results[result.unit_id] = result
-        if not complete and lines[-1].strip():
-            try:
-                row = json.loads(lines[-1])
-            except json.JSONDecodeError:
-                pass  # torn tail from a mid-write crash; the unit reruns
-            else:
-                result = UnitResult.from_json_dict(row)
-                results[result.unit_id] = result
         return results
 
     def completed_ids(self) -> Set[str]:

@@ -28,7 +28,7 @@ import pathlib
 import time
 from typing import Any, Dict, Optional, TextIO, Union
 
-from ..errors import ConfigurationError
+from ..runner.store import read_jsonl
 
 #: Ledger file name inside the service root.
 LEDGER_NAME = "jobs.jsonl"
@@ -94,29 +94,8 @@ class JobLedger:
         fairness stable across restarts.
         """
         folded: Dict[str, Dict[str, Any]] = {}
-        if not self.path.exists():
-            return folded
-        raw = self.path.read_text(encoding="utf-8")
-        lines = raw.split("\n")
-        complete = raw.endswith("\n")
-        body = lines[:-1]
-        for lineno, line in enumerate(body, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"{self.path}:{lineno}: corrupt ledger row: {exc}"
-                ) from exc
+        for row in read_jsonl(self.path, "ledger"):
             self._fold(folded, row)
-        if not complete and lines[-1].strip():
-            try:
-                row = json.loads(lines[-1])
-            except json.JSONDecodeError:
-                pass  # torn tail from a mid-write crash
-            else:
-                self._fold(folded, row)
         return folded
 
     @staticmethod

@@ -30,7 +30,7 @@ from repro.dram.fleet import ChipFleet
 from repro.dram.geometry import ChipGeometry
 from repro.dram.vendor import VENDOR_B, VENDORS
 from repro.errors import ProfilingError
-from repro.infra.testbed import FleetBed, TestBed
+from repro.infra.testbed import TestBed
 from repro.patterns import STANDARD_PATTERNS
 from repro.runner import (
     ResultStore,
@@ -182,7 +182,7 @@ def profile_routes(
         [Conditions(t, temperature=temperature) for t in intervals] for temperature in temperatures
     ]
 
-    bed = FleetBed.build(members=members, geometry=geometry, seed=seed)
+    bed = TestBed.build_members(members, geometry=geometry, seed=seed)
     fleet = ChipFleet(bed.chips)
     kernel = FleetProfiler(patterns=patterns, iterations=iterations)
     budget = fleetprof._BLOCK_BUDGET_BYTES
@@ -198,8 +198,8 @@ def profile_routes(
 
     for fast_path in (True, False):
         beds = [
-            TestBed.build_single(
-                chip_id=chip_id, vendor=vendor, geometry=geometry, seed=seed, fast_path=fast_path
+            TestBed.build_members(
+                [(chip_id, vendor)], geometry=geometry, seed=seed, fast_path=fast_path
             )
             for chip_id, vendor in members
         ]

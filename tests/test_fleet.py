@@ -9,9 +9,9 @@ serial, pooled and cross-resumed campaigns) and the pieces:
 
 * :class:`repro.dram.fleet.FleetPopulation` segments and the grouped
   deterministic evaluator at its exact boundary;
-* :class:`repro.dram.fleet.ChipFleet` and
-  :class:`repro.infra.testbed.FleetBed` validation, and the bed's
-  settle replay onto member clocks;
+* :class:`repro.dram.fleet.ChipFleet` validation, and a
+  :meth:`repro.infra.testbed.TestBed.build_members` bed settling its chips
+  exactly as one-chip beds settle theirs;
 * :func:`repro.runner.measure_fleet` validation and its one-chip memory
   peak; fleet transport chunks and their expansion to per-chip rows;
 * the computed unit size, and tile-era run directories resuming;
@@ -35,8 +35,8 @@ from repro.dram.fleet import ChipFleet, FleetPopulation
 from repro.dram.geometry import ChipGeometry
 from repro.dram.vendor import VENDOR_A, VENDOR_B
 from repro.errors import CommandSequenceError, ConfigurationError, ProfilingError
-from repro.infra.testbed import FleetBed, TestBed
-from repro.patterns import CHECKERBOARD
+from repro.infra.testbed import TestBed
+from repro.patterns import CHECKERBOARD, RANDOM, DataPattern
 from repro.runner import (
     CHIP_UNIT_KIND,
     FLEET_UNIT_KIND,
@@ -71,16 +71,13 @@ def build_fleet_bed(**kwargs):
     kwargs.setdefault("members", MEMBERS)
     kwargs.setdefault("geometry", MICRO)
     kwargs.setdefault("seed", TEST_SEED)
-    return FleetBed.build(**kwargs)
+    return TestBed.build_members(**kwargs)
 
 
-def build_single_beds(**kwargs):
+def build_one_chip_beds(**kwargs):
     kwargs.setdefault("geometry", MICRO)
     kwargs.setdefault("seed", TEST_SEED)
-    return [
-        TestBed.build_single(chip_id=chip_id, vendor=vendor, **kwargs)
-        for chip_id, vendor in MEMBERS
-    ]
+    return [TestBed.build_members([member], **kwargs) for member in MEMBERS]
 
 
 class TestFleetPopulation:
@@ -165,17 +162,14 @@ class TestDeterministicFailures:
 
 class TestChipFleet:
     def test_rejects_heterogeneous_members(self):
-        small = TestBed.build_single(chip_id=0, vendor=VENDOR_B, geometry=MICRO, seed=1)
-        other_geometry = TestBed.build_single(
-            chip_id=1,
-            vendor=VENDOR_B,
-            geometry=ChipGeometry.from_capacity_gigabits(1.0 / 32.0),
-            seed=1,
+        small = TestBed.build_members([(0, VENDOR_B)], geometry=MICRO, seed=1)
+        other_geometry = TestBed.build_members(
+            [(1, VENDOR_B)], geometry=ChipGeometry.from_capacity_gigabits(1.0 / 32.0), seed=1
         )
         with pytest.raises(ConfigurationError):
             ChipFleet([small.chips[0], other_geometry.chips[0]])
-        other_trefi = TestBed.build_single(
-            chip_id=1, vendor=VENDOR_B, geometry=MICRO, seed=1, max_trefi_s=5.0
+        other_trefi = TestBed.build_members(
+            [(1, VENDOR_B)], geometry=MICRO, seed=1, max_trefi_s=5.0
         )
         with pytest.raises(ConfigurationError):
             ChipFleet([small.chips[0], other_trefi.chips[0]])
@@ -183,12 +177,15 @@ class TestChipFleet:
             ChipFleet([])
 
     def test_run_grid_guards_clock_divergence(self):
-        bed = build_fleet_bed()
-        fleet = ChipFleet(bed.chips)
-        bed.set_ambient(45.0)
+        # Chips racked in one bed share its clock, so build the fleet
+        # from one-chip beds, whose clocks can diverge.
+        beds = build_one_chip_beds()
+        for bed in beds:
+            bed.set_ambient(45.0)
+        fleet = ChipFleet([bed.chips[0] for bed in beds])
         # Advance one member's clock behind the fleet's back: the shared
         # schedule would be wrong for it, so the run refuses to start.
-        bed.beds[1].chips[0].wait(0.128)
+        beds[1].chips[0].wait(0.128)
         with pytest.raises(ProfilingError):
             FleetProfiler(iterations=1).run_grid(
                 fleet, [Conditions(trefi=0.512, temperature=45.0)]
@@ -208,31 +205,24 @@ class TestChipFleet:
 
 class TestFleetBed:
     def test_set_ambient_replays_the_lead_settle(self):
-        fleet_bed = build_fleet_bed()
-        single_beds = build_single_beds()
+        """One multi-chip bed settles its one chamber exactly as each
+        chip's own one-chip bed settles: chambers of one seed follow the
+        same trajectory, so elapsed time, ambient, clocks and chip
+        temperatures all agree."""
+        shared = build_fleet_bed()
+        single_beds = build_one_chip_beds()
+        assert len(shared.chips) == len(MEMBERS)
+        assert all(chip.clock is shared.clock for chip in shared.chips)
 
         for temperature in (45.0, 55.0, 45.0):
-            fleet_elapsed = fleet_bed.set_ambient(temperature)
-            single_elapsed = [
-                bed.set_ambient(temperature) for bed in single_beds
+            elapsed = shared.set_ambient(temperature)
+            for bed in single_beds:
+                assert bed.set_ambient(temperature) == elapsed
+                assert bed.chamber.ambient_c == shared.chamber.ambient_c
+                assert bed.clock.now == shared.clock.now
+            assert [chip.temperature_c for chip in shared.chips] == [
+                bed.chips[0].temperature_c for bed in single_beds
             ]
-            assert all(e == fleet_elapsed for e in single_elapsed)
-            # The lead chamber is the one actually settled; member beds
-            # replay its trajectory onto their clocks and chips.
-            assert (
-                fleet_bed.beds[0].chamber.ambient_c
-                == single_beds[0].chamber.ambient_c
-            )
-            for fbed, sbed in zip(fleet_bed.beds, single_beds):
-                assert fbed.clock.now == sbed.clock.now
-                assert fbed.chips[0].temperature_c == sbed.chips[0].temperature_c
-
-    def test_rejects_multi_chip_member_beds(self):
-        shared = TestBed.build(chips_per_vendor=1, geometry=MICRO, seed=TEST_SEED)
-        with pytest.raises(ConfigurationError):
-            FleetBed([shared])
-        with pytest.raises(ConfigurationError):
-            FleetBed([])
 
 
 class TestFleetProfilerEquivalence:
@@ -273,6 +263,19 @@ class TestFleetProfilerEquivalence:
             FleetProfiler(iterations=0)
         with pytest.raises(ConfigurationError):
             FleetProfiler(patterns=())
+
+    def test_rejects_stochastic_patterns_outside_the_random_family(self):
+        """The kernel block-draws random Beta(2, 2) writes only; any other
+        stochastic pattern is refused up front, the random pattern and its
+        inverse are not."""
+        FleetProfiler(patterns=(RANDOM, RANDOM.inverse))
+        exotic = (
+            DataPattern("random", stochastic=True, alignment_beta=(2.0, 3.0)),
+            DataPattern("checkerboard", stochastic=True),
+        )
+        for pattern in exotic:
+            with pytest.raises(ConfigurationError, match="random"):
+                FleetProfiler(patterns=(CHECKERBOARD, pattern))
 
 
 class TestMeasureFleetWorker:

@@ -175,6 +175,17 @@ class TestEventSinks:
         # fallback), so seq stays strictly monotone across the corruption.
         assert last["event"] == "b" and last["seq"] == 2
 
+    def test_jsonl_seq_counts_non_object_lines(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with JsonlEventSink(path) as sink:
+            sink.emit("a")
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("[1, 2]\n")  # valid JSON, but no event object
+        with JsonlEventSink(path) as sink:
+            sink.emit("b")
+        last = json.loads(path.read_text().splitlines()[-1])
+        assert last["event"] == "b" and last["seq"] == 2
+
     def test_jsonl_supplied_ts_overrides_stamp_seq_stays_local(self, tmp_path):
         # Worker event replay passes the worker's wall-clock ts through;
         # the sink must honour it while keeping seq ownership local.

@@ -21,9 +21,11 @@ replays the buffered events.  These tests pin the contracts end to end:
 
 import dataclasses
 import json
+import sys
+import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -59,6 +61,8 @@ observations = st.floats(
 
 class TestHistogramMergeAlgebra:
     @given(streams=st.lists(st.lists(observations, max_size=25), max_size=6))
+    # A near-constant stream: a stddev taken from sum_sq cancels here.
+    @example(streams=[[220.67481761475665] * 2, [220.67481761475665, 220.671875]])
     @settings(max_examples=150, deadline=None)
     def test_merge_equals_observing_concatenated_stream(self, streams):
         # One histogram per "worker" stream, folded into a parent ...
@@ -111,6 +115,20 @@ class TestHistogramMergeAlgebra:
     def test_mismatched_bounds_refused(self):
         with pytest.raises(ConfigurationError, match="bucket bounds"):
             Histogram(bounds=(1.0, 2.0)).merge(Histogram())
+
+    def test_rows_without_m2_fall_back_to_sum_sq(self):
+        from repro.obs import MetricsRegistry
+
+        source = MetricsRegistry()
+        for value in (1.0, 2.0, 4.0):
+            source.histogram("h").observe(value)
+        (row,) = source.snapshot()
+        del row["m2"]
+        sink = MetricsRegistry()
+        sink.merge_snapshot([row])
+        (merged,) = sink.snapshot()
+        assert merged["stddev"] == pytest.approx(row["stddev"], rel=1e-12)
+        assert merged["m2"] == pytest.approx(source.snapshot()[0]["m2"], rel=1e-12)
 
     def test_snapshot_roundtrip_is_exact(self):
         """Rehydrating a snapshot row rebuilds the histogram bit-for-bit
@@ -167,6 +185,82 @@ class TestCapture:
             with obs.capture():
                 raise RuntimeError("worker died")
         assert obs.get() is before
+        assert not obs.enabled()
+
+    def test_concurrent_captures_stay_in_their_own_threads(self):
+        """Two threads capture at once, interleaved as two in-thread
+        service jobs can be: A enters, B enters, A records and exits, B
+        records and exits.  Each layer holds its own thread's series only,
+        a thread outside any capture records nothing meanwhile, and the
+        process default comes back as it was."""
+        before = obs.get()
+        steps = {name: threading.Event() for name in ("a_in", "b_in", "main", "a_out")}
+        layers, errors = {}, []
+
+        def worker(name, wait_for, then, finish_after):
+            try:
+                if wait_for:
+                    steps[wait_for].wait(5)
+                with obs.capture() as layer:
+                    layers[name] = layer
+                    steps[then].set()
+                    steps[finish_after].wait(5)
+                    obs.counter(f"{name}.count")
+                    assert obs.get() is layer and obs.enabled()
+                if name == "a":
+                    steps["a_out"].set()
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=("a", None, "a_in", "main")),
+            threading.Thread(target=worker, args=("b", "a_in", "b_in", "a_out")),
+        ]
+        for thread in threads:
+            thread.start()
+        assert steps["b_in"].wait(5)
+        # Both captures are open; this thread is in neither.
+        assert not obs.enabled() and obs.get() is before
+        obs.counter("main.count")
+        steps["main"].set()
+        for thread in threads:
+            thread.join(5)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert [r["name"] for r in layers["a"].snapshot()] == ["a.count"]
+        assert [r["name"] for r in layers["b"].snapshot()] == ["b.count"]
+        leaked = {r["name"] for r in obs.snapshot()}
+        assert not leaked & {"a.count", "b.count", "main.count"}
+        assert not obs.enabled() and obs.get() is before
+
+    def test_many_threads_capturing_at_once(self):
+        """More threads than cores enter and leave captures with a tiny
+        switch interval: every layer holds exactly its own thread's count,
+        and once all have left nothing records (a lost update of the
+        open-capture count would leave the layer enabled)."""
+        results, errors = [], []
+
+        def worker(n):
+            try:
+                for _ in range(50):
+                    with obs.capture() as layer:
+                        obs.counter("worker.count", n)
+                    (row,) = layer.snapshot()
+                    results.append(row["value"] == n)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(1, 9)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert len(results) == 8 * 50 and all(results)
         assert not obs.enabled()
 
 

@@ -204,6 +204,22 @@ class TestResultStore:
         with pytest.raises(ConfigurationError, match="corrupt"):
             ResultStore(tmp_path / "run").load_results()
 
+    def test_non_object_lines_are_corrupt_or_torn(self, tmp_path):
+        """Valid JSON that is not an object is a corrupt row inside the
+        file (named by path:line) and a torn write at its unterminated
+        end -- never an AttributeError."""
+        store = ResultStore(tmp_path / "run")
+        with store:
+            store.open(MANIFEST)
+            store.append(UnitResult("a", "ok", value=1))
+        with open(store.results_path, "a", encoding="utf-8") as handle:
+            handle.write("[1, 2]")  # unterminated: a torn tail
+        assert ResultStore(tmp_path / "run").completed_ids() == {"a"}
+        with open(store.results_path, "a", encoding="utf-8") as handle:
+            handle.write("\n")  # now an interior line
+        with pytest.raises(ConfigurationError, match=r"results\.jsonl:2: corrupt result row"):
+            ResultStore(tmp_path / "run").load_results()
+
     def test_manifest_mismatch_rejected(self, tmp_path):
         with ResultStore(tmp_path / "run") as store:
             store.open(MANIFEST)

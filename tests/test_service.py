@@ -144,6 +144,15 @@ class TestJobLedger:
         with pytest.raises(ConfigurationError):
             JobLedger(path).replay()
 
+    def test_non_object_lines_are_corrupt_or_torn(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        row = '{"job_id": "j", "state": "queued"}'
+        path.write_text(f"{row}\n[1, 2]")  # unterminated: a torn tail
+        assert list(JobLedger(path).replay()) == ["j"]
+        path.write_text(f"{row}\n[1, 2]\n{row}\n")
+        with pytest.raises(ConfigurationError, match=r"jobs\.jsonl:2: corrupt ledger row"):
+            JobLedger(path).replay()
+
 
 # ----------------------------------------------------------------------
 # JobManager (in-process, serial in-thread execution)

@@ -56,7 +56,7 @@ from repro.dram.shm import (
 )
 from repro.dram.vendor import VENDOR_A, VENDOR_B
 from repro.errors import ConfigurationError, ProfilingError
-from repro.infra.testbed import FleetBed
+from repro.infra import testbed
 from repro.patterns import CHECKERBOARD, RANDOM, SOLID_ZERO
 from repro.runner import build_chip_units, build_fleet_units
 
@@ -230,7 +230,7 @@ class TestSharedPopulationStore:
 
 
 def fresh_fleet():
-    bed = FleetBed.build(members=MEMBERS, geometry=MICRO, seed=TEST_SEED)
+    bed = testbed.TestBed.build_members(MEMBERS, geometry=MICRO, seed=TEST_SEED)
     bed.set_ambient(45.0)
     return ChipFleet(bed.chips)
 
