@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Alternating A/B pairs of one campaign-benchmark workload.
+
+Runs ``benchmarks/suite/run.py --workload W --seed S --trace 0`` in a
+parent checkout and in a change checkout, one after the other, and
+switches which side goes first every pair, so a drift in the host's speed
+lands on both sides alike.  Each run lasts the benchmark's own run
+length.  Prints every sample, then for every end-to-end metric of
+``BENCHMARK.json`` each side's median and quartiles and the benchmark's
+own verdict (``run.py``'s ``verdict``: improved, worse, unchanged or
+unresolved against the metric's bound) with the change's win fraction::
+
+    python scripts/ab_pairs.py --parent ../parent --workload cli-60 --seed 368 --pairs 10
+
+``--change`` defaults to the checkout this script lives in.  Each side
+runs the program and the benchmark of its own checkout.  Exits 1 if any
+run reports ``correct: false`` or gives no result, 2 on bad arguments.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+from typing import Dict, List, Optional
+
+HERE = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "benchmarks" / "suite"))
+from run import quartiles, verdict  # noqa: E402
+
+
+def run_once(checkout: pathlib.Path, workload: str, seed: int) -> Dict:
+    """One ``run.py`` run in ``checkout``: its result line, or a failed one."""
+    command = [
+        sys.executable, "benchmarks/suite/run.py", "--workload", workload,
+        "--seed", str(seed), "--trace", "0",
+    ]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        tail = " | ".join(proc.stderr.strip().splitlines()[-3:])
+        return {"correct": False, "metrics": {}, "error": f"exit {proc.returncode}: {tail}"}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", default=str(HERE), help="checkout of the change (default: this one)")
+    parser.add_argument("--workload", default="cli-60")
+    parser.add_argument("--seed", type=int, default=368)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    sides = {"parent": pathlib.Path(args.parent).resolve(), "change": pathlib.Path(args.change).resolve()}
+    for name, checkout in sides.items():
+        for needed in ("benchmarks/suite/run.py", "BENCHMARK.json"):
+            if not (checkout / needed).exists():
+                print(f"error: {name} checkout {checkout} has no {needed}", file=sys.stderr)
+                return 2
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+    samples: Dict[str, List[Dict]] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args.workload, args.seed)
+            samples[side].append(result)
+            values = {k: round(v["value"], 3) for k, v in result["metrics"].items()}
+            print(f"pair {pair + 1} {side:<6} correct={result['correct']}"
+                  f" failed={result.get('failed')} {values}"
+                  + (f" {result['error']}" if "error" in result else ""), flush=True)
+
+    ok = all(r["correct"] is True for runs in samples.values() for r in runs)
+    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs: median [q1, q3]")
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        runs = list(zip(samples["parent"], samples["change"]))
+        paired = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
+                  for a, b in runs if name in a["metrics"] and name in b["metrics"]]
+        if not paired:
+            continue
+        parent, change = (list(side) for side in zip(*paired))
+        row = []
+        for side, values in (("parent", parent), ("change", change)):
+            q1, q2, q3 = quartiles(values)
+            row.append(f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}]")
+        call, wins = verdict(parent, change, metric["bound"], metric["better"])
+        print(f"  {name:<16} " + "   ".join(row)
+              + f"   {call} (change wins {wins:.0%}, bound {metric['bound']:.0%})")
+    if not ok:
+        print("error: a run reported correct: false or gave no result", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

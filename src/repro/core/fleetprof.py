@@ -141,10 +141,13 @@ class FleetProfiler:
         replay for the rare chip that draws an episode), and every read's
         uniforms stack into per-chip block draws, evaluated once per
         (pattern, condition, exposure) group of repeated deterministic
-        reads and once per stochastic read, through a Chernoff cut that
-        leaves ``ndtr`` only the candidate cells.  DPD excitation and reads
-        run one block of whole conditions at a time under a fixed byte
-        budget, so a unit's transient memory does not grow with the grid.
+        reads and once per stochastic read, over the condition's reach set
+        only (the cells its largest exposure can fail under worst-case
+        alignment, plus any an exact-zero uniform landed on), through a
+        Chernoff cut that leaves ``ndtr`` only the candidate cells.  DPD
+        excitation and reads run one block of whole conditions at a time
+        under a fixed byte budget, so a unit's transient memory does not
+        grow with the grid.
         Each transformation is draw-for-draw equivalent to the sequential
         walk, which is what keeps the output bit-equal.
 
@@ -153,7 +156,9 @@ class FleetProfiler:
         compare, commit) -- wall-clock observation only, so results stay
         bit-equal with instrumentation on or off -- and adds the exact
         totals of the ``chip.commands``, ``profiler.iterations`` and
-        ``profiler.new_cells`` counters the sequential walk would reach.
+        ``profiler.new_cells`` counters the sequential walk would reach,
+        plus ``kernel.reach_cells`` (cells compared, summed over
+        conditions) and ``kernel.tail_cells`` (tail cells x conditions).
         The ``chip.sim_seconds`` and ``profiler.new_cells_per_iteration``
         histograms and ``profiler.iteration`` events stay with
         :class:`~repro.core.bruteforce.BruteForceProfiler`: the grouped
@@ -300,10 +305,11 @@ class FleetProfiler:
         # Deterministic rows group by (pattern, condition) -- each group
         # one Chernoff-cut evaluation per distinct exposure
         # (FleetPopulation.deterministic_failures) -- and stochastic rows
-        # one each (FleetPopulation.stochastic_failures); both cut through
-        # repro.dram.cell.chernoff_hits.  Zero
-        # exposures never fail (the sequential path short-circuits there
-        # while still consuming the uniforms, as the block draw does).
+        # one each (FleetPopulation.stochastic_failures); both compare only
+        # the condition's reach set and cut through
+        # repro.dram.cell.chernoff_hits.  Zero exposures never fail (the
+        # sequential path short-circuits there while still consuming the
+        # uniforms, as the block draw does).
         # ------------------------------------------------------------------
         segments = [population.segment(i) for i in range(n_chips)]
         dpd = _DPDReplay(chips, population, segments, steps)
@@ -311,6 +317,18 @@ class FleetProfiler:
             float(chip.population.retention_scale(chip._temperature_c))
             for chip in chips
         )
+        # Reach cut: each condition's reads compare only the cells its
+        # largest exposure can fail under worst-case alignment
+        # (ReachSet.reaching).  The tail and its worst-case retention are
+        # built once per grid; each block builds the sets of its own
+        # conditions, so they go with the block's uniforms.  A cell
+        # outside a set fails only on a uniform of exactly 0.0, so each
+        # block puts back every cell such a uniform landed on.
+        tail = population.reach(scales)
+        e_max = [0.0] * len(conditions_grid)
+        for step in steps:
+            e_max[step.cond] = max(e_max[step.cond], step.exposure_s)
+        reach_cells = 0
         rows_per_condition = self.iterations * len(self.patterns)
         rows_per_block = rows_per_condition * max(
             1, _BLOCK_BUDGET_BYTES // max(1, rows_per_condition * n_total * 8)
@@ -329,6 +347,13 @@ class FleetProfiler:
                     for chip, (start, end) in zip(chips, segments):
                         if end > start:
                             u_all[:, start:end] = chip.read_rng.random((nb, end - start))
+                conds = sorted({step.cond for step in block})
+                cuts = {cond: tail.reaching(e_max[cond]) for cond in conds}
+                if n_total and u_all.min() == 0.0:
+                    zeros = np.flatnonzero((u_all == 0.0).any(axis=0))
+                    for cond, cut in cuts.items():
+                        cuts[cond] = tail.subset(np.union1d(cut.cells, zeros))
+                reach_cells += sum(len(cut.cells) for cut in cuts.values())
                 groups: Dict[Tuple[str, int], List[int]] = {}
                 for k, step in enumerate(block):
                     if step.exposure_s == 0.0:
@@ -336,7 +361,7 @@ class FleetProfiler:
                     if step.pattern.stochastic:
                         alignment, stressed = states[k]
                         hits = population.stochastic_failures(
-                            step.exposure_s, scales, alignment, stressed, u_all[k]
+                            step.exposure_s, alignment, stressed, u_all[k], cuts[step.cond]
                         )
                         discovered[step.cond, hits] = True
                     else:
@@ -346,12 +371,12 @@ class FleetProfiler:
                     hits = population.deterministic_failures(
                         [block[k].exposure_s for k in ks],
                         [u_all[k] for k in ks],
-                        scales,
                         alignment,
                         stressed,
+                        cuts[cond],
                     )
                     discovered[cond, hits] = True
-            del states, u_all
+            del states, u_all, cuts
 
         # Fold VRT hits into their step's condition; cells outside the
         # chip's weak tail land in per-(condition, chip) overflow sets.
@@ -435,6 +460,10 @@ class FleetProfiler:
                     sum(len(result) for results in out for result in results),
                     mechanism=self.mechanism_name,
                 )
+                # The reach cut's share of the tail: cells compared, and
+                # cells a full-tail compare would have taken, over the grid.
+                obs.counter("kernel.reach_cells", reach_cells)
+                obs.counter("kernel.tail_cells", n_total * len(conditions_grid))
         return tuple(out)
 
     @staticmethod

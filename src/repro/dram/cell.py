@@ -75,6 +75,12 @@ Z_PIN_ONE = 9.0
 #: precision (underflow completes near -38; -39.0 leaves margin).
 Z_PIN_ZERO = -39.0
 
+#: z-score at or below which ``ndtr`` stays under ``2**-53``, the smallest
+#: nonzero uniform the read generator draws (``ndtr(-8.5)`` is about
+#: 9.5e-18), so only a uniform of exactly 0.0 can fail such a cell.  The
+#: grid kernel's reach cut leaves these cells out of the compare.
+Z_REACH = -8.5
+
 #: z-score at or below which the Chernoff bound ``0.5 * exp(-z**2 / 2)``
 #: exceeds ``ndtr(z)`` by >= 43% -- far more than floating-point rounding
 #: can bridge -- so ``u >= bound`` proves ``u >= ndtr(z)`` exactly.  Cells
@@ -83,10 +89,7 @@ _CHERNOFF_Z_MAX = -0.5
 
 
 def chernoff_hits(
-    z: np.ndarray,
-    u: np.ndarray,
-    stressed: Optional[np.ndarray],
-    scratch: Optional[np.ndarray] = None,
+    z: np.ndarray, u: np.ndarray, stressed: Optional[np.ndarray]
 ) -> np.ndarray:
     """Cells that fail a read: ascending indices where ``u < ndtr(z) * stressed``.
 
@@ -103,24 +106,30 @@ def chernoff_hits(
     * the exponent is clamped at -60: deep-tail cells would otherwise push
       ``exp`` into the subnormal slow path, and raising the bound (to
       ~4e-27) only makes the cut more conservative;
-    * ``ndtr`` and the stress multiply then run on the few *candidate*
-      cells (the uniform fell under the bound, or ``z`` is above the
-      threshold) with the very expressions of the full pass, so each
-      candidate's probability is bit-equal to the full vector's.
+    * unstressed cells leave before ``ndtr``: their probability is
+      ``ndtr(z) * 0 == 0``, which no uniform is below;
+    * ``ndtr`` and the stress multiply then run on the few remaining
+      *candidate* cells (the uniform fell under the bound, or ``z`` is
+      above the threshold) with the very expressions of the full pass, so
+      each candidate's probability is bit-equal to the full vector's.
 
-    The bound is staged through ``scratch`` when given (a float64 buffer of
-    ``len(z)``; ``-0.5 * z * z`` associates left, hence ``(-0.5 * z) * z``),
-    else through one fresh array; the staging changes allocations, not bits.
+    ``-0.5 * z * z`` associates left, so the bound is staged as
+    ``(-0.5 * z) * z`` in one array: the operator expression's operations,
+    in its order.
     """
-    bound = np.multiply(-0.5, z, out=scratch)
+    bound = np.multiply(-0.5, z)
     np.multiply(bound, z, out=bound)
     np.maximum(bound, -60.0, out=bound)
     np.exp(bound, out=bound)
     np.multiply(0.5, bound, out=bound)
-    candidates = np.flatnonzero((z > _CHERNOFF_Z_MAX) | (u < bound))
+    live = z > _CHERNOFF_Z_MAX
+    live |= u < bound
+    if stressed is not None:
+        live &= stressed != 0.0
+    candidates = np.flatnonzero(live)
     p = ndtr(z[candidates])
     if stressed is not None:
-        p = p * stressed[candidates]
+        p *= stressed[candidates]
     return candidates[u[candidates] < p]
 
 

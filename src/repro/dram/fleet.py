@@ -25,7 +25,10 @@ cells fail, in the same order, from the same generator states:
   whether ``scale`` broadcasts from a scalar or repeats per element;
 * RNG purity: each chip's uniforms are drawn from its own
   ``(seed, chip_id)``-derived read generator, in chip order, into the
-  chip's segment of one shared buffer, *before* the fused compare.
+  chip's segment of one shared buffer, *before* the fused compare;
+* a gather (:class:`ReachSet`) only selects elements, so evaluating a
+  subset of the tail gives each selected cell the bits the full-tail
+  evaluation would.
 
 VRT episodes stay per-chip (each chip owns its episodic process and RNG
 stream); :class:`~repro.core.fleetprof.FleetProfiler` folds them into its
@@ -34,12 +37,14 @@ bookkeeping alongside the fused static masks.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, ProfilingError
-from .cell import _FAST_CACHE_MAX_ENTRIES, WeakCellPopulation, chernoff_hits
+from .cell import Z_REACH, WeakCellPopulation, chernoff_hits
 from .chip import SimulatedDRAMChip
 
 
@@ -54,8 +59,9 @@ class FleetPopulation:
 
     Nothing per pattern is memoized here: the profiler stacks each
     pattern's DPD arrays once per grid (:meth:`stack`) and the evaluators
-    rebuild the effective retention per call, so a population's memory
-    is its stacked tail plus a few scratch vectors.
+    rebuild the effective retention per call over a :class:`ReachSet`,
+    so a population's memory is its stacked tail; the reach sets belong
+    to the caller (the kernel builds them per read block).
     """
 
     def __init__(
@@ -92,14 +98,6 @@ class FleetPopulation:
         # dividing by the precomputed array is the same IEEE divide as
         # dividing by the expression, so bits are unchanged.
         self._one_minus_s = 1.0 - self._susceptibility
-        # Scratch buffers for the fused elementwise pipelines: `out=`-chained
-        # ufuncs apply the exact same operations as the operator expressions
-        # (bit-identical results) without reallocating multi-hundred-KB
-        # temporaries on every read.
-        self._z = np.empty(self._n_total, dtype=np.float64)
-        self._scratch = np.empty(self._n_total, dtype=np.float64)
-        self._scale_cells_memo: Dict[Tuple[float, ...], np.ndarray] = {}
-        self._sigma_eff_memo: Dict[Tuple[float, ...], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -134,59 +132,30 @@ class FleetPopulation:
         return np.concatenate(arrays)
 
     # ------------------------------------------------------------------
-    # Fused evaluation building blocks
+    # Fused evaluation
     # ------------------------------------------------------------------
-    def _scale_cells(self, scales: Tuple[float, ...]) -> np.ndarray:
-        """Per-cell retention scale: chip ``i``'s scalar repeated over its
-        segment.  Multiplying by it is bit-equal to the per-chip scalar
-        multiply."""
-        cells = self._scale_cells_memo.get(scales)
-        if cells is None:
-            cells = np.repeat(np.asarray(scales, dtype=np.float64), self._lengths)
-            if len(self._scale_cells_memo) >= _FAST_CACHE_MAX_ENTRIES:
-                self._scale_cells_memo.clear()
-            self._scale_cells_memo[scales] = cells
-        return cells
+    def reach(self, scales: Tuple[float, ...]) -> "ReachSet":
+        """The whole stacked tail as a :class:`ReachSet`, at the per-chip
+        retention ``scales`` (chip ``i``'s scalar repeated over its
+        segment: multiplying by it is bit-equal to the per-chip scalar
+        multiply)."""
+        scale = np.repeat(np.asarray(scales, dtype=np.float64), self._lengths)
+        return ReachSet(
+            cells=np.arange(self._n_total),
+            mu_wc=self._mu_wc,
+            susceptibility=self._susceptibility,
+            one_minus_s=self._one_minus_s,
+            scale=scale,
+            sigma_eff=self._sigma * scale,
+        )
 
-    def _sigma_eff(self, scales: Tuple[float, ...]) -> np.ndarray:
-        """Concatenated ``sigma_s * scale`` -- the per-chip expression."""
-        sigma_eff = self._sigma_eff_memo.get(scales)
-        if sigma_eff is None:
-            sigma_eff = self._sigma * self._scale_cells(scales)
-            if len(self._sigma_eff_memo) >= _FAST_CACHE_MAX_ENTRIES:
-                self._sigma_eff_memo.clear()
-            self._sigma_eff_memo[scales] = sigma_eff
-        return sigma_eff
-
-    def _scaled_mu(
-        self,
-        alignment: np.ndarray,
-        scales: Tuple[float, ...],
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Concatenated temperature-scaled DPD effective retention -- the
-        per-chip expression ``mu_wc_s * (1 - s*a) / (1 - s) * scale`` term
-        for term.
-
-        Every step is the same ufunc the operator expression would invoke
-        (multiplication commutes bitwise under IEEE 754), so chaining them
-        through one buffer changes allocations, not results.  With ``out``
-        the caller's scratch buffer is used; without, one array is
-        allocated and returned.
-        """
-        tmp = np.multiply(self._susceptibility, alignment, out=out)
-        np.subtract(1.0, tmp, out=tmp)
-        np.multiply(self._mu_wc, tmp, out=tmp)
-        np.divide(tmp, self._one_minus_s, out=tmp)
-        return np.multiply(tmp, self._scale_cells(scales), out=tmp)
-
+    @staticmethod
     def deterministic_failures(
-        self,
         exposures_s: Sequence[float],
         u_rows: Sequence[np.ndarray],
-        scales: Tuple[float, ...],
         alignment: np.ndarray,
         stressed: np.ndarray,
+        reach: "ReachSet",
     ) -> np.ndarray:
         """Cells that fail on at least one of several reads of a
         deterministic pattern.
@@ -195,7 +164,10 @@ class FleetPopulation:
         arrays (:meth:`stack`).  Read ``k`` runs at ``exposures_s[k]`` with
         the chip-ordered uniforms ``u_rows[k]``; per read, a cell fails
         exactly when its uniform is below ``ndtr((exposure - mu_eff) /
-        sigma_eff) * stressed``, the per-chip expression.  Returns the flat
+        sigma_eff) * stressed``, the per-chip expression.  The compare runs
+        on ``reach`` only: the kernel passes a condition's reach set
+        (:meth:`ReachSet.reaching`) plus every cell a uniform of exactly 0.0
+        landed on, outside of which no cell can fail.  Returns the flat
         indices of every cell some read fails (possibly repeated).
 
         Reads whose exposure floats are bit-equal share one probability
@@ -203,30 +175,29 @@ class FleetPopulation:
         p``, so each exposure group evaluates one z vector against its
         elementwise-minimum uniform row through :func:`chernoff_hits`.
         """
-        mu_eff = self._scaled_mu(alignment, scales)
-        sigma_eff = self._sigma_eff(scales)
+        cells = reach.cells
+        mu_eff = reach.scaled_mu(np.take(alignment, cells))
+        stressed = np.take(stressed, cells)
         by_exposure: Dict[float, List[np.ndarray]] = {}
         for exposure_s, u in zip(exposures_s, u_rows):
             by_exposure.setdefault(exposure_s, []).append(u)
         hits = []
         for exposure_s, us in by_exposure.items():
-            umin = us[0]
-            if len(us) > 1:
-                umin = np.minimum(us[0], us[1])
-                for u in us[2:]:
-                    np.minimum(umin, u, out=umin)
-            z = np.subtract(exposure_s, mu_eff, out=self._z)
-            np.divide(z, sigma_eff, out=z)
-            hits.append(chernoff_hits(z, umin, stressed, scratch=self._scratch))
+            umin = np.take(us[0], cells)
+            for u in us[1:]:
+                np.minimum(umin, np.take(u, cells), out=umin)
+            z = np.subtract(exposure_s, mu_eff)
+            np.divide(z, reach.sigma_eff, out=z)
+            hits.append(cells[chernoff_hits(z, umin, stressed)])
         return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
+    @staticmethod
     def stochastic_failures(
-        self,
         exposure_s: float,
-        scales: Tuple[float, ...],
         alignment: np.ndarray,
         stressed: np.ndarray,
         u: np.ndarray,
+        reach: "ReachSet",
     ) -> np.ndarray:
         """Cells that fail one read of a stochastic pattern: the fleet
         analogue of ``WeakCellPopulation._sample_banded_fast``, as ascending
@@ -235,15 +206,77 @@ class FleetPopulation:
         ``alignment`` and ``stressed`` are the write's fleet-stacked DPD
         arrays; ``u`` supplies the chip-ordered uniforms (the kernel
         gathers them from per-chip block draws -- value-identical to the
-        per-read draw, so the compare is unchanged)."""
-        # Stage the z pipeline through the scratch buffers: each step is
-        # the ufunc the operator expression would invoke, applied in the
-        # same order, so the bits are unchanged.  mu_eff is dead once z
-        # exists, which frees its scratch buffer for the bound.
-        mu_eff = self._scaled_mu(alignment, scales, out=self._scratch)
-        z = np.subtract(exposure_s, mu_eff, out=self._z)
-        np.divide(z, self._sigma_eff(scales), out=z)
-        return chernoff_hits(z, u, stressed, scratch=self._scratch)
+        per-read draw, so the compare is unchanged); the compare runs on
+        ``reach`` only, as in :meth:`deterministic_failures`."""
+        cells = reach.cells
+        z = np.subtract(exposure_s, reach.scaled_mu(np.take(alignment, cells)))
+        np.divide(z, reach.sigma_eff, out=z)
+        return cells[chernoff_hits(z, np.take(u, cells), np.take(stressed, cells))]
+
+
+@dataclass(frozen=True)
+class ReachSet:
+    """The cells one condition's reads compare, with the tail arrays the
+    failure expression needs gathered at them: the whole tail
+    (:meth:`FleetPopulation.reach`), or the part of it a condition's reads
+    can fail (:meth:`reaching`).
+
+    ``cells`` holds ascending flat indices into the stacked tail; the other
+    arrays are the stacked ``mu_wc_s``, susceptibility ``s``, ``1 - s``,
+    per-cell retention scale and ``sigma_s * scale`` at those cells.  A
+    gather only selects elements, so every value below is bit-equal to the
+    full-tail evaluation's at the same cell.
+    """
+
+    cells: np.ndarray
+    mu_wc: np.ndarray
+    susceptibility: np.ndarray
+    one_minus_s: np.ndarray
+    scale: np.ndarray
+    sigma_eff: np.ndarray
+
+    def subset(self, positions: np.ndarray) -> "ReachSet":
+        """This set restricted to ``positions`` (ascending indices into
+        :attr:`cells`)."""
+        return ReachSet(*(np.take(getattr(self, f.name), positions) for f in fields(self)))
+
+    @cached_property
+    def mu_floor(self) -> np.ndarray:
+        """The worst-case effective retention: :meth:`scaled_mu` at
+        alignment 1.0, computed once per set."""
+        return self.scaled_mu(1.0)
+
+    def reaching(self, exposure_s: float) -> "ReachSet":
+        """The cells of this set that a read at any exposure up to
+        ``exposure_s`` can fail.
+
+        They are the cells whose worst-case z-score ``(exposure_s -
+        mu_floor) / sigma_eff`` exceeds :data:`~repro.dram.cell.Z_REACH`.
+        Every DPD alignment is at most 1.0, every operation of the z
+        pipeline is monotone in IEEE arithmetic, and the reads share
+        ``sigma_eff``, so a read at any exposure ``e <= exposure_s`` under
+        any alignment gives a cell outside the result ``z <= Z_REACH``: a
+        probability below ``2**-53``, which only a uniform of exactly 0.0
+        can fall under.
+        """
+        z = np.subtract(exposure_s, self.mu_floor)
+        np.divide(z, self.sigma_eff, out=z)
+        return self.subset(np.flatnonzero(z > Z_REACH))
+
+    def scaled_mu(self, alignment) -> np.ndarray:
+        """Temperature-scaled DPD effective retention at ``alignment`` (a
+        scalar or an array gathered at :attr:`cells`) -- the per-chip
+        expression ``mu_wc_s * (1 - s*a) / (1 - s) * scale`` term for term.
+
+        Every step is the same elementwise ufunc the operator expression
+        would invoke (multiplication commutes bitwise under IEEE 754), so
+        chaining them through one buffer changes allocations, not results.
+        """
+        tmp = np.multiply(self.susceptibility, alignment)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(self.mu_wc, tmp, out=tmp)
+        np.divide(tmp, self.one_minus_s, out=tmp)
+        return np.multiply(tmp, self.scale, out=tmp)
 
 
 class ChipFleet:

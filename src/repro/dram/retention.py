@@ -101,7 +101,7 @@ class RetentionSampler:
         # Weak cells are sparse relative to the full array, so sampling flat
         # addresses with replacement and de-duplicating loses a negligible
         # number of draws.
-        indices = np.unique(rng.integers(0, capacity_bits, size=count, dtype=np.int64))
+        indices = _sorted_unique(rng.integers(0, capacity_bits, size=count, dtype=np.int64))
         count = len(indices)
 
         # Inverse-CDF sampling of the truncated lognormal tail.
@@ -127,7 +127,7 @@ class RetentionSampler:
         orientation = rng.integers(0, 2, size=count, dtype=np.uint8)
 
         # Shuffle breaks the correlation between address order and the
-        # inverse-CDF draw order introduced by np.unique's sort.
+        # inverse-CDF draw order introduced by the sort.
         order = rng.permutation(count)
         return WeakCellSample(
             indices=indices,
@@ -137,3 +137,14 @@ class RetentionSampler:
             vrt_flag=vrt_flag[order],
             orientation=orientation[order],
         )
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a non-empty int array: sort, then drop
+    each value equal to its predecessor -- the same sorted unique array,
+    without ``np.unique``'s hash-table pass."""
+    values = np.sort(values)
+    first = np.empty(len(values), dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]

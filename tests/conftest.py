@@ -166,7 +166,7 @@ class ProfileOutcome(NamedTuple):
 
 def profile_routes(
     members, geometry, seed, temperatures, intervals, patterns=STANDARD_PATTERNS,
-    iterations=1, block_rows=None,
+    iterations=1, block_rows=None, reads=None,
 ):
     """Profile the chips ``members`` ((chip_id, vendor) pairs) at every
     refresh interval, at each of ``temperatures`` in turn, along three
@@ -177,13 +177,18 @@ def profile_routes(
 
     ``block_rows`` shrinks the kernel's block budget to a few rows, which
     puts every condition in a read block of its own and splits runs of
-    random writes across several excitation blocks."""
+    random writes across several excitation blocks.  ``reads`` (optional)
+    is called on every chip of every route before it profiles, to replace
+    the chip's read generator the same way on each route."""
     runs = [
         [Conditions(t, temperature=temperature) for t in intervals] for temperature in temperatures
     ]
 
     bed = TestBed.build_members(members, geometry=geometry, seed=seed)
     fleet = ChipFleet(bed.chips)
+    if reads is not None:
+        for chip in fleet.chips:
+            reads(chip)
     kernel = FleetProfiler(patterns=patterns, iterations=iterations)
     budget = fleetprof._BLOCK_BUDGET_BYTES
     if block_rows is not None:
@@ -204,6 +209,9 @@ def profile_routes(
             for chip_id, vendor in members
         ]
         chips = [single.chips[0] for single in beds]
+        if reads is not None:
+            for chip in chips:
+                reads(chip)
         walk = BruteForceProfiler(patterns=patterns, iterations=iterations)
         failing = []
         for temperature, grid in zip(temperatures, runs):

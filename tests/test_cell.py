@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from repro import rng as rng_mod
 from repro.conditions import Conditions
-from repro.dram.cell import WeakCellPopulation
+from repro.dram.cell import WeakCellPopulation, chernoff_hits
 from repro.dram.dpd import DPDModel
 from repro.dram.retention import WeakCellSample
 from repro.dram.vendor import VENDOR_B
@@ -117,3 +118,38 @@ class TestOracle:
         dpd = DPDModel(np.zeros(3), rng_mod.derive(1, "x"), 0.9)
         with pytest.raises(ConfigurationError):
             WeakCellPopulation(sample, VENDOR_B, dpd)
+
+
+class TestChernoffHits:
+    """The cut against the brute-force compare ``u < ndtr(z) * stressed``."""
+
+    #: z from deep underflow to saturation, with the pin, reach and
+    #: Chernoff thresholds themselves.
+    Z = np.concatenate([np.linspace(-45.0, 10.0, 111), [-39.0, -8.5, -0.5]])
+
+    @staticmethod
+    def uniforms_around(z):
+        """Per z: exactly 0.0, the smallest nonzero uniform, one ulp under
+        and over ``ndtr(z)`` and ``ndtr(z)`` itself, the same around the
+        Chernoff bound, and the largest uniform."""
+        p = ndtr(z)
+        bound = 0.5 * np.exp(np.maximum(-0.5 * z * z, -60.0))
+        columns = [np.zeros_like(z), np.full_like(z, 2.0**-53), np.full_like(z, 1.0 - 2.0**-53)]
+        for edge in (p, bound):
+            columns += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        return np.stack(columns, axis=1)
+
+    @pytest.mark.parametrize("stressed", [0.0, 1.0, None, "every third"])
+    def test_matches_the_brute_force_compare(self, stressed):
+        u = self.uniforms_around(self.Z)
+        z = np.repeat(self.Z, u.shape[1])
+        u = u.ravel()
+        if stressed == "every third":
+            mask = (np.arange(len(z)) % 3 == 0).astype(float)
+        else:
+            mask = None if stressed is None else np.full_like(z, stressed)
+        want = u < (ndtr(z) if mask is None else ndtr(z) * mask)
+        assert np.array_equal(chernoff_hits(z, u, mask), np.flatnonzero(want))
+        # Some reads fail and some do not, so a cut that always or never
+        # fires would not pass.
+        assert want.any() != (stressed == 0.0) and not want.all()

@@ -23,7 +23,7 @@ from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
 from repro.core import BruteForceProfiler
 from repro.core.device import ObservedCellAccumulator
-from repro.dram.cell import Z_PIN_ONE, Z_PIN_ZERO
+from repro.dram.cell import Z_PIN_ONE, Z_PIN_ZERO, Z_REACH
 from repro.dram.chip import SimulatedDRAMChip
 from repro.dram.geometry import ChipGeometry
 from repro.errors import CommandSequenceError
@@ -57,6 +57,15 @@ class TestPinConstants:
         # And the constants leave margin to the actual saturation points.
         assert ndtr(Z_PIN_ONE - 0.5) == 1.0
         assert ndtr(Z_PIN_ZERO + 0.5) == 0.0
+
+    def test_reach_threshold_is_below_every_nonzero_uniform(self):
+        """The kernel's reach cut rests on this: at or below Z_REACH the
+        failure probability is under 2**-53, and the read generator's
+        uniforms are whole multiples of 2**-53, so none but 0.0 is below
+        it."""
+        assert ndtr(Z_REACH) < 2.0**-53
+        u = np.random.default_rng(0).random(4096)
+        assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
 
 
 class TestProfileEquivalence:

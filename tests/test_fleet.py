@@ -9,6 +9,9 @@ serial, pooled and cross-resumed campaigns) and the pieces:
 
 * :class:`repro.dram.fleet.FleetPopulation` segments and the grouped
   deterministic evaluator at its exact boundary;
+* the reach cut: each condition's reach set against every read of the
+  reference walk, and exact-zero uniforms planted on the cells it leaves
+  out, on every route;
 * :class:`repro.dram.fleet.ChipFleet` validation, and a
   :meth:`repro.infra.testbed.TestBed.build_members` bed settling its chips
   exactly as one-chip beds settle theirs;
@@ -30,13 +33,15 @@ import pytest
 from repro.analysis import campaign as analysis_campaign
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
+from repro.core.bruteforce import BruteForceProfiler
 from repro.core.fleetprof import FleetProfiler
+from repro.dram.cell import Z_REACH
 from repro.dram.fleet import ChipFleet, FleetPopulation
 from repro.dram.geometry import ChipGeometry
 from repro.dram.vendor import VENDOR_A, VENDOR_B
 from repro.errors import CommandSequenceError, ConfigurationError, ProfilingError
 from repro.infra.testbed import TestBed
-from repro.patterns import CHECKERBOARD, RANDOM, DataPattern
+from repro.patterns import CHECKERBOARD, RANDOM, STANDARD_PATTERNS, DataPattern
 from repro.runner import (
     CHIP_UNIT_KIND,
     FLEET_UNIT_KIND,
@@ -151,13 +156,150 @@ class TestDeterministicFailures:
         hits = population.deterministic_failures(
             exposures,
             u_rows,
-            scales,
             population.stack(aligns),
             population.stack(stresses),
+            population.reach(scales),
         )
         got = np.zeros(len(population), dtype=bool)
         got[hits] = True
         assert np.array_equal(got, want)
+
+
+class _ZeroedReads:
+    """A read generator whose chosen stream positions read exactly 0.0.
+
+    Every draw is the wrapped generator's, except that the doubles at
+    ``positions`` (counted from this wrapper's first draw, across calls
+    and array shapes) are replaced by 0.0 -- a value the generator can
+    return, with probability ``2**-53`` per draw."""
+
+    def __init__(self, rng, positions):
+        self._rng = rng
+        self._positions = np.unique(np.asarray(positions, dtype=np.int64))
+        self._drawn = 0
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def random(self, size):
+        u = self._rng.random(size)
+        flat = u.reshape(-1)
+        start, self._drawn = self._drawn, self._drawn + flat.size
+        lo, hi = np.searchsorted(self._positions, [start, self._drawn])
+        flat[self._positions[lo:hi] - start] = 0.0
+        return u
+
+
+REACH_INTERVALS = [0.512, 1.024, 2.048]
+
+
+def reference_reads(temperature, intervals=REACH_INTERVALS, iterations=2):
+    """Each member chip of :data:`MEMBERS` with the ``(exposure, p)`` of
+    every read the reference walk makes over one grid, in stream order:
+    ``p`` is the probability vector the read's uniforms are compared to."""
+    out = []
+    for bed in build_one_chip_beds(fast_path=False):
+        chip = bed.chips[0]
+        rows = []
+
+        def record(exposure_s, *args, _evaluate=chip.population.failure_probabilities, _rows=rows):
+            p = _evaluate(exposure_s, *args)
+            _rows.append((exposure_s, p))
+            return p
+
+        chip.population.failure_probabilities = record
+        bed.set_ambient(temperature)
+        walk = BruteForceProfiler(patterns=STANDARD_PATTERNS, iterations=iterations)
+        for trefi in intervals:
+            walk.run(chip, Conditions(trefi, temperature))
+        assert len(rows) == len(intervals) * iterations * len(STANDARD_PATTERNS)
+        out.append((chip, rows))
+    return out
+
+
+def outside_reach(chip, e_max):
+    """Cells whose worst-case z-score at exposure ``e_max`` is at most
+    Z_REACH: the kernel's reach-cut expression, written out per chip."""
+    population = chip.population
+    scale = population.retention_scale(chip.temperature_c)
+    s = population.dpd.susceptibility
+    mu_floor = population.mu_wc_s * (1.0 - s * 1.0) / (1.0 - s) * scale
+    return (e_max - mu_floor) / (population.sigma_s * scale) <= Z_REACH
+
+
+def condition_rows(rows, n_conditions):
+    """``rows`` split into consecutive equal runs, one per condition."""
+    per = len(rows) // n_conditions
+    return [rows[c * per : (c + 1) * per] for c in range(n_conditions)]
+
+
+class TestReachCut:
+    """The reach cut leaves out of each condition's compare only cells no
+    nonzero uniform can fail, and puts back exact-zero uniforms."""
+
+    @pytest.mark.parametrize("temperature", [45.0, 55.0])
+    def test_cells_outside_the_reach_set_stay_below_every_uniform(self, temperature):
+        reads = reference_reads(temperature)
+        scales = tuple(chip.population.retention_scale(chip.temperature_c) for chip, _ in reads)
+        fleet = FleetPopulation([chip.population for chip, _ in reads])
+        per_chip = [condition_rows(rows, len(REACH_INTERVALS)) for _chip, rows in reads]
+        e_max = [
+            max(exposure for rows in per_chip for exposure, _p in rows[c])
+            for c in range(len(REACH_INTERVALS))
+        ]
+        cut_somewhere = False
+        tail = fleet.reach(scales)
+        for c, reach in enumerate(tail.reaching(exposure) for exposure in e_max):
+            kept = []
+            for i, (chip, _rows) in enumerate(reads):
+                outside = outside_reach(chip, e_max[c])
+                kept.append(np.flatnonzero(~outside) + fleet.segment(i)[0])
+                for _exposure, p in per_chip[i][c]:
+                    assert np.all(p[outside] < 2.0**-53)
+                    cut_somewhere |= bool(np.any(p[outside] > 0.0))
+            assert np.array_equal(reach.cells, np.concatenate(kept))
+        # Some left-out cell has a nonzero probability: only the fact that
+        # it is below every nonzero uniform makes leaving it out exact.
+        assert cut_somewhere
+
+    @pytest.mark.parametrize("block_rows", [None, 1])
+    def test_exact_zero_uniforms_outside_the_reach_set_still_fail(self, block_rows):
+        """Zeros placed on left-out cells with ``ndtr(z) * stressed > 0``
+        fail them on every route, with the whole grid in one read block or
+        each condition in its own; a kernel that did not put such cells
+        back into its compare would miss them."""
+        reads = reference_reads(45.0)
+        zeros = {}
+        planted = []
+        for chip, rows in reads:
+            n = len(chip.population)
+            positions = []
+            failing = []
+            for c, crows in enumerate(condition_rows(rows, len(REACH_INTERVALS))):
+                outside = outside_reach(chip, max(exposure for exposure, _p in crows))
+                cells = set()
+                for k, (_exposure, p) in enumerate(crows):
+                    row = c * len(crows) + k
+                    chosen = np.flatnonzero(outside & (p > 0.0))[:2]
+                    positions.extend((row * n + chosen).tolist())
+                    cells.update(chip.population.indices[chosen].tolist())
+                failing.append(cells)
+            assert positions
+            zeros[chip.chip_id] = positions
+            planted.append(failing)
+
+        def plant(chip):
+            chip._read_rng = _ZeroedReads(chip._read_rng, zeros[chip.chip_id])
+
+        kernel, fast, reference = profile_routes(
+            MEMBERS, MICRO, TEST_SEED, [45.0], REACH_INTERVALS, iterations=2,
+            block_rows=block_rows, reads=plant,
+        )
+        assert kernel == fast == reference
+        for c, results in enumerate(kernel.failing):
+            for i, failing in enumerate(results):
+                assert planted[i][c] <= failing
 
 
 class TestChipFleet:

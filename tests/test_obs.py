@@ -23,9 +23,13 @@ from repro import obs
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions, ReachDelta
 from repro.core.bruteforce import BruteForceProfiler
+from repro.core.fleetprof import FleetProfiler
 from repro.core.reaper import REAPER
 from repro.dram.chip import SimulatedDRAMChip
+from repro.dram.fleet import ChipFleet, ReachSet
+from repro.dram.vendor import VENDOR_A, VENDOR_B, VENDOR_C
 from repro.errors import ConfigurationError
+from repro.infra import testbed
 from repro.mitigation.rowmapout import RowMapOut
 from repro.obs import (
     JsonlEventSink,
@@ -437,3 +441,32 @@ class TestKernelCounters:
         assert walk[("chip.commands", "read_compare")] > 0
         assert walk[("profiler.new_cells", None)] > 0
         assert kernel == walk
+
+    def test_reach_counters_sum_the_cut_over_conditions(self, enabled_obs, monkeypatch):
+        """``kernel.reach_cells`` adds each condition's reach set size and
+        ``kernel.tail_cells`` the full tail once per condition."""
+        sizes = []
+        reaching = ReachSet.reaching
+
+        def spy(tail, exposure_s):
+            cut = reaching(tail, exposure_s)
+            sizes.append(len(cut.cells))
+            return cut
+
+        monkeypatch.setattr(ReachSet, "reaching", spy)
+        bed = testbed.TestBed.build_members(
+            [(0, VENDOR_A), (1, VENDOR_B), (2, VENDOR_C)], geometry=TINY_GEOMETRY, seed=TEST_SEED
+        )
+        fleet = ChipFleet(bed.chips)
+        profiler = FleetProfiler(iterations=1)
+        grids = [(45.0, [0.512, 1.024, 2.048]), (55.0, [2.048])]
+        for temperature, intervals in grids:
+            bed.set_ambient(temperature)
+            profiler.run_grid(fleet, [Conditions(t, temperature) for t in intervals])
+        reach = enabled_obs.metrics.counter("kernel.reach_cells").value
+        tail = enabled_obs.metrics.counter("kernel.tail_cells").value
+        assert len(sizes) == 4
+        assert tail == 4 * len(fleet.population)
+        assert reach == sum(sizes)
+        # The cut removes most of the tail at these conditions, not all.
+        assert 0 < reach < tail / 2

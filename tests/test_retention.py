@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
+from repro.dram import retention
 from repro.dram.retention import RetentionSampler, WeakCellSample
 from repro.dram.vendor import VENDOR_B
 from repro.errors import ConfigurationError
@@ -62,6 +63,28 @@ class TestSampling:
         small = make_sample(horizon=2.0)
         large = make_sample(horizon=6.0)
         assert len(large) > len(small)
+
+    def test_dedupe_matches_np_unique_on_repeated_addresses(self, monkeypatch):
+        """A capacity this small makes the address draw repeat, so the
+        dedupe shapes every field; each must equal the np.unique version."""
+        drawn = []
+
+        def record(dedupe):
+            def wrapped(values):
+                drawn.append(len(values))
+                return dedupe(values)
+
+            return wrapped
+
+        monkeypatch.setattr(retention, "_sorted_unique", record(retention._sorted_unique))
+        sample = make_sample(capacity_bits=4096, horizon=1000.0)
+        monkeypatch.setattr(retention, "_sorted_unique", record(np.unique))
+        reference = make_sample(capacity_bits=4096, horizon=1000.0)
+        assert drawn[0] == drawn[1] > len(sample) > 0
+        for name in ("indices", "mu_wc_s", "sigma_s", "susceptibility", "vrt_flag", "orientation"):
+            got, want = getattr(sample, name), getattr(reference, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
     def test_tiny_capacity_can_be_empty(self):
         sample = make_sample(capacity_bits=1024, horizon=0.5)
