@@ -1,7 +1,8 @@
 """Observability overhead benchmark: profiling hot path with metrics on.
 
-Times the standard profiling workload (Algorithm 1, fast path) with the
-observability layer disabled and enabled in its ``--metrics``
+Times the standard profiling workload (Algorithm 1 as
+``BruteForceProfiler.run`` profiles a production chip: on the grid kernel)
+with the observability layer disabled and enabled in its ``--metrics``
 configuration (process-wide registry recording, no event file), and
 verifies both that the profiles stay *byte-identical* (the
 zero-perturbation contract) and that the enabled-instrumentation overhead
@@ -53,7 +54,7 @@ from repro.core import BruteForceProfiler  # noqa: E402
 from repro.dram.chip import SimulatedDRAMChip  # noqa: E402
 from repro.dram.geometry import ChipGeometry  # noqa: E402
 from repro.patterns import STANDARD_PATTERNS  # noqa: E402
-from benchutil import output_paths  # noqa: E402
+from benchutil import host_stamp, output_paths  # noqa: E402
 
 GEOMETRY = ChipGeometry.from_capacity_gigabits(4.0)
 CONDITIONS = Conditions(trefi=1.024, temperature=45.0)
@@ -163,6 +164,7 @@ def main(argv=None) -> int:
         "enabled": {"cpu_seconds": on_seconds, "passes_per_s": passes / on_seconds},
         "overhead_fraction": overhead,
         "equivalent": equivalent,
+        "host": host_stamp(),
     }
     out_path.write_text(json.dumps(result, indent=2) + "\n")
 

@@ -1,11 +1,14 @@
-"""Profiling hot-path benchmark: reference vs vectorized fast path.
+"""Profiling hot-path benchmark: reference walk vs the grid kernel route.
 
 Times the paper's standard profiling workload -- a 16-iteration pass over
 the 12 standard patterns (Algorithm 1 at the Figure 9/10 configuration) on
-a 2 Gbit chip -- once with the reference failure evaluation and once with
-the memoized marginal-band fast path, then verifies the two runs produced
-*byte-identical* profiles.  Emits ``BENCH_profiling_hotpath.json`` at the
-repository root so the performance trajectory is machine-readable, plus a
+a 2 Gbit chip -- once as :meth:`BruteForceProfiler.walk` on a chip with the
+reference failure evaluation (``fast_path=False``, the oracle) and once as
+:meth:`BruteForceProfiler.run` on a production chip, which profiles it on
+the grid kernel (a one-condition ``run_grid`` on a one-chip fleet), then
+verifies the two runs produced *byte-identical* profiles.  Emits
+``BENCH_profiling_hotpath.json`` at the repository root, stamped with the
+measuring host, so the performance trajectory is machine-readable, plus a
 human-readable report under ``benchmarks/results/``.
 
 Run standalone (CI uses ``--rounds 1 --min-speedup 2.0``)::
@@ -32,7 +35,7 @@ from repro.core import BruteForceProfiler  # noqa: E402
 from repro.dram.chip import SimulatedDRAMChip  # noqa: E402
 from repro.dram.geometry import ChipGeometry  # noqa: E402
 from repro.patterns import STANDARD_PATTERNS  # noqa: E402
-from benchutil import output_paths  # noqa: E402
+from benchutil import host_stamp, output_paths  # noqa: E402
 
 GEOMETRY = ChipGeometry.from_capacity_gigabits(2.0)
 CONDITIONS = Conditions(trefi=1.024, temperature=45.0)
@@ -43,41 +46,41 @@ REPORT_PATH = REPO_ROOT / "benchmarks" / "results" / "profiling_hotpath.txt"
 
 
 def run_benchmark(rounds: int):
-    """Best-of-``rounds`` steady-state wall time per mode.
+    """Best-of-``rounds`` steady-state wall time per arm.
 
-    Both modes run against a persistent chip with the same (seed, chip_id),
+    Both arms run against a persistent chip with the same (seed, chip_id),
     so they evaluate exactly the same simulated hardware and every round's
-    profile is comparable across modes -- the function asserts byte-identity
+    profile is comparable across arms -- the function asserts byte-identity
     for every round, warmup included, and returns the combined verdict.
 
-    The timed region is the steady-state profiling loop: one untimed warmup
-    run per mode first absorbs lazy one-time model initialization (each
-    deterministic pattern's first-write alignment draw, fast-path cache
-    builds) that would otherwise be charged to the inner loop.  Rounds are
-    interleaved ref/fast so slow CPU frequency or load drift cannot bias
-    one mode.
+    The timed region is one whole profiling call, profile building
+    included.  One untimed warmup run per arm first absorbs lazy one-time
+    model initialization (each deterministic pattern's first-write
+    alignment draw) that would otherwise be charged to the first round.
+    Rounds are interleaved reference/kernel so slow CPU frequency or load
+    drift cannot bias one arm.
     """
     profiler = BruteForceProfiler(patterns=STANDARD_PATTERNS, iterations=ITERATIONS)
-    chips = {
-        mode: SimulatedDRAMChip(geometry=GEOMETRY, seed=SEED, fast_path=mode)
-        for mode in (False, True)
+    arms = {
+        "reference": (profiler.walk, SimulatedDRAMChip(geometry=GEOMETRY, seed=SEED, fast_path=False)),
+        "kernel": (profiler.run, SimulatedDRAMChip(geometry=GEOMETRY, seed=SEED)),
     }
-    warm = {mode: profiler.run(chips[mode], CONDITIONS) for mode in (False, True)}
-    equivalent = warm[False].to_json() == warm[True].to_json()
-    best = {False: float("inf"), True: float("inf")}
+    warm = {name: route(chip, CONDITIONS) for name, (route, chip) in arms.items()}
+    equivalent = warm["reference"].to_json() == warm["kernel"].to_json()
+    best = {name: float("inf") for name in arms}
     profiles = {}
     for _ in range(rounds):
-        for mode in (False, True):
+        for name, (route, chip) in arms.items():
             start = time.perf_counter()
-            profiles[mode] = profiler.run(chips[mode], CONDITIONS)
-            best[mode] = min(best[mode], time.perf_counter() - start)
-        equivalent = equivalent and profiles[False].to_json() == profiles[True].to_json()
-    return best[False], best[True], equivalent, profiles[False]
+            profiles[name] = route(chip, CONDITIONS)
+            best[name] = min(best[name], time.perf_counter() - start)
+        equivalent = equivalent and profiles["reference"].to_json() == profiles["kernel"].to_json()
+    return best["reference"], best["kernel"], equivalent, profiles["reference"]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=3, help="timing rounds per mode (best-of)")
+    parser.add_argument("--rounds", type=int, default=3, help="timing rounds per arm (best-of)")
     parser.add_argument(
         "--out",
         type=pathlib.Path,
@@ -89,14 +92,14 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=0.0,
-        help="exit non-zero if fast/reference speedup falls below this",
+        help="exit non-zero if the kernel's speedup over the reference falls below this",
     )
     args = parser.parse_args(argv)
     out_path, report_path = output_paths(args.out, DEFAULT_OUT, REPORT_PATH)
 
     passes = ITERATIONS * len(STANDARD_PATTERNS)
-    ref_seconds, fast_seconds, equivalent, ref_profile = run_benchmark(args.rounds)
-    speedup = ref_seconds / fast_seconds
+    ref_seconds, kernel_seconds, equivalent, ref_profile = run_benchmark(args.rounds)
+    speedup = ref_seconds / kernel_seconds
 
     result = {
         "benchmark": "profiling_hotpath",
@@ -116,24 +119,25 @@ def main(argv=None) -> int:
             "seconds": ref_seconds,
             "passes_per_s": passes / ref_seconds,
         },
-        "fast": {
-            "seconds": fast_seconds,
-            "passes_per_s": passes / fast_seconds,
+        "kernel": {
+            "seconds": kernel_seconds,
+            "passes_per_s": passes / kernel_seconds,
         },
         "speedup": speedup,
         "equivalent": equivalent,
         "failing_cells": len(ref_profile),
+        "host": host_stamp(),
     }
     out_path.write_text(json.dumps(result, indent=2) + "\n")
 
     report = "\n".join(
         [
-            "Profiling hot path: reference vs vectorized fast path",
+            "Profiling hot path: reference walk vs grid kernel route",
             f"  workload    : {ITERATIONS} iterations x {len(STANDARD_PATTERNS)} patterns "
             f"({passes} passes), {GEOMETRY.capacity_gigabits:g} Gbit chip, "
             f"trefi={CONDITIONS.trefi}s",
             f"  reference   : {ref_seconds:.3f}s  ({passes / ref_seconds:,.0f} passes/s)",
-            f"  fast path   : {fast_seconds:.3f}s  ({passes / fast_seconds:,.0f} passes/s)",
+            f"  kernel      : {kernel_seconds:.3f}s  ({passes / kernel_seconds:,.0f} passes/s)",
             f"  speedup     : {speedup:.2f}x",
             f"  byte-identical profiles: {equivalent}",
             f"  json        : {out_path}",
@@ -144,7 +148,7 @@ def main(argv=None) -> int:
     print(report)
 
     if not equivalent:
-        print("FAIL: fast-path profile differs from the reference profile", file=sys.stderr)
+        print("FAIL: kernel-route profile differs from the reference profile", file=sys.stderr)
         return 1
     if speedup < args.min_speedup:
         print(

@@ -42,7 +42,7 @@ from repro.lake import (  # noqa: E402
     summary_from_lake,
     summary_from_run_dir,
 )
-from benchutil import output_paths  # noqa: E402
+from benchutil import host_stamp, output_paths  # noqa: E402
 
 SEED = 368
 VENDORS = ("A", "B", "C")
@@ -204,6 +204,7 @@ def main(argv=None) -> int:
         "compression_ratio": jsonl_bytes / segment_bytes,
         "byte_identical": identical,
         "summary_units": summary["units"],
+        "host": host_stamp(),
     }
     out_path.write_text(json.dumps(result, indent=2) + "\n")
 

@@ -9,15 +9,24 @@ IO time per pass and the full refresh-interval wait per pattern.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..clock import ClockStopwatch
 from ..conditions import Conditions
+from ..dram.chip import SimulatedDRAMChip
+from ..dram.fleet import ChipFleet
 from ..errors import ConfigurationError, ProfilingError
 from ..patterns import STANDARD_PATTERNS, DataPattern
 from .device import ObservedCellAccumulator, ProfilableDevice
+from .fleetprof import FleetProfiler, random_family
 from .profile import IterationRecord, RetentionProfile
+
+#: What a profiling route yields after each read: the clock, and the
+#: failing cells the read reported.
+_Read = Tuple[float, np.ndarray]
 
 
 class BruteForceProfiler:
@@ -77,7 +86,81 @@ class BruteForceProfiler:
         ``target_conditions`` defaults to the profiling conditions (plain
         brute force); reach profiling passes the real target so the profile
         records both.
+
+        A fixed schedule (no quiet-streak stop, stochastic patterns only
+        from the random family) on a :class:`SimulatedDRAMChip` with the
+        production evaluator runs on the grid kernel, as a one-condition
+        :meth:`~repro.core.fleetprof.FleetProfiler.run_grid` on a one-chip
+        fleet; every other input runs :meth:`walk`.  Both give the same
+        profile, chip end state and telemetry, except that a kernel run
+        raises before any command executes.
         """
+        if (
+            isinstance(device, SimulatedDRAMChip)
+            and device.population.fast_path
+            and not self.stop_after_quiet_iterations
+            and all(random_family(p) for p in self.patterns if p.stochastic)
+        ):
+            reads = self._kernel(device, conditions)
+            return self._profile(device, conditions, target_conditions, reads)
+        return self.walk(device, conditions, target_conditions)
+
+    def walk(
+        self,
+        device: ProfilableDevice,
+        conditions: Conditions,
+        target_conditions: Optional[Conditions] = None,
+    ) -> RetentionProfile:
+        """Profile ``device`` at ``conditions`` command by command.
+
+        Serves any device and quiet-streak stops; it is also the reference
+        :meth:`run`'s kernel route is checked against."""
+        reads = self._commands(device, conditions)
+        return self._profile(device, conditions, target_conditions, reads)
+
+    def _commands(self, device: ProfilableDevice, conditions: Conditions) -> Iterator[_Read]:
+        """Algorithm 1's command loop, one read at a time."""
+        for iteration in range(self.iterations):
+            # The idle gap models inter-round infrastructure overhead, so
+            # it is charged strictly between iterations: never before the
+            # first, never after the last or after a quiet-streak stop
+            # (the consumer stops pulling, so no command follows).
+            if iteration and self.idle_between_iterations_s:
+                device.wait(self.idle_between_iterations_s)
+            for pattern in self.patterns:
+                device.write_pattern(pattern)
+                device.disable_refresh()
+                device.wait(conditions.trefi)
+                device.enable_refresh()
+                errors = device.read_errors()
+                yield device.clock.now, errors
+
+    def _kernel(self, chip: SimulatedDRAMChip, conditions: Conditions) -> Iterator[_Read]:
+        """The same reads from the grid kernel, run as one one-chip,
+        one-condition grid with this profiler's idle gap.  The kernel
+        appends and counts the records in bulk; their simulated durations
+        are observed here, as ``CommandTrace.append`` would have."""
+        first = len(chip.trace)
+        _results, reads = FleetProfiler(self.patterns, self.iterations)._run(
+            ChipFleet([chip]), (conditions,), idle_s=self.idle_between_iterations_s, per_read=True
+        )
+        chip.trace.observe_durations(first)
+        space = chip.error_index_space()
+        for t_read, cells, vrt in reads:
+            errors = space[cells]
+            for _chip_index, vrt_cells in vrt:
+                errors = np.union1d(errors, vrt_cells)
+            yield t_read, errors
+
+    def _profile(
+        self,
+        device: ProfilableDevice,
+        conditions: Conditions,
+        target_conditions: Optional[Conditions],
+        reads: Iterator[_Read],
+    ) -> RetentionProfile:
+        """Run ``reads`` and fold each read into the profile and the
+        per-iteration telemetry, ending the run on a quiet streak."""
         if conditions.trefi > device.max_trefi_s:
             raise ProfilingError(
                 f"profiling interval {conditions.trefi!r}s exceeds the device's "
@@ -94,6 +177,7 @@ class BruteForceProfiler:
         # frozensets are materialized once at the end of the run, not per
         # read -- the hot loop stays in numpy index space.
         pending = []
+        new_this_iteration = 0
         quiet_streak = 0
         iterations_run = 0
         with obs.span(
@@ -102,24 +186,15 @@ class BruteForceProfiler:
             chip_id=getattr(device, "chip_id", None),
             trefi=conditions.trefi,
         ):
-            for iteration in range(self.iterations):
-                # The idle gap models inter-round infrastructure overhead,
-                # so it is charged strictly between iterations: never before
-                # the first, never after the last or after a quiet-streak
-                # stop (the run is already over).
-                if iteration and self.idle_between_iterations_s:
-                    device.wait(self.idle_between_iterations_s)
-                new_this_iteration = 0
-                for pattern in self.patterns:
-                    device.write_pattern(pattern)
-                    device.disable_refresh()
-                    device.wait(conditions.trefi)
-                    device.enable_refresh()
-                    new_cells, observed_count = accumulator.observe(device.read_errors())
-                    new_this_iteration += len(new_cells)
-                    pending.append(
-                        (iteration, pattern.key, new_cells, observed_count, device.clock.now)
-                    )
+            for r, (clock_time, errors) in enumerate(reads):
+                iteration, j = divmod(r, len(self.patterns))
+                new_cells, observed_count = accumulator.observe(errors)
+                new_this_iteration += len(new_cells)
+                pending.append(
+                    (iteration, self.patterns[j].key, new_cells, observed_count, clock_time)
+                )
+                if j < len(self.patterns) - 1:
+                    continue
                 iterations_run = iteration + 1
                 if obs.enabled():
                     obs.counter("profiler.iterations", mechanism=self.mechanism_name)
@@ -143,6 +218,7 @@ class BruteForceProfiler:
                     quiet_streak = quiet_streak + 1 if new_this_iteration == 0 else 0
                     if quiet_streak >= self.stop_after_quiet_iterations:
                         break
+                new_this_iteration = 0
         records = tuple(
             IterationRecord(
                 iteration=it,

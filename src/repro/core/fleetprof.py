@@ -32,16 +32,18 @@ from .. import obs
 from ..conditions import Conditions
 from ..dram.commands import Command, CommandRecord
 from ..dram.dpd import DPDModel, median_of_three
-from ..dram.fleet import ChipFleet
+from ..dram.fleet import ChipFleet, ReachSet
 from ..errors import CommandSequenceError, ConfigurationError, ProfilingError
 from ..patterns import STANDARD_PATTERNS, DataPattern
 
 #: Byte budget of the kernel's transient per-block arrays: a read block
-#: holds the uniforms of as many whole conditions as fit (at least one),
-#: and a random-pattern excitation block the raw draws of as many writes
-#: as fit (at least one).  Blocks partition each chip's streams exactly
-#: like the per-read and per-write draws they replace, so the budget
-#: bounds memory without changing a value.
+#: holds the uniforms of as many whole conditions as fit, or, when one
+#: condition's reads alone exceed it, of one iteration's reads (of as many
+#: rows as fit, at least one, when those exceed it too); a random-pattern
+#: excitation block holds the raw draws of as many writes as fit (at
+#: least one).  Blocks partition each chip's streams exactly like the
+#: per-read and per-write draws they replace, so the budget bounds memory
+#: without changing a value.
 _BLOCK_BUDGET_BYTES = 8 * 1024 * 1024
 
 #: The five commands of one write/expose/read step, in bus order.
@@ -56,14 +58,15 @@ _STEP_COMMANDS = (
 
 @dataclass(frozen=True)
 class _ReadStep:
-    """One planned write/expose/read cycle of a condition grid."""
+    """One planned write/expose/read cycle of a condition grid; ``syncs``
+    are its VRT sync times in bus order (the idle gap before its write, if
+    one precedes it, then the write, the wait and the read)."""
 
     cond: int
     pattern: DataPattern
     exposure_s: float
-    t_write: float
-    t_wait: float
     t_read: float
+    syncs: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,12 @@ class FleetProfiler:
         Number of rounds (the campaign worker uses the campaign's
         ``iterations``).
 
-    The adaptive knobs of the per-chip profiler (idle gaps, quiet-streak
-    stopping) are deliberately absent: they would couple the schedule to
-    per-chip discovery dynamics, breaking the "every chip sees the same
+    Idle gaps between iterations only move the shared clock, so the
+    scalar schedule replay carries them:
+    :meth:`~repro.core.bruteforce.BruteForceProfiler.run` profiles one
+    chip here with its ``idle_between_iterations_s``.  Quiet-streak
+    stopping is not supported: it would couple the schedule to per-chip
+    discovery dynamics, breaking the "every chip sees the same
     command/clock trajectory" invariant fleet reads are built on.
     """
 
@@ -111,7 +117,7 @@ class FleetProfiler:
         if not patterns:
             raise ConfigurationError("at least one data pattern is required")
         for pattern in patterns:
-            if pattern.stochastic and not _random_family(pattern):
+            if pattern.stochastic and not random_family(pattern):
                 raise ConfigurationError(
                     f"stochastic pattern {pattern.key!r} is outside the random "
                     "Beta(2, 2) family the fleet kernel draws in blocks"
@@ -145,9 +151,10 @@ class FleetProfiler:
         only (the cells its largest exposure can fail under worst-case
         alignment, plus any an exact-zero uniform landed on), through a
         Chernoff cut that leaves ``ndtr`` only the candidate cells.  DPD
-        excitation and reads run one block of whole conditions at a time
-        under a fixed byte budget, so a unit's transient memory does not
-        grow with the grid.
+        excitation and reads run one block at a time under a fixed byte
+        budget (whole conditions, or rows of one condition whose reads
+        alone exceed it), so a unit's transient memory does not grow with
+        the grid.
         Each transformation is draw-for-draw equivalent to the sequential
         walk, which is what keeps the output bit-equal.
 
@@ -161,8 +168,9 @@ class FleetProfiler:
         conditions) and ``kernel.tail_cells`` (tail cells x conditions).
         The ``chip.sim_seconds`` and ``profiler.new_cells_per_iteration``
         histograms and ``profiler.iteration`` events stay with
-        :class:`~repro.core.bruteforce.BruteForceProfiler`: the grouped
-        evaluation does not tell iterations apart.
+        :class:`~repro.core.bruteforce.BruteForceProfiler`, which records
+        them for the runs it routes here too: a grid run keeps no per-read
+        breakdown.
 
         The only observable deviation is error *timing*: every condition's
         interval is validated up front, so an invalid grid entry raises
@@ -178,11 +186,41 @@ class FleetProfiler:
                 )
         if not conditions_grid:
             return ()
-        return self._run_grid_fused(fleet, conditions_grid)
+        results, _reads = self._run(fleet, conditions_grid)
+        if obs.enabled():
+            # A chip's new cells summed over a condition's iterations are
+            # exactly its discovered set there.
+            obs.counter(
+                "profiler.iterations",
+                self.iterations * len(conditions_grid) * len(fleet),
+                mechanism=self.mechanism_name,
+            )
+            obs.counter(
+                "profiler.new_cells",
+                sum(len(result) for per_chip in results for result in per_chip),
+                mechanism=self.mechanism_name,
+            )
+        return results
 
-    def _run_grid_fused(
-        self, fleet: ChipFleet, conditions_grid: Tuple[Conditions, ...]
-    ) -> Tuple[Tuple[FleetChipResult, ...], ...]:
+    def _run(
+        self,
+        fleet: ChipFleet,
+        conditions_grid: Tuple[Conditions, ...],
+        idle_s: float = 0.0,
+        per_read: bool = False,
+    ) -> Tuple[Tuple[Tuple[FleetChipResult, ...], ...], list]:
+        """:meth:`run_grid`'s fused pass, with two extras for
+        :meth:`~repro.core.bruteforce.BruteForceProfiler.run`.
+
+        ``idle_s`` inserts the walk's idle gap before every iteration after
+        the first, per condition.  With ``per_read`` the second return
+        value holds one ``(clock after the read, ascending stacked-tail
+        positions it failed, ((chip index, VRT cells it failed), ...))``
+        per read, in schedule order; otherwise it is empty.  The
+        ``profiler.*`` counters are the caller's: :meth:`run_grid` adds
+        them in bulk, the per-chip route per iteration under its own
+        mechanism.
+        """
         chips = fleet.chips
         population = fleet.population
         n_chips = len(chips)
@@ -199,17 +237,24 @@ class FleetProfiler:
 
         # ------------------------------------------------------------------
         # Scalar schedule replay: one pass computes every step's clock
-        # values, exposure, and the five shared trace records -- exactly
-        # the floating-point expressions the per-chip command methods
+        # values, exposure, and the shared trace records -- exactly the
+        # floating-point expressions the per-chip command methods
         # evaluate, in the same order, so every value is bit-equal.
         # ------------------------------------------------------------------
         with obs.span("kernel.schedule_replay", chips=n_chips, conditions=len(conditions_grid)):
             steps: List[_ReadStep] = []
             records: List[CommandRecord] = []
-            vrt_times: List[float] = []
             for ci, conditions in enumerate(conditions_grid):
                 trefi = conditions.trefi
-                for _ in range(self.iterations):
+                for iteration in range(self.iterations):
+                    idle: Tuple[float, ...] = ()
+                    if iteration and idle_s:
+                        # The walk's device.wait(idle_s) between iterations.
+                        t = t + float(idle_s)
+                        idle = (t,)
+                        records.append(
+                            CommandRecord(time=t, command=Command.WAIT, detail=f"{idle_s:.6f}s")
+                        )
                     for pattern in self.patterns:
                         t = t + io
                         t_write = t
@@ -229,11 +274,11 @@ class FleetProfiler:
                                 cond=ci,
                                 pattern=pattern,
                                 exposure_s=exposure,
-                                t_write=t_write,
-                                t_wait=t_wait,
                                 t_read=t_read,
+                                syncs=idle + (t_write, t_wait, t_read),
                             )
                         )
+                        idle = ()
                         records.append(
                             CommandRecord(
                                 time=t_write,
@@ -259,7 +304,6 @@ class FleetProfiler:
                                 detail=f"exposure={exposure:.6f}s",
                             )
                         )
-                        vrt_times.extend((t_write, t_wait, t_read))
         t_final = t
         n_rows = len(steps)
 
@@ -274,7 +318,9 @@ class FleetProfiler:
         # every draw unchanged.
         # ------------------------------------------------------------------
         with obs.span("kernel.vrt", chips=n_chips):
-            schedule = np.asarray(vrt_times, dtype=np.float64)
+            schedule = np.fromiter(
+                (t_sync for step in steps for t_sync in step.syncs), dtype=np.float64
+            )
             vrt_hits: Dict[int, List[Tuple[int, np.ndarray]]] = {}
             for i, chip in enumerate(chips):
                 if chip.vrt.advance_schedule(schedule, chip._temperature_c):
@@ -285,31 +331,32 @@ class FleetProfiler:
                                 vrt_hits.setdefault(r, []).append((i, cells))
                 else:
                     for r, step in enumerate(steps):
-                        chip.vrt.advance_to(step.t_write, chip._temperature_c)
-                        chip.vrt.advance_to(step.t_wait, chip._temperature_c)
-                        chip.vrt.advance_to(step.t_read, chip._temperature_c)
+                        for t_sync in step.syncs:
+                            chip.vrt.advance_to(t_sync, chip._temperature_c)
                         cells = chip.vrt.failing_cells(step.t_read, step.exposure_s)
                         if len(cells):
                             vrt_hits.setdefault(r, []).append((i, cells))
 
         # ------------------------------------------------------------------
-        # DPD excitation and fused read evaluation, one block of whole
-        # conditions at a time, so the transient arrays stay under
-        # _BLOCK_BUDGET_BYTES however large the grid (at least one
-        # condition per block).  DPD and read draws come from separate
-        # per-chip streams, each consumed in row order block after block,
-        # which partitions every stream exactly like the per-write and
-        # per-read draws of the sequential walk.  Per block: the writes'
-        # fleet-stacked DPD states (_DPDReplay), then one (rows x tail)
-        # uniform draw per chip into one chip-ordered, row-major matrix.
-        # Deterministic rows group by (pattern, condition) -- each group
-        # one Chernoff-cut evaluation per distinct exposure
-        # (FleetPopulation.deterministic_failures) -- and stochastic rows
-        # one each (FleetPopulation.stochastic_failures); both compare only
-        # the condition's reach set and cut through
-        # repro.dram.cell.chernoff_hits.  Zero exposures never fail (the
-        # sequential path short-circuits there while still consuming the
-        # uniforms, as the block draw does).
+        # DPD excitation and fused read evaluation, one block at a time, so
+        # the transient arrays stay under _BLOCK_BUDGET_BYTES however large
+        # the grid: a block holds as many whole conditions as fit, or, when
+        # one condition's reads alone exceed the budget, one iteration's
+        # reads.  DPD and read draws come from separate per-chip streams,
+        # each consumed in row order block after block, which partitions
+        # every stream exactly like the per-write and per-read draws of the
+        # sequential walk.  Per block: the writes' fleet-stacked DPD states
+        # (_DPDReplay), then one (rows x tail) uniform draw per chip into
+        # one chip-ordered, row-major matrix.  Deterministic rows group by
+        # (pattern, condition) -- each group one Chernoff-cut evaluation
+        # per distinct exposure (FleetPopulation.deterministic_failures) --
+        # and stochastic rows one each (FleetPopulation.stochastic_failures);
+        # both compare only the condition's reach set and cut through
+        # repro.dram.cell.chernoff_hits.  A condition split over several
+        # blocks is evaluated block by block: the cells some row of a group
+        # fails are the union of the cells each block's rows fail.  Zero
+        # exposures never fail (the sequential path short-circuits there
+        # while still consuming the uniforms, as the block draw does).
         # ------------------------------------------------------------------
         segments = [population.segment(i) for i in range(n_chips)]
         dpd = _DPDReplay(chips, population, segments, steps)
@@ -320,20 +367,29 @@ class FleetProfiler:
         # Reach cut: each condition's reads compare only the cells its
         # largest exposure can fail under worst-case alignment
         # (ReachSet.reaching).  The tail and its worst-case retention are
-        # built once per grid; each block builds the sets of its own
-        # conditions, so they go with the block's uniforms.  A cell
-        # outside a set fails only on a uniform of exactly 0.0, so each
-        # block puts back every cell such a uniform landed on.
+        # built once per grid; a condition's set is built by its first
+        # block and dropped after its last, so the sets go with the
+        # blocks' uniforms.  A cell outside a set fails only on a uniform
+        # of exactly 0.0, so each block puts back every cell such a
+        # uniform landed on.
         tail = population.reach(scales)
         e_max = [0.0] * len(conditions_grid)
         for step in steps:
             e_max[step.cond] = max(e_max[step.cond], step.exposure_s)
-        reach_cells = 0
         rows_per_condition = self.iterations * len(self.patterns)
-        rows_per_block = rows_per_condition * max(
-            1, _BLOCK_BUDGET_BYTES // max(1, rows_per_condition * n_total * 8)
-        )
+        row_bytes = max(1, n_total * 8)
+        conditions_per_block = _BLOCK_BUDGET_BYTES // (rows_per_condition * row_bytes)
+        if conditions_per_block:
+            rows_per_block = rows_per_condition * conditions_per_block
+        else:
+            # One condition's reads alone exceed the budget: split it into
+            # blocks of one iteration (of as many rows as fit, when one
+            # iteration's reads exceed it too).
+            rows_per_block = min(len(self.patterns), max(1, _BLOCK_BUDGET_BYTES // row_bytes))
         discovered = np.zeros((len(conditions_grid), n_total), dtype=bool)
+        row_hits: List[np.ndarray] = [np.empty(0, dtype=np.intp)] * n_rows
+        reaching: Dict[int, ReachSet] = {}
+        reach_cells = 0
         for b0 in range(0, n_rows, rows_per_block):
             block = steps[b0 : b0 + rows_per_block]
             nb = len(block)
@@ -348,19 +404,23 @@ class FleetProfiler:
                         if end > start:
                             u_all[:, start:end] = chip.read_rng.random((nb, end - start))
                 conds = sorted({step.cond for step in block})
-                cuts = {cond: tail.reaching(e_max[cond]) for cond in conds}
+                for cond in conds:
+                    if cond not in reaching:
+                        reaching[cond] = tail.reaching(e_max[cond])
+                        reach_cells += len(reaching[cond].cells)
+                cuts = dict(reaching)
                 if n_total and u_all.min() == 0.0:
                     zeros = np.flatnonzero((u_all == 0.0).any(axis=0))
                     for cond, cut in cuts.items():
                         cuts[cond] = tail.subset(np.union1d(cut.cells, zeros))
-                reach_cells += sum(len(cut.cells) for cut in cuts.values())
+                        reach_cells += len(cuts[cond].cells) - len(cut.cells)
                 groups: Dict[Tuple[str, int], List[int]] = {}
                 for k, step in enumerate(block):
                     if step.exposure_s == 0.0:
                         continue
                     if step.pattern.stochastic:
                         alignment, stressed = states[k]
-                        hits = population.stochastic_failures(
+                        row_hits[b0 + k] = hits = population.stochastic_failures(
                             step.exposure_s, alignment, stressed, u_all[k], cuts[step.cond]
                         )
                         discovered[step.cond, hits] = True
@@ -368,15 +428,26 @@ class FleetProfiler:
                         groups.setdefault((step.pattern.key, step.cond), []).append(k)
                 for (_key, cond), ks in groups.items():
                     alignment, stressed = states[ks[0]]
-                    hits = population.deterministic_failures(
+                    found = population.deterministic_failures(
                         [block[k].exposure_s for k in ks],
                         [u_all[k] for k in ks],
                         alignment,
                         stressed,
                         cuts[cond],
+                        per_read=per_read,
                     )
-                    discovered[cond, hits] = True
+                    if per_read:
+                        for k, hits in zip(ks, found):
+                            row_hits[b0 + k] = hits
+                            discovered[cond, hits] = True
+                    else:
+                        discovered[cond, found] = True
             del states, u_all, cuts
+            # Only a condition that continues into the next block keeps
+            # its reach set.
+            if b0 + nb < n_rows:
+                following = steps[b0 + nb].cond
+                reaching = {c: cut for c, cut in reaching.items() if c == following}
 
         # Fold VRT hits into their step's condition; cells outside the
         # chip's weak tail land in per-(condition, chip) overflow sets.
@@ -428,8 +499,7 @@ class FleetProfiler:
         # with the exposure restarted by the final read's restore.
         # ------------------------------------------------------------------
         with obs.span("kernel.commit", chips=n_chips):
-            dpd.commit()
-            # Every chip's DPD cache now holds each pattern's last write
+            # Every chip's DPD cache holds each pattern's last write
             # -- for the final pattern, the arrays of the final write.
             last = steps[-1].pattern
             for chip in chips:
@@ -445,26 +515,22 @@ class FleetProfiler:
             if obs.enabled():
                 # The records bypassed CommandTrace.append, so count them
                 # here in bulk: the exact integer totals the sequential
-                # walk's per-command and per-iteration counters reach.  A
-                # chip's new cells summed over a condition's iterations
-                # are exactly its discovered set there.
+                # walk's per-command counters reach (idle gaps add waits).
+                n_idle = len(records) - len(_STEP_COMMANDS) * n_rows
                 for command in _STEP_COMMANDS:
-                    obs.counter("chip.commands", n_rows * n_chips, command=command.value)
-                obs.counter(
-                    "profiler.iterations",
-                    self.iterations * len(conditions_grid) * n_chips,
-                    mechanism=self.mechanism_name,
-                )
-                obs.counter(
-                    "profiler.new_cells",
-                    sum(len(result) for results in out for result in results),
-                    mechanism=self.mechanism_name,
-                )
+                    n = n_rows + n_idle if command is Command.WAIT else n_rows
+                    obs.counter("chip.commands", n * n_chips, command=command.value)
                 # The reach cut's share of the tail: cells compared, and
                 # cells a full-tail compare would have taken, over the grid.
                 obs.counter("kernel.reach_cells", reach_cells)
                 obs.counter("kernel.tail_cells", n_total * len(conditions_grid))
-        return tuple(out)
+        reads = []
+        if per_read:
+            reads = [
+                (step.t_read, row_hits[r], tuple(vrt_hits.get(r, ())))
+                for r, step in enumerate(steps)
+            ]
+        return tuple(out), reads
 
     @staticmethod
     def _fold_vrt(
@@ -490,7 +556,7 @@ class FleetProfiler:
         return cells[~in_space]
 
 
-def _random_family(pattern: DataPattern) -> bool:
+def random_family(pattern: DataPattern) -> bool:
     """Is ``pattern`` a random-data pattern with Beta(2, 2) alignment?"""
     return pattern.name == "random" and pattern.alignment_beta == (2.0, 2.0)
 
@@ -533,14 +599,14 @@ class _DPDReplay:
         self.deterministic: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         #: Batched rows bypass excite()'s cache stores; only the last row
         #: per random pattern is observable (later writes overwrite
-        #: earlier ones in the sequential walk), so those rows are kept
-        #: as copies -- the chips' caches never pin an excitation block.
+        #: earlier ones in the sequential walk, and nothing reads a random
+        #: pattern's cache entry in between), so each such row is stored
+        #: in every chip's DPD cache as soon as it is drawn, as a copy --
+        #: the chips' caches never pin an excitation block.
         self.last_batched: Dict[str, int] = {}
         for r, step in enumerate(steps):
             if step.pattern.stochastic:
                 self.last_batched[step.pattern.key] = r
-        #: pattern key -> (pattern, alignment copy, stress copy).
-        self.committed: Dict[str, Tuple[DataPattern, np.ndarray, np.ndarray]] = {}
 
     def excite(
         self, first_row: int, block: Sequence[_ReadStep]
@@ -565,7 +631,9 @@ class _DPDReplay:
                 states[k] = (draw, stress)
                 pattern = block[k].pattern
                 if self.last_batched[pattern.key] == first_row + k:
-                    self.committed[pattern.key] = (pattern, draw.copy(), stress.copy())
+                    draw, stress = draw.copy(), stress.copy()
+                    for dpd, (start, end) in zip(self.dpds, self.segments):
+                        dpd.commit_random_write(pattern, draw[start:end], stress[start:end])
             pending.clear()
 
         for k, step in enumerate(block):
@@ -582,13 +650,6 @@ class _DPDReplay:
             states[k] = entry
         flush()
         return states
-
-    def commit(self) -> None:
-        """Store each random pattern's last batched write in every chip's
-        DPD cache, as that write's excite() would have."""
-        for pattern, draw, stress in self.committed.values():
-            for dpd, (start, end) in zip(self.dpds, self.segments):
-                dpd.commit_random_write(pattern, draw[start:end], stress[start:end])
 
 
 def _excite_random_writes(

@@ -16,47 +16,29 @@ chip's weak tail in one vectorized pass, both for *observed* failures under a
 concrete data pattern (with its DPD alignment) and for *oracle* failures
 under the worst-case pattern.
 
-Fast path
----------
-The profiling inner loop evaluates the same (pattern, temperature) point
-hundreds of times: 12 patterns x 16 iterations per profiling run, thousands
-of runs per campaign.  Two structural facts make most of that work
-redundant:
-
-* for a deterministic pattern the DPD alignment -- and therefore the full
-  ``mu_eff = effective_retention * scale`` array -- is identical on every
-  write at a given temperature, and the exposure is constant across every
-  read of a profiling run, so the *entire probability vector* can be
-  computed once per (pattern, temperature, exposure) and reused;
-* for a stochastic pattern the alignment is redrawn on every write, but
-  most cells still have a vanishing failure probability: the Chernoff
-  cut (:func:`chernoff_hits`) proves ``u >= p`` for almost every drawn
-  uniform ``u`` without evaluating the CDF, so exact ``ndtr`` runs only
-  over the few *candidate* cells whose uniform landed under the bound.
+Chernoff cut
+------------
+Most cells of a read have a vanishing failure probability: the Chernoff
+cut (:func:`chernoff_hits`) proves ``u >= p`` for almost every drawn
+uniform ``u`` without evaluating the CDF, so exact ``ndtr`` runs only over
+the few *candidate* cells whose uniform landed under the bound.
+:meth:`WeakCellPopulation.sample_failures` reads through it; the grid
+kernel (:mod:`repro.core.fleetprof`) evaluates its reads through the same
+function.
 
 ``ndtr`` also saturates in double precision -- exactly ``1.0`` at or beyond
 :data:`Z_PIN_ONE` and exactly ``0.0`` at or beyond :data:`Z_PIN_ZERO` -- which
 is what makes such cuts *exact* rather than approximate: a pinned or
 excluded cell's probability is bit-equal to what the full CDF pass would
-have produced.
-
-The fast path memoizes, per (pattern, temperature), the scaled
-effective-retention arrays, and per exposure the finished probability
-vector; a read then reduces to one full-tail uniform draw and a vectorized
-compare.  RNG-stream compatibility is preserved by
-drawing uniforms for the full tail exactly like the reference path, so fast
-and reference sampling are *byte-identical* -- the same cells fail, in the
-same order, from the same generator state.  Cache entries are keyed by
-``(pattern, temperature)`` and pinned to the exact alignment (and stress
-mask) arrays they were built from, so a temperature change or a DPD redraw
-can never reuse a stale entry; :meth:`WeakCellPopulation.invalidate_fast_cache`
-drops everything explicitly (device reset, tests).
+have produced.  Both the cut and the reference evaluation
+(``fast_path=False``) draw one full-tail uniform vector per read from the
+same stream, so they fail the same cells, in the same order, from the same
+generator state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -133,46 +115,10 @@ def chernoff_hits(
     return candidates[u[candidates] < p]
 
 
-#: Upper bound on memoized (pattern, temperature) states per population;
-#: far above any realistic sweep (12 patterns x a handful of temperatures),
-#: it only guards pathological temperature scans from unbounded growth.
-_FAST_CACHE_MAX_ENTRIES = 256
-
-#: Upper bound on memoized probability vectors per (pattern, temperature)
-#: state; real profiling runs use a single exposure per run, so this only
-#: guards pathological exposure sweeps from unbounded growth.
-_FAST_CACHE_MAX_EXPOSURES = 64
-
-
-@dataclass
-class _FastPatternState:
-    """Memoized per-(pattern, temperature) evaluation state.
-
-    ``mu_eff``/``sigma_eff`` are the scaled effective-retention arrays --
-    the expensive alignment-dependent product that the reference path
-    recomputes on every read.  ``alignment`` is the exact alignment array
-    the state was built from; lookups verify identity so a DPD redraw
-    invalidates the entry.
-
-    ``p_by_exposure`` caches, per exposure, the finished probability vector
-    (``ndtr`` evaluated once via the reference expression, stress mask
-    already multiplied in).  Each entry is pinned to the stress-mask array
-    it was built with, so a different mask misses the cache rather than
-    reusing a stale product.
-    """
-
-    alignment: np.ndarray
-    mu_eff: np.ndarray
-    sigma_eff: np.ndarray
-    p_by_exposure: Dict[float, Tuple[Optional[np.ndarray], np.ndarray]] = field(
-        default_factory=dict
-    )
-
-
 class WeakCellPopulation:
     """The instantiated weak tail of one chip, with its failure model.
 
-    :meth:`sample_failures` runs the memoized marginal-band evaluation.
+    :meth:`sample_failures` reads through the Chernoff cut.
     ``fast_path=False`` swaps in the reference computation it is tested
     byte-identical against -- an oracle for tests and benchmarks, not a
     production mode.
@@ -191,9 +137,6 @@ class WeakCellPopulation:
         self._vendor = vendor
         self._dpd = dpd
         self._fast_path = bool(fast_path)
-        self._fast_states: Dict[Tuple[str, float], _FastPatternState] = {}
-        self._scale_memo: Dict[float, float] = {}
-        self._sigma_eff_memo: Dict[float, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Introspection (used by the characterization analyses)
@@ -223,70 +166,19 @@ class WeakCellPopulation:
     def dpd(self) -> DPDModel:
         return self._dpd
 
+    @property
+    def fast_path(self) -> bool:
+        """``False`` when reads run the reference evaluation (the oracle)."""
+        return self._fast_path
+
     def scaled_parameters(self, temperature_c: float) -> tuple:
         """(mu, sigma) arrays at the given ambient temperature (Figure 7)."""
         scale = self._vendor.retention_scale(temperature_c)
         return self._sample.mu_wc_s * scale, self._sample.sigma_s * scale
 
-    # ------------------------------------------------------------------
-    # Fast-path cache management
-    # ------------------------------------------------------------------
     def retention_scale(self, temperature_c: float) -> float:
-        """Memoized vendor retention scale factor for one temperature."""
-        key = float(temperature_c)
-        scale = self._scale_memo.get(key)
-        if scale is None:
-            scale = self._vendor.retention_scale(key)
-            self._scale_memo[key] = scale
-        return scale
-
-    def invalidate_fast_cache(self) -> None:
-        """Drop every memoized (pattern, temperature) evaluation state.
-
-        Called on device reset (the DPD alignments will be redrawn) and
-        available to any caller that mutates model state out-of-band.
-        Entries are additionally self-invalidating: they are keyed by
-        (pattern, temperature) and pinned to the exact alignment array they
-        were built from, so temperature changes and DPD redraws miss the
-        cache rather than reuse stale state even without an explicit call.
-        """
-        self._fast_states.clear()
-        self._scale_memo.clear()
-        self._sigma_eff_memo.clear()
-
-    def _sigma_eff(self, temperature_c: float) -> np.ndarray:
-        """Memoized ``sigma_s * scale`` -- alignment-independent, so one
-        array serves every pattern at a given temperature.  The product is
-        the exact expression the reference path computes."""
-        key = float(temperature_c)
-        sigma_eff = self._sigma_eff_memo.get(key)
-        if sigma_eff is None:
-            sigma_eff = self._sample.sigma_s * self.retention_scale(key)
-            if len(self._sigma_eff_memo) >= _FAST_CACHE_MAX_ENTRIES:
-                self._sigma_eff_memo.clear()
-            self._sigma_eff_memo[key] = sigma_eff
-        return sigma_eff
-
-    def _fast_state(
-        self, pattern_key: str, temperature_c: float, alignment: np.ndarray
-    ) -> _FastPatternState:
-        key = (pattern_key, float(temperature_c))
-        state = self._fast_states.get(key)
-        if state is not None and state.alignment is alignment:
-            return state
-        scale = self.retention_scale(temperature_c)
-        # Exactly the reference expression, term for term, so the cached
-        # values are bit-equal to what failure_probabilities computes.
-        mu_eff = self._dpd.effective_retention(self._sample.mu_wc_s, alignment) * scale
-        state = _FastPatternState(
-            alignment=alignment,
-            mu_eff=mu_eff,
-            sigma_eff=self._sigma_eff(temperature_c),
-        )
-        if len(self._fast_states) >= _FAST_CACHE_MAX_ENTRIES:
-            self._fast_states.clear()
-        self._fast_states[key] = state
-        return state
+        """The vendor retention scale factor at one ambient temperature."""
+        return self._vendor.retention_scale(float(temperature_c))
 
     # ------------------------------------------------------------------
     # Failure evaluation
@@ -304,8 +196,8 @@ class WeakCellPopulation:
         ``stressed`` masks out cells currently storing their discharged
         value, which cannot lose charge and therefore cannot fail.
 
-        This is the *reference* evaluation: a full-tail ``ndtr`` pass with
-        no memoization.  The fast path in :meth:`sample_failures` is tested
+        This is the *reference* evaluation: a full-tail ``ndtr`` pass.  The
+        Chernoff-cut read in :meth:`sample_failures` is tested
         byte-identical against it.
         """
         if exposure_s < 0.0:
@@ -332,17 +224,14 @@ class WeakCellPopulation:
         alignment: np.ndarray,
         rng: np.random.Generator,
         stressed: Optional[np.ndarray] = None,
-        pattern_key: Optional[str] = None,
-        stochastic: bool = True,
     ) -> np.ndarray:
         """Bernoulli-sample one read-out: flat indices of cells that failed.
 
-        ``pattern_key``/``stochastic`` identify the written pattern so the
-        fast path can memoize per-(pattern, temperature) state for
-        deterministic patterns; callers that only have an alignment vector
-        can omit them and still get the banded fast evaluation.  Fast and
-        reference paths consume the RNG identically (one full-tail uniform
-        draw) and return identical index arrays.
+        Draws one full-tail uniform vector from ``rng`` and compares it
+        through :func:`chernoff_hits`, which evaluates ``ndtr`` only where
+        a uniform might land under the probability.  The reference path
+        (``fast_path=False``) compares the same draw against the full
+        probability vector; both return identical index arrays.
         """
         if not self._fast_path:
             p = self.failure_probabilities(exposure_s, temperature_c, alignment, stressed)
@@ -350,74 +239,15 @@ class WeakCellPopulation:
             return self._sample.indices[failed]
         if exposure_s < 0.0:
             raise ConfigurationError(f"exposure must be non-negative, got {exposure_s!r}")
-        n = len(self._sample)
+        # The reference path draws uniforms even for a zero exposure; so
+        # does this one, so the generator state stays aligned.
+        u = rng.random(len(self._sample))
         if exposure_s == 0.0:
-            # The reference path draws uniforms even for a zero exposure;
-            # match it so the generator state stays aligned.
-            rng.random(n)
             return self._sample.indices[:0]
-        if pattern_key is not None and not stochastic:
-            failed = self._sample_deterministic_fast(
-                exposure_s, temperature_c, pattern_key, alignment, stressed, rng
-            )
-        else:
-            failed = self._sample_banded_fast(
-                exposure_s, temperature_c, alignment, stressed, rng
-            )
-        return self._sample.indices[failed]
-
-    def _sample_deterministic_fast(
-        self,
-        exposure_s: float,
-        temperature_c: float,
-        pattern_key: str,
-        alignment: np.ndarray,
-        stressed: Optional[np.ndarray],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Memoized probability-vector sampling for a deterministic pattern.
-
-        The exposure is constant across every read of a profiling run, so
-        the per-cell probabilities are computed once per (pattern,
-        temperature, exposure) and every subsequent read is a single
-        uniform draw plus a vectorized compare.
-        """
-        state = self._fast_state(pattern_key, temperature_c, alignment)
-        key = float(exposure_s)
-        entry = state.p_by_exposure.get(key)
-        if entry is None or entry[0] is not stressed:
-            # One full ndtr pass -- the reference expression, term for
-            # term -- amortized over every subsequent read at this
-            # (pattern, temperature, exposure) point.
-            p = ndtr((exposure_s - state.mu_eff) / state.sigma_eff)
-            if stressed is not None:
-                p = p * stressed
-            if len(state.p_by_exposure) >= _FAST_CACHE_MAX_EXPOSURES:
-                state.p_by_exposure.clear()
-            entry = (stressed, p)
-            state.p_by_exposure[key] = entry
-        return rng.random(len(self._sample)) < entry[1]
-
-    def _sample_banded_fast(
-        self,
-        exposure_s: float,
-        temperature_c: float,
-        alignment: np.ndarray,
-        stressed: Optional[np.ndarray],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Chernoff-cut sampling without memoization (stochastic patterns).
-
-        The alignment changes on every write, so there is nothing to
-        memoize -- but almost every cell's failure probability is tiny, and
-        :func:`chernoff_hits` evaluates ``ndtr`` only where the drawn
-        uniform might land under it.  Returns the failing cells' positions
-        in the weak tail, ascending.
-        """
         scale = self.retention_scale(temperature_c)
         mu_eff = self._dpd.effective_retention(self._sample.mu_wc_s, alignment) * scale
-        z = (exposure_s - mu_eff) / self._sigma_eff(temperature_c)
-        return chernoff_hits(z, rng.random(len(z)), stressed)
+        z = (exposure_s - mu_eff) / (self._sample.sigma_s * scale)
+        return self._sample.indices[chernoff_hits(z, u, stressed)]
 
     def oracle_failing(self, conditions: Conditions, p_min: float = 0.05) -> np.ndarray:
         """Ground-truth failing set at ``conditions``.

@@ -132,9 +132,11 @@ class SimulatedDRAMChip:
     temperature_c:
         Initial ambient temperature.
     fast_path:
-        ``False`` swaps the memoized marginal-band failure evaluation in
+        ``False`` swaps the Chernoff-cut read of
         :class:`~repro.dram.cell.WeakCellPopulation` for the reference
-        computation it is byte-identical to (the test oracle).
+        computation it is byte-identical to (the test oracle); such a chip
+        is also never profiled on the grid kernel
+        (:meth:`~repro.core.bruteforce.BruteForceProfiler.run` walks it).
     sample:
         A prebuilt weak-cell population, exactly what
         :func:`sample_weak_cells` returns for the same (vendor, geometry,
@@ -333,7 +335,7 @@ class SimulatedDRAMChip:
         """Return the chip to its just-constructed state, in place.
 
         Re-derives every RNG stream from (seed, chip_id), recreates the VRT
-        process, clears DPD and fast-path caches, starts a fresh private
+        process, clears the DPD caches, starts a fresh private
         clock and command trace, restores the initial temperature, and
         re-enables refresh.  A reset chip replays *exactly* the command
         responses of a newly constructed one -- which is what lets
@@ -350,7 +352,6 @@ class SimulatedDRAMChip:
         self.clock = SimClock()
         self.trace = CommandTrace()
         self.population.dpd.reset(rng_mod.derive(self.seed, "dpd", self.chip_id))
-        self.population.invalidate_fast_cache()
         self.vrt = VRTProcess(
             vendor=self.vendor,
             capacity_bits=self.geometry.capacity_bits,
@@ -413,8 +414,6 @@ class SimulatedDRAMChip:
             self._alignment,
             self._read_rng,
             stressed=self._stressed,
-            pattern_key=self._pattern.key,
-            stochastic=self._pattern.stochastic,
         )
         vrt = self.vrt.failing_cells(self.clock.now, exposure)
         if len(vrt) == 0:

@@ -83,6 +83,15 @@ class CommandTrace:
                 sim_seconds.observe(time - self.records[-1].time)
         self.records.append(CommandRecord(time=time, command=command, detail=detail))
 
+    def observe_durations(self, start: int) -> None:
+        """Record the ``chip.sim_seconds`` observations :meth:`append` makes,
+        in its order, for ``records[start:]`` appended in bulk (whoever
+        appended them counts them)."""
+        if obs.enabled():
+            first = max(start, 1)
+            for previous, record in zip(self.records[first - 1 :], self.records[first:]):
+                self._series_for(record.command)[1].observe(record.time - previous.time)
+
     def __len__(self) -> int:
         return len(self.records)
 

@@ -42,6 +42,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import ndtr
 
 from ..errors import ConfigurationError, ProfilingError
 from .cell import Z_REACH, WeakCellPopulation, chernoff_hits
@@ -156,7 +157,8 @@ class FleetPopulation:
         alignment: np.ndarray,
         stressed: np.ndarray,
         reach: "ReachSet",
-    ) -> np.ndarray:
+        per_read: bool = False,
+    ):
         """Cells that fail on at least one of several reads of a
         deterministic pattern.
 
@@ -168,27 +170,40 @@ class FleetPopulation:
         on ``reach`` only: the kernel passes a condition's reach set
         (:meth:`ReachSet.reaching`) plus every cell a uniform of exactly 0.0
         landed on, outside of which no cell can fail.  Returns the flat
-        indices of every cell some read fails (possibly repeated).
+        indices of every cell some read fails (possibly repeated), or, with
+        ``per_read``, one ascending array per read of the cells that read
+        fails.
 
         Reads whose exposure floats are bit-equal share one probability
         vector, and ``any_k(u_k < p)`` holds exactly when ``min_k(u_k) <
         p``, so each exposure group evaluates one z vector against its
-        elementwise-minimum uniform row through :func:`chernoff_hits`.
+        elementwise-minimum uniform row through :func:`chernoff_hits`; a
+        read's own failing cells are those hits where its uniform is below
+        ``p``, the cut's own expression evaluated there alone.
         """
         cells = reach.cells
         mu_eff = reach.scaled_mu(np.take(alignment, cells))
         stressed = np.take(stressed, cells)
-        by_exposure: Dict[float, List[np.ndarray]] = {}
-        for exposure_s, u in zip(exposures_s, u_rows):
-            by_exposure.setdefault(exposure_s, []).append(u)
+        by_exposure: Dict[float, List[int]] = {}
+        for k, exposure_s in enumerate(exposures_s):
+            by_exposure.setdefault(exposure_s, []).append(k)
         hits = []
-        for exposure_s, us in by_exposure.items():
-            umin = np.take(us[0], cells)
-            for u in us[1:]:
-                np.minimum(umin, np.take(u, cells), out=umin)
+        reads: List[np.ndarray] = [None] * len(u_rows)
+        for exposure_s, ks in by_exposure.items():
+            umin = np.take(u_rows[ks[0]], cells)
+            for k in ks[1:]:
+                np.minimum(umin, np.take(u_rows[k], cells), out=umin)
             z = np.subtract(exposure_s, mu_eff)
             np.divide(z, reach.sigma_eff, out=z)
-            hits.append(cells[chernoff_hits(z, umin, stressed)])
+            got = chernoff_hits(z, umin, stressed)
+            hits.append(cells[got])
+            if per_read:
+                p = ndtr(z[got])
+                p *= stressed[got]
+                for k in ks:
+                    reads[k] = hits[-1][np.take(u_rows[k], hits[-1]) < p]
+        if per_read:
+            return reads
         return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
     @staticmethod
@@ -200,7 +215,7 @@ class FleetPopulation:
         reach: "ReachSet",
     ) -> np.ndarray:
         """Cells that fail one read of a stochastic pattern: the fleet
-        analogue of ``WeakCellPopulation._sample_banded_fast``, as ascending
+        analogue of ``WeakCellPopulation.sample_failures``, as ascending
         indices into the stacked tail.
 
         ``alignment`` and ``stressed`` are the write's fleet-stacked DPD

@@ -103,8 +103,10 @@ class TestBed:
         populations (e.g. shared-memory views); each must be exactly what
         :func:`repro.dram.chip.sample_weak_cells` returns for its chip, and
         chips without one draw their own.  ``fast_path=False`` builds the
-        chips on the reference failure evaluator (the oracle
-        :func:`repro.runner.measure_chip` exposes).
+        chips on the reference failure evaluator, in place of the
+        Chernoff-cut read (the oracle :func:`repro.runner.measure_chip`
+        exposes; :meth:`~repro.core.bruteforce.BruteForceProfiler.run`
+        walks such chips).
         """
         bed = cls(seed=seed)
         for chip_id, vendor in members:

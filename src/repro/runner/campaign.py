@@ -175,9 +175,11 @@ def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
     pairs (pairs, not a mapping, so duplicate temperatures keep their
     legacy append semantics).
 
-    A payload carrying ``"fast_path": False`` measures on the reference
-    failure evaluator instead -- the oracle tests and the benchmark check
-    stored rows against.
+    Every profile runs on :meth:`BruteForceProfiler.walk`, the command
+    loop, never on the grid kernel it checks.  A payload carrying
+    ``"fast_path": False`` measures on the reference failure evaluator
+    instead -- the oracle tests and the benchmark check stored rows
+    against.
     """
     geometry = ChipGeometry(**{k: int(v) for k, v in payload["geometry"].items()})
     intervals = [float(t) for t in payload["intervals_s"]]
@@ -197,7 +199,7 @@ def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
     bed.set_ambient(base_temp)
     interval_failures: List[List[float]] = []
     for trefi in intervals:
-        profile = profiler.run(chip, Conditions(trefi=trefi, temperature=base_temp))
+        profile = profiler.walk(chip, Conditions(trefi=trefi, temperature=base_temp))
         interval_failures.append([trefi, float(len(profile))])
 
     top = max(intervals)
@@ -205,7 +207,7 @@ def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
     temperature_failures: List[List[float]] = [[base_temp, top_count]]
     for temperature in temperatures[1:]:
         bed.set_ambient(temperature)
-        profile = profiler.run(chip, Conditions(trefi=top, temperature=temperature))
+        profile = profiler.walk(chip, Conditions(trefi=top, temperature=temperature))
         temperature_failures.append([temperature, float(len(profile))])
 
     return {

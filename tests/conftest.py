@@ -4,9 +4,10 @@ A 1/16 Gbit chip carries a weak tail of a few hundred cells -- large enough
 for statistically meaningful profiling assertions, small enough that the
 whole suite stays fast.
 
-Also the two checks of the differential harness (``tests/test_differential.py``
+Also the checks of the differential harness (``tests/test_differential.py``
 draws their arguments; other modules pin named cases of them):
-:func:`profile_routes` and :func:`assert_campaign_matches_reference`.
+:func:`profile_routes` with :func:`assert_routes_agree`, and
+:func:`assert_campaign_matches_reference`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 from unittest import mock
 
 import pytest
@@ -158,28 +159,44 @@ def per_chip_summary(campaign, run_dir, intervals_s, temperatures_c, worker=meas
 # ----------------------------------------------------------------------
 class ProfileOutcome(NamedTuple):
     """What one route's profiling left: failing sets per condition and
-    chip, and :func:`chip_end_state` of its chips."""
+    chip, :func:`chip_end_state` of its chips, and -- for the per-chip
+    routes -- every profile's ``RetentionProfile.to_json()``."""
 
     failing: list
     end_state: list
+    profiles: Optional[list] = None
+
+
+class ProfileRoutes(NamedTuple):
+    """The four routes :func:`profile_routes` profiles along."""
+
+    kernel: ProfileOutcome
+    run: ProfileOutcome
+    walk: ProfileOutcome
+    reference: ProfileOutcome
 
 
 def profile_routes(
     members, geometry, seed, temperatures, intervals, patterns=STANDARD_PATTERNS,
-    iterations=1, block_rows=None, reads=None,
+    iterations=1, block_rows=None, reads=None, idle_s=0.0,
 ):
     """Profile the chips ``members`` ((chip_id, vendor) pairs) at every
-    refresh interval, at each of ``temperatures`` in turn, along three
-    routes: :meth:`FleetProfiler.run_grid` on one fleet, and
-    :class:`BruteForceProfiler` on the same chips racked standalone, on the
-    fast path and on the reference evaluator.  Returns their
-    :class:`ProfileOutcome` in that order; all three must be equal.
+    refresh interval, at each of ``temperatures`` in turn, along four
+    routes: :meth:`FleetProfiler.run_grid` on one fleet, and, on the same
+    chips racked standalone, :meth:`BruteForceProfiler.run` (which hands
+    them to the kernel one chip and one condition at a time),
+    :meth:`BruteForceProfiler.walk` on the production evaluator, and the
+    walk on the reference evaluator.  :func:`assert_routes_agree` checks
+    the outcome.
 
-    ``block_rows`` shrinks the kernel's block budget to a few rows, which
-    puts every condition in a read block of its own and splits runs of
-    random writes across several excitation blocks.  ``reads`` (optional)
-    is called on every chip of every route before it profiles, to replace
-    the chip's read generator the same way on each route."""
+    ``idle_s`` is the profilers' idle gap between iterations (the grid
+    kernel's internal equivalent on the fleet route).  ``block_rows``
+    shrinks the kernel's block budget to a few rows, which puts every
+    condition in a read block of its own, splits a condition's reads over
+    several blocks once they exceed it, and splits runs of random writes
+    across several excitation blocks.  ``reads`` (optional) is called on
+    every chip of every route before it profiles, to replace the chip's
+    read generator the same way on each route."""
     runs = [
         [Conditions(t, temperature=temperature) for t in intervals] for temperature in temperatures
     ]
@@ -197,30 +214,48 @@ def profile_routes(
     with mock.patch.object(fleetprof, "_BLOCK_BUDGET_BYTES", budget):
         for temperature, grid in zip(temperatures, runs):
             bed.set_ambient(temperature)
-            for results in kernel.run_grid(fleet, grid):
-                failing.append([result.failing for result in results])
-    outcomes = [ProfileOutcome(failing, chip_end_state(fleet.chips))]
+            if idle_s:
+                results, _reads = kernel._run(fleet, tuple(grid), idle_s=idle_s)
+            else:
+                results = kernel.run_grid(fleet, grid)
+            for per_chip in results:
+                failing.append([result.failing for result in per_chip])
+        outcomes = [ProfileOutcome(failing, chip_end_state(fleet.chips))]
 
-    for fast_path in (True, False):
-        beds = [
-            TestBed.build_members(
-                [(chip_id, vendor)], geometry=geometry, seed=seed, fast_path=fast_path
-            )
-            for chip_id, vendor in members
-        ]
-        chips = [single.chips[0] for single in beds]
-        if reads is not None:
-            for chip in chips:
-                reads(chip)
-        walk = BruteForceProfiler(patterns=patterns, iterations=iterations)
-        failing = []
-        for temperature, grid in zip(temperatures, runs):
-            for single in beds:
-                single.set_ambient(temperature)
-            for conditions in grid:
-                failing.append([walk.run(chip, conditions).failing for chip in chips])
-        outcomes.append(ProfileOutcome(failing, chip_end_state(chips)))
-    return tuple(outcomes)
+        profiler = BruteForceProfiler(
+            patterns=patterns, iterations=iterations, idle_between_iterations_s=idle_s
+        )
+        for fast_path, route in ((True, profiler.run), (True, profiler.walk), (False, profiler.run)):
+            beds = [
+                TestBed.build_members(
+                    [(chip_id, vendor)], geometry=geometry, seed=seed, fast_path=fast_path
+                )
+                for chip_id, vendor in members
+            ]
+            chips = [single.chips[0] for single in beds]
+            if reads is not None:
+                for chip in chips:
+                    reads(chip)
+            failing, profiles = [], []
+            for temperature, grid in zip(temperatures, runs):
+                for single in beds:
+                    single.set_ambient(temperature)
+                for conditions in grid:
+                    done = [route(chip, conditions) for chip in chips]
+                    failing.append([profile.failing for profile in done])
+                    profiles.append([profile.to_json() for profile in done])
+            outcomes.append(ProfileOutcome(failing, chip_end_state(chips), profiles))
+    return ProfileRoutes(*outcomes)
+
+
+def assert_routes_agree(routes: ProfileRoutes) -> None:
+    """Every route of :func:`profile_routes` found the same failing sets
+    and left the same traces, clocks and generator end states; the three
+    per-chip routes also built byte-identical profiles."""
+    for route in routes[1:]:
+        assert route.failing == routes.kernel.failing
+        assert route.end_state == routes.kernel.end_state
+        assert route.profiles == routes.reference.profiles
 
 
 #: A route that measures with the per-chip walk instead of the kernel.

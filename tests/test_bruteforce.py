@@ -1,13 +1,22 @@
 """Unit tests for Algorithm 1 (brute-force profiling)."""
 
+import tracemalloc
+
 import pytest
 
+from repro import obs
 from repro.conditions import Conditions
+from repro.core import fleetprof
 from repro.core.bruteforce import BruteForceProfiler
 from repro.core.metrics import evaluate
+from repro.dram.chip import SimulatedDRAMChip
 from repro.dram.commands import Command
+from repro.dram.geometry import ChipGeometry
+from repro.dram.module import DRAMModule
 from repro.errors import ConfigurationError, ProfilingError
-from repro.patterns import CHECKERBOARD, SOLID_ZERO, STANDARD_PATTERNS
+from repro.patterns import CHECKERBOARD, SOLID_ZERO, STANDARD_PATTERNS, DataPattern
+
+from conftest import TINY_GEOMETRY
 
 
 class TestConfiguration:
@@ -130,3 +139,109 @@ class TestAlgorithm1:
     def test_mechanism_label(self, chip, target_conditions):
         profile = BruteForceProfiler(iterations=1).run(chip, target_conditions)
         assert profile.mechanism == "brute-force"
+
+
+class TestKernelRoute:
+    """``run`` hands a fixed schedule on a production chip to the grid
+    kernel and walks everything else; the kernel route leaves the walk's
+    telemetry and stays within one block budget of the walk's memory.
+    Its profiles equal the walk's on drawn schedules in
+    ``tests/test_differential.py``."""
+
+    #: The series both routes record, compared snapshot row by row.
+    SERIES = (
+        "chip.commands",
+        "chip.sim_seconds",
+        "profiler.iterations",
+        "profiler.new_cells",
+        "profiler.new_cells_per_iteration",
+        "span.profiler.run",
+    )
+
+    @staticmethod
+    def kernel_entries(monkeypatch):
+        entered = []
+        original = fleetprof.FleetProfiler._run
+
+        def spy(self, fleet, *args, **kwargs):
+            entered.append(len(fleet))
+            return original(self, fleet, *args, **kwargs)
+
+        monkeypatch.setattr(fleetprof.FleetProfiler, "_run", spy)
+        return entered
+
+    def test_kernel_runs_exactly_the_routed_inputs(self, monkeypatch, chip_factory):
+        entered = self.kernel_entries(monkeypatch)
+        conditions = Conditions(trefi=1.024, temperature=45.0)
+        BruteForceProfiler(iterations=2, idle_between_iterations_s=5.0).run(
+            chip_factory(), conditions
+        )
+        assert entered == [1]
+        walked = [
+            (BruteForceProfiler(iterations=3, stop_after_quiet_iterations=1), chip_factory()),
+            (BruteForceProfiler(iterations=1), DRAMModule.build(n_chips=2, geometry=TINY_GEOMETRY)),
+            (
+                BruteForceProfiler(
+                    patterns=(CHECKERBOARD, DataPattern("random", stochastic=True, alignment_beta=(2.0, 3.0))),
+                    iterations=1,
+                ),
+                chip_factory(),
+            ),
+            (BruteForceProfiler(iterations=1), chip_factory(fast_path=False)),
+        ]
+        for profiler, device in walked:
+            profiler.run(device, conditions)
+        assert entered == [1]
+
+    def test_telemetry_equals_the_walks(self, chip_factory):
+        """Two consecutive runs on one chip, with an idle gap: the routed
+        runs leave the walk's rows for every series the walk records (the
+        span's count; its seconds are wall clock) and the walk's
+        ``profiler.iteration`` events."""
+        profiler = BruteForceProfiler(iterations=3, idle_between_iterations_s=30.0)
+        seen = {}
+        for route in ("run", "walk"):
+            chip = chip_factory()
+            with obs.capture() as layer:
+                for trefi in (1.024, 2.048):
+                    getattr(profiler, route)(chip, Conditions(trefi=trefi, temperature=45.0))
+            rows = [row for row in layer.snapshot() if row["name"] in self.SERIES]
+            seen[route] = (
+                [
+                    {"name": r["name"], "count": r["count"]} if r["name"].startswith("span.") else r
+                    for r in rows
+                ],
+                [
+                    {k: v for k, v in event.items() if k != "ts"}
+                    for event in layer.sink.events
+                    if event["event"] == "profiler.iteration"
+                ],
+            )
+        assert {row["name"] for row in seen["walk"][0]} == set(self.SERIES)
+        assert len(seen["walk"][1]) == 6
+        assert seen["run"] == seen["walk"]
+
+    def test_peak_memory_within_a_block_budget_of_the_walk(self):
+        """A routed 2 Gbit, 16-iteration profile (40 k weak cells; its
+        reads split into one-iteration blocks) holds at most one block
+        budget more than the walk, which reads one uniform vector at a
+        time and memoizes nothing.  Whole, its uniforms alone would take
+        62 MB."""
+        geometry = ChipGeometry.from_capacity_gigabits(2.0)
+        conditions = Conditions(trefi=1.024, temperature=45.0)
+        profiler = BruteForceProfiler(iterations=16)
+        # Warm both routes so lazy imports and one-time tables are not
+        # charged to either peak.
+        for route in (profiler.run, profiler.walk):
+            route(SimulatedDRAMChip(geometry=TINY_GEOMETRY, seed=7), conditions)
+        peaks, profiles = {}, {}
+        for name in ("run", "walk"):
+            chip = SimulatedDRAMChip(geometry=geometry, seed=7)
+            tracemalloc.start()
+            try:
+                profiles[name] = getattr(profiler, name)(chip, conditions).to_json()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert profiles["run"] == profiles["walk"]
+        assert peaks["run"] <= peaks["walk"] + fleetprof._BLOCK_BUDGET_BYTES, peaks

@@ -1,17 +1,22 @@
 r"""Differential harness: every production route against the per-chip
 reference walk, and the default campaign against committed goldens.
 
-One contract underlies every way a campaign runs: the fused condition-grid
-kernel (:meth:`repro.core.fleetprof.FleetProfiler.run_grid`, at any unit
-size, serial or pooled, resumed or not, observability on or off) and the
-per-chip fast evaluator both reproduce the per-chip reference walk bit for
-bit.  Two hypothesis properties check it against the oracle:
+One contract underlies every way a campaign or a profile runs: the fused
+condition-grid kernel (:meth:`repro.core.fleetprof.FleetProfiler.run_grid`,
+at any unit size, serial or pooled, resumed or not, observability on or
+off, and as :meth:`BruteForceProfiler.run`'s one-chip route) and the
+per-chip walk on the production evaluator all reproduce the per-chip
+reference walk bit for bit.  Two hypothesis properties check it against
+the oracle:
 
 * profile level -- a 3-chip fleet profiled twice, at two temperatures, by
-  ``run_grid`` and by :class:`~repro.core.bruteforce.BruteForceProfiler` on
-  the same chips racked standalone, once on the fast path and once on the
-  reference evaluator: identical failing sets, trace records, clocks, and
-  read, VRT and DPD generator end states;
+  ``run_grid``, and the same chips racked standalone profiled by
+  :meth:`~repro.core.bruteforce.BruteForceProfiler.run` (the kernel
+  route), by :meth:`~repro.core.bruteforce.BruteForceProfiler.walk`, and by
+  the walk on the reference evaluator, with or without an idle gap
+  between iterations: identical failing sets, trace records, clocks, and
+  read, VRT and DPD generator end states, and byte-identical
+  ``RetentionProfile.to_json()`` from the three per-chip routes;
 * campaign level -- :meth:`CharacterizationCampaign.run` on a drawn grid
   (repeated intervals and temperatures allowed), optionally cut back to
   its first k stored chips, as a kill would leave it, and resumed under
@@ -20,9 +25,9 @@ bit.  Two hypothesis properties check it against the oracle:
   the missing chips under their per-chip ids, and the summary is the one
   those reference rows give, counting each chip once.
 
-The checks themselves live in ``conftest.py`` (:func:`profile_routes`,
-:func:`assert_campaign_matches_reference`); the modules that test one
-route pin named cases of them.
+The checks themselves live in ``conftest.py`` (:func:`profile_routes`
+with :func:`assert_routes_agree`, :func:`assert_campaign_matches_reference`);
+the modules that test one route pin named cases of them.
 
 Two routes that drifted together would still agree with each other, so a
 handful of fixed campaigns, one at the paper's 369-chip scale, also run
@@ -60,19 +65,29 @@ from repro.dram.vendor import VENDORS, vendor_by_name
 from repro.patterns import CHECKERBOARD, RANDOM, SOLID_ZERO, STANDARD_PATTERNS
 from repro.runner import ProcessPoolBackend
 
-from conftest import PER_CHIP, assert_campaign_matches_reference, canonical, profile_routes
+from conftest import (
+    PER_CHIP,
+    assert_campaign_matches_reference,
+    assert_routes_agree,
+    canonical,
+    profile_routes,
+)
 
 MICRO = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 INTERVALS = (0.256, 0.512, 1.024, 2.048)
 TEMPERATURES = (45.0, 50.0, 55.0)
 DETERMINISTIC = [p for p in STANDARD_PATTERNS if not p.stochastic]
 
+#: The positive idle gap between iterations the profile property draws:
+#: an hour, long enough for VRT episodes to arrive between iterations.
+IDLE_S = 3600.0
+
 #: Pinned here, not in a profile: the same examples on every host and run.
 SETTINGS = dict(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 # ----------------------------------------------------------------------
-# Profile level: run_grid == fast walk == reference walk
+# Profile level: run_grid == routed run == walk == reference walk
 # ----------------------------------------------------------------------
 @st.composite
 def pattern_orders(draw):
@@ -89,13 +104,17 @@ def pattern_orders(draw):
 
 
 # Random writes before first-time deterministic ones, an inverse random
-# write and repeated deterministic reads, in small and default blocks.
+# write and repeated deterministic reads, in small and default blocks;
+# idle gaps, with one condition split over blocks of two rows.
 @example(seed=1234, vendors=["A", "B", "C"], temperatures=[45.0, 55.0],
          patterns=(RANDOM, CHECKERBOARD, RANDOM.inverse, SOLID_ZERO), iterations=3,
-         intervals=[1.024, 2.048], block_rows=2)
+         intervals=[1.024, 2.048], block_rows=2, idle_s=0.0)
 @example(seed=77, vendors=["C", "A", "A"], temperatures=[55.0, 50.0],
          patterns=(RANDOM.inverse, SOLID_ZERO.inverse, RANDOM), iterations=2,
-         intervals=[2.048, 0.512, 2.048], block_rows=None)
+         intervals=[2.048, 0.512, 2.048], block_rows=None, idle_s=0.0)
+@example(seed=5, vendors=["B", "C", "A"], temperatures=[50.0, 45.0],
+         patterns=(CHECKERBOARD, RANDOM, SOLID_ZERO.inverse), iterations=3,
+         intervals=[0.512, 2.048], block_rows=2, idle_s=IDLE_S)
 @settings(max_examples=15, **SETTINGS)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
@@ -105,16 +124,18 @@ def pattern_orders(draw):
     iterations=st.integers(min_value=1, max_value=3),
     intervals=st.lists(st.sampled_from(INTERVALS), min_size=1, max_size=4),
     block_rows=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+    idle_s=st.sampled_from((0.0, IDLE_S)),
 )
 def test_grid_kernel_and_both_evaluators_match(
-    seed, vendors, temperatures, patterns, iterations, intervals, block_rows
+    seed, vendors, temperatures, patterns, iterations, intervals, block_rows, idle_s
 ):
     members = [(chip_id, vendor_by_name(name)) for chip_id, name in enumerate(vendors)]
-    kernel, fast, reference = profile_routes(
-        members, MICRO, seed, temperatures, intervals, patterns, iterations, block_rows
+    assert_routes_agree(
+        profile_routes(
+            members, MICRO, seed, temperatures, intervals, patterns, iterations, block_rows,
+            idle_s=idle_s,
+        )
     )
-    assert fast == kernel
-    assert reference == kernel
 
 
 # ----------------------------------------------------------------------

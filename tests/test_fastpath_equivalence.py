@@ -1,17 +1,18 @@
-"""Equivalence contract for the profiling fast path.
+"""Equivalence contract for the production profiling routes.
 
-The vectorized fast path (memoized per-(pattern, temperature) retention
-arrays + marginal-band ndtr cut in ``repro.dram.cell``, numpy observed-cell
-accumulation in ``repro.core.device``) must be *byte-identical* to the
-reference implementation: same failing sets, same per-read records, same
-runtimes, same campaign summaries, same RNG stream consumption.
-``tests/test_differential.py`` checks that on drawn schedules and
-campaigns.  This module compares whole profiles of one chip pair --
-records, runtimes, JSON -- across temperature changes and quiet-iteration
-early stops, pins named campaign cases of the differential check, and
-covers the pieces the fast path rests on: the exact ``ndtr`` saturation of
-the band-cut pin constants, replaying a reset chip, and the numpy
-observed-cell accumulator against set bookkeeping.
+:meth:`BruteForceProfiler.run` on a production chip (the grid kernel's
+one-chip route, reading through the Chernoff cut and the reach cut, with
+numpy observed-cell accumulation in ``repro.core.device``) must be
+*byte-identical* to the reference walk on a ``fast_path=False`` chip:
+same failing sets, same per-read records, same runtimes, same campaign
+summaries, same RNG stream consumption.  ``tests/test_differential.py``
+checks that on drawn schedules and campaigns.  This module compares whole
+profiles of one chip pair -- records, runtimes, JSON -- across temperature
+changes and quiet-iteration early stops (which walk both chips), pins
+named campaign cases of the differential check, and covers the pieces the
+routes rest on: the exact ``ndtr`` saturation of the cut constants,
+replaying a reset chip, and the numpy observed-cell accumulator against
+set bookkeeping.
 """
 
 import numpy as np
@@ -35,7 +36,8 @@ MICRO = ChipGeometry.from_capacity_gigabits(1.0 / 64.0)
 
 
 def chip_pair(geometry=TINY_GEOMETRY, seed=TEST_SEED, **kwargs):
-    """(reference, fast) chips that are identical in every other respect."""
+    """(reference, production) chips that are identical in every other
+    respect: ``run`` walks the first and hands the second to the kernel."""
     ref = SimulatedDRAMChip(geometry=geometry, seed=seed, fast_path=False, **kwargs)
     fast = SimulatedDRAMChip(geometry=geometry, seed=seed, fast_path=True, **kwargs)
     return ref, fast
@@ -77,7 +79,7 @@ class TestProfileEquivalence:
         assert_profiles_identical(profiler.run(ref, conditions), profiler.run(fast, conditions))
 
     def test_identical_across_temperature_change(self):
-        """Caches re-key by temperature; results stay byte-identical."""
+        """Consecutive runs at changing temperatures stay byte-identical."""
         ref, fast = chip_pair()
         profiler = BruteForceProfiler(patterns=STANDARD_PATTERNS[:4], iterations=2)
         for temperature in (45.0, 55.0, 45.0):
@@ -164,8 +166,8 @@ class TestFleetEquivalence:
             )
 
     def test_fleet_composes_with_both_fast_path_modes(self):
-        """Fleet batching runs on the fast path; every row a fleet campaign
-        stores equals its chip re-measured on the reference evaluator."""
+        """Every row a fleet campaign stores equals its chip re-measured on
+        the reference evaluator."""
         campaign = CharacterizationCampaign(chips_per_vendor=2, geometry=MICRO, iterations=1)
         assert_campaign_matches_reference(campaign, **ORACLE_GRID, chips_per_unit=4)
 

@@ -63,6 +63,7 @@ from repro.runner import build_chip_units, build_fleet_units
 from conftest import (
     TEST_SEED,
     assert_campaign_matches_reference,
+    assert_routes_agree,
     chip_end_state,
     per_chip_summary,
     profile_routes,
@@ -245,10 +246,11 @@ class TestRunGridEquivalence:
     def test_grid_matches_per_chip_profiles(self):
         """run_grid over a grid leaves the per-chip walks' failing sets,
         traces, clocks and RNG end states, fast path or reference."""
-        kernel, fast, reference = profile_routes(
-            MEMBERS, MICRO, TEST_SEED, [45.0], [c.trefi for c in self.GRID], iterations=2
+        assert_routes_agree(
+            profile_routes(
+                MEMBERS, MICRO, TEST_SEED, [45.0], [c.trefi for c in self.GRID], iterations=2
+            )
         )
-        assert kernel == fast == reference
 
     def test_empty_grid_is_a_no_op(self):
         profiler = FleetProfiler(iterations=1)
@@ -276,12 +278,13 @@ class TestRunGridDifferential:
     def test_grid_matches_oracle(self):
         # Random writes before a first-time deterministic one and between
         # two, a repeated interval, and read blocks of one row.
-        kernel, fast, reference = profile_routes(
-            MEMBERS, MICRO, TEST_SEED, [55.0], [2.048, 0.256, 2.048],
-            patterns=(RANDOM, SOLID_ZERO.inverse, RANDOM.inverse, CHECKERBOARD),
-            iterations=2, block_rows=1,
+        assert_routes_agree(
+            profile_routes(
+                MEMBERS, MICRO, TEST_SEED, [55.0], [2.048, 0.256, 2.048],
+                patterns=(RANDOM, SOLID_ZERO.inverse, RANDOM.inverse, CHECKERBOARD),
+                iterations=2, block_rows=1,
+            )
         )
-        assert kernel == fast == reference
 
 
 @pytest.fixture(scope="module")
