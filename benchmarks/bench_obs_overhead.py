@@ -12,19 +12,23 @@ the expected overhead is low single digits of a percent.
 
 Measurement methodology, chosen to survive noisy shared runners:
 
-* every timed sample is a fixed number of back-to-back runs on a *fresh*
-  chip (same seed), after one untimed warmup run -- the simulation is
-  deterministic, so every sample of both modes times the exact same work;
+* every round profiles two *fresh* chips (same seed), one per mode,
+  after one untimed warmup run each -- the simulation is deterministic,
+  so both modes time the exact same work;
+* a round's two samples are interleaved run by run (alternating which
+  mode goes first), so a slow phase of a shared host -- they last
+  seconds -- inflates both modes alike instead of one;
+* each sample repeats the run until it spans about ``MIN_SAMPLE_CPU_S``
+  (1 s) of CPU; the count is sized once, from the fastest of five
+  untimed runs.  One-run samples (~0.06 s) swing the reading by several
+  percent either way;
 * samples use CPU time (``time.process_time``), which a co-tenant
   stealing the core cannot inflate the way wall time is inflated;
-* each round measures an (off, on) pair in alternating order and the
-  reported overhead is the **ratio of the per-mode minima** -- the
-  fastest observed sample is the closest estimate of the true cost, and
-  co-tenant noise can only inflate samples, never deflate them, so extra
-  rounds monotonically sharpen the estimate;
+* the reported overhead is the **ratio of the two modes' total CPU
+  time** over all rounds;
 * if the reading still exceeds the gate after the requested rounds,
-  extra rounds (bounded) keep sampling -- noise gets more chances to
-  land a clean sample, while a real regression stays above the gate.
+  extra rounds (bounded) keep sampling -- noise averages out, while a
+  real regression stays above the gate.
 
 Emits ``BENCH_obs_overhead.json`` at the repository root plus a
 human-readable report under ``benchmarks/results/``.
@@ -41,6 +45,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import pathlib
 import sys
 import time
@@ -59,57 +64,73 @@ from benchutil import host_stamp, output_paths  # noqa: E402
 GEOMETRY = ChipGeometry.from_capacity_gigabits(4.0)
 CONDITIONS = Conditions(trefi=1.024, temperature=45.0)
 ITERATIONS = 8
-REPEATS = 3
+#: CPU seconds every timed sample spans at least.
+MIN_SAMPLE_CPU_S = 1.0
 SEED = 7
 DEFAULT_OUT = REPO_ROOT / "BENCH_obs_overhead.json"
 REPORT_PATH = REPO_ROOT / "benchmarks" / "results" / "obs_overhead.txt"
 
 
 def run_benchmark(rounds: int, gate: float = None, max_rounds: int = None):
-    """Measure (off seconds, on seconds, overhead, equivalent, rounds).
+    """Measure (off seconds, on seconds, overhead, equivalent, rounds,
+    runs per sample, shortest sample's CPU seconds).
 
     See the module docstring for the methodology.  ``gate`` triggers
     adaptive extra rounds (up to ``max_rounds``, default ``4 * rounds``)
-    while the median overhead sits above it.
+    while the overhead sits above it.
     """
     if max_rounds is None:
         max_rounds = rounds * 4
     profiler = BruteForceProfiler(patterns=STANDARD_PATTERNS, iterations=ITERATIONS)
 
-    def one_sample(mode: bool):
-        chip = SimulatedDRAMChip(geometry=GEOMETRY, seed=SEED)
+    def timed_run(chip, mode: bool):
         if mode:
-            obs.reset()
             obs.enable()
         try:
-            profiler.run(chip, CONDITIONS)  # untimed: lazy init, caches
-            gc.collect()
             start = time.process_time()
-            for _ in range(REPEATS):
-                profile = profiler.run(chip, CONDITIONS)
-            return (time.process_time() - start) / REPEATS, profile
+            profile = profiler.run(chip, CONDITIONS)
+            return time.process_time() - start, profile
         finally:
             if mode:
                 obs.disable()
-                obs.reset()
 
-    samples = {False: [], True: []}
+    def one_round(repeats: int, first: bool):
+        """One (off, on) sample pair, interleaved run by run."""
+        chips = {mode: SimulatedDRAMChip(geometry=GEOMETRY, seed=SEED) for mode in (False, True)}
+        obs.reset()
+        try:
+            for mode in (False, True):
+                timed_run(chips[mode], mode)  # untimed: lazy init, caches
+            gc.collect()
+            spent, profiles = {False: 0.0, True: 0.0}, {}
+            for index in range(repeats):
+                order = (first, not first) if index % 2 == 0 else (not first, first)
+                for mode in order:
+                    seconds, profiles[mode] = timed_run(chips[mode], mode)
+                    spent[mode] += seconds
+            return spent, profiles
+        finally:
+            obs.reset()
+
+    samples = {False: [], True: []}  # CPU seconds per sample
     equivalent = True
     completed = 0
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        chip = SimulatedDRAMChip(geometry=GEOMETRY, seed=SEED)
+        timed_run(chip, False)  # lazy init
+        fastest = min(timed_run(chip, False)[0] for _ in range(5))
+        repeats = math.ceil(MIN_SAMPLE_CPU_S / fastest)
         while True:
-            order = (False, True) if completed % 2 == 0 else (True, False)
-            times, profiles = {}, {}
-            for mode in order:
-                times[mode], profiles[mode] = one_sample(mode)
-                samples[mode].append(times[mode])
+            spent, profiles = one_round(repeats, first=completed % 2 == 0)
+            for mode in (False, True):
+                samples[mode].append(spent[mode])
             equivalent = (
                 equivalent and profiles[False].to_json() == profiles[True].to_json()
             )
             completed += 1
-            overhead = min(samples[True]) / min(samples[False]) - 1.0
+            overhead = sum(samples[True]) / sum(samples[False]) - 1.0
             if completed >= rounds and (
                 gate is None or overhead <= gate or completed >= max_rounds
             ):
@@ -117,14 +138,23 @@ def run_benchmark(rounds: int, gate: float = None, max_rounds: int = None):
     finally:
         if gc_was_enabled:
             gc.enable()
-    off_seconds = min(samples[False])
-    on_seconds = min(samples[True])
-    return off_seconds, on_seconds, on_seconds / off_seconds - 1.0, equivalent, completed
+    off_seconds = sum(samples[False]) / (completed * repeats)
+    on_seconds = sum(samples[True]) / (completed * repeats)
+    shortest = min(samples[False] + samples[True])
+    return (
+        off_seconds,
+        on_seconds,
+        overhead,
+        equivalent,
+        completed,
+        repeats,
+        shortest,
+    )
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=5, help="off/on round pairs (median-of)")
+    parser.add_argument("--rounds", type=int, default=5, help="interleaved off/on rounds")
     parser.add_argument(
         "--out",
         type=pathlib.Path,
@@ -142,9 +172,9 @@ def main(argv=None) -> int:
     out_path, report_path = output_paths(args.out, DEFAULT_OUT, REPORT_PATH)
 
     passes = ITERATIONS * len(STANDARD_PATTERNS)
-    off_seconds, on_seconds, overhead, equivalent, rounds_run = run_benchmark(
-        args.rounds, gate=args.max_overhead
-    )
+    (
+        off_seconds, on_seconds, overhead, equivalent, rounds_run, repeats, shortest
+    ) = run_benchmark(args.rounds, gate=args.max_overhead)
 
     result = {
         "benchmark": "obs_overhead",
@@ -156,7 +186,9 @@ def main(argv=None) -> int:
             "temperature_c": CONDITIONS.temperature,
             "rounds_requested": args.rounds,
             "rounds_run": rounds_run,
-            "repeats_per_sample": REPEATS,
+            "repeats_per_sample": repeats,
+            "min_sample_cpu_s": MIN_SAMPLE_CPU_S,
+            "shortest_sample_cpu_s": shortest,
             "seed": SEED,
             "max_overhead": args.max_overhead,
         },
@@ -177,7 +209,8 @@ def main(argv=None) -> int:
             f"  obs off     : {off_seconds:.3f}s CPU  ({passes / off_seconds:,.0f} passes/s)",
             f"  obs on      : {on_seconds:.3f}s CPU  ({passes / on_seconds:,.0f} passes/s)",
             f"  overhead    : {overhead:+.2%} (gate {args.max_overhead:.0%}, "
-            f"best of {rounds_run} rounds)",
+            f"{rounds_run} rounds)",
+            f"  samples     : {repeats} runs each, shortest {shortest:.2f}s CPU",
             f"  byte-identical profiles: {equivalent}",
             f"  json        : {out_path}",
         ]

@@ -30,7 +30,6 @@ from .store import (
     CompactionReport,
     ResultLake,
     fold_results_jsonl,
-    read_events_jsonl,
     run_id_for_dir,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "CompactionReport",
     "ResultLake",
     "fold_results_jsonl",
-    "read_events_jsonl",
     "run_id_for_dir",
     "REPORTS",
     "run_summary",

@@ -21,12 +21,14 @@ APIs and terminals alike.
 
 from __future__ import annotations
 
+import pathlib
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..runner.campaign import aggregate_chip_results
+from ..runner.store import RESULTS_NAME
 from ..runner.units import UnitResult
 from .columns import KIND_CODE, VALUE_JSON, RunColumns, _chip_encodable, decode_results
 from .store import ResultLake, fold_results_jsonl
@@ -81,10 +83,6 @@ def run_summary(results: Mapping[str, UnitResult]) -> Dict[str, Any]:
 
 def summary_from_run_dir(run_dir) -> Dict[str, Any]:
     """Canonical summary straight from a run directory's ``results.jsonl``."""
-    import pathlib
-
-    from ..runner.store import RESULTS_NAME
-
     rows, _, _ = fold_results_jsonl(pathlib.Path(run_dir) / RESULTS_NAME)
     return run_summary(
         {uid: UnitResult.from_json_dict(row) for uid, row in rows.items()}

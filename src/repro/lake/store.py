@@ -9,16 +9,13 @@ A lake is one directory::
 The engine writes run directories through
 :class:`~repro.runner.store.ResultStore`; the lake only reads them.
 :meth:`ResultLake.compact_run_dir` streams a run directory's
-``results.jsonl``/``events.jsonl`` into one columnar segment (resume-aware
--- later rows win, torn tails skipped -- exactly like
-:meth:`repro.runner.store.ResultStore.load_results`), and the catalog
-remembers each run's manifest so cross-run queries can group by campaign
-configuration.
+``results.jsonl``/``events.jsonl`` into one columnar segment (later rows
+win, as on resume), and the catalog remembers each run's manifest so
+cross-run queries can group by campaign configuration.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import re
@@ -26,6 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..jsonfiles import JsonlRows, read_json, write_json
+from ..runner.store import EVENTS_NAME, MANIFEST_NAME, RESULTS_NAME
 from ..runner.units import UnitResult
 from .columns import LAKE_SCHEMA, RunColumns, decode_results, encode_results, load_columns, save_columns
 
@@ -52,65 +51,26 @@ def run_id_for_dir(run_dir: Union[str, os.PathLike]) -> str:
     return validate_run_id(cleaned[:120])
 
 
-# ----------------------------------------------------------------------
-# Streaming JSONL folding
-# ----------------------------------------------------------------------
 def fold_results_jsonl(
     path: Union[str, os.PathLike],
 ) -> Tuple[Dict[str, Dict[str, Any]], int, int]:
-    """Fold a results JSONL stream into ``unit_id -> final row``.
+    """Fold a ``results.jsonl`` into ``unit_id -> final row``, streaming.
 
-    Mirrors :meth:`ResultStore.load_results` semantics -- later rows win
-    (resumed runs re-record units), and a torn final line is skipped as a
-    mid-write crash artifact -- but reads line-by-line instead of slurping
-    the file, and *counts* undecodable interior rows instead of raising:
-    compaction is an offline ingest pass, and one corrupt row should cost
-    one row, not the whole run.  Returns ``(rows, raw_rows, skipped)``.
+    Later rows win.  Compaction is an offline ingest pass, so one corrupt
+    row costs one row, not the run: lines that are not JSON objects and
+    rows without a ``unit_id`` are counted, not raised.  Returns
+    ``(rows, raw_rows, skipped)``.
     """
+    reader = JsonlRows(path)
     rows: Dict[str, Dict[str, Any]] = {}
-    raw_rows = 0
-    skipped = 0
-    path = pathlib.Path(path)
-    if not path.exists():
-        return rows, raw_rows, skipped
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                row = json.loads(text)
-            except json.JSONDecodeError:
-                # A torn tail is expected after a crash; interior garbage
-                # is counted and skipped.
-                skipped += 1
-                continue
-            if not isinstance(row, dict) or "unit_id" not in row:
-                skipped += 1
-                continue
+    raw_rows = no_unit_id = 0
+    for row in reader:
+        if "unit_id" in row:
             rows[str(row["unit_id"])] = row
             raw_rows += 1
-    return rows, raw_rows, skipped
-
-
-def read_events_jsonl(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
-    """Best-effort read of an ``events.jsonl`` stream (torn rows skipped)."""
-    events: List[Dict[str, Any]] = []
-    path = pathlib.Path(path)
-    if not path.exists():
-        return events
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                row = json.loads(text)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(row, dict):
-                events.append(row)
-    return events
+        else:
+            no_unit_id += 1
+    return rows, raw_rows, no_unit_id + reader.skipped
 
 
 @dataclass(frozen=True)
@@ -150,13 +110,13 @@ class ResultLake:
         if not self.catalog_path.exists():
             return {"schema": LAKE_SCHEMA, "runs": {}}
         try:
-            catalog = json.loads(self.catalog_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            catalog = read_json(self.catalog_path)
+        except ConfigurationError as exc:
             raise ConfigurationError(
-                f"{self.catalog_path} is corrupt ({exc}); restore it from "
-                "backup or delete the lake directory and recompact the runs"
+                f"{exc}; restore it from backup or delete the lake directory "
+                "and recompact the runs"
             ) from exc
-        if not isinstance(catalog, dict) or not isinstance(catalog.get("runs"), dict):
+        if not isinstance(catalog.get("runs"), dict):
             raise ConfigurationError(
                 f"{self.catalog_path} does not hold a lake catalog object"
             )
@@ -168,14 +128,6 @@ class ResultLake:
                 "a fresh lake directory"
             )
         return catalog
-
-    def _save_catalog(self, catalog: Mapping[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp_path = self.catalog_path.with_name(CATALOG_NAME + ".tmp")
-        tmp_path.write_text(
-            json.dumps(dict(catalog), indent=2, sort_keys=True), encoding="utf-8"
-        )
-        os.replace(tmp_path, self.catalog_path)
 
     def run_ids(self) -> List[str]:
         return sorted(self._load_catalog()["runs"])
@@ -224,7 +176,7 @@ class ResultLake:
             "source_rows": int(source_rows),
             "skipped_lines": int(skipped_lines),
         }
-        self._save_catalog(catalog)
+        write_json(self.catalog_path, catalog)
         return CompactionReport(
             run_id=run_id,
             segment=segment,
@@ -246,10 +198,6 @@ class ResultLake:
         natural refresh after a resumed run appended more rows.
         """
         run_dir = pathlib.Path(run_dir)
-        # Import here to avoid a hard layering cycle: runner.store names
-        # live in the runner package, which never imports the lake.
-        from ..runner.store import EVENTS_NAME, MANIFEST_NAME, RESULTS_NAME
-
         manifest_path = run_dir / MANIFEST_NAME
         results_path = run_dir / RESULTS_NAME
         if not manifest_path.exists() and not results_path.exists():
@@ -260,16 +208,14 @@ class ResultLake:
         manifest: Optional[Dict[str, Any]] = None
         if manifest_path.exists():
             try:
-                loaded = json.loads(manifest_path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                manifest = read_json(manifest_path)
+            except ConfigurationError as exc:
                 raise ConfigurationError(
-                    f"{manifest_path} is corrupt ({exc}); cannot compact a run "
-                    "that can no longer prove which campaign it belongs to"
+                    f"{exc}; cannot compact a run that can no longer prove "
+                    "which campaign it belongs to"
                 ) from exc
-            if isinstance(loaded, dict):
-                manifest = loaded
         rows, raw_rows, skipped = fold_results_jsonl(results_path)
-        events = read_events_jsonl(run_dir / EVENTS_NAME)
+        events = list(JsonlRows(run_dir / EVENTS_NAME))
         return self.write_run(
             run_id if run_id is not None else run_id_for_dir(run_dir),
             rows,

@@ -18,11 +18,11 @@ run-over-run comparison for regression checks, and Prometheus /
 Chrome-trace / HTML exports.
 
 Everything here is tolerant of partial runs: ``events.jsonl`` and
-``metrics.json`` only exist when the run recorded with ``--metrics``, a
-torn trailing line is the signature of a mid-write crash and is skipped,
-and resumed runs -- which append a second ``runner.start`` and re-record
-units whose earlier row was ``failed`` -- analyze with later-row-wins
-semantics, exactly like the result store's resume path.
+``metrics.json`` only exist when the run recorded with ``--metrics``,
+lines that are not JSON objects are skipped and counted, and resumed runs
+-- which append a second ``runner.start`` and re-record units whose
+earlier row was ``failed`` -- analyze with later-row-wins semantics,
+exactly like the result store's resume path.
 """
 
 from __future__ import annotations
@@ -36,14 +36,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..jsonfiles import JsonlRows, read_json
+from ..runner.store import EVENTS_NAME, MANIFEST_NAME, METRICS_NAME, RESULTS_NAME
 from .export import load_metrics_json, to_chrome_trace, to_openmetrics
-
-#: Run-directory file names (mirrors ``repro.runner.store``; kept literal
-#: here so the offline analyzer does not import the execution stack).
-MANIFEST_NAME = "manifest.json"
-RESULTS_NAME = "results.jsonl"
-EVENTS_NAME = "events.jsonl"
-METRICS_NAME = "metrics.json"
 
 #: ``--export`` format -> default output file name inside the run dir.
 EXPORT_FORMATS = {
@@ -71,25 +66,6 @@ class RunData:
     skipped_lines: int = 0
 
 
-def _read_jsonl(path: pathlib.Path) -> Tuple[List[Dict[str, Any]], int]:
-    """Read a JSONL file, skipping unparseable lines (returns rows, skips)."""
-    rows: List[Dict[str, Any]] = []
-    skipped = 0
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if isinstance(row, dict):
-            rows.append(row)
-        else:
-            skipped += 1
-    return rows, skipped
-
-
 def load_run(run_dir: Union[str, os.PathLike]) -> RunData:
     """Load a run directory for analysis.
 
@@ -104,7 +80,8 @@ def load_run(run_dir: Union[str, os.PathLike]) -> RunData:
             "analyzer at a --run-dir produced by `python -m repro campaign`"
         )
     run = RunData(run_dir=run_dir)
-    run.result_rows, run.skipped_lines = _read_jsonl(results_path)
+    results = JsonlRows(results_path)
+    run.result_rows = list(results)
     for row in run.result_rows:
         unit_id = str(row.get("unit_id", ""))
         if unit_id:
@@ -113,17 +90,13 @@ def load_run(run_dir: Union[str, os.PathLike]) -> RunData:
     manifest_path = run_dir / MANIFEST_NAME
     if manifest_path.exists():
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            if isinstance(manifest, dict):
-                run.manifest = manifest
-        except (json.JSONDecodeError, UnicodeDecodeError):
+            run.manifest = read_json(manifest_path)
+        except ConfigurationError:
             run.skipped_lines += 1
 
-    events_path = run_dir / EVENTS_NAME
-    if events_path.exists():
-        events, skipped = _read_jsonl(events_path)
-        run.events = events
-        run.skipped_lines += skipped
+    events = JsonlRows(run_dir / EVENTS_NAME)
+    run.events = list(events)
+    run.skipped_lines += results.skipped + events.skipped
 
     metrics_path = run_dir / METRICS_NAME
     if metrics_path.exists():

@@ -2,10 +2,9 @@
 
 Where metrics aggregate, events narrate: one JSON object per noteworthy
 occurrence (a profiler iteration, a completed work unit, a span closing),
-appended to a ``.jsonl`` file and flushed per line -- the same durability
-contract as the runner's ``results.jsonl``, so a crash loses at most the
-event being written.  The runner engine attaches a sink at
-``<run_dir>/events.jsonl`` for the duration of a durable run.
+appended to a :class:`~repro.jsonfiles.JsonlLog`.  The runner engine
+attaches a sink at ``<run_dir>/events.jsonl`` for the duration of a
+durable run.
 
 Event payloads must be JSON-serializable; the sink stamps each with a
 wall-clock ``ts`` and a monotonically increasing ``seq``.  Timestamps make
@@ -15,11 +14,12 @@ really happened -- which is why campaign results are never derived from it.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
-from typing import Any, Optional, TextIO, Union
+from typing import Any, Optional, Union
+
+from ..jsonfiles import JsonlLog, JsonlRows
 
 
 class NullEventSink:
@@ -34,48 +34,36 @@ class NullEventSink:
         pass
 
 
-class JsonlEventSink:
+class JsonlEventSink(JsonlLog):
     """Appends one JSON line per event to ``path``, flushed immediately.
 
     Reopening an existing file (the checkpoint/resume path) continues the
     ``seq`` sequence where the previous attach left off, so ordering-by-seq
     consumers see one monotone stream across resumes instead of duplicate
-    sequence numbers.
+    sequence numbers.  Emitting after :meth:`close` does nothing.
     """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        super().__init__(path, default=str)
+        self.open()
         self._seq = self._next_seq(self.path)
-        self._handle: Optional[TextIO] = open(self.path, "a", encoding="utf-8")
 
     @staticmethod
     def _next_seq(path: pathlib.Path) -> int:
         """First unused ``seq`` in an existing event log (0 when fresh).
 
-        Scans for the largest recorded ``seq``; lines without one --
-        unparseable (a torn tail from a crash) or not a JSON object --
-        fall back to the line count so the sequence still moves strictly
-        forward.
+        One past the largest recorded ``seq``, and at least the number of
+        lines, so lines without one -- skipped, or rows from elsewhere --
+        still move the sequence strictly forward.
         """
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return 0
-        next_seq = 0
-        for lineno, line in enumerate(raw.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                row = None
-            seq = row.get("seq") if isinstance(row, dict) else None
+        rows = JsonlRows(path)
+        next_seq = lines = 0
+        for row in rows:
+            lines += 1
+            seq = row.get("seq")
             if isinstance(seq, int):
                 next_seq = max(next_seq, seq + 1)
-            else:
-                next_seq = max(next_seq, lineno)
-        return next_seq
+        return max(next_seq, lines + rows.skipped)
 
     def emit(self, event: str, **fields: Any) -> None:
         if self._handle is None:
@@ -83,19 +71,7 @@ class JsonlEventSink:
         row = {"event": event, "ts": time.time(), "seq": self._seq}
         row.update(fields)
         self._seq += 1
-        self._handle.write(json.dumps(row, sort_keys=True, default=str) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlEventSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.append(row)
 
 
 class TeeEventSink:

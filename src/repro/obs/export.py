@@ -24,13 +24,13 @@ already-recorded state (exporting can never perturb a run):
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import re
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
+from ..jsonfiles import read_json, write_json
 
 #: Schema stamp inside ``metrics.json`` so future readers can dispatch.
 METRICS_JSON_SCHEMA = 1
@@ -244,25 +244,13 @@ def write_metrics_json(
     path: Union[str, os.PathLike],
     meta: Optional[Mapping[str, Any]] = None,
 ) -> pathlib.Path:
-    """Write a snapshot durably as ``metrics.json`` (atomic replace).
-
-    The temp-file + :func:`os.replace` dance mirrors the result store's
-    manifest stamping: a crash mid-write leaves the previous file (or
-    none), never a torn one.
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write a snapshot as ``metrics.json`` (:func:`~repro.jsonfiles.write_json`)."""
     payload = {
         "schema": METRICS_JSON_SCHEMA,
         "meta": dict(meta) if meta else {},
         "series": [dict(row) for row in snapshot],
     }
-    tmp_path = path.with_name(path.name + ".tmp")
-    tmp_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    os.replace(tmp_path, path)
-    return path
+    return write_json(path, payload)
 
 
 def load_metrics_json(path: Union[str, os.PathLike]) -> Dict[str, Any]:
@@ -272,12 +260,11 @@ def load_metrics_json(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     downstream ``KeyError``): snapshots written by a different tool
     version must be regenerated, not half-parsed.
     """
-    path = pathlib.Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read metrics snapshot {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "series" not in payload:
+        payload = read_json(path)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"cannot read metrics snapshot: {exc}") from exc
+    if "series" not in payload:
         raise ConfigurationError(f"{path} does not hold a metrics snapshot")
     schema = payload.get("schema")
     if schema != METRICS_JSON_SCHEMA:

@@ -1,11 +1,8 @@
 """Durable job ledger: ``<root>/jobs.jsonl``, the service's source of truth.
 
-Every job state transition is appended as one JSON line and flushed
-immediately -- the same crash contract as the runner's ``results.jsonl``:
-a kill -9 loses at most the line being written, and a torn trailing line
-is skipped on replay as a crash artifact (torn *interior* lines raise,
-because they mean something other than a mid-write crash corrupted the
-file).
+Every job state transition is appended as one JSON line, under the crash
+contract of :mod:`repro.jsonfiles` (a corrupt terminated line fails the
+replay).
 
 Replay folds the append-only stream into the latest state per job.  A
 restarted :class:`~repro.service.manager.JobManager` re-adopts every job
@@ -22,13 +19,12 @@ Row schema (``spec`` rides only on the first row of each job)::
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
-from typing import Any, Dict, Optional, TextIO, Union
+from typing import Any, Dict, Optional, Union
 
-from ..runner.store import read_jsonl
+from ..jsonfiles import JsonlLog, JsonlRows
 
 #: Ledger file name inside the service root.
 LEDGER_NAME = "jobs.jsonl"
@@ -39,7 +35,7 @@ class JobLedger:
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = pathlib.Path(path)
-        self._handle: Optional[TextIO] = None
+        self._log = JsonlLog(self.path)
         #: Wall-clock time of the last flushed append (``None`` before the
         #: first write).  The service's healthz derives its *ledger lag*
         #: -- seconds since the last durable transition -- from this.
@@ -56,9 +52,6 @@ class JobLedger:
         **extra: Any,
     ) -> None:
         """Record one transition, flushed to the OS before returning."""
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
         row: Dict[str, Any] = {
             "ts": time.time(),
             "job_id": job_id,
@@ -70,20 +63,11 @@ class JobLedger:
         if error is not None:
             row["error"] = error
         row.update(extra)
-        self._handle.write(json.dumps(row, sort_keys=True) + "\n")
-        self._handle.flush()
+        self._log.append(row)
         self.last_append_ts = row["ts"]
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JobLedger":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self._log.close()
 
     # ------------------------------------------------------------------
     def replay(self) -> Dict[str, Dict[str, Any]]:
@@ -94,7 +78,7 @@ class JobLedger:
         fairness stable across restarts.
         """
         folded: Dict[str, Dict[str, Any]] = {}
-        for row in read_jsonl(self.path, "ledger"):
+        for row in JsonlRows(self.path, "ledger"):
             self._fold(folded, row)
         return folded
 

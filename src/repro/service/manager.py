@@ -42,7 +42,6 @@ service core:
 from __future__ import annotations
 
 import asyncio
-import json
 import pathlib
 import threading
 import time
@@ -52,10 +51,13 @@ from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from ..dram import shm as shm_mod
 from ..errors import ConfigurationError
+from ..jsonfiles import JsonlRows, read_json, write_json
 from ..obs import Observability, TraceContext
 from ..obs.live import LivePlane
 from ..runner import (
+    EVENTS_NAME,
     MANIFEST_NAME,
+    RESULTS_NAME,
     STATUS_INTERRUPTED,
     ProcessPoolBackend,
     default_worker_count,
@@ -336,7 +338,7 @@ class JobManager:
             )
         if job.summary_json is None:
             summary_path = self._run_dir(job.tenant, job_id) / SUMMARY_NAME
-            job.summary_json = json.loads(summary_path.read_text(encoding="utf-8"))
+            job.summary_json = read_json(summary_path)
         return job.summary_json
 
     async def cancel(self, job_id: str) -> JobRecord:
@@ -369,17 +371,7 @@ class JobManager:
         job = self._job(job_id)
         if job.sink is not None and not job.record.terminal:
             return job.sink.subscribe(), job.sink
-        rows: List[Dict[str, Any]] = []
-        events_path = self._run_dir(job.tenant, job_id) / "events.jsonl"
-        if events_path.exists():
-            for line in events_path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue  # torn tail
-        return rows, None
+        return list(JsonlRows(self._run_dir(job.tenant, job_id) / EVENTS_NAME)), None
 
     # ------------------------------------------------------------------
     # Live observability (the plane's gauge/sampler feed + healthz)
@@ -517,7 +509,6 @@ class JobManager:
         runs: Optional[List[str]],
     ) -> Dict[str, Any]:
         from ..lake import REPORTS, ResultLake, summary_from_lake
-        from ..runner.store import RESULTS_NAME
 
         lake = ResultLake(self.tenant_lake_root(tenant))
         compacted: List[str] = []
@@ -632,10 +623,9 @@ class JobManager:
         """Did the run actually stop early?  The manifest status is the
         durable truth (a stop requested after the last unit finished still
         yields a complete run)."""
-        manifest_path = self._run_dir(job.tenant, job.job_id) / MANIFEST_NAME
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            manifest = read_json(self._run_dir(job.tenant, job.job_id) / MANIFEST_NAME)
+        except ConfigurationError:
             return True
         return manifest.get("status") == STATUS_INTERRUPTED
 
@@ -692,9 +682,5 @@ class JobManager:
             self.plane.unregister_job(job.job_id)
         summary_json = summary.to_json_dict()
         if not (job.stop.is_set() and self._manifest_interrupted(job)):
-            tmp = run_dir / (SUMMARY_NAME + ".tmp")
-            tmp.write_text(
-                json.dumps(summary_json, indent=2, sort_keys=True), encoding="utf-8"
-            )
-            tmp.replace(run_dir / SUMMARY_NAME)
+            write_json(run_dir / SUMMARY_NAME, summary_json)
         return summary_json
