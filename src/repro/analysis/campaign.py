@@ -26,14 +26,9 @@ import numpy as np
 
 from .. import rng as rng_mod
 from ..dram.geometry import ChipGeometry
-from ..dram.shm import (
-    SharedPopulationStore,
-    build_population_samples,
-    chip_sample_spec,
-    cleanup_stale_segment,
-    remove_sidecar,
-    write_sidecar,
-)
+# No campaign calls it: benchmarks/suite/layers.py wraps this name as its
+# ``dram.shm.sample`` layer, so the name stays until repro.dram.shm goes.
+from ..dram.shm import build_population_samples  # noqa: F401
 from ..dram.vendor import VENDORS, vendor_by_name
 from ..errors import ConfigurationError
 from ..runner import (
@@ -47,7 +42,6 @@ from ..runner import (
     fleet_dispatch,
     measure_chip,
 )
-from ..runner.campaign import TREFI_HEADROOM
 from ..runner.executors import ProcessPoolBackend, backend_from_spec
 from .characterization import DEFAULT_CHAR_GEOMETRY
 from .report import ascii_table
@@ -235,19 +229,11 @@ class CharacterizationCampaign:
         capacity and the worker count
         (:func:`repro.runner.default_chips_per_unit`): large chips travel
         one per unit, small chips batch, never into fewer units than
-        workers.  A one-chip unit draws its chip's weak-cell population in
-        the worker.  Larger units' populations live in one
-        ``multiprocessing.shared_memory`` struct-of-arrays segment built
-        once per run: workers attach zero-copy views by segment name
-        instead of redrawing every chip's tail per unit.  The campaign
-        owns the segment's lifetime: it is unlinked in a ``finally``
-        (normal completion, cooperative cancel, and exceptions alike), and
-        a ``shm.json`` sidecar in the run directory lets the next open of
-        that directory reclaim the segment a SIGKILLed run left behind.
-        Every stored row equals :func:`repro.runner.measure_chip` on its
-        chip (the per-chip reference walk), the result store holds one row
-        per chip, and the campaign fingerprint ignores the unit size -- any
-        unit size resumes any run directory.
+        workers.  Every unit draws its chips' weak-cell populations in the
+        worker.  Every stored row equals :func:`repro.runner.measure_chip`
+        on its chip (the per-chip reference walk), the result store holds
+        one row per chip, and the campaign fingerprint ignores the unit
+        size -- any unit size resumes any run directory.
 
         ``should_stop`` plugs a cooperative-cancellation probe into the
         engine (graceful SIGINT/SIGTERM, the service's cancel endpoint):
@@ -266,11 +252,6 @@ class CharacterizationCampaign:
                 f"chips_per_unit must be positive, got {chips_per_unit!r}"
             )
         backend = backend_from_spec(backend, workers=workers)
-        pool = backend if isinstance(backend, ProcessPoolBackend) else None
-        # Reclaim the segment a SIGKILLed prior occupant of this run
-        # directory may have left behind -- before creating our own.
-        if run_dir is not None:
-            cleanup_stale_segment(run_dir)
         vendor_names = tuple(VENDORS)
         units = build_chip_units(
             chips_per_vendor=self.chips_per_vendor,
@@ -308,25 +289,8 @@ class CharacterizationCampaign:
             chips_per_unit = default_chips_per_unit(
                 self.geometry.capacity_bits,
                 len(units),
-                pool.workers if pool is not None else 1,
+                backend.workers if isinstance(backend, ProcessPoolBackend) else 1,
             )
-        shm_store: Optional[SharedPopulationStore] = None
-        if chips_per_unit > 1:
-            max_trefi_s = max(float(t) for t in intervals_s) * TREFI_HEADROOM
-            specs = [chip_sample_spec(u.payload, max_trefi_s) for u in units]
-            samples = build_population_samples(
-                specs,
-                executor=pool.executor if pool is not None else None,
-                workers=pool.workers if pool is not None else None,
-            )
-            shm_store = SharedPopulationStore.create(samples)
-            del samples
-            if run_dir is not None:
-                write_sidecar(run_dir, shm_store.segment_name)
-        dispatch = fleet_dispatch(
-            chips_per_unit,
-            shm=shm_store.descriptor() if shm_store is not None else None,
-        )
         engine = RunnerEngine(
             backend=backend,
             workers=workers,
@@ -337,16 +301,9 @@ class CharacterizationCampaign:
             observability=observability,  # type: ignore[arg-type]
             should_stop=should_stop,
         )
-        try:
-            report = engine.run(measure_chip, units, manifest, dispatch=dispatch)
-        finally:
-            # The campaign owns the segment: completion, cooperative
-            # cancel, and exceptions all unlink it here.  Only kill -9
-            # escapes, which the sidecar reclaims on the next open.
-            if shm_store is not None:
-                shm_store.unlink()
-                if run_dir is not None:
-                    remove_sidecar(run_dir)
+        report = engine.run(
+            measure_chip, units, manifest, dispatch=fleet_dispatch(chips_per_unit)
+        )
         counts, temp_counts = aggregate_chip_results(report.results.values())
         chips_by_vendor = Counter(
             str(r.value["vendor"]) for r in report.results.values() if r.ok

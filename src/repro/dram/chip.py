@@ -97,9 +97,7 @@ def sample_weak_cells(
 
     Byte-identical to the sample :class:`SimulatedDRAMChip` builds in its
     constructor under the same arguments: same jittered vendor, same derived
-    ``(seed, "retention", chip_id)`` stream, same horizon.  Passing the
-    result back through the constructor's ``sample`` parameter skips the
-    (re)draw without changing any downstream value.
+    ``(seed, "retention", chip_id)`` stream, same horizon.
     """
     vendor = effective_vendor(vendor, seed, chip_id)
     sampler = RetentionSampler(vendor, rng_mod.derive(seed, "retention", chip_id))
@@ -137,13 +135,6 @@ class SimulatedDRAMChip:
         computation it is byte-identical to (the test oracle); such a chip
         is also never profiled on the grid kernel
         (:meth:`~repro.core.bruteforce.BruteForceProfiler.run` walks it).
-    sample:
-        A prebuilt weak-cell population, exactly what
-        :func:`sample_weak_cells` returns for the same (vendor, geometry,
-        seed, chip_id, max_trefi_s) -- e.g. zero-copy views into a
-        :class:`~repro.dram.shm.SharedPopulationStore` segment.  Skips the
-        constructor's retention draw (that derived stream is consumed by
-        nothing else, so every other chip stream is unchanged).
     """
 
     def __init__(
@@ -157,7 +148,6 @@ class SimulatedDRAMChip:
         max_temperature_c: float = MAX_SUPPORTED_TEMPERATURE_C,
         temperature_c: float = REFERENCE_TEMPERATURE_C,
         fast_path: bool = True,
-        sample: Optional[WeakCellSample] = None,
     ) -> None:
         if max_trefi_s <= 0.0:
             raise ConfigurationError(f"max_trefi_s must be positive, got {max_trefi_s!r}")
@@ -185,9 +175,8 @@ class SimulatedDRAMChip:
 
         self._weak_horizon_s = weak_cell_horizon_s(vendor, max_trefi_s)
 
-        if sample is None:
-            sampler = RetentionSampler(vendor, rng_mod.derive(seed, "retention", chip_id))
-            sample = sampler.sample(geometry.capacity_bits, self._weak_horizon_s)
+        sampler = RetentionSampler(vendor, rng_mod.derive(seed, "retention", chip_id))
+        sample = sampler.sample(geometry.capacity_bits, self._weak_horizon_s)
         dpd = DPDModel(
             susceptibility=sample.susceptibility,
             rng=rng_mod.derive(seed, "dpd", chip_id),

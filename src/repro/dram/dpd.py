@@ -273,10 +273,6 @@ class DPDModel:
         s = self._susceptibility
         return mu_wc_s * (1.0 - s * alignment) / (1.0 - s)
 
-    def worst_case_retention(self, mu_wc_s: np.ndarray) -> np.ndarray:
-        """Alias for the worst-case (alignment = 1) retention times."""
-        return np.asarray(mu_wc_s, dtype=np.float64)
-
 
 def median_of_three(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Elementwise median of three equal-shape arrays (Beta(2, 2) draws).

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -65,11 +65,7 @@ class FleetPopulation:
     to the caller (the kernel builds them per read block).
     """
 
-    def __init__(
-        self,
-        populations: Sequence[WeakCellPopulation],
-        backing: Optional[Dict[str, np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, populations: Sequence[WeakCellPopulation]) -> None:
         members = tuple(populations)
         if not members:
             raise ConfigurationError("a fleet population needs at least one member")
@@ -79,22 +75,9 @@ class FleetPopulation:
         self._offsets = np.zeros(len(members) + 1, dtype=np.int64)
         np.cumsum(lengths, out=self._offsets[1:])
         self._n_total = int(self._offsets[-1])
-        if backing is not None:
-            # Zero-copy: the members' per-chip arrays are adjacent slices of
-            # one shared-memory segment, so the concatenated arrays already
-            # exist -- ``backing`` hands them over without a copy.  Values
-            # (and therefore results) are identical to concatenation.
-            if any(len(backing[k]) != self._n_total for k in ("mu_wc_s", "sigma_s", "susceptibility")):
-                raise ConfigurationError(
-                    "fleet backing arrays do not cover the member populations"
-                )
-            self._mu_wc = backing["mu_wc_s"]
-            self._sigma = backing["sigma_s"]
-            self._susceptibility = backing["susceptibility"]
-        else:
-            self._mu_wc = self.stack([p.mu_wc_s for p in members])
-            self._sigma = self.stack([p.sigma_s for p in members])
-            self._susceptibility = self.stack([p.dpd.susceptibility for p in members])
+        self._mu_wc = self.stack([p.mu_wc_s for p in members])
+        self._sigma = self.stack([p.sigma_s for p in members])
+        self._susceptibility = self.stack([p.dpd.susceptibility for p in members])
         # (1 - s) is a loop invariant of the effective-retention expression;
         # dividing by the precomputed array is the same IEEE divide as
         # dividing by the expression, so bits are unchanged.
@@ -308,11 +291,7 @@ class ChipFleet:
     exact when the chips traverse identical clock trajectories.
     """
 
-    def __init__(
-        self,
-        chips: Sequence["SimulatedDRAMChip"],
-        backing: Optional[Dict[str, np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, chips: Sequence["SimulatedDRAMChip"]) -> None:
         members = tuple(chips)
         if not members:
             raise ConfigurationError("a chip fleet needs at least one chip")
@@ -330,9 +309,7 @@ class ChipFleet:
                     f"{chip.max_trefi_s!r} vs {max_trefi!r}"
                 )
         self.chips = members
-        self.population = FleetPopulation(
-            [chip.population for chip in members], backing=backing
-        )
+        self.population = FleetPopulation([chip.population for chip in members])
         self._io_seconds = members[0].pattern_io_seconds
         self._max_trefi_s = max_trefi
 

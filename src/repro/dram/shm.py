@@ -1,5 +1,11 @@
 """Zero-copy shared-memory weak-cell populations for fleet campaigns.
 
+No campaign or service job uses this module any more: every work unit
+draws its chips' populations in the worker.  It stays only for the
+benchmark's traced run, which wraps ``SharedPopulationStore.create`` and
+``build_population_samples`` (DESIGN.md, "Shared-memory populations").
+What follows describes the route campaigns took until then.
+
 Fleet work units used to pickle nothing but chip *coordinates* -- and then
 pay the full weak-tail redraw (`RetentionSampler.sample`) inside every
 worker, once per chip per unit.  This module moves the population itself
@@ -91,10 +97,8 @@ SIDECAR_NAME = "shm.json"
 _PINNED_MAPPINGS: List[shared_memory.SharedMemory] = []
 
 #: Segments this process currently has mapped (name -> buffer bytes).
-#: Purely observational accounting behind :func:`active_segment_stats`:
-#: the service's health endpoint and live metrics plane report it, and
-#: since campaign segments are created in the manager process (the job
-#: executor thread), the manager's own table covers every tenant.
+#: Purely observational accounting behind :func:`active_segment_stats`,
+#: which the benchmark's traced run reads.
 _ACTIVE_SEGMENTS: Dict[str, int] = {}
 _ACTIVE_LOCK = threading.Lock()
 

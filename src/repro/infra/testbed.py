@@ -10,14 +10,13 @@ sources behind the paper's footnote about imperfect contours.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import rng as rng_mod
 from ..clock import SimClock
 from ..conditions import Conditions
 from ..dram.chip import DEFAULT_GEOMETRY, SimulatedDRAMChip
 from ..dram.geometry import ChipGeometry
-from ..dram.retention import WeakCellSample
 from ..dram.vendor import VENDORS, VendorModel
 from ..errors import ConfigurationError
 from .chamber import ThermalChamber
@@ -86,7 +85,6 @@ class TestBed:
         max_trefi_s: float = 2.6,
         max_temperature_c: float = 60.0,
         fast_path: bool = True,
-        samples: Optional[Mapping[int, WeakCellSample]] = None,
     ) -> "TestBed":
         """Rack the chips ``members`` (``(chip_id, vendor)`` pairs) in one bed.
 
@@ -99,14 +97,11 @@ class TestBed:
         the same trajectory, so a chip sees the same clock and temperatures
         here as in a bed of its own.
 
-        ``samples`` optionally maps chip ids to prebuilt weak-cell
-        populations (e.g. shared-memory views); each must be exactly what
-        :func:`repro.dram.chip.sample_weak_cells` returns for its chip, and
-        chips without one draw their own.  ``fast_path=False`` builds the
-        chips on the reference failure evaluator, in place of the
-        Chernoff-cut read (the oracle :func:`repro.runner.measure_chip`
-        exposes; :meth:`~repro.core.bruteforce.BruteForceProfiler.run`
-        walks such chips).
+        ``fast_path=False`` builds the chips on the reference failure
+        evaluator, in place of the Chernoff-cut read (the oracle
+        :func:`repro.runner.measure_chip` exposes;
+        :meth:`~repro.core.bruteforce.BruteForceProfiler.run` walks such
+        chips).
         """
         bed = cls(seed=seed)
         for chip_id, vendor in members:
@@ -120,7 +115,6 @@ class TestBed:
                     max_trefi_s=max_trefi_s,
                     max_temperature_c=max_temperature_c,
                     fast_path=fast_path,
-                    sample=None if samples is None else samples.get(chip_id),
                 ),
                 placement_offset=cls.placement_offset(seed, chip_id),
             )

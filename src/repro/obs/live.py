@@ -9,7 +9,7 @@ online counterpart the campaign service mounts: one object, owned by the
   per-route/method/status counters and latency histograms;
 * **service gauges** pushed by the manager's periodic sampler
   (:meth:`set_service_gauges`): queue depth, running jobs, pool
-  saturation, active shared-memory segments/bytes;
+  saturation;
 * **per-job registries**: each running job's
   :class:`~repro.obs.Observability` layer is registered for the job's
   lifetime (:meth:`register_job` / :meth:`unregister_job`), live-read at
@@ -161,8 +161,8 @@ class LivePlane:
 
     # -- service gauges -------------------------------------------------
     def set_service_gauges(self, **gauges: float) -> None:
-        """Set ``service.<name>`` gauges (queue depth, pool saturation, shm
-        usage...) and push each onto its sampled ring."""
+        """Set ``service.<name>`` gauges (queue depth, pool saturation...)
+        and push each onto its sampled ring."""
         ts = self._clock()
         for name, value in gauges.items():
             full = f"service.{name}"
@@ -188,10 +188,6 @@ class LivePlane:
             feed = self._jobs.pop(job_id, None)
         if feed is not None:
             self._completed.merge_snapshot(feed.layer.snapshot())
-
-    def job_ids(self) -> List[str]:
-        with self._lock:
-            return list(self._jobs)
 
     # -- unit deltas ----------------------------------------------------
     def note_unit(self, job_id: str, elapsed_s: float, status: str) -> None:

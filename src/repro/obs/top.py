@@ -112,14 +112,6 @@ def _fmt_seconds(value: Optional[float]) -> str:
     return f"{value:.2f}s"
 
 
-def _fmt_bytes(value: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return f"{value:.0f}{unit}" if unit == "B" else f"{value:.1f}{unit}"
-        value /= 1024.0
-    return f"{value:.1f}GiB"  # pragma: no cover - loop always returns
-
-
 def render_frame(
     health: Mapping[str, Any],
     jobs: Sequence[Mapping[str, Any]],
@@ -131,7 +123,6 @@ def render_frame(
     """One dashboard frame as plain text (pure function of the payloads)."""
     bold, reset = (_BOLD, _RESET) if color else ("", "")
     pool = health.get("pool") or {}
-    shm = health.get("shm") or {}
     lag = health.get("ledger_lag_s")
     lines = [
         f"{bold}repro top{reset} - status {health.get('status', '?')}"
@@ -139,7 +130,6 @@ def render_frame(
         (
             f"queued {health.get('queued', 0)}  running {health.get('running', 0)}  "
             f"pool {pool.get('workers_busy', 0)}/{pool.get('workers_total', 0)}  "
-            f"shm {shm.get('segments', 0)} seg / {_fmt_bytes(float(shm.get('bytes', 0)))}  "
             f"ledger lag {_fmt_seconds(lag)}"
         ),
         "",

@@ -45,7 +45,6 @@ from ..core.bruteforce import BruteForceProfiler
 from ..core.fleetprof import FleetProfiler
 from ..dram.fleet import ChipFleet
 from ..dram.geometry import ChipGeometry
-from ..dram.shm import SharedPopulationStore
 from ..dram.vendor import VENDORS, vendor_by_name
 from ..errors import ConfigurationError
 from ..infra.testbed import TestBed
@@ -219,9 +218,7 @@ def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def build_fleet_units(
-    units: Sequence[WorkUnit],
-    chips_per_unit: int,
-    shm: Optional[Mapping[str, Any]] = None,
+    units: Sequence[WorkUnit], chips_per_unit: int
 ) -> Tuple[WorkUnit, ...]:
     """Pack consecutive per-chip units into fleet transport chunks.
 
@@ -232,13 +229,6 @@ def build_fleet_units(
     from the member ids but are *transient* -- they never reach the result
     store (the engine expands chunks back to per-chip rows before
     persisting), so any chunk size can resume any run directory.
-
-    ``shm`` is a :meth:`~repro.dram.shm.SharedPopulationStore.descriptor`;
-    each chunk gets the descriptor narrowed to its own member chips, so a
-    worker attaches to the run's shared segment instead of redrawing (or
-    unpickling) weak-cell populations.  It is an execution detail only:
-    payload-wise the member units -- and therefore the per-chip results
-    and resume fingerprints -- are unchanged.
     """
     if chips_per_unit <= 0:
         raise ConfigurationError(
@@ -251,31 +241,19 @@ def build_fleet_units(
                 f"fleet chunks are built from {CHIP_UNIT_KIND!r} units; "
                 f"got kind {unit.kind!r}"
             )
-    shm_chips = dict(shm["chips"]) if shm is not None else None
     chunks: List[WorkUnit] = []
     for start in range(0, len(units), chips_per_unit):
         chunk = units[start : start + chips_per_unit]
-        payload: Dict[str, Any] = {
-            "members": [
-                {"unit_id": u.unit_id, "payload": dict(u.payload)} for u in chunk
-            ]
-        }
-        if shm is not None:
-            payload["shm"] = {
-                "segment": str(shm["segment"]),
-                "total": int(shm["total"]),
-                "chips": {
-                    str(u.payload["chip_id"]): list(
-                        shm_chips[str(u.payload["chip_id"])]
-                    )
-                    for u in chunk
-                },
-            }
         chunks.append(
             WorkUnit(
                 unit_id=f"fleet-{chunk[0].unit_id}-{chunk[-1].unit_id}",
                 kind=FLEET_UNIT_KIND,
-                payload=payload,
+                payload={
+                    "members": [
+                        {"unit_id": u.unit_id, "payload": dict(u.payload)}
+                        for u in chunk
+                    ]
+                },
             )
         )
     return tuple(chunks)
@@ -314,17 +292,8 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
     pass, and each remaining temperature point another.  Returns
     ``{"chips": [{"unit_id", "value"}, ...]}`` in member order, where each
     ``value`` is byte-identical to the member's :func:`measure_chip`
-    return.
-
-    ``payload["shm"]`` (optional) is the shared-memory descriptor from
-    :func:`build_fleet_units`.  The worker attaches to the run's
-    population segment, builds every chip on zero-copy views, and (when
-    the chunk's chips are contiguous in the segment) hands the stacked
-    arrays to the fleet without concatenating.  The segment is attached
-    read-only for the duration of the call and never unlinked here -- the
-    campaign owns the segment's lifetime.  Without it every chip draws
-    its own population here (what a campaign's one-chip units do); the
-    values are identical.
+    return.  Every member chip draws its own weak-cell population here,
+    from its ``(seed, chip_id)`` stream.
     """
     members = list(payload["members"])
     if not members:
@@ -335,73 +304,53 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
     temperatures = [float(t) for t in first["temperatures_c"]]
     chip_ids = [int(m["payload"]["chip_id"]) for m in members]
 
-    store: Optional[SharedPopulationStore] = None
-    samples = None
-    backing = None
-    if payload.get("shm") is not None:
-        store = SharedPopulationStore.attach(payload["shm"])
-        samples = {chip_id: store.sample(chip_id) for chip_id in chip_ids}
-        backing = store.fleet_backing(chip_ids)
-    try:
-        bed = TestBed.build_members(
-            [
-                (chip_id, vendor_by_name(str(m["payload"]["vendor"])))
-                for chip_id, m in zip(chip_ids, members)
-            ],
-            geometry=geometry,
-            seed=int(first["seed"]),
-            max_trefi_s=max(intervals) * TREFI_HEADROOM,
-            samples=samples,
+    bed = TestBed.build_members(
+        [
+            (chip_id, vendor_by_name(str(m["payload"]["vendor"])))
+            for chip_id, m in zip(chip_ids, members)
+        ],
+        geometry=geometry,
+        seed=int(first["seed"]),
+        max_trefi_s=max(intervals) * TREFI_HEADROOM,
+    )
+    fleet = ChipFleet(bed.chips)
+    profiler = FleetProfiler(iterations=int(first["iterations"]))
+
+    base_temp = temperatures[0]
+    bed.set_ambient(base_temp)
+    interval_failures: List[List[List[float]]] = [[] for _ in members]
+    grid = [Conditions(trefi=t, temperature=base_temp) for t in intervals]
+    for ci, results in enumerate(profiler.run_grid(fleet, grid)):
+        for i, result in enumerate(results):
+            interval_failures[i].append([intervals[ci], float(len(result))])
+
+    top = max(intervals)
+    temperature_failures: List[List[List[float]]] = []
+    for rows in interval_failures:
+        top_count = next(count for trefi, count in rows if trefi == top)
+        temperature_failures.append([[base_temp, top_count]])
+    for temperature in temperatures[1:]:
+        bed.set_ambient(temperature)
+        (results,) = profiler.run_grid(
+            fleet, [Conditions(trefi=top, temperature=temperature)]
         )
-        fleet = ChipFleet(bed.chips, backing=backing)
-        profiler = FleetProfiler(iterations=int(first["iterations"]))
+        for i, result in enumerate(results):
+            temperature_failures[i].append([temperature, float(len(result))])
 
-        base_temp = temperatures[0]
-        bed.set_ambient(base_temp)
-        interval_failures: List[List[List[float]]] = [[] for _ in members]
-        grid = [Conditions(trefi=t, temperature=base_temp) for t in intervals]
-        for ci, results in enumerate(profiler.run_grid(fleet, grid)):
-            for i, result in enumerate(results):
-                interval_failures[i].append([intervals[ci], float(len(result))])
-
-        top = max(intervals)
-        temperature_failures: List[List[List[float]]] = []
-        for rows in interval_failures:
-            top_count = next(count for trefi, count in rows if trefi == top)
-            temperature_failures.append([[base_temp, top_count]])
-        for temperature in temperatures[1:]:
-            bed.set_ambient(temperature)
-            (results,) = profiler.run_grid(
-                fleet, [Conditions(trefi=top, temperature=temperature)]
-            )
-            for i, result in enumerate(results):
-                temperature_failures[i].append([temperature, float(len(result))])
-
-        return {
-            "chips": [
-                {
-                    "unit_id": member["unit_id"],
-                    "value": {
-                        "chip_id": chip_ids[i],
-                        "vendor": str(member["payload"]["vendor"]),
-                        "interval_failures": interval_failures[i],
-                        "temperature_failures": temperature_failures[i],
-                    },
-                }
-                for i, member in enumerate(members)
-            ]
-        }
-    finally:
-        if store is not None:
-            # Drop our view-holding locals, then detach (never unlink --
-            # the campaign owns the segment).  Detaching is best-effort:
-            # any surviving view keeps the mapping alive until collected.
-            del samples, backing
-            try:
-                del bed, fleet
-            except UnboundLocalError:
-                pass
-            store.close()
+    return {
+        "chips": [
+            {
+                "unit_id": member["unit_id"],
+                "value": {
+                    "chip_id": chip_ids[i],
+                    "vendor": str(member["payload"]["vendor"]),
+                    "interval_failures": interval_failures[i],
+                    "temperature_failures": temperature_failures[i],
+                },
+            }
+            for i, member in enumerate(members)
+        ]
+    }
 
 
 def expand_fleet_result(
@@ -449,24 +398,17 @@ def expand_fleet_result(
     )
 
 
-def fleet_dispatch(
-    chips_per_unit: int, shm: Optional[Mapping[str, Any]] = None
-) -> UnitDispatch:
+def fleet_dispatch(chips_per_unit: int) -> UnitDispatch:
     """A :class:`~repro.runner.engine.UnitDispatch` that ships chips to
     workers in fleet chunks of ``chips_per_unit``, each measured by
-    :func:`measure_fleet` -- the route every campaign takes.
-
-    ``shm`` (a shared-population segment descriptor) propagates to every
-    chunk payload -- see :func:`build_fleet_units`; without it each
-    worker draws its chunk's populations itself.
-    """
+    :func:`measure_fleet` -- the route every campaign takes."""
     if chips_per_unit <= 0:
         raise ConfigurationError(
             f"chips_per_unit must be positive, got {chips_per_unit!r}"
         )
 
     def group(pending: Tuple[WorkUnit, ...]) -> Tuple[WorkUnit, ...]:
-        return build_fleet_units(pending, chips_per_unit, shm=shm)
+        return build_fleet_units(pending, chips_per_unit)
 
     return UnitDispatch(worker=measure_fleet, group=group, expand=expand_fleet_result)
 

@@ -66,14 +66,6 @@ class ServiceHealth(Dict[str, Any]):
         return None if lag is None else float(lag)
 
     @property
-    def shm_segments(self) -> int:
-        return int((self.get("shm") or {}).get("segments", 0))
-
-    @property
-    def shm_bytes(self) -> int:
-        return int((self.get("shm") or {}).get("bytes", 0))
-
-    @property
     def jobs_by_state(self) -> Dict[str, int]:
         return {str(k): int(v) for k, v in (self.get("jobs") or {}).items()}
 

@@ -17,7 +17,7 @@ GET    ``/v1/tenants/{t}/lake``     Cross-run lake analytics over the tenant's
                                     finished jobs (``?report=``, ``?vendor=``,
                                     ``?kind=``, ``?runs=id1,id2``)
 GET    ``/v1/healthz``              Liveness + queue depth + pool saturation,
-                                    ledger lag, shm segment usage
+                                    ledger lag, job-state counts
 GET    ``/metrics``                 OpenMetrics exposition of the live plane
 ====== ============================ ===========================================
 
@@ -143,9 +143,6 @@ class ServiceProtocol:
             method, path, query, body, headers = request
             route = _route_template(path)
             status = await self._dispatch(writer, method, path, query, body, headers)
-        except _HttpError as exc:
-            status = exc.status
-            await self._send_error(writer, exc)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # noqa: BLE001 - connection isolation
@@ -192,7 +189,12 @@ class ServiceProtocol:
         length = int(raw_length)
         if length > _MAX_BODY:
             raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise _HttpError(
+                400, f"request body ended after {len(exc.partial)} of {length} bytes"
+            ) from exc
         split = urlsplit(target)
         return method.upper(), split.path, parse_qs(split.query), body, headers
 

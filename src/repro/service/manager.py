@@ -49,7 +49,6 @@ from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from ..dram import shm as shm_mod
 from ..errors import ConfigurationError
 from ..jsonfiles import JsonlRows, read_json, write_json
 from ..obs import Observability, TraceContext
@@ -398,14 +397,11 @@ class JobManager:
         call it directly for deterministic snapshots.
         """
         busy, total = self._pool_stats()
-        segments, segment_bytes = shm_mod.active_segment_stats()
         self.plane.set_service_gauges(
             queue_depth=self.queued_count(),
             jobs_running=len(self._running),
             pool_workers_busy=busy,
             pool_workers_total=total,
-            shm_segments=segments,
-            shm_segment_bytes=segment_bytes,
         )
         self.plane.sample_jobs()
 
@@ -416,9 +412,8 @@ class JobManager:
 
     def health(self) -> Dict[str, Any]:
         """The extended ``GET /v1/healthz`` body: liveness plus pool
-        saturation, ledger lag, shm usage, and job-state counts."""
+        saturation, ledger lag, and job-state counts."""
         busy, total = self._pool_stats()
-        segments, segment_bytes = shm_mod.active_segment_stats()
         states: Dict[str, int] = {}
         for job in self._jobs.values():
             states[job.record.state] = states.get(job.record.state, 0) + 1
@@ -433,7 +428,6 @@ class JobManager:
                 if last_append is not None
                 else None
             ),
-            "shm": {"segments": segments, "bytes": segment_bytes},
             "jobs": states,
         }
 

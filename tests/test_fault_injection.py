@@ -5,7 +5,7 @@ uninterrupted bytes.
 The torn-tail cases restart *twice*: the first restart appends after the
 damage and the second reads what that append left behind -- a row glued
 onto a torn fragment would be a corrupt line there (DESIGN.md,
-"Run-directory files").
+"Run-directory files").  The last case cuts a request body short.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from repro.jsonfiles import JsonlLog, JsonlRows
 from repro.obs import JsonlEventSink
 from repro.runner import RESULTS_NAME, ResultStore, RunnerEngine, WorkUnit
 from repro.service import DONE, LEDGER_NAME, QUEUED, CampaignJobSpec, JobLedger, JobManager
+from repro.service import ServiceClient, ServiceConfig, ServiceThread
 
 from conftest import canonical
 from test_differential import GOLDEN_CASES, GOLDEN_PATH
+from test_service import _post_raw
 
 GOLDEN_CASE = "three-temperatures"
 
@@ -154,3 +156,13 @@ def test_torn_row_longer_than_one_read_chunk_is_cut_at_its_start(tmp_path):
     assert path.read_text() == '{"n": 0}\n{"n": 1}\n'
     rows = JsonlRows(path, "test")
     assert list(rows) == [{"n": 0}, {"n": 1}] and rows.skipped == 0
+
+
+def test_malformed_http_body_shorter_than_its_content_length_is_400(tmp_path):
+    config = ServiceConfig(root=tmp_path / "svc", port=0, pool_workers=0, max_running=1)
+    with ServiceThread(config) as service:
+        body = json.dumps({"tenant": "acme", "spec": TINY_SPEC.to_json_dict()})
+        status, payload = _post_raw(service, body[:17], content_length="100")
+        assert status == 400
+        assert "ended after 17 of 100 bytes" in payload["error"]["message"]
+        assert ServiceClient(service.host, service.port).jobs() == []

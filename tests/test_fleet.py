@@ -36,6 +36,7 @@ from repro.conditions import Conditions
 from repro.core.bruteforce import BruteForceProfiler
 from repro.core import fleetprof
 from repro.core.fleetprof import FleetProfiler
+from repro.dram import shm
 from repro.dram.cell import Z_REACH
 from repro.dram.fleet import ChipFleet, FleetPopulation
 from repro.dram.geometry import ChipGeometry
@@ -106,15 +107,6 @@ class TestFleetPopulation:
     def test_rejects_empty_and_mismatched_inputs(self):
         with pytest.raises(ConfigurationError):
             FleetPopulation([])
-        bed = build_fleet_bed()
-        populations = [chip.population for chip in bed.chips]
-        # Backing arrays that do not cover every member's tail.
-        short = {
-            key: np.zeros(len(populations[0]))
-            for key in ("mu_wc_s", "sigma_s", "susceptibility")
-        }
-        with pytest.raises(ConfigurationError):
-            FleetPopulation(populations, backing=short)
 
 
 class TestDeterministicFailures:
@@ -678,23 +670,25 @@ class TestComputedUnitSize:
         """Serial runs count one worker, pooled runs the pool width."""
         sizes = []
 
-        def spy(chips_per_unit, shm=None):
-            sizes.append((chips_per_unit, shm is not None))
-            return fleet_dispatch(chips_per_unit, shm=shm)
+        def spy(chips_per_unit):
+            sizes.append(chips_per_unit)
+            return fleet_dispatch(chips_per_unit)
 
         monkeypatch.setattr(analysis_campaign, "fleet_dispatch", spy)
         fleet_campaign.run(**backend_kw, **FLEET_CAMPAIGN_KW)
-        assert sizes == [(expected, True)]
+        assert sizes == [expected]
 
     def test_one_chip_units_draw_populations_in_the_worker(
         self, fleet_campaign, monkeypatch
     ):
         def refuse(*args, **kwargs):
-            raise AssertionError("one-chip units must not build a shared population")
+            raise AssertionError("a campaign must not build a shared population")
 
         monkeypatch.setattr(analysis_campaign, "build_population_samples", refuse)
-        summary = fleet_campaign.run(chips_per_unit=1, **FLEET_CAMPAIGN_KW)
-        assert summary.n_chips == 6
+        monkeypatch.setattr(shm.SharedPopulationStore, "create", refuse)
+        for chips_per_unit in (1, 2, None):
+            summary = fleet_campaign.run(chips_per_unit=chips_per_unit, **FLEET_CAMPAIGN_KW)
+            assert summary.n_chips == 6
 
 
 class _RecordingFuture:

@@ -311,7 +311,6 @@ class TestTop:
             "queued": 1,
             "running": 1,
             "pool": {"workers_busy": 2, "workers_total": 4},
-            "shm": {"segments": 1, "bytes": 2048},
             "ledger_lag_s": 0.25,
         }
         jobs = [
@@ -340,7 +339,7 @@ class TestTop:
         assert "acme" in frame and "job-000001" in frame
         assert "2/6" in frame and "3.50" in frame
         assert "vrt" in frame and "10" in frame
-        assert "pool 2/4" in frame
+        assert "pool 2/4" in frame and "shm" not in frame
         assert "sampled queue depth: 1" in frame
 
     def test_render_frame_empty_service(self):
@@ -371,8 +370,7 @@ class TestServiceLivePlane:
 
             health = client.healthz()
             assert health.status == "ok"
-            assert health.pool_workers_total == 2
-            assert health.shm_segments == 0
+            assert health.pool_workers_total == 2 and "shm" not in health
 
             job = client.submit("acme", FLEET_SPEC, trace_id="ab" * 16)
             job_id = job["job_id"]
@@ -409,8 +407,7 @@ class TestServiceLivePlane:
             # Kernel-phase histograms from the fleet megakernel reached
             # the plane (live while running, completed-fold after).
             assert "span_kernel_read_compare" in final
-            assert "service_shm_segment_bytes" in final
-            assert "service_pool_workers_total" in final
+            assert "service_pool_workers_total" in final and "shm" not in final
 
             # Finished job: metrics endpoint degrades to a shell.
             done_live = client.job_metrics(job_id)

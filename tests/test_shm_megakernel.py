@@ -1,28 +1,28 @@
 """Shared-memory populations and the condition-grid kernel.
 
-That the kernel on shared populations reproduces the per-chip reference
-walk -- serial or pooled, at any unit size, resumed under any other -- is
-checked by ``tests/test_differential.py`` on drawn cases.  The tests here
-pin
+That the kernel reproduces the per-chip reference walk -- serial or
+pooled, at any unit size, resumed under any other -- is checked by
+``tests/test_differential.py`` on drawn cases.  The tests here pin
 
 * :class:`repro.dram.shm.SharedPopulationStore` round-trips weak-cell
   samples through a segment bit-for-bit, including chunk-narrowed
   descriptors (whose field offsets must come from the segment-wide
-  ``total``, not the chunk's chip subset);
-* segment lifecycle: normal completion and cooperative cancel unlink the
-  segment, kill -9 leaves exactly one segment plus a ``shm.json``
-  sidecar that the next open of the run directory reclaims;
+  ``total``, not the chunk's chip subset), and its sidecar reclaims a
+  stale segment -- though no campaign uses the store any more;
+* completion, cooperative cancel, kill -9 and a cancelled service job
+  leave no segment and no ``shm.json`` sidecar, and a killed run resumes
+  byte-identically;
 * :meth:`repro.core.fleetprof.FleetProfiler.run_grid` sweeps a whole
   condition grid, and a schedule the standard pattern order never
   produces, to the per-chip walks' results and end states, and leaves the
   chips untouched on an empty grid and on a grid it rejects;
-* pooled campaigns on the shared segment, and fleet chunking edges
+* pooled multi-chip campaigns, and fleet chunking edges
   (``chips_per_unit`` larger than the population, a trailing 1-chip chunk
   resumed under another size), match the per-chip reference;
 * an oversized unit size packs every chip into one chunk.
 
-The lifecycle tests watch ``/dev/shm``; on a host without it they skip,
-since a leak there could not be seen.
+The leak tests watch ``/dev/shm``; on a host without it they skip, since
+a leak there could not be seen.
 """
 
 from __future__ import annotations
@@ -388,9 +388,9 @@ KILL9_SCRIPT = textwrap.dedent(
 @needs_dev_shm
 @pytest.mark.slow
 def test_kill9_leaves_no_tracked_leak_and_resumes_identically(campaign, tmp_path):
-    """SIGKILL mid-run: the segment survives (by design -- only the sidecar
-    knows about it), the next open of the run directory reclaims it, and the
-    resumed campaign is byte-identical to an uninterrupted one."""
+    """SIGKILL mid-run of a multi-chip-unit campaign leaves no segment and
+    no sidecar, and the resumed campaign is byte-identical to the per-chip
+    reference."""
     reference = per_chip_summary(campaign, tmp_path / "per-chip", **CAMPAIGN_KW)
 
     before = segment_names()
@@ -404,7 +404,7 @@ def test_kill9_leaves_no_tracked_leak_and_resumes_identically(campaign, tmp_path
         text=True,
         env=env,
     )
-    # Kill as soon as the first unit lands: mid-run, segment live.
+    # Kill as soon as the first unit lands: mid-run.
     deadline = time.monotonic() + 120.0
     saw_unit = False
     while time.monotonic() < deadline:
@@ -421,26 +421,22 @@ def test_kill9_leaves_no_tracked_leak_and_resumes_identically(campaign, tmp_path
     proc.stdout.close()
     proc.stderr.close()
 
-    # The kill left the sidecar behind, and no resource_tracker noise.
-    assert (run_dir / SIDECAR_NAME).exists()
+    # The kill left no segment, no sidecar and no resource_tracker noise.
+    assert not (run_dir / SIDECAR_NAME).exists()
     assert "leaked shared_memory" not in stderr
-    leaked = segment_names() - before
-    assert len(leaked) <= 1  # at most the one segment the sidecar records
+    assert segment_names() == before
 
     resumed = campaign.run(
         run_dir=str(run_dir), resume=True, chips_per_unit=2, **CAMPAIGN_KW
     )
     assert resumed == reference
-    # Resume reclaimed the stale segment and unlinked its own.
-    assert segment_names() == before
-    assert not (run_dir / SIDECAR_NAME).exists()
 
 
 @needs_dev_shm
 @pytest.mark.slow
 def test_service_cancel_unlinks_segments(tmp_path):
-    """A cancelled fleet job must not leak its population segment across
-    tenants sharing the service."""
+    """A cancelled multi-chip-unit job leaves no segment and no sidecar
+    behind for the tenants sharing the service."""
     import asyncio
 
     from repro.service import CANCELLED, CampaignJobSpec, JobManager
