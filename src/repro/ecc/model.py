@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
-from scipy.optimize import brentq
-from scipy.stats import binom
-
 from ..errors import ConfigurationError
 
 #: Consumer-grade reliability target (Section 6.2.2).
@@ -67,6 +64,10 @@ def uncorrectable_word_probability(ecc: EccStrength, rber: float) -> float:
     """P[more than ``ecc.correctable`` failures in one ECC word] (Eq 3/5)."""
     if not (0.0 <= rber <= 1.0):
         raise ConfigurationError(f"RBER must lie in [0, 1], got {rber!r}")
+    # Imported here, not at module load: scipy.stats costs about half a
+    # second, and a campaign never calls into the ECC model.
+    from scipy.stats import binom
+
     # Survival function of the binomial: P[N > k].
     return float(binom.sf(ecc.correctable, ecc.word_bits, rber))
 
@@ -95,6 +96,8 @@ def tolerable_rber(ecc: EccStrength, target_uber: float = CONSUMER_UBER) -> floa
         )
     if objective(hi) < 0.0:
         return 0.5
+    from scipy.optimize import brentq
+
     return math.exp(brentq(objective, lo, hi, xtol=1e-12))
 
 

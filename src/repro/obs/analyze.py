@@ -188,13 +188,27 @@ def failure_breakdown(run: RunData) -> Dict[str, List[str]]:
 
 
 def throughput_units_per_s(run: RunData) -> Optional[float]:
-    """Completion rate over the observed ``runner.unit`` event window."""
-    stamps = sorted(
-        float(e["ts"]) for e in run.events if e.get("event") == "runner.unit" and "ts" in e
-    )
-    if len(stamps) < 2 or stamps[-1] <= stamps[0]:
-        return None
-    return (len(stamps) - 1) / (stamps[-1] - stamps[0])
+    """The engine tracker's rate, read back from the log.
+
+    ``runner.unit`` events over the seconds from their ``runner.start`` to
+    the last of them, both summed over every start segment of a resumed
+    run.  A multi-chip unit logs its chips microseconds apart, so the
+    spacing of the events says nothing about the rate; only the time since
+    the start does.
+    """
+    segments: List[List[float]] = []  # [start ts, last unit ts, units]
+    for event in run.events:
+        if "ts" not in event:
+            continue
+        if event.get("event") == "runner.start":
+            ts = float(event["ts"])
+            segments.append([ts, ts, 0])
+        elif event.get("event") == "runner.unit" and segments:
+            segments[-1][1] = float(event["ts"])
+            segments[-1][2] += 1
+    units = sum(segment[2] for segment in segments)
+    seconds = sum(segment[1] - segment[0] for segment in segments)
+    return units / seconds if units and seconds > 0.0 else None
 
 
 def slowest_spans(run: RunData, top: int = 5) -> List[Dict[str, Any]]:
@@ -276,7 +290,7 @@ def summarize_run(run: RunData, timeline_limit: int = 20) -> str:
         )
     rate = throughput_units_per_s(run)
     if rate is not None:
-        lines.append(f"throughput   : {rate:.2f} units/s (over runner.unit events)")
+        lines.append(f"throughput   : {rate:.2f} units/s (runner.unit events since runner.start)")
 
     breakdown = failure_breakdown(run)
     if breakdown:

@@ -5,10 +5,10 @@ understands ``ESC[2J``): polls the service's ``/v1/healthz``,
 ``/v1/jobs``, ``/v1/jobs/{id}/metrics``, and ``/metrics`` endpoints and
 redraws one composite frame per interval --
 
-* service header: queue depth, running jobs, pool saturation, shared
-  -memory segment usage, ledger lag;
-* per-tenant job table: state, progress, EWMA throughput and ETA from
-  the job record, live p50/p99 unit latency from the per-job metrics;
+* service header: queue depth, running jobs, pool saturation, ledger lag;
+* per-tenant job table: state, progress and throughput from the job
+  record's ``progress`` (the engine's tracker), live p50/p99 unit
+  latency from the per-job metrics (the job's registry);
 * kernel-phase breakdown: mean duration and call count of the
   megakernel's ``span.kernel.*`` phase histograms, aggregated across
   every running (and completed) job from the OpenMetrics exposition;
@@ -97,13 +97,6 @@ def _histogram_means(
     return rows
 
 
-def _gauge(samples: Sequence[Sample], name: str) -> Optional[float]:
-    for sample_name, _labels, value in samples:
-        if sample_name == name:
-            return value
-    return None
-
-
 def _fmt_seconds(value: Optional[float]) -> str:
     if value is None:
         return "-"
@@ -142,9 +135,8 @@ def render_frame(
         done = progress.get("completed")
         total = progress.get("total")
         progress_text = f"{done}/{total}" if done is not None else "-"
-        live = job_metrics.get(job_id) or {}
-        rates = live.get("rates") or {}
-        rate = rates.get("units_per_s_ewma")
+        rate = progress.get("throughput_units_per_s")
+        rates = (job_metrics.get(job_id) or {}).get("rates") or {}
         lines.append(
             f"{str(record.get('tenant', '?')):<12} {job_id:<12} "
             f"{str(record.get('state', '?')):<12} {progress_text:<12} "
@@ -164,9 +156,6 @@ def render_frame(
         lines += ["", f"{bold}{'ROUTE':<28} {'REQS':>8} {'MEAN':>10}{reset}"]
         for route, count, mean in requests:
             lines.append(f"{route:<28} {count:>8} {_fmt_seconds(mean):>10}")
-    depth = _gauge(samples, "service_queue_depth")
-    if depth is not None:
-        lines += ["", f"sampled queue depth: {depth:.0f}"]
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,8 @@ The subsystem behind population-scale characterization runs:
 ``executors``
     Serial and process-pool backends with in-worker bounded retry.
 ``progress``
-    EWMA throughput / ETA tracking over the completion stream.
+    Counts, throughput (mean since start) and ETA over the completion
+    stream.
 ``engine``
     :class:`RunnerEngine`: skip persisted units, dispatch the rest, stream
     rows to the store, report keyed results.

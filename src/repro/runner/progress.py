@@ -1,12 +1,12 @@
 """Live progress reporting for campaign runs.
 
 The engine feeds every completed unit into a :class:`ProgressTracker`,
-which maintains completed/failed/skipped counts, an exponentially weighted
-moving average (EWMA) of the inter-completion gap, and from it a smoothed
-throughput and ETA.  The EWMA deliberately weights recent completions: a
-campaign's early units include pool warm-up and cold caches, and a stale
-average would keep lying about the ETA long after the run reaches steady
-state.
+which maintains completed/failed/skipped counts and from them the run's
+throughput and ETA.  Throughput is the units completed this run over the
+seconds from :meth:`ProgressTracker.start` to the latest completion.  A
+multi-chip unit stores all its chips in one burst, microseconds apart, so
+any estimate built from the gaps between completions reads the burst as
+the rate; the mean since start does not.
 
 The tracker is clock-injected (any ``() -> float`` monotonic source) so
 tests can drive it deterministically, and rendering is plain text so it
@@ -36,8 +36,6 @@ class ProgressTracker:
         same denominator on every relaunch; :attr:`remaining` subtracts
         both executed and skipped units, so the ETA covers only work that
         will actually run.
-    alpha:
-        EWMA weight of the newest inter-completion gap; 0 < alpha <= 1.
     clock:
         Monotonic time source, seconds.
     """
@@ -45,29 +43,23 @@ class ProgressTracker:
     def __init__(
         self,
         total: int,
-        alpha: float = 0.3,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if total < 0:
             raise ConfigurationError("total must be non-negative")
-        if not (0.0 < alpha <= 1.0):
-            raise ConfigurationError("alpha must be in (0, 1]")
         self.total = int(total)
-        self.alpha = float(alpha)
         self._clock = clock
         self.completed = 0
         self.failed = 0
         self.skipped = 0
         self._started_at: Optional[float] = None
         self._last_at: Optional[float] = None
-        self._ewma_gap_s: Optional[float] = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Mark the beginning of live execution (idempotent)."""
         if self._started_at is None:
             self._started_at = self._clock()
-            self._last_at = self._started_at
 
     def note_skipped(self, count: int = 1) -> None:
         """Record units satisfied from the result store instead of executed."""
@@ -76,13 +68,7 @@ class ProgressTracker:
     def update(self, result: UnitResult) -> None:
         """Fold one completed unit into the statistics."""
         self.start()
-        now = self._clock()
-        gap = max(0.0, now - (self._last_at if self._last_at is not None else now))
-        self._last_at = now
-        if self._ewma_gap_s is None:
-            self._ewma_gap_s = gap
-        else:
-            self._ewma_gap_s = self.alpha * gap + (1.0 - self.alpha) * self._ewma_gap_s
+        self._last_at = self._clock()
         self.completed += 1
         if not result.ok:
             self.failed += 1
@@ -106,16 +92,12 @@ class ProgressTracker:
 
     @property
     def throughput_units_per_s(self) -> Optional[float]:
-        """Smoothed completion rate; ``None`` until it can be estimated."""
-        if self._ewma_gap_s is None:
+        """Units completed per second from :meth:`start` to the latest
+        completion; ``None`` before the first completion."""
+        if self._started_at is None or self._last_at is None:
             return None
-        if self._ewma_gap_s <= 0.0:
-            # Gaps below clock resolution: fall back to the overall mean.
-            if self._started_at is None or self._last_at is None:
-                return None
-            elapsed = self._last_at - self._started_at
-            return self.completed / elapsed if elapsed > 0.0 else None
-        return 1.0 / self._ewma_gap_s
+        elapsed = self._last_at - self._started_at
+        return self.completed / elapsed if elapsed > 0.0 else None
 
     @property
     def eta_seconds(self) -> Optional[float]:

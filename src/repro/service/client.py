@@ -141,8 +141,8 @@ class ServiceClient:
         return self._request_text("/metrics")
 
     def job_metrics(self, job_id: str) -> Dict[str, Any]:
-        """Live per-job snapshot + EWMA rates (``live: false`` shell when
-        the job is not currently running)."""
+        """Live per-job snapshot + p50/p99 unit latency (``live: false``
+        shell when the job is not currently running)."""
         return self._request("GET", f"/v1/jobs/{quote(job_id)}/metrics")
 
     def submit(

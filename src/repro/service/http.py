@@ -8,10 +8,10 @@ Method Path                         Meaning
 ====== ============================ ===========================================
 POST   ``/v1/jobs``                 Submit ``{"tenant": ..., "spec": {...}}``
 GET    ``/v1/jobs``                 List jobs (``?tenant=`` filters)
-GET    ``/v1/jobs/{id}``            Job status + EWMA progress / ETA
+GET    ``/v1/jobs/{id}``            Job status + progress (counts, rate, ETA)
 GET    ``/v1/jobs/{id}/events``     Live chunked JSONL event stream
 GET    ``/v1/jobs/{id}/result``     Final campaign summary (done jobs only)
-GET    ``/v1/jobs/{id}/metrics``    Live per-job snapshot + EWMA rates/series
+GET    ``/v1/jobs/{id}/metrics``    Live per-job snapshot + p50/p99 unit latency
 DELETE ``/v1/jobs/{id}``            Cooperative cancel (partials persisted)
 GET    ``/v1/tenants/{t}/lake``     Cross-run lake analytics over the tenant's
                                     finished jobs (``?report=``, ``?vendor=``,
@@ -31,7 +31,9 @@ template* as the label, never the raw path.
 Error mapping keeps service semantics on the wire:
 :class:`~repro.service.jobs.UnknownJobError` -> 404,
 :class:`~repro.service.jobs.QueueFullError` -> 429,
-:class:`~repro.errors.ConfigurationError` -> 400, anything else -> 500.
+:class:`~repro.errors.ConfigurationError` -> 400, a request line or
+header line past asyncio's 64 KiB stream limit -> 431, anything else ->
+500.
 Every error body is ``{"error": {"type": ..., "message": ...}}``.
 
 The events endpoint responds with ``Transfer-Encoding: chunked`` and writes
@@ -73,6 +75,7 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -167,7 +170,7 @@ class ServiceProtocol:
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, list], bytes, Dict[str, str]]]:
         try:
-            request_line = await reader.readline()
+            request_line = await self._read_line(reader)
         except (ConnectionError, asyncio.IncompleteReadError):
             return None
         if not request_line:
@@ -178,7 +181,7 @@ class ServiceProtocol:
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -198,6 +201,16 @@ class ServiceProtocol:
         split = urlsplit(target)
         return method.upper(), split.path, parse_qs(split.query), body, headers
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError as exc:
+            # StreamReader.readline raises ValueError past its line limit.
+            raise _HttpError(
+                431, f"request line or header line longer than the stream limit: {exc}"
+            ) from exc
+
     # ------------------------------------------------------------------
     async def _dispatch(
         self,
@@ -210,7 +223,7 @@ class ServiceProtocol:
     ) -> int:
         if path == "/metrics" and method == "GET":
             return await self._send_text(
-                writer, 200, self.manager.plane.render_openmetrics(), _OPENMETRICS_TYPE
+                writer, 200, self.manager.render_openmetrics(), _OPENMETRICS_TYPE
             )
         if path == "/v1/healthz" and method == "GET":
             return await self._send_json(writer, 200, self.manager.health())

@@ -213,7 +213,8 @@ class JobRecord:
     #: Trace id correlating every span/event the job's run emits (carried
     #: on the submission, or minted by the manager when absent).
     trace_id: Optional[str] = None
-    #: Latest EWMA progress snapshot from the engine's ProgressTracker.
+    #: Latest progress snapshot from the engine's ProgressTracker: counts,
+    #: throughput (units this run over seconds since its start) and ETA.
     progress: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -121,7 +121,6 @@ class JobManager:
         max_running: int = 2,
         max_queued: int = 64,
         resume: bool = True,
-        sample_interval_s: float = 1.0,
     ) -> None:
         if max_running <= 0:
             raise ConfigurationError("max_running must be positive")
@@ -131,17 +130,14 @@ class JobManager:
             pool_workers = default_worker_count()
         if pool_workers < 0:
             raise ConfigurationError("pool_workers must be non-negative")
-        if sample_interval_s <= 0:
-            raise ConfigurationError("sample_interval_s must be positive")
         self.root = pathlib.Path(root)
         self.pool_workers = int(pool_workers)
         self.max_running = int(max_running)
         self.max_queued = int(max_queued)
         self.resume = bool(resume)
-        self.sample_interval_s = float(sample_interval_s)
         self.ledger = JobLedger(self.root / LEDGER_NAME)
-        #: The live observability plane: HTTP request telemetry, sampled
-        #: service gauges, and every running job's metrics registry.
+        #: The live observability plane: HTTP request telemetry, service
+        #: gauges, and every running job's metrics registry.
         self.plane = LivePlane()
 
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
@@ -154,7 +150,6 @@ class JobManager:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake: Optional[asyncio.Event] = None
         self._scheduler: Optional[asyncio.Task] = None
-        self._sampler: Optional[asyncio.Task] = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -170,7 +165,6 @@ class JobManager:
         if self.resume:
             self._adopt_ledger()
         self._scheduler = asyncio.create_task(self._schedule_loop())
-        self._sampler = asyncio.create_task(self._sample_loop())
         self._kick()
 
     async def shutdown(self) -> None:
@@ -182,13 +176,6 @@ class JobManager:
         Queued jobs simply stay ``queued`` in the ledger.
         """
         self._closed = True
-        if self._sampler is not None:
-            self._sampler.cancel()
-            try:
-                await self._sampler
-            except asyncio.CancelledError:
-                pass
-            self._sampler = None
         if self._scheduler is not None:
             self._scheduler.cancel()
             try:
@@ -373,7 +360,7 @@ class JobManager:
         return list(JsonlRows(self._run_dir(job.tenant, job_id) / EVENTS_NAME)), None
 
     # ------------------------------------------------------------------
-    # Live observability (the plane's gauge/sampler feed + healthz)
+    # Live observability (the plane's service gauges + healthz)
     # ------------------------------------------------------------------
     def _pool_stats(self) -> Tuple[int, int]:
         """``(busy, total)`` pool workers.  *Busy* is each running job's
@@ -390,12 +377,10 @@ class JobManager:
             busy += share
         return min(busy, total), total
 
-    def sample(self) -> None:
-        """One observation: push service gauges and per-job ring points.
-
-        The sampler task calls this every ``sample_interval_s``; tests
-        call it directly for deterministic snapshots.
-        """
+    def render_openmetrics(self) -> str:
+        """The ``GET /metrics`` body.  The service gauges are set from the
+        manager's state just before the render, so a scrape reads them
+        exactly as they are at that moment."""
         busy, total = self._pool_stats()
         self.plane.set_service_gauges(
             queue_depth=self.queued_count(),
@@ -403,12 +388,7 @@ class JobManager:
             pool_workers_busy=busy,
             pool_workers_total=total,
         )
-        self.plane.sample_jobs()
-
-    async def _sample_loop(self) -> None:
-        while True:
-            self.sample()
-            await asyncio.sleep(self.sample_interval_s)
+        return self.plane.render_openmetrics()
 
     def health(self) -> Dict[str, Any]:
         """The extended ``GET /v1/healthz`` body: liveness plus pool
@@ -434,10 +414,11 @@ class JobManager:
     def job_metrics(self, job_id: str) -> Dict[str, Any]:
         """The ``GET /v1/jobs/{id}/metrics`` body.
 
-        Running jobs return their live registry snapshot plus EWMA rates,
-        latency percentiles, and sampled series (``live: true``); known
-        but not-running jobs return an empty shell so pollers can probe
-        before start and after finish without special-casing 4xx.
+        Running jobs return their live registry snapshot plus p50/p99
+        unit latency (``live: true``); known but not-running jobs return
+        an empty shell so pollers can probe before start and after finish
+        without special-casing 4xx.  Counts, rate and ETA are the job
+        record's ``progress``.
         """
         job = self._job(job_id)
         live = self.plane.job_metrics(job_id)
@@ -447,7 +428,6 @@ class JobManager:
                 "tenant": job.tenant,
                 "snapshot": [],
                 "rates": {},
-                "series": {},
             }
             live["live"] = False
         else:
@@ -655,7 +635,6 @@ class JobManager:
                 "eta_s": tracker.eta_seconds,
                 "elapsed_s": tracker.elapsed_seconds,
             }
-            self.plane.note_unit(job.job_id, result.elapsed_s, result.status)
 
         try:
             summary = campaign.run(

@@ -1,5 +1,10 @@
 """Tests for the population-scale characterization campaign driver."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.campaign import CharacterizationCampaign
@@ -50,3 +55,31 @@ class TestCampaign:
             campaign.run(intervals_s=(1.024, 0.512))
         with pytest.raises(ConfigurationError):
             campaign.run(temperatures_c=())
+
+
+def test_campaign_loads_neither_scipy_stats_nor_optimize():
+    """Cold start: only the ECC model calls ``scipy.stats`` and
+    ``scipy.optimize``, so neither ``import repro`` nor a campaign loads
+    them (together they cost about half a second per process)."""
+    script = """
+import sys
+import repro
+from repro.analysis.campaign import CharacterizationCampaign
+from repro.dram.geometry import ChipGeometry
+
+geometry = ChipGeometry.from_capacity_gigabits(1.0 / 16.0)
+CharacterizationCampaign(chips_per_vendor=1, geometry=geometry, iterations=1).run(
+    intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0)
+)
+print(sorted({"scipy.stats", "scipy.optimize"} & set(sys.modules)))
+"""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

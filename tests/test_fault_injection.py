@@ -5,13 +5,15 @@ uninterrupted bytes.
 The torn-tail cases restart *twice*: the first restart appends after the
 damage and the second reads what that append left behind -- a row glued
 onto a torn fragment would be a corrupt line there (DESIGN.md,
-"Run-directory files").  The last case cuts a request body short.
+"Run-directory files").  The last cases cut a request body short and
+send a header line past the server's line limit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import time
 
 from repro.analysis.campaign import CharacterizationCampaign
@@ -166,3 +168,23 @@ def test_malformed_http_body_shorter_than_its_content_length_is_400(tmp_path):
         assert status == 400
         assert "ended after 17 of 100 bytes" in payload["error"]["message"]
         assert ServiceClient(service.host, service.port).jobs() == []
+
+
+def test_header_line_past_the_line_limit_is_431_and_the_next_request_served(tmp_path):
+    config = ServiceConfig(root=tmp_path / "svc", port=0, pool_workers=0, max_running=1)
+    with ServiceThread(config) as service:
+        head = f"GET /v1/healthz HTTP/1.1\r\nHost: test\r\nX-Long: {'a' * 70_000}\r\n\r\n"
+        with socket.create_connection((service.host, service.port), timeout=30) as sock:
+            sock.sendall(head.encode("latin-1"))
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 431 Request Header Fields Too Large"
+        error = json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert error["type"] == "error" and "limit" in error["message"]
+        assert ServiceClient(service.host, service.port).healthz()["status"] == "ok"

@@ -269,7 +269,7 @@ class TestAnalyzer:
         assert stats["count"] == 3
         assert stats["mean"] == pytest.approx((0.1 + 0.3 + 0.2) / 3)
         assert stats["max"] == pytest.approx(0.3)
-        # 3 runner.unit events over ts 11..13 -> 1 unit/s.
+        # 3 runner.unit events in the 3 s from runner.start to the last.
         assert analyze.throughput_units_per_s(run) == pytest.approx(1.0)
         (timeline,) = analyze.chip_timelines(run)
         assert timeline["chip_id"] == 0
@@ -277,6 +277,30 @@ class TestAnalyzer:
         assert timeline["new_cells"] == 7
         (slowest,) = analyze.slowest_spans(run, top=1)
         assert slowest["name"] == "profiler.run"
+
+    def test_throughput_counts_from_runner_start(self, tmp_path):
+        # A multi-chip unit logs its rows in one burst: 300 units logged
+        # at 1 s after the start read 300 units/s.
+        events = [{"event": "runner.start", "ts": 0.0, "seq": 0}] + [
+            {"event": "runner.unit", "ts": 1.0, "seq": i + 1, "unit_id": f"u-{i}"}
+            for i in range(300)
+        ]
+        run = analyze.load_run(make_run_dir(tmp_path, events=events))
+        assert analyze.throughput_units_per_s(run) == pytest.approx(300.0)
+
+    def test_throughput_sums_the_segments_of_a_resumed_run(self, tmp_path):
+        # 2 units in 4 s, then a resume: 4 units in 1 s -> 6 units / 5 s.
+        events = [
+            {"event": "runner.start", "ts": 0.0},
+            {"event": "runner.unit", "ts": 2.0},
+            {"event": "runner.unit", "ts": 4.0},
+            {"event": "runner.start", "ts": 100.0},
+        ] + [{"event": "runner.unit", "ts": 101.0}] * 4
+        run = analyze.load_run(make_run_dir(tmp_path, events=events))
+        assert analyze.throughput_units_per_s(run) == pytest.approx(6 / 5)
+        no_units = [{"event": "runner.start", "ts": 0.0}]
+        run = analyze.load_run(make_run_dir(tmp_path, "idle", events=no_units))
+        assert analyze.throughput_units_per_s(run) is None
 
     def test_summary_text(self, tmp_path):
         run = analyze.load_run(

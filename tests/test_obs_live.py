@@ -8,9 +8,11 @@ Covers the online half of :mod:`repro.obs` end to end:
 * exporter/analyzer edges: chrome-trace worker lanes, metrics.json
   schema refusal, empty run dirs, torn-tail-only event logs, and
   ``--compare`` across disjoint metric sets;
-* :class:`~repro.obs.live.LivePlane` unit behavior (rings, EWMA,
-  completed-fold monotonicity, OpenMetrics rendering);
-* the dashboard's exposition parser and pure frame renderer;
+* :class:`~repro.obs.live.LivePlane` unit behavior (service gauges, unit
+  latency read from the job's registry, completed-fold monotonicity,
+  OpenMetrics rendering);
+* the dashboard's exposition parser and pure frame renderer, and one
+  ``repro top`` frame fetched from a running service;
 * the full service integration: ``GET /metrics`` mid-run passes the
   exposition grammar with queue-depth / request-latency / kernel-phase
   series, extended healthz, per-job live metrics, trace ids from the
@@ -18,6 +20,7 @@ Covers the online half of :mod:`repro.obs` end to end:
   summaries staying byte-identical with the live plane mounted.
 """
 
+import io
 import json
 import time
 
@@ -28,8 +31,8 @@ from repro.errors import ConfigurationError
 from repro.obs import ListEventSink, Observability, TraceContext
 from repro.obs.analyze import compare_runs, load_run
 from repro.obs.export import to_chrome_trace, write_metrics_json
-from repro.obs.live import LivePlane, SeriesRing
-from repro.obs.top import parse_openmetrics, render_frame
+from repro.obs.live import LivePlane
+from repro.obs.top import parse_openmetrics, render_frame, run_top
 from repro.runner import RunnerEngine, WorkUnit
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
 
@@ -221,16 +224,6 @@ class TestAnalyzerEdges:
 # ----------------------------------------------------------------------
 # LivePlane units
 # ----------------------------------------------------------------------
-class TestSeriesRing:
-    def test_bounded_eviction(self):
-        ring = SeriesRing(maxlen=3)
-        for i in range(5):
-            ring.push(float(i), float(i * 10))
-        assert ring.points() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-        assert ring.last() == (4.0, 40.0)
-        assert len(ring) == 3
-
-
 class TestLivePlane:
     def test_request_feed_renders_as_openmetrics(self, tmp_path):
         plane = LivePlane()
@@ -241,16 +234,13 @@ class TestLivePlane:
         assert "service_request_seconds_count" in text
         run_checker(text, tmp_path)
 
-    def test_service_gauges_feed_rings(self):
-        clock = iter([100.0, 101.0]).__next__
-        plane = LivePlane(clock=clock)
+    def test_service_gauges_render_the_latest_value(self):
+        plane = LivePlane()
         plane.set_service_gauges(queue_depth=3)
         plane.set_service_gauges(queue_depth=1)
-        assert plane.service_series()["service.queue_depth"] == [
-            (100.0, 3.0),
-            (101.0, 1.0),
-        ]
-        assert "service_queue_depth 1" in plane.render_openmetrics()
+        text = plane.render_openmetrics()
+        assert "service_queue_depth 1" in text
+        assert "service_queue_depth 3" not in text
 
     def test_unregister_folds_job_counters_monotonically(self):
         plane = LivePlane()
@@ -263,29 +253,30 @@ class TestLivePlane:
         assert "chip_commands_total 5" in plane.render_openmetrics()
         assert plane.job_metrics("job-1") is None
 
-    def test_note_unit_rates_and_percentiles(self):
-        import itertools
-
-        ticks = itertools.count(0.0, 1.0)
-        plane = LivePlane(monotonic=lambda: next(ticks))
-        plane.register_job("job-1", "acme", Observability())
+    def test_job_rates_read_from_registered_layer(self):
+        plane = LivePlane()
+        layer = Observability()
+        plane.register_job("job-1", "acme", layer)
+        assert plane.job_metrics("job-1")["rates"] == {
+            "unit_p50_s": None,
+            "unit_p99_s": None,
+        }
         for latency in (0.2, 0.4, 0.6, 0.8):
-            plane.note_unit("job-1", latency, "ok")
-        plane.note_unit("job-1", 9.9, "failed")
+            layer.observe("runner.unit_seconds", latency, status="ok")
+        # A failed unit's latency is not an ok unit's latency.
+        layer.observe("runner.unit_seconds", 9.9, status="failed")
         live = plane.job_metrics("job-1")
-        assert live["rates"]["units_completed"] == 5
-        assert live["rates"]["units_failed"] == 1
-        assert live["rates"]["units_per_s_ewma"] == pytest.approx(1.0)
-        assert live["rates"]["unit_p50_s"] == pytest.approx(0.6)
-        assert live["rates"]["unit_p99_s"] == pytest.approx(9.9)
-
-    def test_sample_jobs_pushes_ring_points(self):
-        plane = LivePlane(clock=lambda: 7.0, monotonic=time.monotonic)
-        plane.register_job("job-1", "acme", Observability())
-        plane.note_unit("job-1", 0.1, "ok")
-        plane.sample_jobs()
-        live = plane.job_metrics("job-1")
-        assert live["series"]["units_completed"] == [(7.0, 1.0)]
+        assert live["tenant"] == "acme"
+        assert set(live) == {"job_id", "tenant", "snapshot", "rates"}
+        (ok,) = [
+            row
+            for row in live["snapshot"]
+            if row["name"] == "runner.unit_seconds" and row["labels"] == {"status": "ok"}
+        ]
+        # The same bucket estimator /metrics and render_report read.
+        assert live["rates"] == {"unit_p50_s": ok["p50"], "unit_p99_s": ok["p99"]}
+        assert 0.4 <= live["rates"]["unit_p50_s"] <= 0.6
+        assert live["rates"]["unit_p99_s"] == pytest.approx(0.8)
 
 
 # ----------------------------------------------------------------------
@@ -318,18 +309,10 @@ class TestTop:
                 "job_id": "job-000001",
                 "tenant": "acme",
                 "state": "running",
-                "progress": {"completed": 2, "total": 6},
+                "progress": {"completed": 2, "total": 6, "throughput_units_per_s": 3.5},
             }
         ]
-        live = {
-            "job-000001": {
-                "rates": {
-                    "units_per_s_ewma": 3.5,
-                    "unit_p50_s": 0.2,
-                    "unit_p99_s": 0.9,
-                }
-            }
-        }
+        live = {"job-000001": {"rates": {"unit_p50_s": 0.2, "unit_p99_s": 0.9}}}
         samples = [
             ("span_kernel_vrt_sum", {}, 0.5),
             ("span_kernel_vrt_count", {}, 10.0),
@@ -338,9 +321,10 @@ class TestTop:
         frame = render_frame(health, jobs, live, samples)
         assert "acme" in frame and "job-000001" in frame
         assert "2/6" in frame and "3.50" in frame
+        assert "200.0ms" in frame and "900.0ms" in frame
         assert "vrt" in frame and "10" in frame
         assert "pool 2/4" in frame and "shm" not in frame
-        assert "sampled queue depth: 1" in frame
+        assert "queued 1" in frame
 
     def test_render_frame_empty_service(self):
         frame = render_frame({"status": "ok"}, [], {}, [])
@@ -400,7 +384,8 @@ class TestServiceLivePlane:
             assert "service_request_seconds" in mid_flight
             if live is not None:
                 assert live["trace_id"] == "ab" * 16
-                assert "units_per_s_ewma" in live["rates"]
+                assert set(live["rates"]) == {"unit_p50_s", "unit_p99_s"}
+                assert "series" not in live
 
             final = client.metrics_text()
             run_checker(final, tmp_path)
@@ -448,6 +433,32 @@ class TestServiceLivePlane:
         assert json.dumps(replay, sort_keys=True) == json.dumps(
             summary, sort_keys=True
         )
+
+    def test_top_renders_the_job_row(self, tmp_path):
+        with ServiceThread(
+            ServiceConfig(root=tmp_path / "svc", port=0, pool_workers=0)
+        ) as svc:
+            client = ServiceClient(svc.host, svc.port)
+            job_id = client.submit("acme", FLEET_SPEC)["job_id"]
+            record = client.wait(job_id, timeout=120)
+            assert record["state"] == "done", record.get("error")
+            out = io.StringIO()
+            assert run_top(svc.host, svc.port, once=True, stream=out) == 0
+        frame = out.getvalue()
+        progress = record["progress"]
+        (row,) = [line for line in frame.splitlines() if job_id in line]
+        # UNITS/S is the record's own progress rate; P50/P99 are read only
+        # for running jobs.
+        assert row.split() == [
+            "acme",
+            job_id,
+            "done",
+            f"{progress['completed']}/{progress['total']}",
+            f"{progress['throughput_units_per_s']:.2f}",
+            "-",
+            "-",
+        ]
+        assert "/v1/jobs" in frame  # the request table rendered too
 
     def test_request_latency_recorded_per_route(self, tmp_path):
         with ServiceThread(

@@ -316,7 +316,7 @@ class TestStoreCrashInjection:
 class TestProgress:
     def test_ewma_throughput_and_eta(self):
         now = [0.0]
-        tracker = ProgressTracker(total=10, alpha=0.5, clock=lambda: now[0])
+        tracker = ProgressTracker(total=10, clock=lambda: now[0])
         tracker.start()
         ok = UnitResult("u", "ok", value=None)
         for _ in range(4):
@@ -324,7 +324,7 @@ class TestProgress:
             tracker.update(ok)
         assert tracker.completed == 4
         assert tracker.remaining == 6
-        # Constant 2 s gaps: EWMA converges to exactly 2 s per unit.
+        # 4 units in the 8 s since start().
         assert tracker.throughput_units_per_s == pytest.approx(0.5)
         assert tracker.eta_seconds == pytest.approx(12.0)
         rendered = tracker.render()
@@ -345,7 +345,7 @@ class TestProgress:
         # note_skipped, so a resumed run reported the already-persisted
         # units as still outstanding and inflated the ETA.
         now = [0.0]
-        tracker = ProgressTracker(total=10, alpha=0.5, clock=lambda: now[0])
+        tracker = ProgressTracker(total=10, clock=lambda: now[0])
         tracker.start()
         tracker.note_skipped(6)
         assert tracker.remaining == 4
@@ -362,11 +362,29 @@ class TestProgress:
         assert tracker.remaining == 0
         assert tracker.eta_seconds == pytest.approx(0.0)
 
+    def test_burst_of_rows_reads_the_rate_since_start(self):
+        # A multi-chip unit stores all its rows at one instant; the rate
+        # is still the units over the seconds since start(), not the
+        # burst's microsecond gaps.
+        now = [0.0]
+        tracker = ProgressTracker(total=3000, clock=lambda: now[0])
+        tracker.start()
+        now[0] = 1.0
+        ok = UnitResult("u", "ok", value=None)
+        for _ in range(300):
+            tracker.update(ok)
+        assert tracker.throughput_units_per_s == pytest.approx(300.0)
+        assert tracker.eta_seconds == pytest.approx(9.0)
+
+    def test_no_rate_before_the_first_completion(self):
+        tracker = ProgressTracker(total=2, clock=lambda: 5.0)
+        tracker.start()
+        assert tracker.throughput_units_per_s is None
+        assert tracker.eta_seconds is None
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ProgressTracker(total=-1)
-        with pytest.raises(ConfigurationError):
-            ProgressTracker(total=1, alpha=0.0)
 
 
 class TestEngine:
