@@ -38,6 +38,7 @@ from ..runner import (
     aggregate_chip_results,
     build_chip_units,
     campaign_fingerprint,
+    campaign_schedule,
     default_chips_per_unit,
     fleet_dispatch,
     measure_chip,
@@ -243,10 +244,7 @@ class CharacterizationCampaign:
         :class:`repro.obs.Observability` instance for per-run telemetry
         scoping (the service gives every job its own).
         """
-        if not intervals_s or list(intervals_s) != sorted(intervals_s):
-            raise ConfigurationError("intervals must be non-empty ascending")
-        if not temperatures_c:
-            raise ConfigurationError("need at least one temperature")
+        campaign_schedule(intervals_s, temperatures_c)
         if chips_per_unit is not None and chips_per_unit <= 0:
             raise ConfigurationError(
                 f"chips_per_unit must be positive, got {chips_per_unit!r}"

@@ -66,13 +66,6 @@ class Fig2Row:
     ber_nonrepeat: float
 
     @property
-    def repeat_fraction(self) -> float:
-        """Share of this interval's failures already seen at lower intervals."""
-        if self.ber_total == 0.0:
-            return 0.0
-        return self.ber_repeat / self.ber_total
-
-    @property
     def reobserved_fraction(self) -> float:
         """Of the cells seen at lower intervals, the share failing again here.
 
@@ -158,10 +151,6 @@ class Fig3Result:
     steady_state_rate_per_hour: float
     trefi_s: float
     capacity_bits: int
-
-    @property
-    def total_discovered(self) -> int:
-        return self.points[-1].cumulative if self.points else 0
 
     def steady_state_onset_days(self, rate_tolerance: float = 2.0) -> float:
         """When discovery becomes purely accumulation-driven.

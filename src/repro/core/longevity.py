@@ -69,10 +69,6 @@ class LongevityEstimate:
         return self.longevity_seconds / _SECONDS_PER_DAY
 
     @property
-    def longevity_hours(self) -> float:
-        return self.longevity_seconds / _SECONDS_PER_HOUR
-
-    @property
     def feasible(self) -> bool:
         """Whether any positive operating window exists at all."""
         return self.longevity_seconds > 0.0

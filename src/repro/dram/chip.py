@@ -166,10 +166,8 @@ class SimulatedDRAMChip:
         self.chip_id = int(chip_id)
         self.seed = int(seed)
         self.clock = clock if clock is not None else SimClock()
-        self.trace = CommandTrace()
         self._max_trefi_s = float(max_trefi_s)
         self._max_temperature_c = float(max_temperature_c)
-        self._temperature_c = float(temperature_c)
         self._initial_temperature_c = float(temperature_c)
         self._external_clock = clock is not None
 
@@ -187,22 +185,29 @@ class SimulatedDRAMChip:
             bits_per_row=geometry.bits_per_row,
         )
         self.population = WeakCellPopulation(sample, vendor, dpd, fast_path=fast_path)
+        self._io_seconds = pattern_io_seconds(geometry.capacity_bits)
+        self._start()
+
+    def _start(self) -> None:
+        """Set up the run state a chip starts from, at the clock's now: a
+        fresh command trace, VRT process and read stream, the initial
+        temperature, refresh on and no pattern written."""
+        self.trace = CommandTrace()
         self.vrt = VRTProcess(
-            vendor=vendor,
-            capacity_bits=geometry.capacity_bits,
-            horizon_s=max_trefi_s,
-            rng=rng_mod.derive(seed, "vrt", chip_id),
+            vendor=self.vendor,
+            capacity_bits=self.geometry.capacity_bits,
+            horizon_s=self._max_trefi_s,
+            rng=rng_mod.derive(self.seed, "vrt", self.chip_id),
             start_time_s=self.clock.now,
         )
-        self._read_rng = rng_mod.derive(seed, "read", chip_id)
-
+        self._read_rng = rng_mod.derive(self.seed, "read", self.chip_id)
+        self._temperature_c = self._initial_temperature_c
         self._pattern: Optional[DataPattern] = None
         self._alignment: Optional[np.ndarray] = None
         self._stressed: Optional[np.ndarray] = None
         self._refresh_enabled = True
         self._disable_time: Optional[float] = None
         self._frozen_exposure = 0.0
-        self._io_seconds = pattern_io_seconds(geometry.capacity_bits)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -339,23 +344,8 @@ class SimulatedDRAMChip:
                 "reconstruct the module instead"
             )
         self.clock = SimClock()
-        self.trace = CommandTrace()
         self.population.dpd.reset(rng_mod.derive(self.seed, "dpd", self.chip_id))
-        self.vrt = VRTProcess(
-            vendor=self.vendor,
-            capacity_bits=self.geometry.capacity_bits,
-            horizon_s=self._max_trefi_s,
-            rng=rng_mod.derive(self.seed, "vrt", self.chip_id),
-            start_time_s=self.clock.now,
-        )
-        self._read_rng = rng_mod.derive(self.seed, "read", self.chip_id)
-        self._temperature_c = self._initial_temperature_c
-        self._pattern = None
-        self._alignment = None
-        self._stressed = None
-        self._refresh_enabled = True
-        self._disable_time = None
-        self._frozen_exposure = 0.0
+        self._start()
         return self
 
     def current_exposure(self) -> float:

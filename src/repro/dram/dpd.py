@@ -16,11 +16,12 @@ The effective retention time under a pattern is::
 so alignment 1 recovers the worst-case retention ``mu_wc`` and alignment 0
 yields the benign-case retention ``mu_wc / (1 - s)``.
 
-Deterministic patterns get a fixed alignment per cell (drawn once from the
-pattern family's Beta distribution and cached); the random pattern redraws
-alignments on every write, capped below 1 -- which is exactly why random data
-discovers the most failures over many iterations without ever guaranteeing
-full coverage (Observation 3 / Figure 5).
+Only a write draws (:meth:`DPDModel.excite`).  Deterministic patterns get a
+fixed alignment per cell (drawn on first write from the pattern family's Beta
+distribution and cached); the random pattern redraws alignments on every
+write, capped below 1 -- which is exactly why random data discovers the most
+failures over many iterations without ever guaranteeing full coverage
+(Observation 3 / Figure 5).  ``alignment`` and ``stress_mask`` only read.
 """
 
 from __future__ import annotations
@@ -87,87 +88,43 @@ class DPDModel:
     def models_orientation(self) -> bool:
         return self._orientation is not None
 
-    def alignment(self, pattern: DataPattern, fresh: bool = False) -> np.ndarray:
-        """Alignment vector of ``pattern`` across all cells.
+    def alignment(self, pattern: DataPattern) -> np.ndarray:
+        """The alignment vector ``pattern``'s last write left (read-only).
 
-        With ``fresh=True`` (a write) a new vector is drawn for stochastic
-        patterns and the deterministic vector is drawn on first use; with
-        ``fresh=False`` (a read-only query) the call returns the draw from
-        the most recent write and is strictly side-effect-free.  Querying a
-        pattern that has never been written raises
-        :class:`~repro.errors.ProfilingError` -- the alternative (drawing
-        from the chip RNG as a side effect of an inspection) would perturb
-        every subsequent stochastic draw and break the determinism contract
-        that identically-configured chips replay identical failures.
+        Querying a never-written pattern raises
+        :class:`~repro.errors.ProfilingError` rather than drawing from the
+        chip RNG as a side effect of an inspection, which would perturb
+        every later stochastic draw and break the determinism contract.
         """
-        key = pattern.key
-        if fresh:
-            if pattern.stochastic:
-                a, b = pattern.alignment_beta
-                draw = self._draw_beta(a, b) * self._random_cap
-                self._cached[key] = draw
-                return draw
-            draw = self._cached.get(key)
-            if draw is None:
-                a, b = pattern.alignment_beta
-                draw = self._rng.beta(a, b, size=self.n_cells)
-                self._cached[key] = draw
-            return draw
-        draw = self._cached.get(key)
+        draw = self._cached.get(pattern.key)
         if draw is None:
             raise ProfilingError(
-                f"no alignment for pattern {key!r}: it has never been "
+                f"no alignment for pattern {pattern.key!r}: it has never been "
                 "written to this chip (query paths must not draw DPD state; "
                 "write the pattern first or call excite())"
             )
         return draw
 
-    def _draw_beta(self, a: float, b: float) -> np.ndarray:
-        """One Beta(a, b) draw per cell.
-
-        Stochastic patterns redraw this on *every* write, so it sits on the
-        profiling hot path.  ``Beta(2, 2)`` -- the random pattern family --
-        is the distribution of the median of three iid uniforms (the
-        order-statistic identity ``Beta(k, n-k+1) = k``-th smallest of ``n``
-        uniforms), and a branchless exact median of three uniform vectors
-        costs a fraction of the generic rejection sampler.  Other shapes
-        fall back to the generator's Beta sampler.
-        """
-        if a == 2.0 and b == 2.0:
-            u = self._rng.random((3, self.n_cells))
-            return median_of_three(u[0], u[1], u[2])
-        return self._rng.beta(a, b, size=self.n_cells)
-
-    def stress_mask(self, pattern: DataPattern, fresh: bool = False) -> np.ndarray:
+    def stress_mask(self, pattern: DataPattern) -> np.ndarray:
         """Per-cell mask: 1 where ``pattern`` stores the cell's charged value.
 
-        Without orientation information (standalone DPD models in tests)
-        every cell counts as stressed.  For the random pattern the stored
-        bits -- and hence the mask -- are redrawn on every write
-        (``fresh=True``); querying a never-written stochastic pattern with
-        ``fresh=False`` raises :class:`~repro.errors.ProfilingError` rather
-        than drawing from the chip RNG as a query side effect.  Deterministic
-        masks involve no RNG and are computed (and cached) on demand.
+        Read-only.  Without orientation information (standalone DPD models
+        in tests) every cell counts as stressed.  A deterministic mask
+        involves no RNG and is computed (and cached) on demand; a
+        never-written stochastic pattern raises
+        :class:`~repro.errors.ProfilingError`, as :meth:`alignment` does.
         """
         if self._orientation is None:
             return np.ones(self.n_cells)
         key = pattern.key
-        if pattern.stochastic:
-            if fresh:
-                bits = pattern.bits_at(self._rows, self._cols, self._bits_per_row, self._rng)
-                mask = (bits == self._orientation).astype(float)
-                self._stress_cached[key] = mask
-                return mask
-            mask = self._stress_cached.get(key)
-            if mask is None:
+        mask = self._stress_cached.get(key)
+        if mask is None:
+            if pattern.stochastic:
                 raise ProfilingError(
                     f"no stress mask for stochastic pattern {key!r}: it has "
                     "never been written to this chip (query paths must not draw "
                     "DPD state; write the pattern first or call excite())"
                 )
-            return mask
-        mask = self._stress_cached.get(key)
-        if mask is None:
             bits = pattern.bits_at(self._rows, self._cols, self._bits_per_row)
             mask = (bits == self._orientation).astype(float)
             self._stress_cached[key] = mask
@@ -185,22 +142,21 @@ class DPDModel:
         self._stress_cached.clear()
 
     def excite(self, pattern: DataPattern) -> "tuple[np.ndarray, np.ndarray]":
-        """One write's DPD state: (alignment, stress mask), fresh draws for
-        stochastic patterns.
+        """Write ``pattern``'s DPD state: (alignment, stress mask).
 
-        The stochastic branch inlines :meth:`alignment` and
-        :meth:`stress_mask` (same draws, same ufuncs, same cache stores --
-        only the call frames and dispatch are gone): it runs once per write
-        on the profiling hot path, where the per-call overhead is comparable
-        to the draws themselves on small weak tails.
+        The only method that draws.  A stochastic pattern redraws both on
+        every write, on the profiling hot path, where call overhead rivals
+        the draws on small weak tails, so that branch is written out flat;
+        a deterministic pattern draws its alignment on first use only.
         """
         if pattern.stochastic:
             rng = self._rng
             a, b = pattern.alignment_beta
             if a == 2.0 and b == 2.0:
-                # Median-of-three uniforms == Beta(2, 2); see _draw_beta.
-                # Pure selection -- an in-place column sort picks the exact
-                # same middle element as the min/max formula, in one call.
+                # Median-of-three uniforms == Beta(2, 2); see
+                # median_of_three.  Pure selection -- an in-place column
+                # sort picks the exact same middle element as its min/max
+                # network, in one call.
                 u = rng.random((3, self._n_cells))
                 u.sort(axis=0)
                 draw = u[1]
@@ -233,10 +189,12 @@ class DPDModel:
                 mask = (bits == self._orientation).astype(float)
             self._stress_cached[pattern.key] = mask
             return draw, mask
-        return (
-            self.alignment(pattern, fresh=True),
-            self.stress_mask(pattern, fresh=True),
-        )
+        draw = self._cached.get(pattern.key)
+        if draw is None:
+            a, b = pattern.alignment_beta
+            draw = self._rng.beta(a, b, size=self._n_cells)
+            self._cached[pattern.key] = draw
+        return draw, self.stress_mask(pattern)
 
     def excite_random_raw(self, writes: int) -> np.ndarray:
         """Raw uniforms for ``writes`` consecutive random-pattern writes
@@ -275,7 +233,9 @@ class DPDModel:
 
 
 def median_of_three(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Elementwise median of three equal-shape arrays (Beta(2, 2) draws).
+    """Elementwise median of three equal-shape arrays: of three uniform
+    vectors, an exact Beta(2, 2) draw (the random pattern family; the
+    ``k``-th smallest of ``n`` uniforms is Beta(k, n-k+1)).
 
     The min/max network ``max(min(a, b), min(max(a, b), c))`` selects the
     middle value -- pure selection, no arithmetic, so the result is

@@ -55,10 +55,6 @@ class ScrubReport:
     rounds: Tuple[ScrubRound, ...]
     runtime_seconds: float
 
-    @property
-    def total_uncorrectable_words(self) -> int:
-        return sum(r.uncorrectable_words for r in self.rounds)
-
 
 class EccScrubber:
     """Passive retention-failure detection via periodic ECC scrubs."""

@@ -5,7 +5,9 @@ hosting many chips, all driven from one simulated clock.  Temperature
 changes go through the chamber's PID settle (costing simulated time and
 leaving sub-0.25 degC residual error), and each chip sees the chamber
 temperature plus a small fixed placement offset -- the physical noise
-sources behind the paper's footnote about imperfect contours.
+sources behind the paper's footnote about imperfect contours.  The offset
+is keyed by ``(seed, chip_id)``, so a chip sees the same temperatures in a
+full :meth:`TestBed.build` bed as racked alone, as a campaign unit racks it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .chamber import ThermalChamber
 class TestBed:
     """A chamber full of chips, operated as one instrument."""
 
+    #: Not a test class, whatever its name (pytest collects ``Test*``).
+    __test__ = False
+
     def __init__(
         self,
         chamber: Optional[ThermalChamber] = None,
@@ -35,8 +40,8 @@ class TestBed:
         self.chamber = chamber if chamber is not None else ThermalChamber(clock=self.clock, seed=seed)
         if self.chamber.clock is not self.clock:
             raise ConfigurationError("chamber and testbed must share one clock")
+        self.seed = int(seed)
         self.chips: List[SimulatedDRAMChip] = []
-        self._placement_rng = rng_mod.derive(seed, "placement")
         self._placement_offsets: List[float] = []
 
     # ------------------------------------------------------------------
@@ -54,27 +59,20 @@ class TestBed:
     ) -> "TestBed":
         """Populate a testbed with chips from each vendor.
 
+        Chip ids run sequentially across vendors in ``vendors`` order, and
+        the chips are racked as :meth:`build_members` racks them.
         ``max_temperature_c`` defaults above the chamber range (40-55 degC)
         so chips never reject a temperature the chamber can legally reach.
         """
-        bed = cls(seed=seed)
         chosen = list(vendors) if vendors is not None else list(VENDORS.values())
-        chip_id = 0
-        for vendor in chosen:
-            for _ in range(chips_per_vendor):
-                bed.add_chip(
-                    SimulatedDRAMChip(
-                        vendor=vendor,
-                        geometry=geometry,
-                        seed=seed,
-                        chip_id=chip_id,
-                        clock=bed.clock,
-                        max_trefi_s=max_trefi_s,
-                        max_temperature_c=max_temperature_c,
-                    )
-                )
-                chip_id += 1
-        return bed
+        members = [vendor for vendor in chosen for _ in range(chips_per_vendor)]
+        return cls.build_members(
+            list(enumerate(members)),
+            geometry=geometry,
+            seed=seed,
+            max_trefi_s=max_trefi_s,
+            max_temperature_c=max_temperature_c,
+        )
 
     @classmethod
     def build_members(
@@ -88,13 +86,12 @@ class TestBed:
     ) -> "TestBed":
         """Rack the chips ``members`` (``(chip_id, vendor)`` pairs) in one bed.
 
-        Each chip is identical to the one a full :meth:`build` would create
-        under the same (seed, chip_id), and its placement offset comes from
-        :meth:`placement_offset`, so no chip depends on which others share
-        its bed -- the basis for decomposing a campaign into work units of
-        any size that run anywhere, in any order.  The chamber is seeded
-        with ``seed`` as well, and every chamber of one seed settles along
-        the same trajectory, so a chip sees the same clock and temperatures
+        Every draw a chip makes, its placement offset included, is keyed by
+        (seed, chip_id), so no chip depends on which others share its bed
+        -- the basis for decomposing a campaign into work units of any size
+        that run anywhere, in any order.  The chamber is seeded with
+        ``seed`` as well, and every chamber of one seed settles along the
+        same trajectory, so a chip sees the same clock and temperatures
         here as in a bed of its own.
 
         ``fast_path=False`` builds the chips on the reference failure
@@ -115,8 +112,7 @@ class TestBed:
                     max_trefi_s=max_trefi_s,
                     max_temperature_c=max_temperature_c,
                     fast_path=fast_path,
-                ),
-                placement_offset=cls.placement_offset(seed, chip_id),
+                )
             )
         return bed
 
@@ -125,22 +121,17 @@ class TestBed:
         """Deterministic airflow-placement offset for one chip.
 
         Keyed by (seed, chip_id) so it does not depend on the order chips
-        were racked -- unlike the sequential draw in :meth:`add_chip`,
-        which remains for full-bed construction.
+        were racked or on which other chips share the bed.
         """
         return float(rng_mod.derive(seed, "placement", chip_id).normal(0.0, 0.1))
 
-    def add_chip(
-        self, chip: SimulatedDRAMChip, placement_offset: Optional[float] = None
-    ) -> None:
+    def add_chip(self, chip: SimulatedDRAMChip) -> None:
+        """Rack ``chip`` at its fixed spot in the airflow
+        (:meth:`placement_offset` under the bed's seed)."""
         if chip.clock is not self.clock:
             raise ConfigurationError("chip must share the testbed clock")
         self.chips.append(chip)
-        # Fixed per-chip placement offset: chips sit at slightly different
-        # spots in the airflow.
-        if placement_offset is None:
-            placement_offset = float(self._placement_rng.normal(0.0, 0.1))
-        self._placement_offsets.append(placement_offset)
+        self._placement_offsets.append(self.placement_offset(self.seed, chip.chip_id))
 
     def chips_by_vendor(self) -> Dict[str, List[SimulatedDRAMChip]]:
         grouped: Dict[str, List[SimulatedDRAMChip]] = {}

@@ -82,11 +82,6 @@ class RAPID:
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
-    def strongest_rows(self, n_rows: int) -> List[Hashable]:
-        """The ``n_rows`` longest-retention *profiled* rows, strongest first."""
-        ranked = sorted(self._retention.items(), key=lambda kv: -kv[1])
-        return [row for row, _ in ranked[:n_rows]]
-
     def allocate(self, n_rows: int) -> List[Hashable]:
         """Place data in the strongest free rows; returns the chosen rows."""
         if n_rows <= 0:

@@ -17,7 +17,8 @@ The subsystem behind population-scale characterization runs:
     rows to the store, report keyed results.
 ``campaign``
     The characterization-campaign driver: per-chip decomposition, the
-    picklable ``measure_chip`` worker, and order-erasing aggregation.
+    one schedule the ``measure_chip`` oracle and the ``measure_fleet``
+    worker both walk, and order-erasing aggregation.
 
 Determinism contract: a unit's value is a pure function of its payload
 (all randomness is keyed via :func:`repro.rng.derive`), and aggregation
@@ -32,6 +33,7 @@ from .campaign import (
     build_chip_units,
     build_fleet_units,
     campaign_fingerprint,
+    campaign_schedule,
     default_chips_per_unit,
     expand_fleet_result,
     fleet_dispatch,
@@ -101,6 +103,7 @@ __all__ = [
     "build_chip_units",
     "build_fleet_units",
     "campaign_fingerprint",
+    "campaign_schedule",
     "default_chips_per_unit",
     "default_worker_count",
     "execute_unit",

@@ -1,30 +1,27 @@
 """Campaign driver: decompose a characterization campaign into work units.
 
 The paper's campaign is embarrassingly parallel at the chip: every chip's
-measurement sequence (interval sweep at the base temperature, then the
-temperature-scaling points at the top interval) touches only that chip's
-own thermally controlled environment.  This module makes that explicit:
+measurement sequence touches only that chip's own thermally controlled
+environment.  This module makes that explicit:
+
+``campaign_schedule``
+    That sequence, once: the interval sweep at the base temperature, then
+    the top interval at each further temperature.
 
 ``build_chip_units``
     One :class:`~repro.runner.units.WorkUnit` per chip, with a stable
     ``chip-NNNNN`` id and a plain-JSON payload describing everything the
     measurement needs.
 
-``measure_chip``
-    The per-chip reference walk.  It rebuilds the chip's world from the
-    payload -- a single-chip :class:`~repro.infra.testbed.TestBed` whose
-    weak-cell population, VRT process, and placement offset are all keyed
-    by ``(seed, chip_id)`` via :func:`repro.rng.derive` -- so the result is
-    a pure function of the payload: independent of which process runs it,
-    in what order, or how many times the campaign was resumed.  Campaigns
-    do not run it; tests and the benchmark's oracle re-measure stored rows
-    with it.
-
-``fleet_dispatch`` / ``measure_fleet``
-    How campaigns execute: the per-chip units travel to workers in units
-    of several chips (:func:`default_chips_per_unit` sizes them), each
-    measured by the fused condition-grid kernel and expanded back to
-    per-chip rows equal to :func:`measure_chip`'s.
+``measure_chip`` / ``measure_fleet``
+    One body walks the schedule for both, on chips racked by
+    :meth:`~repro.infra.testbed.TestBed.build_members`, every draw keyed
+    by ``(seed, chip_id)`` via :func:`repro.rng.derive`: a row is a pure
+    function of its payload, whatever process, order, unit or resume
+    measured it.  Campaigns run ``measure_fleet`` (``fleet_dispatch``),
+    the fused condition-grid kernel over a unit of chips; tests and the
+    benchmark's oracle re-measure stored rows with ``measure_chip``, the
+    per-chip reference walk.
 
 ``aggregate_chip_results``
     Folds ok results (sorted by chip id, so completion order is erased)
@@ -37,7 +34,7 @@ composes it with :class:`~repro.runner.engine.RunnerEngine`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import rng as rng_mod
 from ..conditions import Conditions
@@ -63,6 +60,9 @@ TREFI_HEADROOM = 1.05
 
 #: vendor -> interval -> failure counts in ascending chip order.
 CountTable = Dict[str, Dict[float, List[int]]]
+
+#: Counts one stage: a condition grid in, failures per condition and chip out.
+StageCounter = Callable[[List[Conditions]], List[List[int]]]
 
 #: Most chip capacity one computed work unit batches: chips of this size
 #: or larger travel one per unit (DESIGN.md "Work-plane dispatch" has the
@@ -101,6 +101,25 @@ def campaign_fingerprint(
     )
 
 
+def campaign_schedule(
+    intervals_s: Sequence[float], temperatures_c: Sequence[float]
+) -> Tuple[Tuple[float, Tuple[float, ...]], ...]:
+    """The ``(ambient, intervals)`` stages every chip is measured through.
+
+    The interval sweep at ``temperatures_c[0]``, then ``max(intervals_s)``
+    at each later temperature (the Eq-1 points).  Refuses no intervals,
+    descending intervals, and no temperature.
+    """
+    intervals = tuple(float(t) for t in intervals_s)
+    temperatures = [float(t) for t in temperatures_c]
+    if not intervals or list(intervals) != sorted(intervals):
+        raise ConfigurationError("intervals must be non-empty ascending")
+    if not temperatures:
+        raise ConfigurationError("need at least one temperature")
+    top = (max(intervals),)
+    return ((temperatures[0], intervals),) + tuple((t, top) for t in temperatures[1:])
+
+
 def default_chips_per_unit(capacity_bits: int, n_chips: int, workers: int) -> int:
     """The campaign's unit size when none is given.
 
@@ -130,9 +149,8 @@ def build_chip_units(
     """One work unit per chip, ids and chip numbering matching a full bed.
 
     Chip ids run sequentially across vendors in declaration order, exactly
-    like :meth:`repro.infra.testbed.TestBed.build`, so a unit's chip is
-    statistically identical to the one the legacy shared-bed campaign would
-    have racked in the same slot.
+    like :meth:`repro.infra.testbed.TestBed.build`, so a unit's chip is the
+    chip a full bed of the same seed racks in the same slot.
     """
     if chips_per_vendor <= 0:
         raise ConfigurationError("chips_per_vendor must be positive")
@@ -165,56 +183,99 @@ def build_chip_units(
     return tuple(units)
 
 
+def _shared_config(payloads: Sequence[Mapping[str, Any]]) -> Mapping[str, Any]:
+    """The chips' shared measurement configuration, homogeneity-checked.
+
+    Every key the chips of one bed are measured under *together* (seed,
+    iterations, geometry, intervals, temperatures) must agree -- a mixed
+    unit would silently measure chips under the wrong schedule.
+    """
+    first = payloads[0]
+    shared_keys = ("seed", "iterations", "geometry", "intervals_s", "temperatures_c")
+    for payload in payloads[1:]:
+        for key in shared_keys:
+            if payload.get(key) != first.get(key):
+                raise ConfigurationError(
+                    f"fleet chunk members disagree on {key!r}: "
+                    f"{payload.get(key)!r} vs {first.get(key)!r}"
+                )
+    return first
+
+
+def _measure(
+    payloads: Sequence[Mapping[str, Any]],
+    counter: Callable[[Sequence[Any], int], StageCounter],
+) -> List[Dict[str, Any]]:
+    """Rack the payloads' chips in one bed and walk :func:`campaign_schedule`,
+    counting each stage with ``counter(chips, iterations)``.
+
+    One plain-JSON row per payload: the first stage's ``[interval,
+    failures]`` pairs, and each stage's ``[temperature, failures]`` at the
+    top interval (pairs, not mappings, so duplicate temperatures keep
+    their append semantics).  ``"fast_path": False`` racks the chips on
+    the reference failure evaluator.
+    """
+    first = _shared_config(payloads)
+    stages = campaign_schedule(first["intervals_s"], first["temperatures_c"])
+    top = max(stages[0][1])
+    bed = TestBed.build_members(
+        [(int(p["chip_id"]), vendor_by_name(str(p["vendor"]))) for p in payloads],
+        geometry=ChipGeometry(**{k: int(v) for k, v in first["geometry"].items()}),
+        seed=int(first["seed"]),
+        max_trefi_s=top * TREFI_HEADROOM,
+        fast_path=bool(first.get("fast_path", True)),
+    )
+    count = counter(bed.chips, int(first["iterations"]))
+    measured = []
+    for ambient, intervals in stages:
+        bed.set_ambient(ambient)
+        grid = [Conditions(trefi=t, temperature=ambient) for t in intervals]
+        measured.append((ambient, intervals, count(grid)))
+    _, sweep, sweep_counts = measured[0]
+    return [
+        {
+            "chip_id": int(payload["chip_id"]),
+            "vendor": str(payload["vendor"]),
+            "interval_failures": [
+                [trefi, float(counts[i])] for trefi, counts in zip(sweep, sweep_counts)
+            ],
+            "temperature_failures": [
+                [ambient, float(counts[intervals.index(top)][i])]
+                for ambient, intervals, counts in measured
+            ],
+        }
+        for i, payload in enumerate(payloads)
+    ]
+
+
+def _walk_counter(chips: Sequence[Any], iterations: int) -> StageCounter:
+    """The oracle's count: each condition walked on the bed's one chip."""
+    (chip,) = chips
+    profiler = BruteForceProfiler(iterations=iterations)
+    return lambda grid: [[len(profiler.walk(chip, conditions))] for conditions in grid]
+
+
+def _grid_counter(chips: Sequence[Any], iterations: int) -> StageCounter:
+    """The kernel's count: each stage one ``run_grid`` on one fleet."""
+    fleet = ChipFleet(chips)
+    profiler = FleetProfiler(iterations=iterations)
+    return lambda grid: [
+        [len(result) for result in results] for results in profiler.run_grid(fleet, grid)
+    ]
+
+
 def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Measure one chip's full campaign contribution on the per-chip walk.
 
-    Runs the interval sweep at the base temperature, then the remaining
-    temperatures at the top interval, inside this chip's own single-chip
-    testbed.  Returns plain JSON: ordered ``[condition, failure_count]``
-    pairs (pairs, not a mapping, so duplicate temperatures keep their
-    legacy append semantics).
-
-    Every profile runs on :meth:`BruteForceProfiler.walk`, the command
+    Walks :func:`campaign_schedule` inside this chip's own single-chip
+    testbed, every profile on :meth:`BruteForceProfiler.walk`, the command
     loop, never on the grid kernel it checks.  A payload carrying
     ``"fast_path": False`` measures on the reference failure evaluator
     instead -- the oracle tests and the benchmark check stored rows
     against.
     """
-    geometry = ChipGeometry(**{k: int(v) for k, v in payload["geometry"].items()})
-    intervals = [float(t) for t in payload["intervals_s"]]
-    temperatures = [float(t) for t in payload["temperatures_c"]]
-    chip_id = int(payload["chip_id"])
-    bed = TestBed.build_members(
-        [(chip_id, vendor_by_name(str(payload["vendor"])))],
-        geometry=geometry,
-        seed=int(payload["seed"]),
-        max_trefi_s=max(intervals) * TREFI_HEADROOM,
-        fast_path=bool(payload.get("fast_path", True)),
-    )
-    chip = bed.chips[0]
-    profiler = BruteForceProfiler(iterations=int(payload["iterations"]))
-
-    base_temp = temperatures[0]
-    bed.set_ambient(base_temp)
-    interval_failures: List[List[float]] = []
-    for trefi in intervals:
-        profile = profiler.walk(chip, Conditions(trefi=trefi, temperature=base_temp))
-        interval_failures.append([trefi, float(len(profile))])
-
-    top = max(intervals)
-    top_count = next(count for trefi, count in interval_failures if trefi == top)
-    temperature_failures: List[List[float]] = [[base_temp, top_count]]
-    for temperature in temperatures[1:]:
-        bed.set_ambient(temperature)
-        profile = profiler.walk(chip, Conditions(trefi=top, temperature=temperature))
-        temperature_failures.append([temperature, float(len(profile))])
-
-    return {
-        "chip_id": chip_id,
-        "vendor": str(payload["vendor"]),
-        "interval_failures": interval_failures,
-        "temperature_failures": temperature_failures,
-    }
+    (row,) = _measure([payload], _walk_counter)
+    return row
 
 
 def build_fleet_units(
@@ -259,37 +320,13 @@ def build_fleet_units(
     return tuple(chunks)
 
 
-def _shared_fleet_config(members: Sequence[Mapping[str, Any]]) -> Mapping[str, Any]:
-    """The chunk's shared measurement configuration, homogeneity-checked.
-
-    Every key a fleet evaluates *together* (seed, iterations, geometry,
-    intervals, temperatures) must agree across members -- a mixed chunk
-    would silently measure chips under the wrong schedule.
-    """
-    first = members[0]["payload"]
-    shared_keys = ("seed", "iterations", "geometry", "intervals_s", "temperatures_c")
-    for member in members[1:]:
-        payload = member["payload"]
-        for key in shared_keys:
-            if payload.get(key) != first.get(key):
-                raise ConfigurationError(
-                    f"fleet chunk members disagree on {key!r}: "
-                    f"{payload.get(key)!r} vs {first.get(key)!r}"
-                )
-    return first
-
-
 def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Measure one chunk of chips fleet-fused (worker function).
 
-    Runs exactly :func:`measure_chip`'s schedule -- the interval sweep at
-    the base temperature, then the remaining temperatures at the top
-    interval -- on every member chip at once, racked in one
-    :meth:`~repro.infra.testbed.TestBed.build_members` bed (one clock, one
-    chamber settled once per temperature) and measured by
-    :class:`~repro.core.fleetprof.FleetProfiler`: the base-temperature
-    interval sweep is one :meth:`~repro.core.fleetprof.FleetProfiler.run_grid`
-    pass, and each remaining temperature point another.  Returns
+    Walks :func:`measure_chip`'s schedule on every member chip at once,
+    racked in one bed (one clock, one chamber settled once per stage),
+    each stage one :meth:`~repro.core.fleetprof.FleetProfiler.run_grid`
+    pass over one :class:`~repro.dram.fleet.ChipFleet`.  Returns
     ``{"chips": [{"unit_id", "value"}, ...]}`` in member order, where each
     ``value`` is byte-identical to the member's :func:`measure_chip`
     return.  Every member chip draws its own weak-cell population here,
@@ -298,57 +335,11 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
     members = list(payload["members"])
     if not members:
         raise ConfigurationError("a fleet unit needs at least one member chip")
-    first = _shared_fleet_config(members)
-    geometry = ChipGeometry(**{k: int(v) for k, v in first["geometry"].items()})
-    intervals = [float(t) for t in first["intervals_s"]]
-    temperatures = [float(t) for t in first["temperatures_c"]]
-    chip_ids = [int(m["payload"]["chip_id"]) for m in members]
-
-    bed = TestBed.build_members(
-        [
-            (chip_id, vendor_by_name(str(m["payload"]["vendor"])))
-            for chip_id, m in zip(chip_ids, members)
-        ],
-        geometry=geometry,
-        seed=int(first["seed"]),
-        max_trefi_s=max(intervals) * TREFI_HEADROOM,
-    )
-    fleet = ChipFleet(bed.chips)
-    profiler = FleetProfiler(iterations=int(first["iterations"]))
-
-    base_temp = temperatures[0]
-    bed.set_ambient(base_temp)
-    interval_failures: List[List[List[float]]] = [[] for _ in members]
-    grid = [Conditions(trefi=t, temperature=base_temp) for t in intervals]
-    for ci, results in enumerate(profiler.run_grid(fleet, grid)):
-        for i, result in enumerate(results):
-            interval_failures[i].append([intervals[ci], float(len(result))])
-
-    top = max(intervals)
-    temperature_failures: List[List[List[float]]] = []
-    for rows in interval_failures:
-        top_count = next(count for trefi, count in rows if trefi == top)
-        temperature_failures.append([[base_temp, top_count]])
-    for temperature in temperatures[1:]:
-        bed.set_ambient(temperature)
-        (results,) = profiler.run_grid(
-            fleet, [Conditions(trefi=top, temperature=temperature)]
-        )
-        for i, result in enumerate(results):
-            temperature_failures[i].append([temperature, float(len(result))])
-
+    rows = _measure([m["payload"] for m in members], _grid_counter)
     return {
         "chips": [
-            {
-                "unit_id": member["unit_id"],
-                "value": {
-                    "chip_id": chip_ids[i],
-                    "vendor": str(member["payload"]["vendor"]),
-                    "interval_failures": interval_failures[i],
-                    "temperature_failures": temperature_failures[i],
-                },
-            }
-            for i, member in enumerate(members)
+            {"unit_id": member["unit_id"], "value": row}
+            for member, row in zip(members, rows)
         ]
     }
 

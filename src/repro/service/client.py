@@ -65,10 +65,6 @@ class ServiceHealth(Dict[str, Any]):
         lag = self.get("ledger_lag_s")
         return None if lag is None else float(lag)
 
-    @property
-    def jobs_by_state(self) -> Dict[str, int]:
-        return {str(k): int(v) for k, v in (self.get("jobs") or {}).items()}
-
 
 class ServiceClient:
     """One-connection-per-call client; safe to share across threads."""

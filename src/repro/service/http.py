@@ -24,9 +24,11 @@ GET    ``/metrics``                 OpenMetrics exposition of the live plane
 Trace propagation: ``POST /v1/jobs`` honours an incoming W3C
 ``traceparent`` (or bare ``x-trace-id``) header -- the job's entire run
 then correlates under the caller's trace id; absent one, the manager
-mints a fresh root.  Every served request is also recorded into the live
+mints a fresh root.  Every response is also recorded into the live
 plane (per-route counters + latency histograms) with the *route
-template* as the label, never the raw path.
+template* as the label, never the raw path; a request refused while
+being read (400, 413, 431) is labelled ``method="-"``,
+``route="unparsed"``.
 
 Error mapping keeps service semantics on the wire:
 :class:`~repro.service.jobs.UnknownJobError` -> 404,
@@ -136,8 +138,9 @@ class ServiceProtocol:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         start = time.monotonic()
-        method: Optional[str] = None
-        route: Optional[str] = None
+        # A request refused while being read keeps these labels: a raw
+        # method or path never becomes a label value.
+        method, route = "-", "unparsed"
         status: Optional[int] = None
         try:
             request = await self._read_request(reader)
@@ -156,7 +159,7 @@ class ServiceProtocol:
             except ConnectionError:
                 pass
         finally:
-            if method is not None and route is not None and status is not None:
+            if status is not None:
                 self.manager.plane.note_request(
                     method, route, status, time.monotonic() - start
                 )

@@ -30,6 +30,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from .. import rng as rng_mod
 from ..dram.geometry import ChipGeometry
 from ..errors import ConfigurationError, ReproError
+from ..runner.campaign import campaign_schedule
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -117,10 +118,7 @@ class CampaignJobSpec:
             raise ConfigurationError("capacity_gbit must be positive")
         if self.iterations <= 0:
             raise ConfigurationError("iterations must be positive")
-        if not self.intervals_s or list(self.intervals_s) != sorted(self.intervals_s):
-            raise ConfigurationError("intervals_s must be non-empty ascending")
-        if not self.temperatures_c:
-            raise ConfigurationError("temperatures_c needs at least one entry")
+        campaign_schedule(self.intervals_s, self.temperatures_c)
         if self.chips_per_unit is not None and self.chips_per_unit <= 0:
             raise ConfigurationError("chips_per_unit must be positive")
         if self.max_retries < 0:

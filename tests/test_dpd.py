@@ -18,48 +18,48 @@ def make_model(n_cells=500, cap=0.97, seed=3):
 class TestAlignment:
     def test_alignment_in_unit_interval(self):
         model = make_model()
-        a = model.alignment(CHECKERBOARD, fresh=True)
+        a = model.excite(CHECKERBOARD)[0]
         assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
     def test_deterministic_pattern_alignment_cached(self):
         model = make_model()
-        a1 = model.alignment(CHECKERBOARD, fresh=True)
+        a1 = model.excite(CHECKERBOARD)[0]
         a2 = model.alignment(CHECKERBOARD)
         assert np.array_equal(a1, a2)
 
     def test_deterministic_pattern_stable_across_writes(self):
         model = make_model()
-        a1 = model.alignment(CHECKERBOARD, fresh=True)
-        a2 = model.alignment(CHECKERBOARD, fresh=True)
+        a1 = model.excite(CHECKERBOARD)[0]
+        a2 = model.excite(CHECKERBOARD)[0]
         assert np.array_equal(a1, a2)
 
     def test_inverse_pattern_has_own_alignment(self):
         model = make_model()
-        a = model.alignment(CHECKERBOARD, fresh=True)
-        inv = model.alignment(CHECKERBOARD.inverse, fresh=True)
+        a = model.excite(CHECKERBOARD)[0]
+        inv = model.excite(CHECKERBOARD.inverse)[0]
         assert not np.array_equal(a, inv)
 
     def test_random_pattern_redraws_on_fresh(self):
         model = make_model()
-        a1 = model.alignment(RANDOM, fresh=True).copy()
-        a2 = model.alignment(RANDOM, fresh=True)
+        a1 = model.excite(RANDOM)[0].copy()
+        a2 = model.excite(RANDOM)[0]
         assert not np.array_equal(a1, a2)
 
     def test_random_pattern_stable_without_fresh(self):
         model = make_model()
-        a1 = model.alignment(RANDOM, fresh=True)
-        a2 = model.alignment(RANDOM, fresh=False)
+        a1 = model.excite(RANDOM)[0]
+        a2 = model.alignment(RANDOM)
         assert np.array_equal(a1, a2)
 
     def test_random_alignment_capped(self):
         model = make_model(cap=0.8)
         for _ in range(5):
-            a = model.alignment(RANDOM, fresh=True)
+            a = model.excite(RANDOM)[0]
             assert np.all(a <= 0.8)
 
     def test_deterministic_patterns_can_exceed_random_cap(self):
         model = make_model(n_cells=20000, cap=0.5)
-        a = model.alignment(SOLID_ZERO, fresh=True)
+        a = model.excite(SOLID_ZERO)[0]
         assert np.any(a > 0.5)
 
 
@@ -84,18 +84,38 @@ class TestQueryPurity:
             inspected.alignment(CHECKERBOARD)
         with pytest.raises(ProfilingError):
             inspected.alignment(RANDOM)
-        a1 = pristine.alignment(RANDOM, fresh=True)
-        a2 = inspected.alignment(RANDOM, fresh=True)
+        a1 = pristine.excite(RANDOM)[0]
+        a2 = inspected.excite(RANDOM)[0]
         assert np.array_equal(a1, a2)
+
+    def test_queries_of_written_patterns_leave_the_stream_unchanged(self):
+        """alignment()/stress_mask() of written patterns read, never draw."""
+        n_cells = 256
+        rng = rng_mod.derive(5, "dpd-align")
+        model = DPDModel(
+            rng_mod.derive(5, "dpd-test").uniform(0.0, 0.3, size=n_cells),
+            rng,
+            0.97,
+            rows=np.arange(n_cells) // 32,
+            cols=np.arange(n_cells) % 32,
+            orientation=rng_mod.derive(5, "orientation").integers(0, 2, size=n_cells),
+            bits_per_row=32,
+        )
+        written = {pattern: model.excite(pattern) for pattern in (RANDOM, CHECKERBOARD)}
+        state = rng.bit_generator.state
+        for pattern, (alignment, stress) in written.items():
+            assert model.alignment(pattern) is alignment
+            assert model.stress_mask(pattern) is stress
+        assert rng.bit_generator.state == state
 
     def test_reset_replays_construction_draws(self):
         model = make_model(seed=9)
-        first = model.alignment(RANDOM, fresh=True).copy()
-        model.alignment(RANDOM, fresh=True)  # advance the stream
+        first = model.excite(RANDOM)[0].copy()
+        model.excite(RANDOM)  # advance the stream
         model.reset(rng_mod.derive(9, "dpd-align"))
         with pytest.raises(ProfilingError):
             model.alignment(RANDOM)  # caches were dropped
-        assert np.array_equal(model.alignment(RANDOM, fresh=True), first)
+        assert np.array_equal(model.excite(RANDOM)[0], first)
 
 
 class TestEffectiveRetention:

@@ -5,8 +5,9 @@ uninterrupted bytes.
 The torn-tail cases restart *twice*: the first restart appends after the
 damage and the second reads what that append left behind -- a row glued
 onto a torn fragment would be a corrupt line there (DESIGN.md,
-"Run-directory files").  The last cases cut a request body short and
-send a header line past the server's line limit.
+"Run-directory files").  The last cases cut a request body short, send
+a header line past the server's line limit, and check that requests
+refused while being read are still counted in ``/metrics``.
 """
 
 from __future__ import annotations
@@ -170,21 +171,58 @@ def test_malformed_http_body_shorter_than_its_content_length_is_400(tmp_path):
         assert ServiceClient(service.host, service.port).jobs() == []
 
 
+#: A request whose header line runs past the server's 64 KiB line limit.
+LONG_HEADER = f"GET /v1/healthz HTTP/1.1\r\nHost: test\r\nX-Long: {'a' * 70_000}\r\n\r\n"
+
+
+def _exchange_raw(service, request: str) -> bytes:
+    """Send ``request`` over a bare socket; return the whole response."""
+    with socket.create_connection((service.host, service.port), timeout=30) as sock:
+        sock.sendall(request.encode("latin-1"))
+        sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    return response
+
+
 def test_header_line_past_the_line_limit_is_431_and_the_next_request_served(tmp_path):
     config = ServiceConfig(root=tmp_path / "svc", port=0, pool_workers=0, max_running=1)
     with ServiceThread(config) as service:
-        head = f"GET /v1/healthz HTTP/1.1\r\nHost: test\r\nX-Long: {'a' * 70_000}\r\n\r\n"
-        with socket.create_connection((service.host, service.port), timeout=30) as sock:
-            sock.sendall(head.encode("latin-1"))
-            sock.shutdown(socket.SHUT_WR)
-            response = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                response += chunk
+        response = _exchange_raw(service, LONG_HEADER)
         status_line, _, rest = response.partition(b"\r\n")
         assert status_line == b"HTTP/1.1 431 Request Header Fields Too Large"
         error = json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
         assert error["type"] == "error" and "limit" in error["message"]
         assert ServiceClient(service.host, service.port).healthz()["status"] == "ok"
+
+
+def test_requests_refused_while_read_are_counted_as_unparsed(tmp_path):
+    config = ServiceConfig(root=tmp_path / "svc", port=0, pool_workers=0, max_running=1)
+    with ServiceThread(config) as service:
+        refused = (
+            LONG_HEADER,
+            "POST /v1/jobs HTTP/1.1\r\nHost: test\r\nContent-Length: abc\r\n\r\n",
+            "BROKEN\r\n\r\n",
+        )
+        status_lines = [
+            _exchange_raw(service, request).partition(b"\r\n")[0] for request in refused
+        ]
+        assert status_lines == [
+            b"HTTP/1.1 431 Request Header Fields Too Large",
+            b"HTTP/1.1 400 Bad Request",
+            b"HTTP/1.1 400 Bad Request",
+        ]
+        client = ServiceClient(service.host, service.port)
+        counts = dict(
+            line.rsplit(" ", 1)
+            for line in client.metrics_text().splitlines()
+            if line.startswith("service_requests_total{")
+        )
+        unparsed = 'service_requests_total{method="-",route="unparsed",status="%s"}'
+        assert counts[unparsed % 431] == "1"
+        assert counts[unparsed % 400] == "2"
+        assert client.healthz()["status"] == "ok"

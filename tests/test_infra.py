@@ -6,10 +6,11 @@ from repro.clock import SimClock
 from repro.conditions import Conditions
 from repro.core.bruteforce import BruteForceProfiler
 from repro.dram.chip import SimulatedDRAMChip
+from repro.dram.vendor import VENDORS
 from repro.errors import ConfigurationError
 from repro.infra.chamber import CHAMBER_ACCURACY_C, ThermalChamber
 from repro.infra.pid import PIDController
-from repro.infra.testbed import TestBed as InfraTestBed
+from repro.infra.testbed import TestBed
 
 from conftest import TINY_GEOMETRY, TEST_SEED
 
@@ -101,31 +102,42 @@ class TestChamber:
 
 class TestTestBedBehaviour:
     def test_build_populates_all_vendors(self):
-        bed = InfraTestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY)
+        bed = TestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY)
         assert len(bed.chips) == 3
         assert set(bed.chips_by_vendor()) == {"A", "B", "C"}
 
     def test_set_ambient_propagates_to_chips(self):
-        bed = InfraTestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY)
+        bed = TestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY)
         bed.set_ambient(50.0)
         for chip in bed.chips:
             assert chip.temperature_c == pytest.approx(50.0, abs=0.6)
 
     def test_chips_see_slightly_different_temperatures(self):
         """Placement offsets: the physical noise behind imperfect contours."""
-        bed = InfraTestBed.build(chips_per_vendor=2, geometry=TINY_GEOMETRY)
+        bed = TestBed.build(chips_per_vendor=2, geometry=TINY_GEOMETRY)
         bed.set_ambient(45.0)
         temps = [chip.temperature_c for chip in bed.chips]
         assert len(set(round(t, 3) for t in temps)) > 1
 
+    def test_build_chip_sees_its_campaign_twin_temperature(self):
+        """A full bed and a campaign unit's one-chip bed place a chip alike."""
+        bed = TestBed.build(chips_per_vendor=2, geometry=TINY_GEOMETRY, seed=368)
+        bed.set_ambient(45.0)
+        for chip in bed.chips:
+            alone = TestBed.build_members(
+                [(chip.chip_id, VENDORS[chip.vendor.name])], geometry=TINY_GEOMETRY, seed=368
+            )
+            alone.set_ambient(45.0)
+            assert alone.chips[0].temperature_c == chip.temperature_c
+
     def test_foreign_clock_chip_rejected(self):
-        bed = InfraTestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY)
+        bed = TestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY)
         foreign = SimulatedDRAMChip(geometry=TINY_GEOMETRY, clock=SimClock())
         with pytest.raises(ConfigurationError):
             bed.add_chip(foreign)
 
     def test_profile_all_returns_per_chip_profiles(self):
-        bed = InfraTestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY, seed=TEST_SEED)
+        bed = TestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY, seed=TEST_SEED)
         profiles = bed.profile_all(
             BruteForceProfiler(iterations=1), Conditions(trefi=1.024, temperature=45.0)
         )

@@ -17,7 +17,7 @@ from repro.dram import DRAMModule, SimulatedDRAMChip
 from repro.dram.vendor import VENDOR_B
 from repro.ecc import EccScrubber, SECDED
 from repro.ecc.model import tolerable_bit_errors
-from repro.infra import TestBed as InfraTestBed
+from repro.infra import TestBed
 from repro.mitigation import ArchShield, RAIDR, SECRET
 
 from conftest import TINY_GEOMETRY, TEST_SEED
@@ -92,7 +92,7 @@ class TestTestbedCampaign:
     """A miniature version of the paper's 368-chip characterization."""
 
     def test_multi_vendor_profiling_campaign(self):
-        bed = InfraTestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY, seed=TEST_SEED)
+        bed = TestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY, seed=TEST_SEED)
         bed.set_ambient(45.0)
         profiles = bed.profile_all(BruteForceProfiler(iterations=2), TARGET)
         assert set(profiles) == {0, 1, 2}
@@ -101,7 +101,7 @@ class TestTestbedCampaign:
         assert len(set(counts)) > 1
 
     def test_temperature_sweep_changes_failures(self):
-        bed = InfraTestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY, seed=TEST_SEED)
+        bed = TestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY, seed=TEST_SEED)
         profiler = BruteForceProfiler(iterations=2)
         bed.set_ambient(40.0)
         cool = {cid: len(p) for cid, p in bed.profile_all(profiler, TARGET).items()}

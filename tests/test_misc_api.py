@@ -8,7 +8,7 @@ from repro.dram.chip import SimulatedDRAMChip
 from repro.dram.module import DRAMModule
 from repro.dram.vendor import VENDOR_B
 from repro.errors import ConfigurationError
-from repro.infra import TestBed as InfraTestBed
+from repro.infra import TestBed
 from repro.infra.chamber import ThermalChamber
 
 from conftest import TINY_GEOMETRY, TEST_SEED
@@ -86,7 +86,7 @@ class TestInfraConstruction:
     def test_testbed_rejects_foreign_chamber_clock(self):
         chamber = ThermalChamber(clock=SimClock())
         with pytest.raises(ConfigurationError):
-            InfraTestBed(chamber=chamber, clock=SimClock())
+            TestBed(chamber=chamber, clock=SimClock())
 
     def test_chamber_custom_step(self):
         chamber = ThermalChamber()

@@ -102,8 +102,8 @@ class TestOrientationStress:
 
     def test_random_stress_redraws_per_write(self):
         model = self.make_model([0, 1] * 50)
-        first = model.stress_mask(RANDOM, fresh=True).copy()
-        second = model.stress_mask(RANDOM, fresh=True)
+        first = model.excite(RANDOM)[1].copy()
+        second = model.excite(RANDOM)[1]
         assert not np.array_equal(first, second)
 
     def test_no_orientation_means_always_stressed(self):

@@ -32,6 +32,7 @@ from repro.runner import (
     aggregate_chip_results,
     backend_from_spec,
     build_chip_units,
+    campaign_schedule,
     execute_unit,
 )
 from repro.runner.units import STATUS_FAILED, STATUS_OK
@@ -491,6 +492,44 @@ class TestCampaignThroughRunner:
         b = build_chip_units(2, TINY_GEOMETRY, 1, 7, (0.512,), (45.0,))
         assert [u.unit_id for u in a] == [u.unit_id for u in b]
         assert len({u.unit_id for u in a}) == len(a)
+
+
+class TestCampaignSchedule:
+    def test_one_temperature_is_the_sweep_alone(self):
+        assert campaign_schedule((0.512, 1.024), (45.0,)) == ((45.0, (0.512, 1.024)),)
+
+    def test_later_temperatures_run_the_top_interval(self):
+        assert campaign_schedule((0.512, 1.024, 2.048), (45, 55)) == (
+            (45.0, (0.512, 1.024, 2.048)),
+            (55.0, (2.048,)),
+        )
+
+    def test_descending_temperatures_keep_their_order(self):
+        assert campaign_schedule((0.512, 1.024), (55.0, 45.0)) == (
+            (55.0, (0.512, 1.024)),
+            (45.0, (1.024,)),
+        )
+
+    def test_repeated_temperatures_are_separate_stages(self):
+        assert campaign_schedule((0.512, 1.024), (45.0, 45.0)) == (
+            (45.0, (0.512, 1.024)),
+            (45.0, (1.024,)),
+        )
+
+    def test_repeated_intervals_are_each_swept(self):
+        assert campaign_schedule((0.512, 1.024, 1.024), (45.0, 55.0)) == (
+            (45.0, (0.512, 1.024, 1.024)),
+            (55.0, (1.024,)),
+        )
+
+    @pytest.mark.parametrize(
+        "intervals, temperatures",
+        [((), (45.0,)), ((1.024, 0.512), (45.0,)), ((0.512,), ())],
+        ids=["no-interval", "descending-intervals", "no-temperature"],
+    )
+    def test_refusals(self, intervals, temperatures):
+        with pytest.raises(ConfigurationError):
+            campaign_schedule(intervals, temperatures)
 
 
 def chip_result(chip_id, vendor, intervals, temperatures, ok=True):

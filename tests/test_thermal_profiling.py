@@ -6,7 +6,7 @@ from repro.conditions import Conditions
 from repro.core.bruteforce import BruteForceProfiler
 from repro.core.metrics import coverage
 from repro.errors import ConfigurationError
-from repro.infra import TestBed as InfraTestBed
+from repro.infra import TestBed
 from repro.infra.thermal_profiling import profile_with_thermal_reach
 
 from conftest import TINY_GEOMETRY, TEST_SEED
@@ -15,7 +15,7 @@ TARGET = Conditions(trefi=1.024, temperature=45.0)
 
 
 def make_bed():
-    bed = InfraTestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY, seed=TEST_SEED)
+    bed = TestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY, seed=TEST_SEED)
     bed.set_ambient(45.0)
     return bed
 
@@ -62,7 +62,5 @@ class TestThermalReach:
             profile_with_thermal_reach(make_bed(), TARGET, delta_temperature_c=0.0)
 
     def test_empty_bed_rejected(self):
-        from repro.infra import TestBed as Bed
-
         with pytest.raises(ConfigurationError):
-            profile_with_thermal_reach(Bed(), TARGET, delta_temperature_c=5.0)
+            profile_with_thermal_reach(TestBed(), TARGET, delta_temperature_c=5.0)
