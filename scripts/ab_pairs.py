@@ -8,7 +8,10 @@ lands on both sides alike.  Each run lasts the benchmark's own run
 length.  Prints every sample, then for every end-to-end metric of
 ``BENCHMARK.json`` each side's median and quartiles and the benchmark's
 own verdict (``run.py``'s ``verdict``: improved, worse, unchanged or
-unresolved against the metric's bound) with the change's win fraction::
+unresolved against the metric's bound) with the change's win fraction,
+each pair's change/parent ratio, and the narrowest pair: the one where
+the change fared worst (the lowest ratio for a metric where higher is
+better, the highest where lower is)::
 
     python scripts/ab_pairs.py --parent ../parent --workload cli-60 --seed 368 --pairs 10
 
@@ -90,6 +93,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         call, wins = verdict(parent, change, metric["bound"], metric["better"])
         print(f"  {name:<16} " + "   ".join(row)
               + f"   {call} (change wins {wins:.0%}, bound {metric['bound']:.0%})")
+        ratios = [c / p if p else float("nan") for p, c in paired]
+        pick = min if metric["better"] == "higher" else max
+        narrow = pick(range(len(ratios)), key=lambda i: ratios[i])
+        print(f"  {'':<16} change/parent per pair: "
+              + " ".join(f"{r:.3f}" for r in ratios)
+              + f"; narrowest pair {narrow + 1}: {ratios[narrow]:.3f}"
+              + f" ({paired[narrow][0]:.4g} -> {paired[narrow][1]:.4g})")
     if not ok:
         print("error: a run reported correct: false or gave no result", file=sys.stderr)
     return 0 if ok else 1

@@ -225,7 +225,7 @@ class CharacterizationCampaign:
         travel to workers in units of ``chips_per_unit``, each unit one
         :func:`repro.runner.measure_fleet` call that evaluates the whole
         condition grid fused
-        (:meth:`repro.core.fleetprof.FleetProfiler.run_grid`).
+        (:meth:`repro.core.fleetprof.FleetProfiler.count_grid`).
         ``chips_per_unit=None`` computes the unit size from the chip
         capacity and the worker count
         (:func:`repro.runner.default_chips_per_unit`): large chips travel

@@ -8,7 +8,7 @@ are sized for quick runs; the benchmark suite passes larger populations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from ..dram.geometry import ChipGeometry
 from ..dram.vendor import VENDORS, VENDOR_B, VendorModel
 from ..errors import ConfigurationError
 from ..patterns import CHECKERBOARD, STANDARD_PATTERNS, DataPattern
-from .fitting import LognormalFit, NormalCdfFit, PowerLawFit, fit_lognormal, fit_normal_cdf, fit_power_law
+from .fitting import LognormalFit, PowerLawFit, fit_lognormal, fit_normal_cdf, fit_power_law
 
 _SECONDS_PER_HOUR = 3600.0
 _SECONDS_PER_DAY = 86400.0

@@ -24,15 +24,18 @@ reference per-chip evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
+from scipy.special import ndtr
 
 from .. import obs
 from ..conditions import Conditions
 from ..dram.commands import Command, CommandRecord
-from ..dram.dpd import DPDModel, median_of_three
-from ..dram.fleet import ChipFleet, ReachSet
+from ..dram.cell import chernoff_hits
+from ..dram.dpd import median_of_three
+from ..dram.fleet import ChipFleet, FleetPopulation, ReachSet
+from ..dram.vrt import schedule_gaps
 from ..errors import CommandSequenceError, ConfigurationError, ProfilingError
 from ..patterns import STANDARD_PATTERNS, DataPattern
 
@@ -45,6 +48,18 @@ from ..patterns import STANDARD_PATTERNS, DataPattern
 #: per-read and per-write draws they replace, so the budget bounds memory
 #: without changing a value.
 _BLOCK_BUDGET_BYTES = 8 * 1024 * 1024
+
+#: Byte budget of one fused compare pass's stacked temporaries: a pass
+#: holds as many of a condition's read groups as fit (at least one), at
+#: :data:`_FUSED_CELL_BYTES` per (read, reach cell).  Passes partition the
+#: groups, and every value is elementwise, so the budget bounds memory
+#: without changing a value.
+_FUSED_BUDGET_BYTES = 1024 * 1024
+
+#: Most bytes one (read, reach cell) of a fused pass holds at once: about
+#: eight float64-sized temporaries (gather index, uniform, alignment,
+#: stress, z, bound and the boolean masks).
+_FUSED_CELL_BYTES = 64
 
 #: The five commands of one write/expose/read step, in bus order.
 _STEP_COMMANDS = (
@@ -90,7 +105,7 @@ class FleetProfiler:
         base patterns plus inverses.  A stochastic pattern must belong to
         the random family (``name == "random"``, Beta(2, 2) alignment, as
         :data:`~repro.patterns.RANDOM` and its inverse do): the kernel
-        draws its writes in blocks (:func:`_excite_random_writes`), which
+        draws its writes in blocks (:class:`_RandomRun`), which
         models no other stochastic pattern.
     iterations:
         Number of rounds (the campaign worker uses the campaign's
@@ -142,19 +157,22 @@ class FleetProfiler:
         trajectory, so the per-step times, exposures, and trace records
         are shared), DPD excitation draws run only where the sequential
         per-chip walk actually draws (each run of random-pattern writes as
-        one block draw per chip), VRT arrival checks batch into one
-        vectorized Poisson per chip (falling back to the exact interleaved
-        replay for the rare chip that draws an episode), and every read's
-        uniforms stack into per-chip block draws, evaluated once per
-        (pattern, condition, exposure) group of repeated deterministic
-        reads and once per stochastic read, over the condition's reach set
-        only (the cells its largest exposure can fail under worst-case
-        alignment, plus any an exact-zero uniform landed on), through a
-        Chernoff cut that leaves ``ndtr`` only the candidate cells.  DPD
-        excitation and reads run one block at a time under a fixed byte
-        budget (whole conditions, or rows of one condition whose reads
-        alone exceed it), so a unit's transient memory does not grow with
-        the grid.
+        one block draw per chip, each deterministic pattern's stress mask
+        once for the whole fleet), VRT arrival checks batch into one
+        vectorized Poisson per chip over gaps the chips share (falling
+        back to the exact interleaved replay for the rare chip that draws
+        an episode), and every read's uniforms land in chip-major block
+        draws, compared once per condition and pass: every group of
+        repeated deterministic reads (pattern, exposure) and every
+        stochastic read is a row of one stacked compare over the
+        condition's reach set only (the cells its largest exposure can
+        fail under worst-case alignment, plus any an exact-zero uniform
+        landed on), through a Chernoff cut that leaves ``ndtr`` only the
+        candidate cells.  DPD excitation and reads run one block at a time
+        under a fixed byte budget (whole conditions, or rows of one
+        condition whose reads alone exceed it), and each compare pass
+        under a smaller one, so a unit's transient memory does not grow
+        with the grid.
         Each transformation is draw-for-draw equivalent to the sequential
         walk, which is what keeps the output bit-equal.
 
@@ -177,6 +195,19 @@ class FleetProfiler:
         before any command executes instead of after the preceding entries
         ran (no partial state, same exception and message).
         """
+        return self._grid(fleet, conditions_grid).results(fleet)
+
+    def count_grid(
+        self, fleet: ChipFleet, conditions_grid: Sequence[Conditions]
+    ) -> List[List[int]]:
+        """:meth:`run_grid`'s failure counts: ``counts[c][i]`` is
+        ``len(run_grid(fleet, conditions_grid)[c][i])``, from the same
+        pass (same chip end state and telemetry), without building a set
+        per chip and condition."""
+        return self._grid(fleet, conditions_grid).counts(fleet.population)
+
+    def _grid(self, fleet: ChipFleet, conditions_grid: Sequence[Conditions]) -> "_Finds":
+        """Validate the grid, run it, and add the ``profiler.*`` counters."""
         conditions_grid = tuple(conditions_grid)
         for conditions in conditions_grid:
             if conditions.trefi > fleet.max_trefi_s:
@@ -185,8 +216,8 @@ class FleetProfiler:
                     f"supported maximum of {fleet.max_trefi_s!r}s"
                 )
         if not conditions_grid:
-            return ()
-        results, _reads = self._run(fleet, conditions_grid)
+            return _Finds(np.zeros((0, len(fleet.population)), dtype=bool), {})
+        found, _reads = self._run(fleet, conditions_grid)
         if obs.enabled():
             # A chip's new cells summed over a condition's iterations are
             # exactly its discovered set there.
@@ -195,12 +226,8 @@ class FleetProfiler:
                 self.iterations * len(conditions_grid) * len(fleet),
                 mechanism=self.mechanism_name,
             )
-            obs.counter(
-                "profiler.new_cells",
-                sum(len(result) for per_chip in results for result in per_chip),
-                mechanism=self.mechanism_name,
-            )
-        return results
+            obs.counter("profiler.new_cells", found.total(), mechanism=self.mechanism_name)
+        return found
 
     def _run(
         self,
@@ -208,18 +235,19 @@ class FleetProfiler:
         conditions_grid: Tuple[Conditions, ...],
         idle_s: float = 0.0,
         per_read: bool = False,
-    ) -> Tuple[Tuple[Tuple[FleetChipResult, ...], ...], list]:
+    ) -> Tuple["_Finds", list]:
         """:meth:`run_grid`'s fused pass, with two extras for
         :meth:`~repro.core.bruteforce.BruteForceProfiler.run`.
 
+        Returns what the grid discovered (:class:`_Finds`) and the reads.
         ``idle_s`` inserts the walk's idle gap before every iteration after
         the first, per condition.  With ``per_read`` the second return
         value holds one ``(clock after the read, ascending stacked-tail
         positions it failed, ((chip index, VRT cells it failed), ...))``
         per read, in schedule order; otherwise it is empty.  The
-        ``profiler.*`` counters are the caller's: :meth:`run_grid` adds
-        them in bulk, the per-chip route per iteration under its own
-        mechanism.
+        ``profiler.*`` counters are the caller's: :meth:`run_grid` and
+        :meth:`count_grid` add them in bulk, the per-chip route per
+        iteration under its own mechanism.
         """
         chips = fleet.chips
         population = fleet.population
@@ -309,31 +337,39 @@ class FleetProfiler:
 
         # ------------------------------------------------------------------
         # VRT: one vectorized arrival check per chip covers the whole grid.
+        # The chips share the clock, so their processes share the
+        # schedule's gaps, computed once per distinct VRT time.
         # Chips with no arrival (the overwhelming majority) still answer
-        # read queries against any pre-existing episodes -- post-hoc is
-        # exact there because the episode set is constant over the grid.
-        # A chip that would draw an episode replays the schedule with the
-        # sequential advance/query interleaving, bit for bit.  VRT owns its
-        # own stream, so running it before the DPD and read blocks leaves
-        # every draw unchanged.
+        # read queries against any pre-existing episodes, all reads at
+        # once -- post-hoc is exact there because the episode set is
+        # constant over the grid.  A chip that would draw an episode
+        # replays the schedule with the sequential advance/query
+        # interleaving, bit for bit.  VRT owns its own stream, so running
+        # it before the DPD and read blocks leaves every draw unchanged.
         # ------------------------------------------------------------------
         with obs.span("kernel.vrt", chips=n_chips):
             schedule = np.fromiter(
                 (t_sync for step in steps for t_sync in step.syncs), dtype=np.float64
             )
+            t_reads = np.fromiter((step.t_read for step in steps), dtype=np.float64)
+            exposures = np.fromiter((step.exposure_s for step in steps), dtype=np.float64)
+            t_end = float(schedule[-1])
+            gaps_from: Dict[float, np.ndarray] = {}
             vrt_hits: Dict[int, List[Tuple[int, np.ndarray]]] = {}
             for i, chip in enumerate(chips):
-                if chip.vrt.advance_schedule(schedule, chip._temperature_c):
-                    if chip.vrt.episode_count:
-                        for r, step in enumerate(steps):
-                            cells = chip.vrt.failing_cells(step.t_read, step.exposure_s)
-                            if len(cells):
-                                vrt_hits.setdefault(r, []).append((i, cells))
+                vrt = chip.vrt
+                gaps = gaps_from.get(vrt.time_s)
+                if gaps is None:
+                    gaps = gaps_from[vrt.time_s] = schedule_gaps(schedule, vrt.time_s)
+                if vrt.advance_gaps(gaps, t_end, chip._temperature_c):
+                    if vrt.episode_count:
+                        for r, cells in vrt.failing_cells_at(t_reads, exposures).items():
+                            vrt_hits.setdefault(r, []).append((i, cells))
                 else:
                     for r, step in enumerate(steps):
                         for t_sync in step.syncs:
-                            chip.vrt.advance_to(t_sync, chip._temperature_c)
-                        cells = chip.vrt.failing_cells(step.t_read, step.exposure_s)
+                            vrt.advance_to(t_sync, chip._temperature_c)
+                        cells = vrt.failing_cells(step.t_read, step.exposure_s)
                         if len(cells):
                             vrt_hits.setdefault(r, []).append((i, cells))
 
@@ -346,20 +382,19 @@ class FleetProfiler:
         # each consumed in row order block after block, which partitions
         # every stream exactly like the per-write and per-read draws of the
         # sequential walk.  Per block: the writes' fleet-stacked DPD states
-        # (_DPDReplay), then one (rows x tail) uniform draw per chip into
-        # one chip-ordered, row-major matrix.  Deterministic rows group by
-        # (pattern, condition) -- each group one Chernoff-cut evaluation
-        # per distinct exposure (FleetPopulation.deterministic_failures) --
-        # and stochastic rows one each (FleetPopulation.stochastic_failures);
-        # both compare only the condition's reach set and cut through
-        # repro.dram.cell.chernoff_hits.  A condition split over several
-        # blocks is evaluated block by block: the cells some row of a group
-        # fails are the union of the cells each block's rows fail.  Zero
-        # exposures never fail (the sequential path short-circuits there
-        # while still consuming the uniforms, as the block draw does).
+        # (_DPDReplay), then one (rows x segment) uniform draw per chip
+        # into its own contiguous slice of one chip-major buffer, and one
+        # fused compare per condition (_fused_hits) over the condition's
+        # reach set, cut through repro.dram.cell.chernoff_hits.  A
+        # condition split over several blocks is evaluated block by block:
+        # the cells some read fails are the union of the cells each
+        # block's reads fail.  Zero exposures never fail (the sequential
+        # path short-circuits there while still consuming the uniforms, as
+        # the block draw does).
         # ------------------------------------------------------------------
         segments = [population.segment(i) for i in range(n_chips)]
-        dpd = _DPDReplay(chips, population, segments, steps)
+        offsets = population.offsets
+        dpd = _DPDReplay(fleet, segments, steps)
         scales = tuple(
             float(chip.population.retention_scale(chip._temperature_c))
             for chip in chips
@@ -396,53 +431,44 @@ class FleetProfiler:
             with obs.span("kernel.dpd_excite", chips=n_chips, rows=nb):
                 states = dpd.excite(b0, block)
             with obs.span("kernel.read_compare", chips=n_chips, rows=nb):
-                if n_chips == 1:
-                    u_all = chips[0].read_rng.random((nb, n_total))
-                else:
-                    u_all = np.empty((nb, n_total), dtype=np.float64)
-                    for chip, (start, end) in zip(chips, segments):
-                        if end > start:
-                            u_all[:, start:end] = chip.read_rng.random((nb, end - start))
-                conds = sorted({step.cond for step in block})
-                for cond in conds:
+                # Chip i's (nb, end - start) draw fills u[nb*start : nb*end]
+                # in row order: the generator fills any shape from one
+                # double sequence, so these are the per-read draws' values.
+                u = np.empty(nb * n_total, dtype=np.float64)
+                for chip, (start, end) in zip(chips, segments):
+                    if end > start:
+                        chip.read_rng.random(out=u[nb * start : nb * end])
+                # Each condition's reads by the write they read (a
+                # deterministic pattern, or one random write), then by
+                # exposure: a pattern's reads at bit-equal exposures share
+                # one probability vector, so they fail exactly where their
+                # minimum uniform does.
+                reads: Dict[int, Dict[object, Dict[float, List[int]]]] = {}
+                for k, step in enumerate(block):
+                    if step.exposure_s == 0.0:
+                        continue
+                    write = k if step.pattern.stochastic else step.pattern.key
+                    by_write = reads.setdefault(step.cond, {})
+                    by_write.setdefault(write, {}).setdefault(step.exposure_s, []).append(k)
+                for cond in sorted({step.cond for step in block}):
                     if cond not in reaching:
                         reaching[cond] = tail.reaching(e_max[cond])
                         reach_cells += len(reaching[cond].cells)
                 cuts = dict(reaching)
-                if n_total and u_all.min() == 0.0:
-                    zeros = np.flatnonzero((u_all == 0.0).any(axis=0))
+                if n_total and u.min() == 0.0:
+                    zeros = _zero_cells(u, nb, offsets)
                     for cond, cut in cuts.items():
                         cuts[cond] = tail.subset(np.union1d(cut.cells, zeros))
                         reach_cells += len(cuts[cond].cells) - len(cut.cells)
-                groups: Dict[Tuple[str, int], List[int]] = {}
-                for k, step in enumerate(block):
-                    if step.exposure_s == 0.0:
-                        continue
-                    if step.pattern.stochastic:
-                        alignment, stressed = states[k]
-                        row_hits[b0 + k] = hits = population.stochastic_failures(
-                            step.exposure_s, alignment, stressed, u_all[k], cuts[step.cond]
-                        )
-                        discovered[step.cond, hits] = True
-                    else:
-                        groups.setdefault((step.pattern.key, step.cond), []).append(k)
-                for (_key, cond), ks in groups.items():
-                    alignment, stressed = states[ks[0]]
-                    found = population.deterministic_failures(
-                        [block[k].exposure_s for k in ks],
-                        [u_all[k] for k in ks],
-                        alignment,
-                        stressed,
-                        cuts[cond],
-                        per_read=per_read,
-                    )
-                    if per_read:
-                        for k, hits in zip(ks, found):
+                for cond, by_write in reads.items():
+                    writes = [list(groups.values()) for groups in by_write.values()]
+                    for k, hits in _fused_hits(
+                        cuts[cond], writes, block, states, u, nb, offsets, per_read
+                    ):
+                        discovered[cond, hits] = True
+                        if per_read:
                             row_hits[b0 + k] = hits
-                            discovered[cond, hits] = True
-                    else:
-                        discovered[cond, found] = True
-            del states, u_all, cuts
+            del states, u, cuts
             # Only a condition that continues into the next block keeps
             # its reach set.
             if b0 + nb < n_rows:
@@ -451,46 +477,13 @@ class FleetProfiler:
 
         # Fold VRT hits into their step's condition; cells outside the
         # chip's weak tail land in per-(condition, chip) overflow sets.
-        extras: Dict[Tuple[int, int], Set[int]] = {}
+        overflow: Dict[Tuple[int, int], Set[int]] = {}
         for r, hits in vrt_hits.items():
             ci = steps[r].cond
             for chip_index, cells in hits:
                 outside = self._fold_vrt(population, discovered[ci], chip_index, cells)
                 if outside.size:
-                    extras.setdefault((ci, chip_index), set()).update(
-                        outside.tolist()
-                    )
-
-        out = []
-        chip_ids = [chip.chip_id for chip in chips]
-        empty = frozenset()
-        extra_conds = {ci for ci, _chip_index in extras}
-        for ci in range(len(conditions_grid)):
-            mask = discovered[ci]
-            if ci not in extra_conds and not mask.any():
-                # Nothing discovered at this condition (typical for the
-                # short-interval end of a sweep): skip the per-chip
-                # boolean indexing entirely.
-                out.append(
-                    tuple(
-                        FleetChipResult(chip_id=cid, failing=empty)
-                        for cid in chip_ids
-                    )
-                )
-                continue
-            results = []
-            for i in range(n_chips):
-                start, end = segments[i]
-                failing = frozenset(
-                    population.member_indices(i)[mask[start:end]].tolist()
-                )
-                extra = extras.get((ci, i))
-                if extra:
-                    failing = failing | frozenset(extra)
-                results.append(
-                    FleetChipResult(chip_id=chip_ids[i], failing=failing)
-                )
-            out.append(tuple(results))
+                    overflow.setdefault((ci, chip_index), set()).update(outside.tolist())
 
         # ------------------------------------------------------------------
         # Commit per-chip end state: exactly what the sequential walk leaves
@@ -530,7 +523,7 @@ class FleetProfiler:
                 (step.t_read, row_hits[r], tuple(vrt_hits.get(r, ())))
                 for r, step in enumerate(steps)
             ]
-        return tuple(out), reads
+        return _Finds(discovered, overflow), reads
 
     @staticmethod
     def _fold_vrt(
@@ -556,6 +549,211 @@ class FleetProfiler:
         return cells[~in_space]
 
 
+@dataclass(frozen=True)
+class _Finds:
+    """What a grid pass discovered: ``discovered[c]`` marks the
+    stacked-tail cells some read of condition ``c`` failed, and
+    ``overflow[(c, i)]`` holds chip ``i``'s VRT cells outside its weak
+    tail that failed there (outside the tail, so never also marked)."""
+
+    discovered: np.ndarray
+    overflow: Dict[Tuple[int, int], Set[int]]
+
+    def total(self) -> int:
+        """Every chip's failures summed over every condition."""
+        return int(np.count_nonzero(self.discovered)) + sum(
+            len(cells) for cells in self.overflow.values()
+        )
+
+    def counts(self, population: FleetPopulation) -> List[List[int]]:
+        """``counts[c][i]``: chip ``i``'s failures at condition ``c``, its
+        segment's sum of ``discovered`` (cumulative-sum differences, so an
+        empty segment reads 0) plus its overflow set's size."""
+        n_conditions, n_total = self.discovered.shape
+        csum = np.zeros((n_conditions, n_total + 1), dtype=np.int64)
+        np.cumsum(self.discovered, axis=1, out=csum[:, 1:])
+        offsets = population.offsets
+        counts = csum[:, offsets[1:]] - csum[:, offsets[:-1]]
+        for (c, i), cells in self.overflow.items():
+            counts[c, i] += len(cells)
+        return counts.tolist()
+
+    def results(self, fleet: ChipFleet) -> Tuple[Tuple[FleetChipResult, ...], ...]:
+        """Each chip's failing cells per condition, as in :meth:`FleetProfiler.run_grid`."""
+        population = fleet.population
+        chip_ids = [chip.chip_id for chip in fleet.chips]
+        empty = frozenset()
+        overflow_conditions = {c for c, _i in self.overflow}
+        out = []
+        for c, mask in enumerate(self.discovered):
+            if c not in overflow_conditions and not mask.any():
+                # Nothing discovered at this condition (typical for the
+                # short-interval end of a sweep): skip the per-chip
+                # boolean indexing entirely.
+                out.append(tuple(FleetChipResult(chip_id=cid, failing=empty) for cid in chip_ids))
+                continue
+            results = []
+            for i, chip_id in enumerate(chip_ids):
+                start, end = population.segment(i)
+                failing = frozenset(population.member_indices(i)[mask[start:end]].tolist())
+                extra = self.overflow.get((c, i))
+                if extra:
+                    failing = failing | frozenset(extra)
+                results.append(FleetChipResult(chip_id=chip_id, failing=failing))
+            out.append(tuple(results))
+        return tuple(out)
+
+
+def _zero_cells(u: np.ndarray, rows: int, offsets: np.ndarray) -> np.ndarray:
+    """The stacked-tail cells some uniform of exactly 0.0 landed on, in a
+    chip-major block of ``rows`` reads (:func:`_chip_major`): position
+    ``p`` lies in the segment of chip ``i`` where ``start_i <= p // rows <
+    end_i``, at cell ``start_i + (p - rows*start_i) % len_i``."""
+    positions = np.flatnonzero(u == 0.0)
+    _chip, start, length = _segments_of(positions // rows, offsets)
+    return np.unique(start + (positions - rows * start) % length)
+
+
+def _segments_of(cells: np.ndarray, offsets: np.ndarray):
+    """Each of ascending ``cells``' chip index, segment start and segment
+    length: chip ``i`` holds the ``cells`` between its offsets, a run
+    found by one search per chip."""
+    counts = np.diff(np.searchsorted(cells, offsets))
+    lengths = np.diff(offsets)
+    return (
+        np.repeat(np.arange(len(lengths)), counts),
+        np.repeat(offsets[:-1], counts),
+        np.repeat(lengths, counts),
+    )
+
+
+def _chip_major(
+    buffer: np.ndarray, rows: int, row_ids: Sequence[int], cells: np.ndarray, start, length
+) -> np.ndarray:
+    """Rows ``row_ids`` of a chip-major block, at ``cells``.
+
+    A chip-major block of ``rows`` rows holds chip ``i``'s ``(rows,
+    len_i)`` draw in ``buffer[rows*start_i : rows*end_i]``, so row ``r``
+    of stacked-tail cell ``c`` sits at ``c + (rows - 1)*start(c) +
+    r*len(c)`` (``start`` and ``length`` from :func:`_segments_of`); the
+    index is built at ``cells`` only.  Returns a ``(len(row_ids),
+    len(cells))`` array.
+    """
+    index = np.multiply.outer(np.asarray(row_ids), length)
+    index += cells + (rows - 1) * start
+    return np.take(buffer, index)
+
+
+def _fused_hits(
+    cut: ReachSet,
+    writes: Sequence[Sequence[List[int]]],
+    block: Sequence[_ReadStep],
+    states: Sequence[tuple],
+    u: np.ndarray,
+    rows: int,
+    offsets: np.ndarray,
+    per_read: bool,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """One condition's reads of a block, compared in stacked passes.
+
+    ``writes`` holds, per write state the condition's reads read (a
+    deterministic pattern, or one random write), its read groups as block
+    row indices: the reads at one bit-equal exposure.  ``u`` is the
+    block's chip-major uniforms (:func:`_chip_major`).  A group is one row
+    of the stacked compare, carried by its reads' elementwise minimum
+    uniform: ``any_k(u_k < p)`` holds exactly when ``min_k(u_k) < p``.  A
+    write's groups share its alignment, stress mask and ``scaled_mu``,
+    gathered (a random write's post-processed, :meth:`_RandomRun.at`) and
+    computed once at the ``cut`` cells; the z-score and
+    :func:`~repro.dram.cell.chernoff_hits` then run once over the stack of
+    a pass (the groups of as many writes as :data:`_FUSED_BUDGET_BYTES`
+    allows, at least one).  Every step is elementwise, so each (row,
+    cell) is bit-equal to the per-read compare.  The stress stack is
+    boolean: multiplying a probability by ``True`` or ``False`` is
+    multiplying it by exactly 1.0 or 0.0.
+
+    Yields, per pass, ``(-1, cells)``: the cells some read fails (possibly
+    repeated); with ``per_read``, ``(k, cells)`` per read ``k`` instead,
+    the ascending cells that read fails -- a group's hits where the read's
+    own uniform is below ``p``, the cut's own expression evaluated there.
+    """
+    cells = cut.cells
+    m = len(cells)
+    if not m:
+        if per_read:
+            for groups in writes:
+                for group in groups:
+                    for k in group:
+                        yield k, cells
+        return
+    chip, start, length = _segments_of(cells, offsets)
+    n_reads = [sum(len(group) for group in groups) for groups in writes]
+    per_pass = max(1, _FUSED_BUDGET_BYTES // (_FUSED_CELL_BYTES * m))
+    w0 = 0
+    while w0 < len(writes):
+        w1, taken = w0 + 1, n_reads[w0]
+        while w1 < len(writes) and taken + n_reads[w1] <= per_pass:
+            taken += n_reads[w1]
+            w1 += 1
+        part = writes[w0:w1]
+        w0 = w1
+        part_groups = [group for groups in part for group in groups]
+        ks = [k for group in part_groups for k in group]
+        u_reads = _chip_major(u, rows, ks, cells, start, length)
+        u_min = u_reads
+        if len(ks) > len(part_groups):
+            # One minimum per group (np.minimum.reduceat along the rows is
+            # many times slower).
+            u_min = np.empty((len(part_groups), m), dtype=np.float64)
+            r = 0
+            for g, group in enumerate(part_groups):
+                np.minimum.reduce(u_reads[r : r + len(group)], axis=0, out=u_min[g])
+                r += len(group)
+        alignment = np.empty((len(part), m), dtype=np.float64)
+        stressed = np.empty((len(part), m), dtype=bool)
+        runs: Dict[int, Tuple[_RandomRun, List[int], List[int]]] = {}
+        for w, groups in enumerate(part):
+            first, second = states[groups[0][0]]
+            if isinstance(first, _RandomRun):
+                _run, ws, js = runs.setdefault(id(first), (first, [], []))
+                ws.append(w)
+                js.append(second)
+            else:
+                alignment[w] = np.take(first, cells)
+                stressed[w] = np.take(second, cells)
+        for run, ws, js in runs.values():
+            alignment[ws], stressed[ws] = run.at(js, cells, chip, start, length)
+        z = cut.scaled_mu(alignment)
+        del alignment
+        if len(part_groups) > len(part):
+            of_write = [w for w, groups in enumerate(part) for _group in groups]
+            z, stressed = z[of_write], stressed[of_write]
+        exposures = np.array([block[group[0]].exposure_s for group in part_groups])
+        np.subtract(exposures[:, None], z, out=z)
+        np.divide(z, cut.sigma_eff, out=z)
+        z = z.reshape(-1)
+        stressed = stressed.reshape(-1)
+        hits = chernoff_hits(z, u_min.reshape(-1), stressed)
+        if not per_read:
+            yield -1, cells[hits % m]
+            continue
+        row, col = np.divmod(hits, m)
+        bounds = np.searchsorted(row, np.arange(len(part_groups) + 1))
+        r = 0
+        for g, group in enumerate(part_groups):
+            got = hits[bounds[g] : bounds[g + 1]]
+            found = cells[col[bounds[g] : bounds[g + 1]]]
+            if len(group) == 1:
+                yield group[0], found
+                r += 1
+                continue
+            p = ndtr(z[got])
+            p *= stressed[got]
+            for k in group:
+                yield k, found[u_reads[r, col[bounds[g] : bounds[g + 1]]] < p]
+                r += 1
+
+
 def random_family(pattern: DataPattern) -> bool:
     """Is ``pattern`` a random-data pattern with Beta(2, 2) alignment?"""
     return pattern.name == "random" and pattern.alignment_beta == (2.0, 2.0)
@@ -567,73 +765,72 @@ class _DPDReplay:
 
     The sequential walk excites every chip at every write, but a
     deterministic pattern only *draws* on its first excitation (later
-    calls return the cached arrays untouched), so exciting once per
-    (chip, deterministic pattern) and reusing the returned arrays
-    consumes each chip's DPD stream identically -- including the object
-    identities the chips' caches pin on.  Stochastic patterns (the random
-    family, :class:`FleetProfiler` admits no other) redraw every write,
-    batched across the fleet and across writes: each run of
-    random-pattern writes within a block becomes one block draw per chip
-    (see :func:`_excite_random_writes`).  A first-time deterministic
-    excitation is the stream's only other consumer, so the pending run is
-    flushed before it -- each chip's stream is then consumed in exactly
-    the sequential walk's order.
+    calls return the cached arrays untouched), so writing its alignment
+    once per (chip, deterministic pattern) and reusing the returned
+    arrays consumes each chip's DPD stream identically -- including the
+    object identities the chips' caches pin on.  Its stress mask draws
+    nothing: :meth:`~repro.dram.fleet.ChipFleet.stress_mask` is every
+    chip's :meth:`~repro.dram.dpd.DPDModel.stress_mask` at once, built
+    once per fleet, so across a unit's stages.  Stochastic
+    patterns (the random family, :class:`FleetProfiler` admits no other)
+    redraw every write, batched across the fleet and across writes: each
+    run of random-pattern writes within a block becomes one draw per chip
+    (:class:`_RandomRun`).  A first-time deterministic excitation is the
+    stream's only other consumer, so the pending run is flushed before it
+    -- each chip's stream is then consumed in exactly the sequential
+    walk's order.
+
+    A deterministic write's state is ``(alignment, stress)``, fleet-wide
+    arrays; a random write's is ``(run, j)``, write ``j`` of a
+    :class:`_RandomRun`, except its pattern's last write, whose
+    post-processed arrays the chips' caches keep: ``(alignment,
+    stress)`` too.
     """
 
     def __init__(
         self,
-        chips: Sequence,
-        population,
+        fleet: ChipFleet,
         segments: Sequence[Tuple[int, int]],
         steps: Sequence[_ReadStep],
     ) -> None:
-        self.population = population
+        self.fleet = fleet
+        self.population = fleet.population
         self.segments = segments
-        self.dpds = tuple(chip.population.dpd for chip in chips)
-        self.caps_cells = np.repeat(
-            [d._random_cap for d in self.dpds],
-            [end - start for start, end in segments],
-        )
-        self.orientation_cells = population.stack([d._orientation for d in self.dpds])
-        #: pattern key -> fleet-stacked (alignment, stress mask).
+        self.dpds = tuple(chip.population.dpd for chip in fleet.chips)
+        self.caps = np.array([d._random_cap for d in self.dpds])
+        #: Most writes one run draws: its raw doubles stay under the
+        #: block budget (at least one write).
+        self.writes_per_run = max(1, _BLOCK_BUDGET_BYTES // max(1, 32 * len(self.population)))
+        #: pattern key -> fleet-stacked (alignment, boolean stress mask).
         self.deterministic: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         #: Batched rows bypass excite()'s cache stores; only the last row
         #: per random pattern is observable (later writes overwrite
         #: earlier ones in the sequential walk, and nothing reads a random
-        #: pattern's cache entry in between), so each such row is stored
-        #: in every chip's DPD cache as soon as it is drawn, as a copy --
-        #: the chips' caches never pin an excitation block.
+        #: pattern's cache entry in between), so each such row is
+        #: post-processed whole and stored in every chip's DPD cache as
+        #: soon as it is drawn -- the chips' caches never pin a run.
         self.last_batched: Dict[str, int] = {}
         for r, step in enumerate(steps):
             if step.pattern.stochastic:
                 self.last_batched[step.pattern.key] = r
 
-    def excite(
-        self, first_row: int, block: Sequence[_ReadStep]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """The fleet-stacked ``(alignment, stress)`` of every write in
-        ``block``, whose first step is row ``first_row`` of the grid."""
-        stack = self.population.stack
+    def excite(self, first_row: int, block: Sequence[_ReadStep]) -> List[tuple]:
+        """The state of every write in ``block``, whose first step is row
+        ``first_row`` of the grid."""
         states: List = [None] * len(block)
         pending: List[int] = []
 
         def flush() -> None:
-            if not pending:
-                return
-            writes = _excite_random_writes(
-                [block[k].pattern.inverted for k in pending],
-                self.dpds,
-                self.segments,
-                self.caps_cells,
-                self.orientation_cells,
-            )
-            for k, (draw, stress) in zip(pending, writes):
-                states[k] = (draw, stress)
-                pattern = block[k].pattern
-                if self.last_batched[pattern.key] == first_row + k:
-                    draw, stress = draw.copy(), stress.copy()
-                    for dpd, (start, end) in zip(self.dpds, self.segments):
-                        dpd.commit_random_write(pattern, draw[start:end], stress[start:end])
+            for k0 in range(0, len(pending), self.writes_per_run):
+                ks = pending[k0 : k0 + self.writes_per_run]
+                run = _RandomRun(self, [block[k].pattern.inverted for k in ks])
+                for j, k in enumerate(ks):
+                    states[k] = (run, j)
+                    pattern = block[k].pattern
+                    if self.last_batched[pattern.key] == first_row + k:
+                        states[k] = alignment, stress = run.full(j)
+                        for dpd, (start, end) in zip(self.dpds, self.segments):
+                            dpd.commit_random_write(pattern, alignment[start:end], stress[start:end])
             pending.clear()
 
         for k, step in enumerate(block):
@@ -644,55 +841,62 @@ class _DPDReplay:
             entry = self.deterministic.get(pattern.key)
             if entry is None:
                 flush()
-                aligns, stresses = zip(*[dpd.excite(pattern) for dpd in self.dpds])
-                entry = (stack(aligns), stack(stresses))
+                aligns = self.population.stack([dpd.excite_alignment(pattern) for dpd in self.dpds])
+                entry = (aligns, self.fleet.stress_mask(pattern))
                 self.deterministic[pattern.key] = entry
             states[k] = entry
         flush()
         return states
 
 
-def _excite_random_writes(
-    inverted: Sequence[bool],
-    dpds: Sequence[DPDModel],
-    segments: Sequence[Tuple[int, int]],
-    caps_cells: np.ndarray,
-    orientation_cells: np.ndarray,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """DPD state of consecutive random-pattern writes on every chip.
+class _RandomRun:
+    """Consecutive random-pattern writes on every chip, drawn but not yet
+    post-processed.
 
-    ``inverted[k]`` says whether write ``k`` stores the inverse pattern.
-    Each chip draws the whole run (at most a block budget's worth of
-    writes at a time) in one :meth:`~repro.dram.dpd.DPDModel.excite_random_raw`
-    call -- the same doubles, in the same order, as one excite() per
-    write.  The median of three, cap multiply, bit threshold and
-    orientation compare then run once over the stacked ``(writes, cells)``
-    block; every step is elementwise, so each chip's slice of write
-    ``k``'s arrays is bit-equal to its own excite() on that write.
-    Returns one fleet-wide ``(alignment, stress)`` pair per write, as
-    row views of the block.
+    Each chip draws the whole run in one
+    :meth:`~repro.dram.dpd.DPDModel.excite_random_raw` call, chip-major:
+    chip ``i``'s ``(writes, 4, len_i)`` doubles fill ``raw[4*writes*start_i
+    : 4*writes*end_i]`` -- the same doubles, in the same order, as one
+    excite() per write (per write, three median rows and one bit row).
+    The median of three, cap multiply, bit threshold and orientation
+    compare are elementwise, so :meth:`at` runs them only at the cells a
+    read compares, and :meth:`full` over the whole tail for the write the
+    chips' DPD caches keep; each is bit-equal to post-processing the
+    whole write.
     """
-    n_total = len(caps_cells)
-    per_block = max(1, int(_BLOCK_BUDGET_BYTES // max(1, 32 * n_total)))
-    writes: List[Tuple[np.ndarray, np.ndarray]] = []
-    for k0 in range(0, len(inverted), per_block):
-        flags = np.array(inverted[k0 : k0 + per_block], dtype=bool)
-        k = len(flags)
-        if len(dpds) == 1:
-            raw = dpds[0].excite_random_raw(k).reshape(k, 4, n_total)
-        else:
-            raw = np.empty((k, 4, n_total), dtype=np.float64)
-            for dpd, (start, end) in zip(dpds, segments):
-                raw[:, :, start:end] = dpd.excite_random_raw(k).reshape(k, 4, end - start)
-        draw = median_of_three(raw[:, 0], raw[:, 1], raw[:, 2])
-        np.multiply(draw, caps_cells, out=draw)
-        # The inverted pattern stores ``1 - data``, and ``(1 - data) ==
-        # orientation`` is exactly ``data != orientation``: XOR the
-        # orientation match with the write's inversion flag.  Comparing
-        # straight into float64 yields the 1.0/0.0 values excite() stores.
-        matches = np.equal(np.less(raw[:, 3], 0.5), orientation_cells)
-        del raw
-        stress = np.empty((k, n_total), dtype=np.float64)
-        np.not_equal(matches, flags[:, None], out=stress)
-        writes.extend(zip(draw, stress))
-    return writes
+
+    def __init__(self, replay: _DPDReplay, inverted: Sequence[bool]) -> None:
+        self.replay = replay
+        self.inverted = np.array(inverted, dtype=bool)
+        self.rows = 4 * len(inverted)
+        self.raw = np.empty(self.rows * len(replay.population), dtype=np.float64)
+        for dpd, (start, end) in zip(replay.dpds, replay.segments):
+            if end > start:
+                dpd.excite_random_raw(self.raw[self.rows * start : self.rows * end])
+
+    def at(
+        self, writes: Sequence[int], cells: np.ndarray, chip, start, length
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Alignment and boolean stress of each of ``writes`` at ``cells``
+        (``chip``, ``start`` and ``length`` from :func:`_segments_of`): the
+        random branch of excite() on the gathered raw planes.  The
+        inverted pattern stores ``1 - data``, and ``(1 - data) ==
+        orientation`` is exactly ``data != orientation``: XOR the
+        orientation match with the write's inversion flag."""
+        rows = [4 * j + plane for j in writes for plane in range(4)]
+        planes = _chip_major(self.raw, self.rows, rows, cells, start, length)
+        planes = planes.reshape(len(writes), 4, -1)
+        draw = median_of_three(planes[:, 0], planes[:, 1], planes[:, 2])
+        np.multiply(draw, self.replay.caps[chip], out=draw)
+        stress = np.equal(np.less(planes[:, 3], 0.5), np.take(self.replay.fleet.orientation, cells))
+        np.not_equal(stress, self.inverted[writes][:, None], out=stress)
+        return draw, stress
+
+    def full(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Write ``j``'s fleet-wide alignment and float stress mask, the
+        arrays :meth:`~repro.dram.dpd.DPDModel.excite` would store."""
+        cells = np.arange(len(self.replay.population))
+        alignment, stress = self.at(
+            [j], cells, *_segments_of(cells, self.replay.population.offsets)
+        )
+        return alignment[0], stress[0].astype(np.float64)

@@ -77,7 +77,9 @@ def chernoff_hits(
 
     ``z`` holds the cells' z-scores ``(exposure - mu_eff) / sigma_eff``,
     ``u`` their uniforms, and ``stressed`` the 0/1 stress mask of the
-    written pattern (``None`` when every cell is stressed).  The result is
+    written pattern, float or boolean (``None`` when every cell is
+    stressed; multiplying by ``True`` or ``False`` is multiplying by
+    exactly 1.0 or 0.0).  The result is
     exactly the compare against the full probability vector, computed
     without evaluating ``ndtr`` on almost any cell:
 
@@ -107,7 +109,8 @@ def chernoff_hits(
     live = z > _CHERNOFF_Z_MAX
     live |= u < bound
     if stressed is not None:
-        live &= stressed != 0.0
+        # Nonzero, for a float mask and, without a cast, a boolean one.
+        live &= np.not_equal(stressed, False)
     candidates = np.flatnonzero(live)
     p = ndtr(z[candidates])
     if stressed is not None:

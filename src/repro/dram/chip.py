@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +49,26 @@ DEFAULT_GEOMETRY = ChipGeometry.from_capacity_gigabits(1.0)
 MAX_SUPPORTED_TEMPERATURE_C = 60.0
 
 
-def effective_vendor(vendor: VendorModel, seed: int, chip_id: int) -> VendorModel:
+def chip_stream_keys(vendor: VendorModel, chip_id: int) -> Dict[str, Tuple]:
+    """The keys of the streams a chip derives at construction, by name:
+    ``derive(seed, *key)`` is the stream :class:`SimulatedDRAMChip` draws
+    that part of itself from.  A caller that derives them in bulk
+    (:func:`repro.rng.derive_many`) hands the chip the generators as its
+    ``streams``."""
+    keys: Dict[str, Tuple] = {
+        name: (name, chip_id) for name in ("retention", "dpd", "vrt", "read")
+    }
+    if vendor.chip_to_chip_ln_sigma > 0.0:
+        keys["chip-variation"] = ("chip-variation", chip_id, vendor.name)
+    return keys
+
+
+def effective_vendor(
+    vendor: VendorModel,
+    seed: int,
+    chip_id: int,
+    rng: Optional[np.random.Generator] = None,
+) -> VendorModel:
     """The vendor model with this chip's process-variation jitter applied.
 
     Chip-to-chip process variation: each physical chip gets its own
@@ -57,14 +76,13 @@ def effective_vendor(vendor: VendorModel, seed: int, chip_id: int) -> VendorMode
     vendor) so same-configuration chips stay reproducible.  This is the
     exact draw :class:`SimulatedDRAMChip` makes at construction, factored
     out so population builders (the shared-memory store) can replicate it
-    bit for bit without constructing a chip.
+    bit for bit without constructing a chip.  ``rng``, when given, is that
+    ``"chip-variation"`` stream already derived.
     """
     if vendor.chip_to_chip_ln_sigma > 0.0:
-        jitter = float(
-            rng_mod.derive(seed, "chip-variation", chip_id, vendor.name).normal(
-                0.0, vendor.chip_to_chip_ln_sigma
-            )
-        )
+        if rng is None:
+            rng = rng_mod.derive(seed, *chip_stream_keys(vendor, chip_id)["chip-variation"])
+        jitter = float(rng.normal(0.0, vendor.chip_to_chip_ln_sigma))
         vendor = dataclasses.replace(
             vendor, retention_ln_median=vendor.retention_ln_median + jitter
         )
@@ -135,6 +153,12 @@ class SimulatedDRAMChip:
         computation it is byte-identical to (the test oracle); such a chip
         is also never profiled on the grid kernel
         (:meth:`~repro.core.bruteforce.BruteForceProfiler.run` walks it).
+    streams:
+        Generators already derived for this chip, by the names of
+        :func:`chip_stream_keys` (each in the state ``derive(seed, *key)``
+        gives); the chip derives every stream not given.
+        :meth:`~repro.infra.testbed.TestBed.build_members` derives a whole
+        bed's in one :func:`~repro.rng.derive_many` call.
     """
 
     def __init__(
@@ -148,6 +172,7 @@ class SimulatedDRAMChip:
         max_temperature_c: float = MAX_SUPPORTED_TEMPERATURE_C,
         temperature_c: float = REFERENCE_TEMPERATURE_C,
         fast_path: bool = True,
+        streams: Optional[Mapping[str, np.random.Generator]] = None,
     ) -> None:
         if max_trefi_s <= 0.0:
             raise ConfigurationError(f"max_trefi_s must be positive, got {max_trefi_s!r}")
@@ -160,11 +185,17 @@ class SimulatedDRAMChip:
             raise ConfigurationError(
                 f"initial temperature {temperature_c!r} exceeds max_temperature_c"
             )
-        vendor = effective_vendor(vendor, seed, chip_id)
+        given = dict(streams) if streams is not None else {}
+        vendor = effective_vendor(vendor, seed, chip_id, given.get("chip-variation"))
         self.vendor = vendor
         self.geometry = geometry
         self.chip_id = int(chip_id)
         self.seed = int(seed)
+
+        def stream(name: str) -> np.random.Generator:
+            handed = given.get(name)
+            return handed if handed is not None else self._derive(name)
+
         self.clock = clock if clock is not None else SimClock()
         self._max_trefi_s = float(max_trefi_s)
         self._max_temperature_c = float(max_temperature_c)
@@ -173,11 +204,11 @@ class SimulatedDRAMChip:
 
         self._weak_horizon_s = weak_cell_horizon_s(vendor, max_trefi_s)
 
-        sampler = RetentionSampler(vendor, rng_mod.derive(seed, "retention", chip_id))
+        sampler = RetentionSampler(vendor, stream("retention"))
         sample = sampler.sample(geometry.capacity_bits, self._weak_horizon_s)
         dpd = DPDModel(
             susceptibility=sample.susceptibility,
-            rng=rng_mod.derive(seed, "dpd", chip_id),
+            rng=stream("dpd"),
             random_alignment_cap=vendor.random_alignment_cap,
             rows=sample.indices // geometry.bits_per_row,
             cols=sample.indices % geometry.bits_per_row,
@@ -186,21 +217,26 @@ class SimulatedDRAMChip:
         )
         self.population = WeakCellPopulation(sample, vendor, dpd, fast_path=fast_path)
         self._io_seconds = pattern_io_seconds(geometry.capacity_bits)
-        self._start()
+        self._start(stream("vrt"), stream("read"))
 
-    def _start(self) -> None:
+    def _derive(self, name: str) -> np.random.Generator:
+        """This chip's ``name`` stream, freshly derived from (seed, chip_id)."""
+        return rng_mod.derive(self.seed, *chip_stream_keys(self.vendor, self.chip_id)[name])
+
+    def _start(self, vrt_rng: np.random.Generator, read_rng: np.random.Generator) -> None:
         """Set up the run state a chip starts from, at the clock's now: a
-        fresh command trace, VRT process and read stream, the initial
-        temperature, refresh on and no pattern written."""
+        fresh command trace, a VRT process on ``vrt_rng``, the read stream
+        ``read_rng``, the initial temperature, refresh on and no pattern
+        written."""
         self.trace = CommandTrace()
         self.vrt = VRTProcess(
             vendor=self.vendor,
             capacity_bits=self.geometry.capacity_bits,
             horizon_s=self._max_trefi_s,
-            rng=rng_mod.derive(self.seed, "vrt", self.chip_id),
+            rng=vrt_rng,
             start_time_s=self.clock.now,
         )
-        self._read_rng = rng_mod.derive(self.seed, "read", self.chip_id)
+        self._read_rng = read_rng
         self._temperature_c = self._initial_temperature_c
         self._pattern: Optional[DataPattern] = None
         self._alignment: Optional[np.ndarray] = None
@@ -344,8 +380,8 @@ class SimulatedDRAMChip:
                 "reconstruct the module instead"
             )
         self.clock = SimClock()
-        self.population.dpd.reset(rng_mod.derive(self.seed, "dpd", self.chip_id))
-        self._start()
+        self.population.dpd.reset(self._derive("dpd"))
+        self._start(self._derive("vrt"), self._derive("read"))
         return self
 
     def current_exposure(self) -> float:

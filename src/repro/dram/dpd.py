@@ -189,26 +189,33 @@ class DPDModel:
                 mask = (bits == self._orientation).astype(float)
             self._stress_cached[pattern.key] = mask
             return draw, mask
+        return self.excite_alignment(pattern), self.stress_mask(pattern)
+
+    def excite_alignment(self, pattern: DataPattern) -> np.ndarray:
+        """Write deterministic ``pattern`` without computing its stress
+        mask: the alignment :meth:`excite` returns, drawn on the first
+        write only.  The mask draws nothing, so a fleet builds it once for
+        all its chips (:meth:`stress_mask`'s expression over their stacked
+        cells)."""
         draw = self._cached.get(pattern.key)
         if draw is None:
             a, b = pattern.alignment_beta
             draw = self._rng.beta(a, b, size=self._n_cells)
             self._cached[pattern.key] = draw
-        return draw, self.stress_mask(pattern)
+        return draw
 
-    def excite_random_raw(self, writes: int) -> np.ndarray:
-        """Raw uniforms for ``writes`` consecutive random-pattern writes
-        (fleet batching).
+    def excite_random_raw(self, out: np.ndarray) -> np.ndarray:
+        """Raw uniforms of consecutive random-pattern writes, drawn into
+        ``out`` (fleet batching).
 
-        Returns a ``(writes, 4n)`` array whose row ``k`` holds exactly the
-        doubles the random branch of :meth:`excite` would draw on the
-        ``k``-th write: the ``(3, n)`` median draw, then the ``(n,)`` bit
-        draw.  The generator fills arrays element by element from one
-        double sequence whatever their shape, so this single call consumes
-        the DPD stream exactly like ``writes`` successive excite() calls.
-        The caller runs the post-processing -- median of three, cap
-        multiply, bit threshold, orientation compare -- over the stacked
-        fleet and commits each chip's last write via
+        ``out`` (contiguous, ``writes * 4n`` long) receives, write after
+        write, exactly the doubles the random branch of :meth:`excite`
+        would draw: the ``(3, n)`` median draw, then the ``(n,)`` bit draw.
+        The generator fills any shape from one double sequence, so this
+        single call consumes the DPD stream exactly like ``writes``
+        successive excite() calls.  The caller runs the post-processing --
+        median of three, cap multiply, bit threshold, orientation compare
+        -- and commits each chip's last write via
         :meth:`commit_random_write`.  Requires orientation modeling
         (without it :meth:`excite` draws no bits, so the raw consumption
         would differ).
@@ -217,7 +224,7 @@ class DPDModel:
             raise ProfilingError(
                 "excite_random_raw requires orientation modeling; use excite()"
             )
-        return self._rng.random((writes, 4 * self._n_cells))
+        return self._rng.random(out=out)
 
     def commit_random_write(
         self, pattern: DataPattern, alignment: np.ndarray, stress: np.ndarray

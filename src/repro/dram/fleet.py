@@ -25,7 +25,7 @@ cells fail, in the same order, from the same generator states:
   whether ``scale`` broadcasts from a scalar or repeats per element;
 * RNG purity: each chip's uniforms are drawn from its own
   ``(seed, chip_id)``-derived read generator, in chip order, into the
-  chip's segment of one shared buffer, *before* the fused compare;
+  chip's own slice of one shared buffer, *before* the fused compare;
 * a gather (:class:`ReachSet`) only selects elements, so evaluating a
   subset of the tail gives each selected cell the bits the full-tail
   evaluation would.
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import ConfigurationError, ProfilingError
-from .cell import Z_REACH, WeakCellPopulation, chernoff_hits
+from ..patterns import DataPattern
+from .cell import Z_REACH, WeakCellPopulation
 from .chip import SimulatedDRAMChip
 
 
@@ -59,10 +59,10 @@ class FleetPopulation:
     failure masks the fleet profiler accumulates).
 
     Nothing per pattern is memoized here: the profiler stacks each
-    pattern's DPD arrays once per grid (:meth:`stack`) and the evaluators
-    rebuild the effective retention per call over a :class:`ReachSet`,
-    so a population's memory is its stacked tail; the reach sets belong
-    to the caller (the kernel builds them per read block).
+    pattern's DPD arrays once per grid (:meth:`stack`) and rebuilds the
+    effective retention per compare over a :class:`ReachSet`, so a
+    population's memory is its stacked tail; the reach sets belong to the
+    caller (the kernel builds them per read block).
     """
 
     def __init__(self, populations: Sequence[WeakCellPopulation]) -> None:
@@ -132,84 +132,6 @@ class FleetPopulation:
             scale=scale,
             sigma_eff=self._sigma * scale,
         )
-
-    @staticmethod
-    def deterministic_failures(
-        exposures_s: Sequence[float],
-        u_rows: Sequence[np.ndarray],
-        alignment: np.ndarray,
-        stressed: np.ndarray,
-        reach: "ReachSet",
-        per_read: bool = False,
-    ):
-        """Cells that fail on at least one of several reads of a
-        deterministic pattern.
-
-        ``alignment`` and ``stressed`` are the pattern's fleet-stacked DPD
-        arrays (:meth:`stack`).  Read ``k`` runs at ``exposures_s[k]`` with
-        the chip-ordered uniforms ``u_rows[k]``; per read, a cell fails
-        exactly when its uniform is below ``ndtr((exposure - mu_eff) /
-        sigma_eff) * stressed``, the per-chip expression.  The compare runs
-        on ``reach`` only: the kernel passes a condition's reach set
-        (:meth:`ReachSet.reaching`) plus every cell a uniform of exactly 0.0
-        landed on, outside of which no cell can fail.  Returns the flat
-        indices of every cell some read fails (possibly repeated), or, with
-        ``per_read``, one ascending array per read of the cells that read
-        fails.
-
-        Reads whose exposure floats are bit-equal share one probability
-        vector, and ``any_k(u_k < p)`` holds exactly when ``min_k(u_k) <
-        p``, so each exposure group evaluates one z vector against its
-        elementwise-minimum uniform row through :func:`chernoff_hits`; a
-        read's own failing cells are those hits where its uniform is below
-        ``p``, the cut's own expression evaluated there alone.
-        """
-        cells = reach.cells
-        mu_eff = reach.scaled_mu(np.take(alignment, cells))
-        stressed = np.take(stressed, cells)
-        by_exposure: Dict[float, List[int]] = {}
-        for k, exposure_s in enumerate(exposures_s):
-            by_exposure.setdefault(exposure_s, []).append(k)
-        hits = []
-        reads: List[np.ndarray] = [None] * len(u_rows)
-        for exposure_s, ks in by_exposure.items():
-            umin = np.take(u_rows[ks[0]], cells)
-            for k in ks[1:]:
-                np.minimum(umin, np.take(u_rows[k], cells), out=umin)
-            z = np.subtract(exposure_s, mu_eff)
-            np.divide(z, reach.sigma_eff, out=z)
-            got = chernoff_hits(z, umin, stressed)
-            hits.append(cells[got])
-            if per_read:
-                p = ndtr(z[got])
-                p *= stressed[got]
-                for k in ks:
-                    reads[k] = hits[-1][np.take(u_rows[k], hits[-1]) < p]
-        if per_read:
-            return reads
-        return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
-
-    @staticmethod
-    def stochastic_failures(
-        exposure_s: float,
-        alignment: np.ndarray,
-        stressed: np.ndarray,
-        u: np.ndarray,
-        reach: "ReachSet",
-    ) -> np.ndarray:
-        """Cells that fail one read of a stochastic pattern: the fleet
-        analogue of ``WeakCellPopulation.sample_failures``, as ascending
-        indices into the stacked tail.
-
-        ``alignment`` and ``stressed`` are the write's fleet-stacked DPD
-        arrays; ``u`` supplies the chip-ordered uniforms (the kernel
-        gathers them from per-chip block draws -- value-identical to the
-        per-read draw, so the compare is unchanged); the compare runs on
-        ``reach`` only, as in :meth:`deterministic_failures`."""
-        cells = reach.cells
-        z = np.subtract(exposure_s, reach.scaled_mu(np.take(alignment, cells)))
-        np.divide(z, reach.sigma_eff, out=z)
-        return cells[chernoff_hits(z, np.take(u, cells), np.take(stressed, cells))]
 
 
 @dataclass(frozen=True)
@@ -312,6 +234,7 @@ class ChipFleet:
         self.population = FleetPopulation([chip.population for chip in members])
         self._io_seconds = members[0].pattern_io_seconds
         self._max_trefi_s = max_trefi
+        self._stress: Dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.chips)
@@ -319,6 +242,36 @@ class ChipFleet:
     @property
     def max_trefi_s(self) -> float:
         return self.chips[0].max_trefi_s
+
+    @cached_property
+    def orientation(self) -> np.ndarray:
+        """The members' stacked cell orientations (the stored value that
+        charges each weak cell)."""
+        return self.population.stack([chip.population.dpd._orientation for chip in self.chips])
+
+    def stress_mask(self, pattern: DataPattern) -> np.ndarray:
+        """Deterministic ``pattern``'s stress mask over the stacked tail,
+        boolean: every member's
+        :meth:`~repro.dram.dpd.DPDModel.stress_mask` at once.
+
+        ``bits_at`` and the orientation compare are elementwise in a
+        cell's row and column (with the members' one ``bits_per_row``),
+        so one evaluation over the stacked rows and columns gives each
+        segment its member's own mask, the same 0/1 values.  The mask
+        draws nothing and depends only on the members' cell positions,
+        which never change, so each pattern's is computed once per fleet.
+        """
+        mask = self._stress.get(pattern.key)
+        if mask is None:
+            dpds = [chip.population.dpd for chip in self.chips]
+            stack = self.population.stack
+            bits = pattern.bits_at(
+                stack([d._rows for d in dpds]),
+                stack([d._cols for d in dpds]),
+                dpds[0]._bits_per_row,
+            )
+            mask = self._stress[pattern.key] = bits == self.orientation
+        return mask
 
     def _now_all(self) -> float:
         """The members' shared clock value; raises when any member's clock

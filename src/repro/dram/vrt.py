@@ -24,8 +24,8 @@ horizon are rejected loudly rather than silently under-counting failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
@@ -54,6 +54,29 @@ def _empty_block() -> _EpisodeBlock:
         start_s=np.empty(0, dtype=np.float64),
         end_s=np.empty(0, dtype=np.float64),
     )
+
+
+def _failing(episodes: _EpisodeBlock, now_s, exposure_s) -> np.ndarray:
+    """Which episodes are active at ``now_s`` with a low-state retention
+    below ``exposure_s`` (scalars, or columns broadcast against the
+    episodes)."""
+    return (
+        (episodes.start_s <= now_s)
+        & (episodes.end_s > now_s)
+        & (episodes.mu_low_s < exposure_s)
+    )
+
+
+def schedule_gaps(times_s: np.ndarray, start_s: float) -> np.ndarray:
+    """The positive gaps of an ascending schedule ``times_s`` from
+    ``start_s``: the segments :meth:`VRTProcess.advance_to` would draw
+    arrivals for, stepping through it (zero-length ones draw nothing)."""
+    if times_s[0] < start_s or np.any(np.diff(times_s) < 0.0):
+        raise ConfigurationError(
+            f"cannot advance VRT process backwards through schedule (from {start_s})"
+        )
+    dts = np.diff(np.concatenate(([start_s], times_s)))
+    return dts[dts > 0.0]
 
 
 class VRTProcess:
@@ -138,41 +161,36 @@ class VRTProcess:
             )
         self._time_s = time_s
 
-    def advance_schedule(
+    def advance_gaps(
         self,
-        times_s: "np.ndarray",
+        gaps_s: np.ndarray,
+        end_s: float,
         temperature_c: float = REFERENCE_TEMPERATURE_C,
     ) -> bool:
         """Try to advance through a whole ascending schedule in one draw.
 
-        Equivalent to ``for t in times_s: advance_to(t, temperature_c)``
+        ``gaps_s`` are the schedule's positive gaps from this process's
+        time (:func:`schedule_gaps`) and ``end_s`` its last entry.
+        Equivalent to ``for t in schedule: advance_to(t, temperature_c)``
         *when no episode arrives anywhere in the schedule* -- by far the
         common case (most chips see zero episodes over an entire campaign
-        grid).  The arrival counts for every positive-length segment are
-        drawn as one vectorized Poisson call, which consumes the generator
-        stream exactly as the equivalent sequence of scalar draws would;
+        grid).  The arrival counts for every gap are drawn as one
+        vectorized Poisson call, which consumes the generator stream
+        exactly as the equivalent sequence of scalar draws would;
         zero-length segments draw nothing, exactly like
-        :meth:`advance_to`'s early return.
+        :meth:`advance_to`'s early return.  Processes on one clock share
+        the gaps, so a fleet computes them once and each process pays only
+        its own rate multiply and Poisson draw.
 
-        Returns ``True`` after committing (time advanced to the last entry,
+        Returns ``True`` after committing (time advanced to ``end_s``,
         generator state identical to the sequential walk).  If any segment
         would produce an arrival, the generator state is restored untouched
         and ``False`` is returned: the caller must replay the schedule with
         per-step :meth:`advance_to` calls, interleaving its queries, to
         reproduce the sequential episode bookkeeping bit for bit.
         """
-        times = np.asarray(times_s, dtype=np.float64)
-        if times.size == 0:
-            return True
-        if times[0] < self._time_s or np.any(np.diff(times) < 0.0):
-            raise ConfigurationError(
-                f"cannot advance VRT process backwards through schedule "
-                f"(from {self._time_s})"
-            )
-        dts = np.diff(np.concatenate(([self._time_s], times)))
-        dts = dts[dts > 0.0]
-        if dts.size == 0:
-            self._time_s = float(times[-1])
+        if gaps_s.size == 0:
+            self._time_s = end_s
             return True
         rate_per_hour = self._rate_memo.get(temperature_c)
         if rate_per_hour is None:
@@ -180,13 +198,13 @@ class VRTProcess:
                 self._horizon_s, self._capacity_gbit, temperature_c
             )
             self._rate_memo[temperature_c] = rate_per_hour
-        expected = rate_per_hour * dts / _SECONDS_PER_HOUR
+        expected = rate_per_hour * gaps_s / _SECONDS_PER_HOUR
         state = self._rng.bit_generator.state
         counts = self._rng.poisson(expected)
         if counts.any():
             self._rng.bit_generator.state = state
             return False
-        self._time_s = float(times[-1])
+        self._time_s = end_s
         return True
 
     def _all_episodes(self) -> _EpisodeBlock:
@@ -232,15 +250,31 @@ class VRTProcess:
         """
         self._check_exposure(exposure_s)
         episodes = self._all_episodes()
-        mask = (
-            (episodes.start_s <= now_s)
-            & (episodes.end_s > now_s)
-            & (episodes.mu_low_s < exposure_s)
-        )
-        failing = episodes.cell_index[mask]
+        failing = episodes.cell_index[_failing(episodes, now_s, exposure_s)]
         if failing.size == 0:
             return failing
         return np.unique(failing)
+
+    def failing_cells_at(self, now_s: np.ndarray, exposures_s: np.ndarray) -> Dict[int, np.ndarray]:
+        """:meth:`failing_cells` for each ``(now_s[r], exposures_s[r])``
+        query against the episodes held now, evaluated together: query
+        ``r`` maps to its failing cells where there are any.  Each query's
+        row of the mask is :meth:`failing_cells`' own, so its cells are
+        exactly what that call returns."""
+        exposures_s = np.asarray(exposures_s, dtype=np.float64)
+        over = np.flatnonzero(exposures_s > self._horizon_s * (1.0 + 1e-9))
+        if over.size:
+            self._check_exposure(float(exposures_s[over[0]]))
+        episodes = self._all_episodes()
+        if not len(episodes.cell_index):
+            return {}
+        mask = _failing(
+            episodes, np.asarray(now_s, dtype=np.float64)[:, None], exposures_s[:, None]
+        )
+        return {
+            int(r): np.unique(episodes.cell_index[mask[r]])
+            for r in np.flatnonzero(mask.any(axis=1))
+        }
 
     def episodes_overlapping(
         self, window_start_s: float, window_end_s: float, exposure_s: float

@@ -14,7 +14,7 @@ and then observes failures across scrub rounds at the target conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Hashable, List, Tuple
 
 from ..clock import ClockStopwatch

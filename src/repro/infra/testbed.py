@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import rng as rng_mod
 from ..clock import SimClock
 from ..conditions import Conditions
-from ..dram.chip import DEFAULT_GEOMETRY, SimulatedDRAMChip
+from ..dram.chip import DEFAULT_GEOMETRY, SimulatedDRAMChip, chip_stream_keys
 from ..dram.geometry import ChipGeometry
 from ..dram.vendor import VENDORS, VendorModel
 from ..errors import ConfigurationError
@@ -99,10 +99,22 @@ class TestBed:
         :func:`repro.runner.measure_chip` exposes;
         :meth:`~repro.core.bruteforce.BruteForceProfiler.run` walks such
         chips).
+
+        Every member's streams, placement included, are derived in one
+        :func:`~repro.rng.derive_many` call and handed to the chips
+        (``SimulatedDRAMChip(streams=...)``): the same generator states
+        each chip would derive one key at a time.
         """
         bed = cls(seed=seed)
-        for chip_id, vendor in members:
-            bed.add_chip(
+        keys = [
+            {**chip_stream_keys(vendor, chip_id), "placement": ("placement", chip_id)}
+            for chip_id, vendor in members
+        ]
+        streams = iter(rng_mod.derive_many(seed, [key for k in keys for key in k.values()]))
+        for (chip_id, vendor), names in zip(members, keys):
+            given = {name: next(streams) for name in names}
+            placement = given.pop("placement")
+            bed._rack(
                 SimulatedDRAMChip(
                     vendor=vendor,
                     geometry=geometry,
@@ -112,7 +124,9 @@ class TestBed:
                     max_trefi_s=max_trefi_s,
                     max_temperature_c=max_temperature_c,
                     fast_path=fast_path,
-                )
+                    streams=given,
+                ),
+                _offset(placement),
             )
         return bed
 
@@ -123,15 +137,18 @@ class TestBed:
         Keyed by (seed, chip_id) so it does not depend on the order chips
         were racked or on which other chips share the bed.
         """
-        return float(rng_mod.derive(seed, "placement", chip_id).normal(0.0, 0.1))
+        return _offset(rng_mod.derive(seed, "placement", chip_id))
 
     def add_chip(self, chip: SimulatedDRAMChip) -> None:
         """Rack ``chip`` at its fixed spot in the airflow
         (:meth:`placement_offset` under the bed's seed)."""
+        self._rack(chip, self.placement_offset(self.seed, chip.chip_id))
+
+    def _rack(self, chip: SimulatedDRAMChip, offset: float) -> None:
         if chip.clock is not self.clock:
             raise ConfigurationError("chip must share the testbed clock")
         self.chips.append(chip)
-        self._placement_offsets.append(self.placement_offset(self.seed, chip.chip_id))
+        self._placement_offsets.append(offset)
 
     def chips_by_vendor(self) -> Dict[str, List[SimulatedDRAMChip]]:
         grouped: Dict[str, List[SimulatedDRAMChip]] = {}
@@ -166,3 +183,8 @@ class TestBed:
         for chip in self.chips:
             results[chip.chip_id] = profiler.run(chip, conditions)
         return results
+
+
+def _offset(placement) -> float:
+    """A chip's placement offset, drawn from its placement stream."""
+    return float(placement.normal(0.0, 0.1))

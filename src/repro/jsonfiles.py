@@ -6,9 +6,11 @@
 files"):
 
 * :class:`JsonlLog` appends one ``json.dumps(row, sort_keys=True)`` line
-  per row and flushes it, so a kill loses at most the line being written.
-  Opening the file heals that loss: an unterminated final line that
-  parses as a JSON object gets its newline, any other is truncated.
+  per row and flushes it, so a kill loses at most the line being written
+  (inside a :meth:`JsonlLog.batch`, the batch's rows flush together when
+  it ends, so a kill loses at most that batch's rows).  Opening the file
+  heals that loss: an unterminated final line that parses as a JSON
+  object gets its newline, any other is truncated.
 * :class:`JsonlRows` streams a log's rows back.  An unterminated final
   line is kept when it is a JSON object and skipped as a torn write when
   it is not.  A terminated line that is not a JSON object is corruption:
@@ -23,6 +25,7 @@ layer can use it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -87,6 +90,7 @@ class JsonlLog:
         self.path = pathlib.Path(path)
         self._default = default
         self._handle: Optional[TextIO] = None
+        self._batches = 0
 
     def open(self) -> None:
         if self._handle is None:
@@ -98,7 +102,20 @@ class JsonlLog:
         if self._handle is None:
             self.open()
         self._handle.write(json.dumps(row, sort_keys=True, default=self._default) + "\n")
-        self._handle.flush()
+        if not self._batches:
+            self._handle.flush()
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator["JsonlLog"]:
+        """Append the rows of one block without flushing each: they flush
+        once, together, when the block ends (also when it raises)."""
+        self._batches += 1
+        try:
+            yield self
+        finally:
+            self._batches -= 1
+            if not self._batches and self._handle is not None:
+                self._handle.flush()
 
     def close(self) -> None:
         if self._handle is not None:

@@ -256,12 +256,10 @@ def _walk_counter(chips: Sequence[Any], iterations: int) -> StageCounter:
 
 
 def _grid_counter(chips: Sequence[Any], iterations: int) -> StageCounter:
-    """The kernel's count: each stage one ``run_grid`` on one fleet."""
+    """The kernel's count: each stage one ``count_grid`` on one fleet."""
     fleet = ChipFleet(chips)
     profiler = FleetProfiler(iterations=iterations)
-    return lambda grid: [
-        [len(result) for result in results] for results in profiler.run_grid(fleet, grid)
-    ]
+    return lambda grid: profiler.count_grid(fleet, grid)
 
 
 def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
@@ -325,7 +323,7 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
     Walks :func:`measure_chip`'s schedule on every member chip at once,
     racked in one bed (one clock, one chamber settled once per stage),
-    each stage one :meth:`~repro.core.fleetprof.FleetProfiler.run_grid`
+    each stage one :meth:`~repro.core.fleetprof.FleetProfiler.count_grid`
     pass over one :class:`~repro.dram.fleet.ChipFleet`.  Returns
     ``{"chips": [{"unit_id", "value"}, ...]}`` in member order, where each
     ``value`` is byte-identical to the member's :func:`measure_chip`
@@ -420,12 +418,10 @@ def aggregate_chip_results(
     temperature_counts: CountTable = {}
     for value in ordered:
         vendor = str(value["vendor"])
+        by_interval = interval_counts.setdefault(vendor, {})
         for trefi, count in value["interval_failures"]:
-            interval_counts.setdefault(vendor, {}).setdefault(float(trefi), []).append(
-                int(count)
-            )
+            by_interval.setdefault(float(trefi), []).append(int(count))
+        by_temperature = temperature_counts.setdefault(vendor, {})
         for temperature, count in value["temperature_failures"]:
-            temperature_counts.setdefault(vendor, {}).setdefault(
-                float(temperature), []
-            ).append(int(count))
+            by_temperature.setdefault(float(temperature), []).append(int(count))
     return interval_counts, temperature_counts

@@ -21,7 +21,8 @@ get byte-identical answers every way the campaign can be executed.
 Statistics are derived from the :class:`ProgressTracker`'s *observed*
 completion stream, never from the planned unit count: if an exception
 escapes the backend mid-run, every result that streamed in before the
-failure is already persisted (rows are appended and flushed per unit) and
+failure is already persisted (each unit result's rows are appended and
+flushed together, before any is reported) and
 the exception propagates after the store is closed -- a relaunch with
 ``resume=True`` continues from exactly the observed frontier.
 
@@ -307,9 +308,13 @@ class RunnerEngine:
                             batch = tuple(
                                 dispatch.expand(chunk_by_id[raw.unit_id], raw)
                             )
+                        # One flush per unit result: its rows land
+                        # together, before any of them is reported.
+                        with store.batch():
+                            for result in batch:
+                                results[result.unit_id] = result
+                                store.append(result)
                         for result in batch:
-                            results[result.unit_id] = result
-                            store.append(result)
                             tracker.update(result)
                             if active is not None:
                                 if dispatch is None:

@@ -17,9 +17,10 @@ failures heal across relaunches.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
-from typing import Any, Dict, Mapping, Optional, Set, Union
+from typing import Any, ContextManager, Dict, Mapping, Optional, Set, Union
 
 from ..errors import ConfigurationError
 from ..jsonfiles import JsonlLog, JsonlRows, read_json, write_json
@@ -174,10 +175,18 @@ class ResultStore:
     # Writing
     # ------------------------------------------------------------------
     def append(self, result: UnitResult) -> None:
-        """Persist one result row and flush it to the OS immediately."""
+        """Persist one result row and flush it to the OS immediately (at
+        the end of the enclosing :meth:`batch`, inside one)."""
         if self._log is None:
             raise ConfigurationError("store is not open for appending")
         self._log.append(result.to_json_dict())
+
+    def batch(self) -> ContextManager:
+        """A block whose :meth:`append` rows flush together when it ends:
+        the engine appends each unit result's rows in one."""
+        if self._log is None:
+            raise ConfigurationError("store is not open for appending")
+        return self._log.batch()
 
 
 class NullStore:
@@ -200,3 +209,6 @@ class NullStore:
 
     def append(self, result: UnitResult) -> None:
         pass
+
+    def batch(self) -> ContextManager:
+        return contextlib.nullcontext()

@@ -26,9 +26,11 @@ Trace propagation: ``POST /v1/jobs`` honours an incoming W3C
 then correlates under the caller's trace id; absent one, the manager
 mints a fresh root.  Every response is also recorded into the live
 plane (per-route counters + latency histograms) with the *route
-template* as the label, never the raw path; a request refused while
-being read (400, 413, 431) is labelled ``method="-"``,
-``route="unparsed"``.
+template* as the label, never the raw path, and the method as sent only
+when the service routes it (``GET``, ``POST``, ``DELETE``; any other is
+labelled ``method="other"``); a request refused while being read (400,
+413, 431) is labelled ``method="-"``, ``route="unparsed"``.  A routed
+path asked with a method it does not serve answers 405.
 
 Error mapping keeps service semantics on the wire:
 :class:`~repro.service.jobs.UnknownJobError` -> 404,
@@ -89,6 +91,10 @@ class _HttpError(Exception):
         self.error_type = error_type
 
 
+#: The methods some route serves; every other method shares one label.
+_ROUTED_METHODS = frozenset({"GET", "POST", "DELETE"})
+
+
 def _route_template(path: str) -> str:
     """Collapse a request path to its route template for metric labels
     (bounded cardinality: job ids and tenants never become label values)."""
@@ -140,13 +146,14 @@ class ServiceProtocol:
         start = time.monotonic()
         # A request refused while being read keeps these labels: a raw
         # method or path never becomes a label value.
-        method, route = "-", "unparsed"
+        label, route = "-", "unparsed"
         status: Optional[int] = None
         try:
             request = await self._read_request(reader)
             if request is None:
                 return
             method, path, query, body, headers = request
+            label = method if method in _ROUTED_METHODS else "other"
             route = _route_template(path)
             status = await self._dispatch(writer, method, path, query, body, headers)
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -161,7 +168,7 @@ class ServiceProtocol:
         finally:
             if status is not None:
                 self.manager.plane.note_request(
-                    method, route, status, time.monotonic() - start
+                    label, route, status, time.monotonic() - start
                 )
             try:
                 writer.close()
@@ -224,11 +231,15 @@ class ServiceProtocol:
         body: bytes,
         headers: Dict[str, str],
     ) -> int:
-        if path == "/metrics" and method == "GET":
+        if path == "/metrics":
+            if method != "GET":
+                raise _HttpError(405, f"{method} not allowed on {path}")
             return await self._send_text(
                 writer, 200, self.manager.render_openmetrics(), _OPENMETRICS_TYPE
             )
-        if path == "/v1/healthz" and method == "GET":
+        if path == "/v1/healthz":
+            if method != "GET":
+                raise _HttpError(405, f"{method} not allowed on {path}")
             return await self._send_json(writer, 200, self.manager.health())
         if path == "/v1/jobs":
             if method == "POST":

@@ -178,7 +178,7 @@ class ProfileRoutes(NamedTuple):
 
 def profile_routes(
     members, geometry, seed, temperatures, intervals, patterns=STANDARD_PATTERNS,
-    iterations=1, block_rows=None, reads=None, idle_s=0.0,
+    iterations=1, block_rows=None, reads=None, idle_s=0.0, fused_bytes=None,
 ):
     """Profile the chips ``members`` ((chip_id, vendor) pairs) at every
     refresh interval, at each of ``temperatures`` in turn, along four
@@ -194,7 +194,9 @@ def profile_routes(
     shrinks the kernel's block budget to a few rows, which puts every
     condition in a read block of its own, splits a condition's reads over
     several blocks once they exceed it, and splits runs of random writes
-    across several excitation blocks.  ``reads`` (optional) is called on
+    across several excitation blocks.  ``fused_bytes`` sets the kernel's
+    fused-compare budget, so a small one splits a condition's read groups
+    over several compare passes.  ``reads`` (optional) is called on
     every chip of every route before it profiles, to replace the chip's
     read generator the same way on each route."""
     runs = [
@@ -210,12 +212,15 @@ def profile_routes(
     budget = fleetprof._BLOCK_BUDGET_BYTES
     if block_rows is not None:
         budget = block_rows * 8 * len(fleet.population)
+    fused = fleetprof._FUSED_BUDGET_BYTES if fused_bytes is None else fused_bytes
     failing = []
-    with mock.patch.object(fleetprof, "_BLOCK_BUDGET_BYTES", budget):
+    with mock.patch.object(fleetprof, "_BLOCK_BUDGET_BYTES", budget), mock.patch.object(
+        fleetprof, "_FUSED_BUDGET_BYTES", fused
+    ):
         for temperature, grid in zip(temperatures, runs):
             bed.set_ambient(temperature)
             if idle_s:
-                results, _reads = kernel._run(fleet, tuple(grid), idle_s=idle_s)
+                results = kernel._run(fleet, tuple(grid), idle_s=idle_s)[0].results(fleet)
             else:
                 results = kernel.run_grid(fleet, grid)
             for per_chip in results:

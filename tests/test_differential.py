@@ -105,16 +105,21 @@ def pattern_orders(draw):
 
 # Random writes before first-time deterministic ones, an inverse random
 # write and repeated deterministic reads, in small and default blocks;
-# idle gaps, with one condition split over blocks of two rows.
+# idle gaps, with one condition split over blocks of two rows; and a
+# fused-compare budget of a few rows, which splits every condition's read
+# groups over several compare passes.
 @example(seed=1234, vendors=["A", "B", "C"], temperatures=[45.0, 55.0],
          patterns=(RANDOM, CHECKERBOARD, RANDOM.inverse, SOLID_ZERO), iterations=3,
-         intervals=[1.024, 2.048], block_rows=2, idle_s=0.0)
+         intervals=[1.024, 2.048], block_rows=2, idle_s=0.0, fused_bytes=None)
 @example(seed=77, vendors=["C", "A", "A"], temperatures=[55.0, 50.0],
          patterns=(RANDOM.inverse, SOLID_ZERO.inverse, RANDOM), iterations=2,
-         intervals=[2.048, 0.512, 2.048], block_rows=None, idle_s=0.0)
+         intervals=[2.048, 0.512, 2.048], block_rows=None, idle_s=0.0, fused_bytes=None)
 @example(seed=5, vendors=["B", "C", "A"], temperatures=[50.0, 45.0],
          patterns=(CHECKERBOARD, RANDOM, SOLID_ZERO.inverse), iterations=3,
-         intervals=[0.512, 2.048], block_rows=2, idle_s=IDLE_S)
+         intervals=[0.512, 2.048], block_rows=2, idle_s=IDLE_S, fused_bytes=None)
+@example(seed=31, vendors=["A", "C", "B"], temperatures=[45.0, 55.0],
+         patterns=(SOLID_ZERO, RANDOM, CHECKERBOARD.inverse, RANDOM.inverse), iterations=3,
+         intervals=[1.024, 2.048], block_rows=None, idle_s=0.0, fused_bytes=1)
 @settings(max_examples=15, **SETTINGS)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
@@ -125,15 +130,17 @@ def pattern_orders(draw):
     intervals=st.lists(st.sampled_from(INTERVALS), min_size=1, max_size=4),
     block_rows=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
     idle_s=st.sampled_from((0.0, IDLE_S)),
+    fused_bytes=st.sampled_from((None, 1, 2**15)),
 )
 def test_grid_kernel_and_both_evaluators_match(
-    seed, vendors, temperatures, patterns, iterations, intervals, block_rows, idle_s
+    seed, vendors, temperatures, patterns, iterations, intervals, block_rows, idle_s,
+    fused_bytes,
 ):
     members = [(chip_id, vendor_by_name(name)) for chip_id, name in enumerate(vendors)]
     assert_routes_agree(
         profile_routes(
             members, MICRO, seed, temperatures, intervals, patterns, iterations, block_rows,
-            idle_s=idle_s,
+            idle_s=idle_s, fused_bytes=fused_bytes,
         )
     )
 

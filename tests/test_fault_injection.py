@@ -161,6 +161,27 @@ def test_torn_row_longer_than_one_read_chunk_is_cut_at_its_start(tmp_path):
     assert list(rows) == [{"n": 0}, {"n": 1}] and rows.skipped == 0
 
 
+def test_a_batch_of_rows_reaches_the_file_when_it_ends(tmp_path):
+    """Rows appended inside ``JsonlLog.batch`` flush together at its end,
+    also when the block raises; outside one each row flushes at once."""
+    path = tmp_path / "log.jsonl"
+    with JsonlLog(path) as log:
+        log.append({"n": 0})
+        assert path.read_text() == '{"n": 0}\n'
+        with log.batch():
+            log.append({"n": 1})
+            log.append({"n": 2})
+            assert path.read_text() == '{"n": 0}\n'
+        assert path.read_text() == '{"n": 0}\n{"n": 1}\n{"n": 2}\n'
+        try:
+            with log.batch():
+                log.append({"n": 3})
+                raise KeyboardInterrupt
+        except KeyboardInterrupt:
+            pass
+        assert path.read_text().endswith('{"n": 3}\n')
+
+
 def test_malformed_http_body_shorter_than_its_content_length_is_400(tmp_path):
     config = ServiceConfig(root=tmp_path / "svc", port=0, pool_workers=0, max_running=1)
     with ServiceThread(config) as service:
@@ -226,3 +247,28 @@ def test_requests_refused_while_read_are_counted_as_unparsed(tmp_path):
         assert counts[unparsed % 431] == "1"
         assert counts[unparsed % 400] == "2"
         assert client.healthz()["status"] == "ok"
+
+
+def test_unrouted_methods_share_one_label_and_wrong_methods_get_405(tmp_path):
+    config = ServiceConfig(root=tmp_path / "svc", port=0, pool_workers=0, max_running=1)
+    with ServiceThread(config) as service:
+        client = ServiceClient(service.host, service.port)
+
+        def method_labels():
+            return {
+                line.split('method="', 1)[1].split('"', 1)[0]
+                for line in client.metrics_text().splitlines()
+                if line.startswith("service_requests_total{")
+            }
+
+        assert client.healthz()["status"] == "ok"
+        before = method_labels()
+        for method in ("FOO", "BAR", "X1"):
+            response = _exchange_raw(service, f"{method} /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert response.partition(b"\r\n")[0] == b"HTTP/1.1 405 Method Not Allowed"
+        assert method_labels() - before == {"other"}
+        for path in ("/v1/healthz", "/metrics"):
+            response = _exchange_raw(service, f"POST {path} HTTP/1.1\r\nHost: t\r\n\r\n")
+            status_line, _, rest = response.partition(b"\r\n")
+            assert status_line == b"HTTP/1.1 405 Method Not Allowed"
+            assert "not allowed" in json.loads(rest.partition(b"\r\n\r\n")[2])["error"]["message"]

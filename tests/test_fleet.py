@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +42,8 @@ from repro.dram import shm
 from repro.dram.cell import Z_REACH
 from repro.dram.fleet import ChipFleet, FleetPopulation
 from repro.dram.geometry import ChipGeometry
-from repro.dram.vendor import VENDOR_A, VENDOR_B
+from repro.dram import vrt as vrt_mod
+from repro.dram.vendor import VENDOR_A, VENDOR_B, VENDOR_C
 from repro.errors import CommandSequenceError, ConfigurationError, ProfilingError
 from repro.infra.testbed import TestBed
 from repro.patterns import CHECKERBOARD, RANDOM, STANDARD_PATTERNS, DataPattern
@@ -66,6 +69,7 @@ from conftest import (
     TEST_SEED,
     assert_campaign_matches_reference,
     assert_routes_agree,
+    chip_end_state,
     measure_reference,
     profile_routes,
 )
@@ -110,7 +114,8 @@ class TestFleetPopulation:
 
 
 class TestDeterministicFailures:
-    """The grouped evaluator against the per-read reference compare."""
+    """The fused compare's read groups against the per-read reference
+    compare."""
 
     def test_matches_per_read_compare_at_the_boundary(self):
         bed = build_fleet_bed()
@@ -141,22 +146,33 @@ class TestDeterministicFailures:
             np.where(cells % 4 == 2, np.nextafter(p1, 0.0), 1.0),  # e1 again
         ]
         exposures = [e1, e2, e1]
-        want = np.zeros(len(population), dtype=bool)
-        for exposure, u in zip(exposures, u_rows):
-            want |= u < reference_p(exposure)
+        reads = [u < reference_p(exposure) for exposure, u in zip(exposures, u_rows)]
+        want = np.logical_or.reduce(reads)
         assert want[cells % 2 == 1].any() and want[cells % 4 == 2].any()
         assert not want[cells % 4 == 0].any()
 
-        hits = population.deterministic_failures(
-            exposures,
-            u_rows,
-            population.stack(aligns),
-            population.stack(stresses),
-            population.reach(scales),
+        # The kernel's chip-major block: each chip's rows, one after another.
+        rows = np.stack(u_rows)
+        u = np.concatenate(
+            [rows[:, slice(*population.segment(i))].ravel() for i in range(len(chips))]
         )
-        got = np.zeros(len(population), dtype=bool)
-        got[hits] = True
-        assert np.array_equal(got, want)
+        block = [SimpleNamespace(exposure_s=exposure) for exposure in exposures]
+        states = [(population.stack(aligns), population.stack(stresses))] * len(block)
+        # The two exposure groups of one write (sharing its gathers), or as
+        # two writes; one byte of budget gives each write a pass of its own.
+        for writes in ([[[0, 2], [1]]], [[[0, 2]], [[1]]]):
+            for budget in (fleetprof._FUSED_BUDGET_BYTES, 1):
+                args = (population.reach(scales), writes, block, states, u, len(block),
+                        population.offsets)
+                with mock.patch.object(fleetprof, "_FUSED_BUDGET_BYTES", budget):
+                    got = np.zeros(len(population), dtype=bool)
+                    for _k, hits in fleetprof._fused_hits(*args, per_read=False):
+                        got[hits] = True
+                    assert np.array_equal(got, want)
+                    per_read = dict(fleetprof._fused_hits(*args, per_read=True))
+                assert sorted(per_read) == [0, 1, 2]
+                for k, read in enumerate(reads):
+                    assert np.array_equal(per_read[k], np.flatnonzero(read))
 
 
 class _ZeroedReads:
@@ -176,8 +192,8 @@ class _ZeroedReads:
     def bit_generator(self):
         return self._rng.bit_generator
 
-    def random(self, size):
-        u = self._rng.random(size)
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
         flat = u.reshape(-1)
         start, self._drawn = self._drawn, self._drawn + flat.size
         lo, hi = np.searchsorted(self._positions, [start, self._drawn])
@@ -381,6 +397,31 @@ class TestFleetProfilerEquivalence:
             profile_routes(MEMBERS, MICRO, TEST_SEED, [45.0, 55.0], [0.512, 1.024], iterations=1)
         )
 
+    def test_vrt_processes_behind_the_clock_advance_from_their_own_time(self):
+        """Members whose VRT processes stand at different times share no
+        gaps: each advances from its own time, as the per-chip walk does.
+        The clock moves ten hours with only chip 0's process caught up,
+        so the others draw that gap's episodes during the grid."""
+        grid = [Conditions(t, temperature=45.0) for t in (0.512, 1.024)]
+        bed = build_fleet_bed()
+        bed.set_ambient(45.0)
+        bed.clock.advance(36000.0)
+        bed.chips[0].sync()
+        assert len({chip.vrt.time_s for chip in bed.chips}) == 2
+        results = FleetProfiler(iterations=2).run_grid(ChipFleet(bed.chips), grid)
+        assert all(chip.vrt.episode_count for chip in bed.chips[1:])
+
+        beds = build_one_chip_beds()
+        for single in beds:
+            single.set_ambient(45.0)
+            single.clock.advance(36000.0)
+        beds[0].chips[0].sync()
+        chips = [single.chips[0] for single in beds]
+        walker = BruteForceProfiler(iterations=2)
+        walked = [[walker.walk(chip, conditions).failing for chip in chips] for conditions in grid]
+        assert [[result.failing for result in per] for per in results] == walked
+        assert chip_end_state(bed.chips) == chip_end_state(chips)
+
     def test_trefi_above_fleet_maximum_rejected(self):
         bed = build_fleet_bed(max_trefi_s=1.1)
         fleet = ChipFleet(bed.chips)
@@ -407,6 +448,54 @@ class TestFleetProfilerEquivalence:
         for pattern in exotic:
             with pytest.raises(ConfigurationError, match="random"):
                 FleetProfiler(patterns=(CHECKERBOARD, pattern))
+
+
+class TestCountGrid:
+    #: Chips of 64 Kbit hold a weak tail of a few cells at most; at seed 2
+    #: the fifth of these six has none.
+    GEOMETRY = ChipGeometry(banks=1, rows_per_bank=4, bits_per_row=16384)
+    MEMBERS = list(enumerate([VENDOR_A, VENDOR_B, VENDOR_C] * 2))
+
+    def bed(self):
+        bed = TestBed.build_members(self.MEMBERS, geometry=self.GEOMETRY, seed=2, max_trefi_s=2.2)
+        # Pre-existing VRT episodes active through both stages, failing any
+        # exposure above 10 ms: on chip 0 at a cell outside its weak tail
+        # (an overflow cell), on chip 1 at its first tail cell.
+        for chip, cell in ((bed.chips[0], self.GEOMETRY.capacity_bits - 1),
+                           (bed.chips[1], int(bed.chips[1].population.indices[0]))):
+            chip.vrt._blocks.append(vrt_mod._EpisodeBlock(
+                cell_index=np.array([cell]), mu_low_s=np.array([0.01]),
+                start_s=np.array([0.0]), end_s=np.array([1e12]),
+            ))
+        return bed
+
+    def test_counts_are_the_run_grid_set_sizes(self):
+        """``count_grid`` over two stages counts what ``run_grid`` collects
+        and leaves the chips in the same state, on a fleet with an
+        empty-tail chip and a VRT cell outside one chip's tail."""
+        outcomes, failing = [], None
+        for route in ("run_grid", "count_grid"):
+            bed = self.bed()
+            tails = [len(chip.population) for chip in bed.chips]
+            assert 0 in tails and max(tails) > 0
+            assert self.GEOMETRY.capacity_bits - 1 not in set(bed.chips[0].population.indices)
+            fleet = ChipFleet(bed.chips)
+            profiler = FleetProfiler(iterations=2)
+            counts = []
+            for temperature, intervals in ((45.0, [0.512, 1.024, 2.048]), (55.0, [2.048])):
+                bed.set_ambient(temperature)
+                grid = [Conditions(t, temperature) for t in intervals]
+                if route == "run_grid":
+                    results = profiler.run_grid(fleet, grid)
+                    failing = (failing or []) + [[r.failing for r in per] for per in results]
+                    counts.append([[len(r) for r in per] for per in results])
+                else:
+                    counts.append(profiler.count_grid(fleet, grid))
+            outcomes.append((counts, chip_end_state(bed.chips)))
+        assert outcomes[0] == outcomes[1]
+        overflow = self.GEOMETRY.capacity_bits - 1
+        assert all(overflow in per[0] for per in failing)
+        assert any(len(per[i]) > 1 for per in failing for i in range(len(per)))
 
 
 class TestMeasureFleetWorker:

@@ -1,9 +1,6 @@
 """Cross-module integration tests: the full REAPER story end to end."""
 
-import numpy as np
-import pytest
-
-from repro.conditions import Conditions, ReachDelta
+from repro.conditions import Conditions
 from repro.core import (
     BruteForceProfiler,
     OnlineProfilingScheduler,
@@ -13,7 +10,7 @@ from repro.core import (
     evaluate,
     longevity_for_system,
 )
-from repro.dram import DRAMModule, SimulatedDRAMChip
+from repro.dram import DRAMModule
 from repro.dram.vendor import VENDOR_B
 from repro.ecc import EccScrubber, SECDED
 from repro.ecc.model import tolerable_bit_errors

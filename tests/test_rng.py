@@ -45,3 +45,33 @@ class TestDerive:
         generator = rng_mod.derive(seed, key)
         value = generator.random()
         assert 0.0 <= value < 1.0
+
+
+class TestDeriveMany:
+    def test_states_equal_derive_key_by_key(self):
+        """5,000 keys of the shapes chips and beds derive, plus odd parts:
+        every generator starts in ``derive``'s state and draws alike."""
+        keys = [(name, chip_id) for chip_id in range(1000)
+                for name in ("retention", "dpd", "vrt", "read", "placement")]
+        keys[::97] = [("chip-variation", i, "B") for i in range(len(keys[::97]))]
+        keys += [(), ("",), (b"raw", -3), ("ünï", 2**70)]
+        derived = rng_mod.derive_many(368, keys)
+        assert len(derived) == len(keys) >= 5000
+        for key, generator in zip(keys, derived):
+            assert generator.bit_generator.state == rng_mod.derive(368, *key).bit_generator.state
+        assert derived[-1].random() == rng_mod.derive(368, *keys[-1]).random()
+        assert rng_mod.derive_many(368, []) == []
+
+    def test_seed_sequence_mix_of_short_integers(self):
+        """Integers with zero high 32-bit words, whose seed sequences see
+        fewer than four entropy words, mix as numpy's ``SeedSequence``."""
+        values = [0, 1, 5, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64,
+                  2**95 + 7, 2**96 - 1, 2**96, 2**127, 2**128 - 1]
+        values += [(0xDEADBEEF << shift) & (2**128 - 1) for shift in range(0, 128, 8)]
+        words = np.frombuffer(
+            b"".join(v.to_bytes(16, "little") for v in values), dtype="<u4"
+        ).reshape(-1, 4)
+        states = rng_mod._seed_sequence_states(words)
+        for value, state in zip(values, states):
+            want = np.random.SeedSequence(value).generate_state(4, np.uint64)
+            assert np.array_equal(state, want), hex(value)
