@@ -15,7 +15,10 @@ better, the highest where lower is)::
 
     python scripts/ab_pairs.py --parent ../parent --workload cli-60 --seed 368 --pairs 10
 
-``--change`` defaults to the checkout this script lives in.  Each side
+``--seeds 368 1017`` (``--seed`` is the same option) runs the pairs at
+each seed in turn and prints one verdict block per seed, so a claimed
+gain and its held-out confirmation are one command.  ``--change``
+defaults to the checkout this script lives in.  Each side
 runs the program and the benchmark of its own checkout.  Exits 1 if any
 run reports ``correct: false`` or gives no result, 2 on bad arguments.
 """
@@ -54,8 +57,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", default=str(HERE), help="checkout of the change (default: this one)")
     parser.add_argument("--workload", default="cli-60")
-    parser.add_argument("--seed", type=int, default=368)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", "--seeds", dest="seeds", type=int, nargs="+", default=[368],
+                        help="one verdict block per seed, in turn")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per seed")
     args = parser.parse_args(argv)
     sides = {"parent": pathlib.Path(args.parent).resolve(), "change": pathlib.Path(args.change).resolve()}
     for name, checkout in sides.items():
@@ -64,20 +68,29 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"error: {name} checkout {checkout} has no {needed}", file=sys.stderr)
                 return 2
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    ok = True
+    for seed in args.seeds:
+        ok &= pairs_at(sides, bench, args.workload, seed, args.pairs)
+    if not ok:
+        print("error: a run reported correct: false or gave no result", file=sys.stderr)
+    return 0 if ok else 1
 
+
+def pairs_at(sides: Dict[str, pathlib.Path], bench: Dict, workload: str, seed: int, pairs: int) -> bool:
+    """Run ``pairs`` alternating pairs at ``seed`` and print their verdict
+    block; ``False`` if a run reported ``correct: false`` or no result."""
     samples: Dict[str, List[Dict]] = {"parent": [], "change": []}
-    for pair in range(args.pairs):
+    for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, args.seed)
+            result = run_once(sides[side], workload, seed)
             samples[side].append(result)
             values = {k: round(v["value"], 3) for k, v in result["metrics"].items()}
-            print(f"pair {pair + 1} {side:<6} correct={result['correct']}"
+            print(f"seed {seed} pair {pair + 1} {side:<6} correct={result['correct']}"
                   f" failed={result.get('failed')} {values}"
                   + (f" {result['error']}" if "error" in result else ""), flush=True)
 
-    ok = all(r["correct"] is True for runs in samples.values() for r in runs)
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs: median [q1, q3]")
+    print(f"\n{workload} seed {seed}, {pairs} pairs: median [q1, q3]")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         runs = list(zip(samples["parent"], samples["change"]))
@@ -100,9 +113,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               + " ".join(f"{r:.3f}" for r in ratios)
               + f"; narrowest pair {narrow + 1}: {ratios[narrow]:.3f}"
               + f" ({paired[narrow][0]:.4g} -> {paired[narrow][1]:.4g})")
-    if not ok:
-        print("error: a run reported correct: false or gave no result", file=sys.stderr)
-    return 0 if ok else 1
+    print(flush=True)
+    return all(r["correct"] is True for runs in samples.values() for r in runs)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ reference per-chip evaluator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
@@ -35,7 +36,7 @@ from ..dram.commands import Command, CommandRecord
 from ..dram.cell import chernoff_hits
 from ..dram.dpd import median_of_three
 from ..dram.fleet import ChipFleet, FleetPopulation, ReachSet
-from ..dram.vrt import schedule_gaps
+from ..dram.vrt import ScheduleGaps, schedule_gaps
 from ..errors import CommandSequenceError, ConfigurationError, ProfilingError
 from ..patterns import STANDARD_PATTERNS, DataPattern
 
@@ -93,6 +94,167 @@ class FleetChipResult:
 
     def __len__(self) -> int:
         return len(self.failing)
+
+
+#: Most schedule replays a process keeps (:func:`_replay`).  A campaign
+#: worker needs one per stage of each campaign it serves.
+_REPLAY_CACHE_SIZE = 8
+
+
+@dataclass(frozen=True)
+class _Replay:
+    """A condition grid's command schedule, replayed on scalars.
+
+    ``steps`` holds every write/expose/read cycle in schedule order,
+    ``records`` the trace records every chip appends, ``t_final`` the
+    clock after the last read, ``e_max[c]`` condition ``c``'s largest
+    exposure.  ``schedule`` holds every VRT sync time in bus order,
+    ``t_reads``, ``exposures`` and ``read_sync`` every step's read time,
+    exposure and the read's position in ``schedule`` (read-only arrays),
+    and ``gaps`` the schedule's gaps from the replay's start time.
+    """
+
+    steps: Tuple[_ReadStep, ...]
+    records: Tuple[CommandRecord, ...]
+    t_final: float
+    e_max: Tuple[float, ...]
+    schedule: np.ndarray
+    t_reads: np.ndarray
+    exposures: np.ndarray
+    read_sync: np.ndarray
+    gaps: ScheduleGaps
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=_REPLAY_CACHE_SIZE)
+def _replay(
+    start: float,
+    trefis: Tuple[float, ...],
+    iterations: int,
+    patterns: Tuple[DataPattern, ...],
+    io: float,
+    max_trefi: float,
+    idle_s: float,
+) -> _Replay:
+    """Replay a grid's command schedule from clock ``start``: every step's
+    clock values, exposure, and the shared trace records -- exactly the
+    floating-point expressions the per-chip command methods evaluate, in
+    the same order, so every value is bit-equal.
+
+    The replay reads only its arguments, and every chip of a fleet (and
+    every unit of a campaign, whose chambers settle along one trajectory
+    per seed) starts a stage from the same clock, so a process replays
+    each stage once and shares the result, whose parts are immutable.
+    ``idle_s`` inserts the walk's idle gap before every iteration after
+    the first, per condition.  An exposure over ``max_trefi`` raises
+    :class:`~repro.errors.ConfigurationError`, on every call (a call that
+    raises stores nothing).
+    """
+    t = start
+    steps: List[_ReadStep] = []
+    records: List[CommandRecord] = []
+    e_max = [0.0] * len(trefis)
+    for ci, trefi in enumerate(trefis):
+        for iteration in range(iterations):
+            idle: Tuple[float, ...] = ()
+            if iteration and idle_s:
+                # The walk's device.wait(idle_s) between iterations.
+                t = t + idle_s
+                idle = (t,)
+                records.append(CommandRecord(time=t, command=Command.WAIT, detail=f"{idle_s:.6f}s"))
+            for pattern in patterns:
+                t = t + io
+                t_write = t
+                t = t + trefi
+                t_wait = t
+                exposure = t_wait - t_write
+                # Tolerate float accumulation error at the exact boundary.
+                if exposure > max_trefi * (1.0 + 1e-9):
+                    raise ConfigurationError(
+                        f"exposure {exposure:.3f}s exceeds max_trefi_s={max_trefi!r}; "
+                        "construct the chip with a larger max_trefi_s"
+                    )
+                t = t + io
+                t_read = t
+                steps.append(
+                    _ReadStep(
+                        cond=ci,
+                        pattern=pattern,
+                        exposure_s=exposure,
+                        t_read=t_read,
+                        syncs=idle + (t_write, t_wait, t_read),
+                    )
+                )
+                idle = ()
+                e_max[ci] = max(e_max[ci], exposure)
+                records.append(
+                    CommandRecord(time=t_write, command=Command.WRITE_PATTERN, detail=pattern.key)
+                )
+                records.append(CommandRecord(time=t_write, command=Command.REFRESH_DISABLE))
+                records.append(
+                    CommandRecord(time=t_wait, command=Command.WAIT, detail=f"{trefi:.6f}s")
+                )
+                records.append(CommandRecord(time=t_wait, command=Command.REFRESH_ENABLE))
+                records.append(
+                    CommandRecord(
+                        time=t_read,
+                        command=Command.READ_COMPARE,
+                        detail=f"exposure={exposure:.6f}s",
+                    )
+                )
+    syncs = (t_sync for step in steps for t_sync in step.syncs)
+    schedule = _read_only(np.fromiter(syncs, np.float64))
+    return _Replay(
+        steps=tuple(steps),
+        records=tuple(records),
+        t_final=t,
+        e_max=tuple(e_max),
+        schedule=schedule,
+        t_reads=_read_only(np.fromiter((step.t_read for step in steps), np.float64)),
+        exposures=_read_only(np.fromiter((step.exposure_s for step in steps), np.float64)),
+        read_sync=_read_only(np.cumsum([len(step.syncs) for step in steps]) - 1),
+        gaps=schedule_gaps(schedule, start),
+    )
+
+
+def _vrt_reads(vrt, replay: _Replay, gaps: ScheduleGaps, temperature_c: float):
+    """Each ``(read, cells)`` with VRT cells failing, for one chip's
+    process advancing through ``replay``'s schedule from ``gaps``: what
+    stepping :meth:`~repro.dram.vrt.VRTProcess.advance_to` through every
+    read's sync times and asking
+    :meth:`~repro.dram.vrt.VRTProcess.failing_cells` after each read
+    yields, bit for bit.
+
+    ``advance_gaps`` passes the gaps up to the next arrival, and the
+    episode set is constant from one arrival to the next, so the reads
+    in between are answered at once (``failing_cells_at``) against the
+    episodes held; ``advance_to`` then draws the arrival at its own sync
+    (a read there sees it), and the rest of the schedule is advanced the
+    same way.
+    """
+    schedule = replay.schedule
+    offset = 0  # the schedule position ``gaps`` start from
+    first = 0  # the first read not answered yet
+    while True:
+        passed = vrt.advance_gaps(gaps, temperature_c)
+        arrival, last = len(schedule), len(replay.read_sync)
+        if passed < len(gaps.seconds):
+            arrival = offset + int(gaps.index[passed])
+            last = int(np.searchsorted(replay.read_sync, arrival))
+        if last > first and vrt.episode_count:
+            found = vrt.failing_cells_at(replay.t_reads[first:last], replay.exposures[first:last])
+            for r, cells in found.items():
+                yield first + r, cells
+        first = last
+        if arrival == len(schedule):
+            return
+        vrt.advance_to(float(schedule[arrival]), temperature_c)
+        offset = arrival + 1
+        gaps = schedule_gaps(schedule[offset:], vrt.time_s)
 
 
 class FleetProfiler:
@@ -153,18 +315,19 @@ class FleetProfiler:
         condition in turn on each chip standalone.
 
         The whole grid collapses into one pass: the command schedule is
-        replayed once on scalars (every chip traverses the identical clock
-        trajectory, so the per-step times, exposures, and trace records
-        are shared), DPD excitation draws run only where the sequential
-        per-chip walk actually draws (each run of random-pattern writes as
-        one block draw per chip, each deterministic pattern's stress mask
-        once for the whole fleet), VRT arrival checks batch into one
-        vectorized Poisson per chip over gaps the chips share (falling
-        back to the exact interleaved replay for the rare chip that draws
-        an episode), and every read's uniforms land in chip-major block
-        draws, compared once per condition and pass: every group of
-        repeated deterministic reads (pattern, exposure) and every
-        stochastic read is a row of one stacked compare over the
+        replayed once on scalars, and once per process for every fleet
+        that starts it at the same clock (every chip traverses the
+        identical clock trajectory, so the per-step times, exposures, and
+        trace records are shared), DPD excitation draws run only where the
+        sequential per-chip walk actually draws (each run of random-pattern
+        writes as one block draw per chip, each deterministic pattern's
+        stress mask once for the whole fleet), VRT arrivals are decided
+        with one uniform per gap per chip over gaps the chips share (a
+        chip that draws an episode advances to it exactly and answers the
+        reads between arrivals together), and every read's uniforms land
+        in chip-major block draws, compared once per condition and pass:
+        every group of repeated deterministic reads (pattern, exposure)
+        and every stochastic read is a row of one stacked compare over the
         condition's reach set only (the cells its largest exposure can
         fail under worst-case alignment, plus any an exact-zero uniform
         landed on), through a Chernoff cut that leaves ``ndtr`` only the
@@ -263,115 +426,39 @@ class FleetProfiler:
             if not chip._refresh_enabled:
                 raise CommandSequenceError("refresh is already disabled")
 
-        # ------------------------------------------------------------------
-        # Scalar schedule replay: one pass computes every step's clock
-        # values, exposure, and the shared trace records -- exactly the
-        # floating-point expressions the per-chip command methods
-        # evaluate, in the same order, so every value is bit-equal.
-        # ------------------------------------------------------------------
         with obs.span("kernel.schedule_replay", chips=n_chips, conditions=len(conditions_grid)):
-            steps: List[_ReadStep] = []
-            records: List[CommandRecord] = []
-            for ci, conditions in enumerate(conditions_grid):
-                trefi = conditions.trefi
-                for iteration in range(self.iterations):
-                    idle: Tuple[float, ...] = ()
-                    if iteration and idle_s:
-                        # The walk's device.wait(idle_s) between iterations.
-                        t = t + float(idle_s)
-                        idle = (t,)
-                        records.append(
-                            CommandRecord(time=t, command=Command.WAIT, detail=f"{idle_s:.6f}s")
-                        )
-                    for pattern in self.patterns:
-                        t = t + io
-                        t_write = t
-                        t = t + trefi
-                        t_wait = t
-                        exposure = t_wait - t_write
-                        # Tolerate float accumulation error at the exact boundary.
-                        if exposure > max_trefi * (1.0 + 1e-9):
-                            raise ConfigurationError(
-                                f"exposure {exposure:.3f}s exceeds max_trefi_s={max_trefi!r}; "
-                                "construct the chip with a larger max_trefi_s"
-                            )
-                        t = t + io
-                        t_read = t
-                        steps.append(
-                            _ReadStep(
-                                cond=ci,
-                                pattern=pattern,
-                                exposure_s=exposure,
-                                t_read=t_read,
-                                syncs=idle + (t_write, t_wait, t_read),
-                            )
-                        )
-                        idle = ()
-                        records.append(
-                            CommandRecord(
-                                time=t_write,
-                                command=Command.WRITE_PATTERN,
-                                detail=pattern.key,
-                            )
-                        )
-                        records.append(
-                            CommandRecord(time=t_write, command=Command.REFRESH_DISABLE)
-                        )
-                        records.append(
-                            CommandRecord(
-                                time=t_wait, command=Command.WAIT, detail=f"{trefi:.6f}s"
-                            )
-                        )
-                        records.append(
-                            CommandRecord(time=t_wait, command=Command.REFRESH_ENABLE)
-                        )
-                        records.append(
-                            CommandRecord(
-                                time=t_read,
-                                command=Command.READ_COMPARE,
-                                detail=f"exposure={exposure:.6f}s",
-                            )
-                        )
-        t_final = t
+            replay = _replay(
+                t,
+                tuple(conditions.trefi for conditions in conditions_grid),
+                self.iterations,
+                self.patterns,
+                io,
+                max_trefi,
+                float(idle_s),
+            )
+        steps = replay.steps
         n_rows = len(steps)
 
         # ------------------------------------------------------------------
-        # VRT: one vectorized arrival check per chip covers the whole grid.
-        # The chips share the clock, so their processes share the
-        # schedule's gaps, computed once per distinct VRT time.
-        # Chips with no arrival (the overwhelming majority) still answer
-        # read queries against any pre-existing episodes, all reads at
-        # once -- post-hoc is exact there because the episode set is
-        # constant over the grid.  A chip that would draw an episode
-        # replays the schedule with the sequential advance/query
-        # interleaving, bit for bit.  VRT owns its own stream, so running
-        # it before the DPD and read blocks leaves every draw unchanged.
+        # VRT: one arrival check per chip covers the whole grid, one
+        # uniform per gap (VRTProcess.advance_gaps).  The chips share the
+        # clock, so their processes share the schedule's gaps, computed
+        # once per distinct VRT time (the replay's own start time almost
+        # always).  Between arrivals a chip's episode set is constant, so
+        # the reads there are answered together (_vrt_reads).  VRT owns
+        # its own stream, so running it before the DPD and read blocks
+        # leaves every draw unchanged.
         # ------------------------------------------------------------------
         with obs.span("kernel.vrt", chips=n_chips):
-            schedule = np.fromiter(
-                (t_sync for step in steps for t_sync in step.syncs), dtype=np.float64
-            )
-            t_reads = np.fromiter((step.t_read for step in steps), dtype=np.float64)
-            exposures = np.fromiter((step.exposure_s for step in steps), dtype=np.float64)
-            t_end = float(schedule[-1])
-            gaps_from: Dict[float, np.ndarray] = {}
+            gaps_from: Dict[float, ScheduleGaps] = {t: replay.gaps}
             vrt_hits: Dict[int, List[Tuple[int, np.ndarray]]] = {}
             for i, chip in enumerate(chips):
                 vrt = chip.vrt
                 gaps = gaps_from.get(vrt.time_s)
                 if gaps is None:
-                    gaps = gaps_from[vrt.time_s] = schedule_gaps(schedule, vrt.time_s)
-                if vrt.advance_gaps(gaps, t_end, chip._temperature_c):
-                    if vrt.episode_count:
-                        for r, cells in vrt.failing_cells_at(t_reads, exposures).items():
-                            vrt_hits.setdefault(r, []).append((i, cells))
-                else:
-                    for r, step in enumerate(steps):
-                        for t_sync in step.syncs:
-                            vrt.advance_to(t_sync, chip._temperature_c)
-                        cells = vrt.failing_cells(step.t_read, step.exposure_s)
-                        if len(cells):
-                            vrt_hits.setdefault(r, []).append((i, cells))
+                    gaps = gaps_from[vrt.time_s] = schedule_gaps(replay.schedule, vrt.time_s)
+                for r, cells in _vrt_reads(vrt, replay, gaps, chip._temperature_c):
+                    vrt_hits.setdefault(r, []).append((i, cells))
 
         # ------------------------------------------------------------------
         # DPD excitation and fused read evaluation, one block at a time, so
@@ -408,9 +495,7 @@ class FleetProfiler:
         # of exactly 0.0, so each block puts back every cell such a
         # uniform landed on.
         tail = population.reach(scales)
-        e_max = [0.0] * len(conditions_grid)
-        for step in steps:
-            e_max[step.cond] = max(e_max[step.cond], step.exposure_s)
+        e_max = replay.e_max
         rows_per_condition = self.iterations * len(self.patterns)
         row_bytes = max(1, n_total * 8)
         conditions_per_block = _BLOCK_BUDGET_BYTES // (rows_per_condition * row_bytes)
@@ -497,8 +582,8 @@ class FleetProfiler:
             last = steps[-1].pattern
             for chip in chips:
                 model = chip.population.dpd
-                chip.clock._now = t_final
-                chip.trace.records.extend(records)
+                chip.clock._now = replay.t_final
+                chip.trace.extend_shared(replay.records)
                 chip._pattern = last
                 chip._alignment = model.alignment(last)
                 chip._stressed = model.stress_mask(last)
@@ -509,7 +594,7 @@ class FleetProfiler:
                 # The records bypassed CommandTrace.append, so count them
                 # here in bulk: the exact integer totals the sequential
                 # walk's per-command counters reach (idle gaps add waits).
-                n_idle = len(records) - len(_STEP_COMMANDS) * n_rows
+                n_idle = len(replay.records) - len(_STEP_COMMANDS) * n_rows
                 for command in _STEP_COMMANDS:
                     n = n_rows + n_idle if command is Command.WAIT else n_rows
                     obs.counter("chip.commands", n * n_chips, command=command.value)

@@ -19,9 +19,8 @@ can offer, used to score profiling coverage and false positive rates.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .cell import WeakCellPopulation
 from .commands import Command, CommandTrace
 from .dpd import DPDModel
 from .geometry import ChipGeometry
-from .retention import RetentionSampler, WeakCellSample
+from .retention import RetentionSampler, WeakCellSample, sample_many
 from .timing import pattern_io_seconds
 from .vendor import VENDOR_B, VendorModel
 from .vrt import VRTProcess
@@ -83,9 +82,7 @@ def effective_vendor(
         if rng is None:
             rng = rng_mod.derive(seed, *chip_stream_keys(vendor, chip_id)["chip-variation"])
         jitter = float(rng.normal(0.0, vendor.chip_to_chip_ln_sigma))
-        vendor = dataclasses.replace(
-            vendor, retention_ln_median=vendor.retention_ln_median + jitter
-        )
+        vendor = vendor.with_retention_ln_median(vendor.retention_ln_median + jitter)
     return vendor
 
 
@@ -120,6 +117,69 @@ def sample_weak_cells(
     vendor = effective_vendor(vendor, seed, chip_id)
     sampler = RetentionSampler(vendor, rng_mod.derive(seed, "retention", chip_id))
     return sampler.sample(geometry.capacity_bits, weak_cell_horizon_s(vendor, max_trefi_s))
+
+
+def _check_limits(max_trefi_s: float, max_temperature_c: float, temperature_c: float) -> None:
+    """A chip's input checks on its exposure and temperature limits."""
+    if max_trefi_s <= 0.0:
+        raise ConfigurationError(f"max_trefi_s must be positive, got {max_trefi_s!r}")
+    if max_temperature_c > MAX_SUPPORTED_TEMPERATURE_C:
+        raise ConfigurationError(
+            f"max_temperature_c {max_temperature_c!r} exceeds the supported "
+            f"maximum of {MAX_SUPPORTED_TEMPERATURE_C} degC"
+        )
+    if temperature_c > max_temperature_c:
+        raise ConfigurationError(
+            f"initial temperature {temperature_c!r} exceeds max_temperature_c"
+        )
+
+
+def _populate(
+    chips: Sequence["SimulatedDRAMChip"],
+    streams: Sequence[Mapping[str, np.random.Generator]],
+    fast_path: bool,
+) -> None:
+    """Draw placed chips' populations and start them.
+
+    Chip ``i`` uses the generators ``streams[i]`` hands it (by the names of
+    :func:`chip_stream_keys`) and derives the rest: its process variation
+    (:func:`effective_vendor`), its weak tail (every chip's drawn by one
+    :func:`~repro.dram.retention.sample_many` call, the chips sharing one
+    capacity), its DPD model, and the run state :meth:`_start` sets up.
+    """
+
+    def stream(chip: "SimulatedDRAMChip", given: Mapping, name: str) -> np.random.Generator:
+        handed = given.get(name)
+        return handed if handed is not None else chip._derive(name)
+
+    if not chips:
+        return
+    capacity_bits = chips[0].geometry.capacity_bits
+    for chip, given in zip(chips, streams):
+        chip.vendor = effective_vendor(chip.vendor, chip.seed, chip.chip_id, given.get("chip-variation"))
+        chip._weak_horizon_s = weak_cell_horizon_s(chip.vendor, chip._max_trefi_s)
+    samples = sample_many(
+        [chip.vendor for chip in chips],
+        [stream(chip, given, "retention") for chip, given in zip(chips, streams)],
+        capacity_bits,
+        [chip._weak_horizon_s for chip in chips],
+    )
+    io_seconds = pattern_io_seconds(capacity_bits)
+    for chip, given, sample in zip(chips, streams, samples):
+        bits_per_row = chip.geometry.bits_per_row
+        rows, cols = np.divmod(sample.indices, bits_per_row)
+        dpd = DPDModel(
+            susceptibility=sample.susceptibility,
+            rng=stream(chip, given, "dpd"),
+            random_alignment_cap=chip.vendor.random_alignment_cap,
+            rows=rows,
+            cols=cols,
+            orientation=sample.orientation,
+            bits_per_row=bits_per_row,
+        )
+        chip.population = WeakCellPopulation(sample, chip.vendor, dpd, fast_path=fast_path)
+        chip._io_seconds = io_seconds
+        chip._start(stream(chip, given, "vrt"), stream(chip, given, "read"))
 
 
 class SimulatedDRAMChip:
@@ -174,50 +234,70 @@ class SimulatedDRAMChip:
         fast_path: bool = True,
         streams: Optional[Mapping[str, np.random.Generator]] = None,
     ) -> None:
-        if max_trefi_s <= 0.0:
-            raise ConfigurationError(f"max_trefi_s must be positive, got {max_trefi_s!r}")
-        if max_temperature_c > MAX_SUPPORTED_TEMPERATURE_C:
-            raise ConfigurationError(
-                f"max_temperature_c {max_temperature_c!r} exceeds the supported "
-                f"maximum of {MAX_SUPPORTED_TEMPERATURE_C} degC"
+        _check_limits(max_trefi_s, max_temperature_c, temperature_c)
+        self._place(vendor, geometry, seed, chip_id, clock, max_trefi_s, max_temperature_c, temperature_c)
+        _populate([self], [streams if streams is not None else {}], fast_path)
+
+    @classmethod
+    def rack(
+        cls,
+        members: Sequence[Tuple[int, VendorModel]],
+        geometry: ChipGeometry,
+        seed: int,
+        clock: SimClock,
+        max_trefi_s: float,
+        max_temperature_c: float,
+        fast_path: bool,
+        streams: Sequence[Mapping[str, np.random.Generator]],
+    ) -> List["SimulatedDRAMChip"]:
+        """The chips ``members`` (``(chip_id, vendor)`` pairs) on one
+        ``clock``, chip ``i`` built exactly as ``SimulatedDRAMChip(vendor,
+        geometry, seed, chip_id, clock, max_trefi_s, max_temperature_c,
+        fast_path=fast_path, streams=streams[i])`` builds it: the
+        constructor is this path for one chip.  The weak tails are drawn
+        together (:func:`~repro.dram.retention.sample_many`), so the
+        per-cell numpy work runs once for every chip, not once per chip.
+        """
+        _check_limits(max_trefi_s, max_temperature_c, REFERENCE_TEMPERATURE_C)
+        chips = []
+        for chip_id, vendor in members:
+            chip = cls.__new__(cls)
+            chip._place(
+                vendor,
+                geometry,
+                seed,
+                chip_id,
+                clock,
+                max_trefi_s,
+                max_temperature_c,
+                REFERENCE_TEMPERATURE_C,
             )
-        if temperature_c > max_temperature_c:
-            raise ConfigurationError(
-                f"initial temperature {temperature_c!r} exceeds max_temperature_c"
-            )
-        given = dict(streams) if streams is not None else {}
-        vendor = effective_vendor(vendor, seed, chip_id, given.get("chip-variation"))
+            chips.append(chip)
+        _populate(chips, streams, fast_path)
+        return chips
+
+    def _place(
+        self,
+        vendor: VendorModel,
+        geometry: ChipGeometry,
+        seed: int,
+        chip_id: int,
+        clock: Optional[SimClock],
+        max_trefi_s: float,
+        max_temperature_c: float,
+        temperature_c: float,
+    ) -> None:
+        """Set the chip's identity and limits (``vendor`` before its
+        process variation, which :func:`_populate` applies)."""
         self.vendor = vendor
         self.geometry = geometry
         self.chip_id = int(chip_id)
         self.seed = int(seed)
-
-        def stream(name: str) -> np.random.Generator:
-            handed = given.get(name)
-            return handed if handed is not None else self._derive(name)
-
         self.clock = clock if clock is not None else SimClock()
         self._max_trefi_s = float(max_trefi_s)
         self._max_temperature_c = float(max_temperature_c)
         self._initial_temperature_c = float(temperature_c)
         self._external_clock = clock is not None
-
-        self._weak_horizon_s = weak_cell_horizon_s(vendor, max_trefi_s)
-
-        sampler = RetentionSampler(vendor, stream("retention"))
-        sample = sampler.sample(geometry.capacity_bits, self._weak_horizon_s)
-        dpd = DPDModel(
-            susceptibility=sample.susceptibility,
-            rng=stream("dpd"),
-            random_alignment_cap=vendor.random_alignment_cap,
-            rows=sample.indices // geometry.bits_per_row,
-            cols=sample.indices % geometry.bits_per_row,
-            orientation=sample.orientation,
-            bits_per_row=geometry.bits_per_row,
-        )
-        self.population = WeakCellPopulation(sample, vendor, dpd, fast_path=fast_path)
-        self._io_seconds = pattern_io_seconds(geometry.capacity_bits)
-        self._start(stream("vrt"), stream("read"))
 
     def _derive(self, name: str) -> np.random.Generator:
         """This chip's ``name`` stream, freshly derived from (seed, chip_id)."""

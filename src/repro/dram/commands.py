@@ -12,8 +12,9 @@ legal retention-test sequence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import obs
 
@@ -42,17 +43,57 @@ class ProtocolViolation(Exception):
     """Raised by :meth:`CommandTrace.verify_protocol` on an illegal sequence."""
 
 
-@dataclass
 class CommandTrace:
-    """An append-only log of commands issued to a chip."""
+    """An append-only log of commands issued to a chip.
 
-    records: List[CommandRecord] = field(default_factory=list)
-    #: Memoized (registry, generation, {command: (counter, histogram)}).
-    #: This is the hottest instrumentation site in the simulator (every
-    #: command on every chip), so series handles are resolved once per
-    #: command kind and reused until the active registry changes (a
-    #: worker-side ``obs.capture()``) or is reset (generation bump).
-    _obs_series: Optional[tuple] = field(default=None, repr=False, compare=False)
+    Records the chip appends one at a time go into a list the trace owns.
+    A run of records many traces share -- the schedule a fleet kernel
+    replays once for all its chips (:meth:`extend_shared`) -- is kept by
+    reference, one entry per run, not copied into every chip's list.
+    :attr:`records` joins the parts, in order, when it is read.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, records: Iterable[CommandRecord] = ()) -> None:
+        #: The trace's records in order: runs shared by reference and
+        #: lists the trace owns; the last part is always an owned list.
+        self._parts: List[Sequence[CommandRecord]] = [list(records)]
+        #: Memoized (registry, generation, {command: (counter, histogram)}).
+        #: This is the hottest instrumentation site in the simulator (every
+        #: command on every chip), so series handles are resolved once per
+        #: command kind and reused until the active registry changes (a
+        #: worker-side ``obs.capture()``) or is reset (generation bump).
+        self._obs_series: Optional[tuple] = None
+
+    @property
+    def records(self) -> List[CommandRecord]:
+        """Every record, in order: a list the trace owns, so appending to
+        it appends to the trace."""
+        if len(self._parts) > 1:
+            self._parts = [list(itertools.chain.from_iterable(self._parts))]
+        return self._parts[0]
+
+    def extend_shared(self, records: Tuple[CommandRecord, ...]) -> None:
+        """Append ``records``, a run other traces share, by reference."""
+        if records:
+            if not self._parts[-1]:
+                self._parts.pop()
+            self._parts += [records, []]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CommandTrace):
+            return NotImplemented
+        return self.records == other.records
+
+    def __repr__(self) -> str:
+        return f"CommandTrace(records={self.records!r})"
+
+    def _last(self) -> Optional[CommandRecord]:
+        for part in reversed(self._parts):
+            if part:
+                return part[-1]
+        return None
 
     def _series_for(self, command: Command):
         registry = obs.get().metrics
@@ -79,9 +120,10 @@ class CommandTrace:
         if obs.enabled():
             command_counter, sim_seconds = self._series_for(command)
             command_counter.inc()
-            if self.records:
-                sim_seconds.observe(time - self.records[-1].time)
-        self.records.append(CommandRecord(time=time, command=command, detail=detail))
+            previous = self._last()
+            if previous is not None:
+                sim_seconds.observe(time - previous.time)
+        self._parts[-1].append(CommandRecord(time=time, command=command, detail=detail))
 
     def observe_durations(self, start: int) -> None:
         """Record the ``chip.sim_seconds`` observations :meth:`append` makes,
@@ -93,21 +135,21 @@ class CommandTrace:
                 self._series_for(record.command)[1].observe(record.time - previous.time)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(len(part) for part in self._parts)
 
     def __iter__(self) -> Iterator[CommandRecord]:
-        return iter(self.records)
+        return itertools.chain.from_iterable(self._parts)
 
     def of_type(self, command: Command) -> List[CommandRecord]:
         """All records of one command type, in order."""
-        return [r for r in self.records if r.command is command]
+        return [r for r in self if r.command is command]
 
     def exposures(self) -> List[Tuple[float, float]]:
         """(start, end) pairs of refresh-disabled windows, as a logic analyzer
         would reconstruct them from the bus."""
         windows: List[Tuple[float, float]] = []
         start: Optional[float] = None
-        for record in self.records:
+        for record in self:
             if record.command is Command.REFRESH_DISABLE:
                 start = record.time
             elif record.command is Command.REFRESH_ENABLE and start is not None:
@@ -127,7 +169,7 @@ class CommandTrace:
         last_time = float("-inf")
         refresh_disabled = False
         pattern_written = False
-        for i, record in enumerate(self.records):
+        for i, record in enumerate(self):
             if record.time < last_time:
                 raise ProtocolViolation(
                     f"record {i}: time {record.time} precedes previous {last_time}"

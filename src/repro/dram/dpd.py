@@ -57,9 +57,11 @@ class DPDModel:
     ) -> None:
         if not (0.0 < random_alignment_cap < 1.0):
             raise ConfigurationError("random_alignment_cap must lie strictly in (0, 1)")
-        if np.any(susceptibility < 0.0) or np.any(susceptibility >= 1.0):
-            raise ConfigurationError("susceptibilities must lie in [0, 1)")
         self._susceptibility = np.asarray(susceptibility, dtype=np.float64)
+        if self._susceptibility.size and (
+            self._susceptibility.min() < 0.0 or self._susceptibility.max() >= 1.0
+        ):
+            raise ConfigurationError("susceptibilities must lie in [0, 1)")
         self._n_cells = len(self._susceptibility)
         self._rng = rng
         self._random_cap = float(random_alignment_cap)

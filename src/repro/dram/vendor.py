@@ -113,6 +113,16 @@ class VendorModel:
         if self.failure_rate_temp_coeff <= 0.0:
             raise ConfigurationError("failure_rate_temp_coeff must be positive")
 
+    def with_retention_ln_median(self, value: float) -> "VendorModel":
+        """This model with ``retention_ln_median`` set to ``value``: the
+        model ``dataclasses.replace`` returns, built without re-running
+        the input checks, none of which reads that field (a chip's process
+        variation shifts it, once per chip)."""
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__)
+        model.__dict__["retention_ln_median"] = value
+        return model
+
     # ------------------------------------------------------------------
     # Temperature scaling
     # ------------------------------------------------------------------

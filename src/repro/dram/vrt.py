@@ -47,13 +47,24 @@ class _EpisodeBlock:
     end_s: np.ndarray
 
 
-def _empty_block() -> _EpisodeBlock:
-    return _EpisodeBlock(
-        cell_index=np.empty(0, dtype=np.int64),
-        mu_low_s=np.empty(0, dtype=np.float64),
-        start_s=np.empty(0, dtype=np.float64),
-        end_s=np.empty(0, dtype=np.float64),
-    )
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+#: The episodes of a process before its first arrival, shared by every
+#: process: episode arrays are only ever concatenated, never written.
+_NO_EPISODES = _EpisodeBlock(
+    cell_index=_read_only(np.empty(0, dtype=np.int64)),
+    mu_low_s=_read_only(np.empty(0, dtype=np.float64)),
+    start_s=_read_only(np.empty(0, dtype=np.float64)),
+    end_s=_read_only(np.empty(0, dtype=np.float64)),
+)
+
+#: Margin below ``1 - lambda`` under which a uniform is certainly at most
+#: ``exp(-lambda)`` (:meth:`VRTProcess.advance_gaps`): far above the
+#: rounding of ``1 - lambda`` and any libm ``exp`` error near 1.
+_ZERO_MARGIN = 2.0**-40
 
 
 def _failing(episodes: _EpisodeBlock, now_s, exposure_s) -> np.ndarray:
@@ -67,16 +78,39 @@ def _failing(episodes: _EpisodeBlock, now_s, exposure_s) -> np.ndarray:
     )
 
 
-def schedule_gaps(times_s: np.ndarray, start_s: float) -> np.ndarray:
-    """The positive gaps of an ascending schedule ``times_s`` from
-    ``start_s``: the segments :meth:`VRTProcess.advance_to` would draw
-    arrivals for, stepping through it (zero-length ones draw nothing)."""
-    if times_s[0] < start_s or np.any(np.diff(times_s) < 0.0):
+@dataclass(frozen=True)
+class ScheduleGaps:
+    """The positive gaps of an ascending schedule from a start time: the
+    segments :meth:`VRTProcess.advance_to` would draw arrivals for,
+    stepping through it (zero-length ones draw nothing).  Gap ``i`` ends
+    at ``ends[i]``, the schedule's entry ``index[i]``; ``shortest`` and
+    ``longest`` are the extreme gaps.  The arrays are read-only, so
+    processes on one clock share them."""
+
+    seconds: np.ndarray
+    ends: np.ndarray
+    index: np.ndarray
+    shortest: float
+    longest: float
+
+
+def schedule_gaps(times_s: np.ndarray, start_s: float) -> ScheduleGaps:
+    """The :class:`ScheduleGaps` of ascending ``times_s`` (possibly empty)
+    from ``start_s``."""
+    if times_s.size and (times_s[0] < start_s or np.any(np.diff(times_s) < 0.0)):
         raise ConfigurationError(
             f"cannot advance VRT process backwards through schedule (from {start_s})"
         )
     dts = np.diff(np.concatenate(([start_s], times_s)))
-    return dts[dts > 0.0]
+    index = _read_only(np.flatnonzero(dts > 0.0))
+    gaps = _read_only(dts[index])
+    return ScheduleGaps(
+        seconds=gaps,
+        ends=_read_only(times_s[index]),
+        index=index,
+        shortest=float(gaps.min()) if gaps.size else 0.0,
+        longest=float(gaps.max()) if gaps.size else 0.0,
+    )
 
 
 class VRTProcess:
@@ -114,7 +148,7 @@ class VRTProcess:
         self._rng = rng
         self._time_s = float(start_time_s)
         self._blocks: List[_EpisodeBlock] = []
-        self._compacted: _EpisodeBlock = _empty_block()
+        self._compacted: _EpisodeBlock = _NO_EPISODES
         self._rate_memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -141,13 +175,7 @@ class VRTProcess:
         dt_s = time_s - self._time_s
         if dt_s == 0.0:
             return
-        rate_per_hour = self._rate_memo.get(temperature_c)
-        if rate_per_hour is None:
-            rate_per_hour = self._vendor.vrt_arrival_rate_per_hour(
-                self._horizon_s, self._capacity_gbit, temperature_c
-            )
-            self._rate_memo[temperature_c] = rate_per_hour
-        expected = rate_per_hour * dt_s / _SECONDS_PER_HOUR
+        expected = self._rate(temperature_c) * dt_s / _SECONDS_PER_HOUR
         count = int(self._rng.poisson(expected))
         if count > 0:
             b = self._vendor.vrt_arrival_exponent
@@ -161,51 +189,79 @@ class VRTProcess:
             )
         self._time_s = time_s
 
-    def advance_gaps(
-        self,
-        gaps_s: np.ndarray,
-        end_s: float,
-        temperature_c: float = REFERENCE_TEMPERATURE_C,
-    ) -> bool:
-        """Try to advance through a whole ascending schedule in one draw.
-
-        ``gaps_s`` are the schedule's positive gaps from this process's
-        time (:func:`schedule_gaps`) and ``end_s`` its last entry.
-        Equivalent to ``for t in schedule: advance_to(t, temperature_c)``
-        *when no episode arrives anywhere in the schedule* -- by far the
-        common case (most chips see zero episodes over an entire campaign
-        grid).  The arrival counts for every gap are drawn as one
-        vectorized Poisson call, which consumes the generator stream
-        exactly as the equivalent sequence of scalar draws would;
-        zero-length segments draw nothing, exactly like
-        :meth:`advance_to`'s early return.  Processes on one clock share
-        the gaps, so a fleet computes them once and each process pays only
-        its own rate multiply and Poisson draw.
-
-        Returns ``True`` after committing (time advanced to ``end_s``,
-        generator state identical to the sequential walk).  If any segment
-        would produce an arrival, the generator state is restored untouched
-        and ``False`` is returned: the caller must replay the schedule with
-        per-step :meth:`advance_to` calls, interleaving its queries, to
-        reproduce the sequential episode bookkeeping bit for bit.
-        """
-        if gaps_s.size == 0:
-            self._time_s = end_s
-            return True
+    def _rate(self, temperature_c: float) -> float:
+        """Arrivals per hour at ``temperature_c``, memoized."""
         rate_per_hour = self._rate_memo.get(temperature_c)
         if rate_per_hour is None:
             rate_per_hour = self._vendor.vrt_arrival_rate_per_hour(
                 self._horizon_s, self._capacity_gbit, temperature_c
             )
             self._rate_memo[temperature_c] = rate_per_hour
-        expected = rate_per_hour * gaps_s / _SECONDS_PER_HOUR
-        state = self._rng.bit_generator.state
-        counts = self._rng.poisson(expected)
-        if counts.any():
-            self._rng.bit_generator.state = state
-            return False
-        self._time_s = end_s
-        return True
+        return rate_per_hour
+
+    def advance_gaps(
+        self, gaps: ScheduleGaps, temperature_c: float = REFERENCE_TEMPERATURE_C
+    ) -> int:
+        """Advance through a schedule's leading gaps that draw no arrival.
+
+        ``gaps`` are the schedule's positive gaps from this process's time
+        (:func:`schedule_gaps`).  Equivalent to ``for t in schedule:
+        advance_to(t, temperature_c)`` up to, not including, the first
+        step at which an episode arrives.  Returns how many gaps that
+        passes: all of them when none draws an arrival -- by far the
+        common case -- with the process at the schedule's end; otherwise
+        the index ``i`` of the first gap that does, with the process at
+        that gap's start (``gaps.ends[i - 1]``), its generator where the
+        walk leaves it there: the caller steps :meth:`advance_to` to
+        ``gaps.ends[i]``, which draws the arrival, then advances through
+        the rest.  Processes on one clock share the gaps, so a fleet
+        computes them once.
+
+        Gap ``i`` would draw ``poisson(lambda_i)`` with ``lambda_i = rate
+        * gap_i / 3600``.  For ``0 < lambda < 10`` numpy returns 0 exactly
+        when the first double it draws is at most ``exp(-lambda)``, and
+        then it has drawn that one double, through the generator's
+        ``next_double``, which ``random`` fills through too.  So this
+        draws one uniform per gap and passes them all when every
+        ``lambda_i > 0`` and every uniform is below ``(1 - lambda_i) -
+        2**-40``: since ``exp(-lambda) >= 1 - lambda``, such a uniform is
+        at most ``exp(-lambda)``, and the Poisson draw would have returned
+        all zeros and left the generator where ``random`` leaves it.
+        Uniforms below the bound at the longest gap pass without their own
+        bound (it falls as lambda grows); only the rest are checked one by
+        one.  Any other draw restores the generator and takes the exact
+        Poisson draw over the gaps; when a count is nonzero, it restores
+        the generator again and redraws the counts before that gap, the
+        same doubles.
+        """
+        seconds = gaps.seconds
+        if not seconds.size:
+            return 0
+        rate = self._rate(temperature_c)
+        bit_generator = self._rng.bit_generator
+        state = bit_generator.state
+        u = self._rng.random(seconds.size)
+        passed = False
+        if rate * gaps.shortest / _SECONDS_PER_HOUR > 0.0:
+            bound = (1.0 - rate * gaps.longest / _SECONDS_PER_HOUR) - _ZERO_MARGIN
+            passed = bool(u.max() < bound)
+            if not passed:
+                near = np.flatnonzero(u >= bound)
+                expected = rate * seconds[near] / _SECONDS_PER_HOUR
+                passed = bool(np.all(u[near] < (1.0 - expected) - _ZERO_MARGIN))
+        if not passed:
+            bit_generator.state = state
+            expected = rate * seconds / _SECONDS_PER_HOUR
+            arrivals = np.flatnonzero(self._rng.poisson(expected))
+            if arrivals.size:
+                first = int(arrivals[0])
+                bit_generator.state = state
+                self._rng.poisson(expected[:first])
+                if first:
+                    self._time_s = float(gaps.ends[first - 1])
+                return first
+        self._time_s = float(gaps.ends[-1])
+        return seconds.size
 
     def _all_episodes(self) -> _EpisodeBlock:
         if self._blocks:

@@ -101,9 +101,10 @@ class TestBed:
         chips).
 
         Every member's streams, placement included, are derived in one
-        :func:`~repro.rng.derive_many` call and handed to the chips
-        (``SimulatedDRAMChip(streams=...)``): the same generator states
-        each chip would derive one key at a time.
+        :func:`~repro.rng.derive_many` call and handed to the chips, which
+        :meth:`~repro.dram.chip.SimulatedDRAMChip.rack` builds together:
+        the same generator states each chip would derive one key at a
+        time, and the chips ``SimulatedDRAMChip(streams=...)`` builds.
         """
         bed = cls(seed=seed)
         keys = [
@@ -111,23 +112,20 @@ class TestBed:
             for chip_id, vendor in members
         ]
         streams = iter(rng_mod.derive_many(seed, [key for k in keys for key in k.values()]))
-        for (chip_id, vendor), names in zip(members, keys):
-            given = {name: next(streams) for name in names}
-            placement = given.pop("placement")
-            bed._rack(
-                SimulatedDRAMChip(
-                    vendor=vendor,
-                    geometry=geometry,
-                    seed=seed,
-                    chip_id=chip_id,
-                    clock=bed.clock,
-                    max_trefi_s=max_trefi_s,
-                    max_temperature_c=max_temperature_c,
-                    fast_path=fast_path,
-                    streams=given,
-                ),
-                _offset(placement),
-            )
+        given = [{name: next(streams) for name in names} for names in keys]
+        offsets = [_offset(chip_streams.pop("placement")) for chip_streams in given]
+        chips = SimulatedDRAMChip.rack(
+            members,
+            geometry=geometry,
+            seed=seed,
+            clock=bed.clock,
+            max_trefi_s=max_trefi_s,
+            max_temperature_c=max_temperature_c,
+            fast_path=fast_path,
+            streams=given,
+        )
+        for chip, offset in zip(chips, offsets):
+            bed._rack(chip, offset)
         return bed
 
     @staticmethod

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import itertools
 import os
 import time
@@ -194,6 +195,11 @@ class ProcessPoolBackend:
         ``workers`` then only sizes this run's submission window -- its
         fair share of the shared pool -- not the pool itself.
 
+    A pool the backend creates starts each worker with :func:`gc.freeze`:
+    a forked worker inherits the coordinator's heap, and freezing it keeps
+    the worker's full collections from walking (and copying on write)
+    every inherited object again.
+
     Submission is windowed: at most ``INFLIGHT_FACTOR * workers`` units are
     in flight at once, refilled as results drain, so a 10k-unit campaign
     never holds every payload and future in the coordinator at the same
@@ -240,7 +246,9 @@ class ProcessPoolBackend:
         window = max(1, self.INFLIGHT_FACTOR * pool_size)
         with contextlib.ExitStack() as stack:
             if self.executor is None:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size))
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=pool_size, initializer=gc.freeze)
+                )
             else:
                 pool = self.executor
             queue = iter(units)

@@ -42,6 +42,7 @@ service core:
 from __future__ import annotations
 
 import asyncio
+import gc
 import pathlib
 import threading
 import time
@@ -161,7 +162,9 @@ class JobManager:
         self._wake = asyncio.Event()
         self.root.mkdir(parents=True, exist_ok=True)
         if self.pool_workers > 0:
-            self._pool = ProcessPoolExecutor(max_workers=self.pool_workers)
+            # Workers freeze the heap they fork with out of cyclic GC, as
+            # ProcessPoolBackend's own pools do.
+            self._pool = ProcessPoolExecutor(max_workers=self.pool_workers, initializer=gc.freeze)
         if self.resume:
             self._adopt_ledger()
         self._scheduler = asyncio.create_task(self._schedule_loop())

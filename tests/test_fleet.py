@@ -17,13 +17,17 @@ serial, pooled and cross-resumed campaigns) and the pieces:
   exactly as one-chip beds settle theirs;
 * :func:`repro.runner.measure_fleet` validation and its one-chip memory
   peak; fleet transport chunks and their expansion to per-chip rows;
+* the per-process schedule replay memo: its key, bound and read-only
+  parts, and consecutive units sharing it;
 * the computed unit size, and tile-era run directories resuming;
-* the process-pool backend keeps its submission window bounded and
-  derives its default worker count from the CPU affinity mask.
+* the process-pool backend keeps its submission window bounded, starts
+  its workers with their heap frozen out of GC, and derives its default
+  worker count from the CPU affinity mask.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -450,6 +454,86 @@ class TestFleetProfilerEquivalence:
                 FleetProfiler(patterns=(CHECKERBOARD, pattern))
 
 
+class TestReplayMemo:
+    """The schedule replay runs once per process and key
+    (``fleetprof._replay``): the key is everything it reads."""
+
+    KEY = dict(
+        start=12.5,
+        trefis=(0.256, 0.512),
+        iterations=2,
+        patterns=STANDARD_PATTERNS,
+        io=1e-4,
+        max_trefi=1.0,
+        idle_s=0.0,
+    )
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        fleetprof._replay.cache_clear()
+        yield
+        fleetprof._replay.cache_clear()
+
+    def replay(self, **changes):
+        return fleetprof._replay(**{**self.KEY, **changes})
+
+    def test_equal_keys_reuse_the_entry(self):
+        first = self.replay()
+        assert self.replay() is first
+        assert fleetprof._replay.cache_info().hits == 1
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"start": 13.0},
+            {"trefis": (0.256, 0.768)},
+            {"iterations": 3},
+            {"patterns": STANDARD_PATTERNS[:4]},
+            {"idle_s": 5.0},
+            {"io": 2e-4},
+            {"max_trefi": 2.0},
+        ],
+    )
+    def test_a_different_input_misses(self, changes):
+        first = self.replay()
+        other = self.replay(**changes)
+        assert other is not first
+        assert fleetprof._replay.cache_info().misses == 2
+
+    def test_bounded_and_read_only(self):
+        for k in range(fleetprof._REPLAY_CACHE_SIZE + 5):
+            entry = self.replay(start=float(k))
+        assert fleetprof._replay.cache_info().currsize == fleetprof._REPLAY_CACHE_SIZE
+        for array in (entry.schedule, entry.t_reads, entry.exposures, entry.gaps.seconds):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert isinstance(entry.steps, tuple) and isinstance(entry.records, tuple)
+
+    def test_exposure_over_max_trefi_raises_every_call_and_is_never_stored(self):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="exceeds max_trefi_s"):
+                self.replay(max_trefi=0.3)
+        assert fleetprof._replay.cache_info().currsize == 0
+
+    def test_consecutive_units_share_the_replay_and_match_the_walk(self):
+        """Two units of one seed in one process: the second reuses the
+        first's replay, and both leave the per-chip walk's traces."""
+        grid = [Conditions(t, temperature=45.0) for t in (0.512, 1.024)]
+        for members in (MEMBERS[:2], MEMBERS[2:]):
+            bed = build_fleet_bed(members=members)
+            bed.set_ambient(45.0)
+            FleetProfiler(iterations=2).run_grid(ChipFleet(bed.chips), grid)
+            singles = [TestBed.build_members([m], geometry=MICRO, seed=TEST_SEED) for m in members]
+            walker = BruteForceProfiler(iterations=2)
+            for single in singles:
+                single.set_ambient(45.0)
+                for conditions in grid:
+                    walker.walk(single.chips[0], conditions)
+            assert chip_end_state(bed.chips) == chip_end_state([b.chips[0] for b in singles])
+        info = fleetprof._replay.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
 class TestCountGrid:
     #: Chips of 64 Kbit hold a weak tail of a few cells at most; at seed 2
     #: the fifth of these six has none.
@@ -796,7 +880,7 @@ class _RecordingExecutor:
 
     instances = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.max_workers = max_workers
         self.submitted = 0
         type(self).instances.append(self)
@@ -856,6 +940,20 @@ class TestBoundedSubmissionWindow:
 
 def _identity_worker(payload):
     return payload
+
+
+def _freeze_count_worker(payload):
+    return gc.get_freeze_count()
+
+
+class TestPoolWorkersStartFrozen:
+    def test_backend_pool_workers_freeze_the_forked_heap(self):
+        units = tuple(
+            WorkUnit(unit_id=f"u-{i}", kind="toy", payload={"i": i}) for i in range(4)
+        )
+        results = list(ProcessPoolBackend(workers=2).run(_freeze_count_worker, units))
+        assert [r.status for r in results] == [STATUS_OK] * len(units)
+        assert all(r.value > 0 for r in results)
 
 
 class TestDefaultWorkerCount:

@@ -1,5 +1,6 @@
 """Unit tests for the PID controller, thermal chamber, and testbed."""
 
+import numpy as np
 import pytest
 
 from repro.clock import SimClock
@@ -129,6 +130,34 @@ class TestTestBedBehaviour:
             )
             alone.set_ambient(45.0)
             assert alone.chips[0].temperature_c == chip.temperature_c
+
+    def test_racked_chips_equal_standalone_chips(self):
+        """A bed racks its chips together (``SimulatedDRAMChip.rack``);
+        each equals the chip the constructor builds alone, deriving its
+        own streams: vendor jitter, population, DPD layout and every
+        stream's state."""
+        members = [(chip_id, VENDORS["ABC"[chip_id % 3]]) for chip_id in range(7)]
+        bed = TestBed.build_members(members, geometry=TINY_GEOMETRY, seed=TEST_SEED, max_trefi_s=2.2)
+        for (chip_id, vendor), racked in zip(members, bed.chips):
+            alone = SimulatedDRAMChip(
+                vendor=vendor, geometry=TINY_GEOMETRY, seed=TEST_SEED, chip_id=chip_id,
+                clock=SimClock(), max_trefi_s=2.2,
+            )
+            assert racked.vendor == alone.vendor
+            for name in ("indices", "mu_wc_s", "sigma_s", "vrt_flag"):
+                got, want = getattr(racked.population, name), getattr(alone.population, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            for name in ("_susceptibility", "_rows", "_cols", "_orientation"):
+                got = getattr(racked.population.dpd, name)
+                want = getattr(alone.population.dpd, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            for stream in (
+                lambda chip: chip.population.dpd._rng,
+                lambda chip: chip.vrt._rng,
+                lambda chip: chip.read_rng,
+            ):
+                assert stream(racked).bit_generator.state == stream(alone).bit_generator.state
+            assert racked.pattern_io_seconds == alone.pattern_io_seconds
 
     def test_foreign_clock_chip_rejected(self):
         bed = TestBed.build(chips_per_vendor=1, geometry=TINY_GEOMETRY)

@@ -5,8 +5,8 @@ import pytest
 
 from repro import rng as rng_mod
 from repro.dram import retention
-from repro.dram.retention import RetentionSampler, WeakCellSample
-from repro.dram.vendor import VENDOR_B
+from repro.dram.retention import RetentionSampler, WeakCellSample, sample_many
+from repro.dram.vendor import VENDOR_A, VENDOR_B, VENDOR_C
 from repro.errors import ConfigurationError
 
 GBIT = 1 << 30
@@ -108,6 +108,64 @@ class TestSampling:
         ratio = len(sample4) / max(len(sample2), 1)
         expected = VENDOR_B.weak_cell_probability(4.0, 45.0) / VENDOR_B.weak_cell_probability(2.0, 45.0)
         assert ratio == pytest.approx(expected, rel=0.25)
+
+
+def reference_sample(vendor, rng, capacity_bits, horizon_s):
+    """One chip's weak tail the way the sampler drew it one chip at a time,
+    every step on that chip's own arrays: the reference ``sample_many``
+    must reproduce bit for bit."""
+    from scipy.special import ndtri
+
+    p_tail = vendor.weak_cell_probability(horizon_s, temperature_c=45.0)
+    count = int(rng.poisson(capacity_bits * p_tail))
+    if count == 0:
+        empty = np.empty(0, dtype=np.float64)
+        return (np.empty(0, dtype=np.int64), empty, empty, empty,
+                np.empty(0, dtype=bool), np.empty(0, dtype=np.uint8))
+    indices = np.unique(rng.integers(0, capacity_bits, size=count, dtype=np.int64))
+    count = len(indices)
+    z = ndtri(rng.uniform(0.0, p_tail, size=count))
+    mu_wc = np.exp(vendor.retention_ln_median + vendor.retention_ln_sigma * z)
+    sigma = rng.lognormal(
+        mean=np.log(vendor.cell_sigma_ln_median_s), sigma=vendor.cell_sigma_ln_sigma, size=count
+    )
+    sigma = np.minimum(sigma, mu_wc / 4.0)
+    susceptibility = rng.uniform(0.0, vendor.dpd_susceptibility_max, size=count)
+    vrt_flag = rng.random(count) < vendor.vrt_cell_fraction
+    orientation = rng.integers(0, 2, size=count, dtype=np.uint8)
+    order = rng.permutation(count)
+    return (indices, mu_wc[order], sigma[order], susceptibility[order], vrt_flag[order],
+            orientation[order])
+
+
+FIELDS = ("indices", "mu_wc_s", "sigma_s", "susceptibility", "vrt_flag", "orientation")
+
+
+class TestSampleMany:
+    @pytest.mark.parametrize("capacity_bits", [1024, 4096, 1 << 20])
+    def test_matches_the_per_chip_reference(self, capacity_bits):
+        """Chips of every vendor, jittered medians, mixed horizons, empty
+        tails and (at 4 Kbit) repeated addresses: each sample and each
+        generator's end state equal one chip's own draw."""
+        vendors = [
+            vendor.with_retention_ln_median(vendor.retention_ln_median + 0.05 * k)
+            for k, vendor in enumerate([VENDOR_A, VENDOR_B, VENDOR_C] * 3)
+        ]
+        horizons = [0.5, 2.0, 40.0] * 3
+        streams = [rng_mod.derive(11, "many", k) for k in range(len(vendors))]
+        samples = sample_many(vendors, streams, capacity_bits, horizons)
+        for k, (vendor, horizon, sample) in enumerate(zip(vendors, horizons, samples)):
+            reference = rng_mod.derive(11, "many", k)
+            want = reference_sample(vendor, reference, capacity_bits, horizon)
+            for name, expected in zip(FIELDS, want):
+                got = getattr(sample, name)
+                assert got.dtype == expected.dtype, name
+                assert np.array_equal(got, expected), name
+            assert streams[k].bit_generator.state == reference.bit_generator.state
+        assert {len(s) == 0 for s in samples} == {True, False}
+
+    def test_no_chips(self):
+        assert sample_many([], [], GBIT, []) == []
 
 
 class TestWeakCellSampleValidation:

@@ -14,6 +14,7 @@ The contract under test is the one the service advertises:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import signal
@@ -169,6 +170,17 @@ async def _wait_state(manager, job_id, states, timeout=120.0):
 
 
 class TestJobManager:
+    def test_pool_workers_start_frozen(self, tmp_path):
+        async def scenario():
+            manager = JobManager(tmp_path, pool_workers=1, max_running=1)
+            await manager.start()
+            try:
+                return await asyncio.wrap_future(manager._pool.submit(gc.get_freeze_count))
+            finally:
+                await manager.shutdown()
+
+        assert asyncio.run(scenario()) > 0
+
     def test_submit_runs_to_done_and_matches_blocking_path(self, tmp_path):
         async def scenario():
             manager = JobManager(tmp_path, pool_workers=0, max_running=1)

@@ -1,5 +1,6 @@
 """Unit tests for the vendor retention models, including paper anchors."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,17 @@ import pytest
 from repro.conditions import Conditions
 from repro.dram.vendor import VENDOR_A, VENDOR_B, VENDOR_C, VENDORS, VendorModel, vendor_by_name
 from repro.errors import ConfigurationError
+
+
+class TestJitteredCopy:
+    @pytest.mark.parametrize("vendor", [VENDOR_A, VENDOR_B, VENDOR_C], ids=lambda v: v.name)
+    def test_equals_dataclasses_replace(self, vendor):
+        value = vendor.retention_ln_median + 0.0731
+        copy = vendor.with_retention_ln_median(value)
+        replaced = dataclasses.replace(vendor, retention_ln_median=value)
+        assert copy == replaced and type(copy) is type(replaced)
+        assert copy.retention_temp_coeff == replaced.retention_temp_coeff
+        assert vendor.retention_ln_median != value  # the original is untouched
 
 
 class TestRegistry:
