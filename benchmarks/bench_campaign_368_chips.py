@@ -11,8 +11,8 @@ temperature coefficients recovered empirically.
 
 The campaign executes through the ``repro.runner`` process-pool backend
 (``REPRO_BENCH_WORKERS`` overrides the pool size, default ``os.cpu_count()``;
-set it to 0 for the serial reference path), so the timed number measures
-the parallel execution engine at the paper's population scale.  The
+0 or 1 runs it in-process), so the timed number measures the parallel
+execution engine at the paper's population scale.  The
 runner's determinism contract -- parallel, serial and resumed runs all
 giving the per-chip reference rows' summary -- is covered by
 ``tests/test_differential.py``, whose golden summaries include this very
@@ -32,7 +32,7 @@ from conftest import run_once, save_report
 GEOMETRY = ChipGeometry.from_capacity_gigabits(1.0 / 16.0)
 CHIPS_PER_VENDOR = 123  # 3 x 123 = 369: the smallest symmetric population >= the paper's 368
 PAPER_COEFFICIENTS = {"A": 0.22, "B": 0.20, "C": 0.26}
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", os.cpu_count() or 1))
+WORKERS = max(1, int(os.environ.get("REPRO_BENCH_WORKERS", os.cpu_count() or 1)))
 
 
 def test_campaign_368(benchmark):
@@ -44,7 +44,6 @@ def test_campaign_368(benchmark):
         lambda: campaign.run(
             intervals_s=(0.512, 1.024, 2.048),
             temperatures_c=(45.0, 55.0),
-            backend="process" if WORKERS > 1 else "serial",
             workers=WORKERS,
         ),
     )
@@ -68,7 +67,7 @@ def test_campaign_368(benchmark):
         for name, expected in PAPER_COEFFICIENTS.items()
     ]
     backend_line = (
-        f"  execution: {'process pool, ' + str(WORKERS) + ' workers' if WORKERS > 1 else 'serial'}"
+        f"  execution: {'process pool, ' + str(WORKERS) + ' workers' if WORKERS > 1 else 'in-process'}"
     )
     save_report("campaign_368", table + "\n" + "\n".join(comparisons) + "\n" + backend_line)
 

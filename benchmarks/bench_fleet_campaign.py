@@ -70,7 +70,6 @@ TEMPERATURES_C = (45.0, 55.0)
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", 0)) or (os.cpu_count() or 1)
 DEFAULT_OUT = REPO_ROOT / "BENCH_fleet_campaign.json"
 REPORT_PATH = REPO_ROOT / "benchmarks" / "results" / "fleet_campaign.txt"
-BACKEND = "process" if WORKERS > 1 else "serial"
 GRID = dict(
     chips_per_vendor=CHIPS_PER_VENDOR,
     geometry=GEOMETRY,
@@ -91,7 +90,6 @@ def run_campaign(chips_per_unit=None, **kwargs):
     return campaign.run(
         intervals_s=INTERVALS_S,
         temperatures_c=TEMPERATURES_C,
-        backend=BACKEND,
         workers=WORKERS,
         chips_per_unit=chips_per_unit,
         **kwargs,
@@ -103,12 +101,12 @@ def run_per_chip():
     the engine.  The rows land in a scratch run directory, which a
     campaign then resumes -- measuring nothing -- for the summary."""
     manifest = {
-        "fingerprint": campaign_fingerprint(vendor_names=tuple(VENDORS), **GRID)
+        "fingerprint": campaign_fingerprint(vendors=tuple(VENDORS), **GRID)
     }
     with tempfile.TemporaryDirectory() as scratch:
         run_dir = str(pathlib.Path(scratch) / "run")
         start = time.perf_counter()
-        RunnerEngine(backend=BACKEND, workers=WORKERS, run_dir=run_dir).run(
+        RunnerEngine(workers=WORKERS, run_dir=run_dir).run(
             measure_chip, build_chip_units(**GRID), manifest
         )
         seconds = time.perf_counter() - start
@@ -166,9 +164,7 @@ def main(argv=None) -> int:
     best, equivalent, summary = run_benchmark(args.rounds, args.chips_per_unit)
     per_chip_s, fleet_s, default_s = best["per_chip"], best["fleet"], best["default"]
     speedup = per_chip_s / fleet_s
-    default_unit = default_chips_per_unit(
-        GEOMETRY.capacity_bits, n_chips, WORKERS if BACKEND == "process" else 1
-    )
+    default_unit = default_chips_per_unit(GEOMETRY.capacity_bits, n_chips, WORKERS)
 
     result = {
         "benchmark": "fleet_campaign",

@@ -142,7 +142,6 @@ def cmd_campaign(args) -> int:
     # so `--resume` picks up exactly where this run stopped.
     with graceful_stop() as stop:
         summary = campaign.run(
-            backend=None,  # auto: process pool when --workers > 1, else serial
             workers=args.workers,
             run_dir=args.run_dir,
             resume=args.resume,

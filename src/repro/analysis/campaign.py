@@ -3,10 +3,11 @@
 The paper's credibility rests on characterizing 368 chips across three
 vendors.  :class:`CharacterizationCampaign` packages that workflow at any
 population size: decompose the population into independent per-chip work
-units, execute them through the :mod:`repro.runner` engine (serially by
-default; across a process pool with ``workers``), and aggregate per-vendor
-statistics -- the measured BER curves, the empirical Eq-1 temperature
-coefficients, and the spread across chips -- into a single summary report.
+units, execute them through the :mod:`repro.runner` engine (in-process,
+or across a process pool when ``workers`` is more than one), and
+aggregate per-vendor statistics -- the measured BER curves, the empirical
+Eq-1 temperature coefficients, and the spread across chips -- into a
+single summary report.
 
 Passing ``run_dir`` makes the run durable: completed chips stream into a
 JSONL result store, and relaunching with ``resume=True`` executes only the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from ..runner import (
     fleet_dispatch,
     measure_chip,
 )
-from ..runner.executors import ProcessPoolBackend, backend_from_spec
 from .characterization import DEFAULT_CHAR_GEOMETRY
 from .report import ascii_table
 
@@ -186,6 +186,8 @@ class CharacterizationCampaign:
     ) -> None:
         if chips_per_vendor <= 0:
             raise ConfigurationError("chips_per_vendor must be positive")
+        if iterations <= 0:
+            raise ConfigurationError(f"iterations must be positive, got {iterations!r}")
         self.chips_per_vendor = chips_per_vendor
         self.geometry = geometry
         self.iterations = iterations
@@ -196,7 +198,7 @@ class CharacterizationCampaign:
         intervals_s: Sequence[float] = (0.512, 1.024, 2.048),
         temperatures_c: Sequence[float] = (45.0, 55.0),
         *,
-        backend: Union[str, Backend, None] = "serial",
+        backend: Optional[Backend] = None,
         workers: Optional[int] = None,
         run_dir: Optional[str] = None,
         resume: bool = False,
@@ -216,7 +218,9 @@ class CharacterizationCampaign:
         attempting a degenerate fit.
 
         Execution goes through :class:`repro.runner.RunnerEngine`:
-        ``backend``/``workers`` select serial or process-pool execution,
+        ``workers > 1`` runs a process pool of that width and anything
+        less runs in-process, unless ``backend`` hands in a backend
+        instance (the service's shared pool);
         ``run_dir``/``resume`` make the run durable and restartable,
         ``max_retries`` bounds per-chip re-attempts before a failure row is
         recorded, and ``progress`` observes every completed chip.
@@ -227,7 +231,7 @@ class CharacterizationCampaign:
         condition grid fused
         (:meth:`repro.core.fleetprof.FleetProfiler.count_grid`).
         ``chips_per_unit=None`` computes the unit size from the chip
-        capacity and the worker count
+        capacity and the backend's worker count
         (:func:`repro.runner.default_chips_per_unit`): large chips travel
         one per unit, small chips batch, never into fewer units than
         workers.  Every unit draws its chips' weak-cell populations in the
@@ -245,50 +249,27 @@ class CharacterizationCampaign:
         scoping (the service gives every job its own).
         """
         campaign_schedule(intervals_s, temperatures_c)
-        if chips_per_unit is not None and chips_per_unit <= 0:
-            raise ConfigurationError(
-                f"chips_per_unit must be positive, got {chips_per_unit!r}"
-            )
-        backend = backend_from_spec(backend, workers=workers)
-        vendor_names = tuple(VENDORS)
-        units = build_chip_units(
-            chips_per_vendor=self.chips_per_vendor,
-            geometry=self.geometry,
-            iterations=self.iterations,
-            seed=self.seed,
-            intervals_s=intervals_s,
-            temperatures_c=temperatures_c,
-            vendor_names=vendor_names,
-        )
-        manifest = {
-            "kind": "characterization-campaign",
-            "fingerprint": campaign_fingerprint(
-                chips_per_vendor=self.chips_per_vendor,
-                geometry=self.geometry,
-                iterations=self.iterations,
-                seed=self.seed,
-                intervals_s=intervals_s,
-                temperatures_c=temperatures_c,
-                vendor_names=vendor_names,
-            ),
+        # The configuration, stated once: it builds the units, fingerprints
+        # the campaign and is recorded in the manifest.
+        config = {
             "chips_per_vendor": self.chips_per_vendor,
             "iterations": self.iterations,
             "seed": self.seed,
             "intervals_s": [float(t) for t in intervals_s],
             "temperatures_c": [float(t) for t in temperatures_c],
-            "vendors": list(vendor_names),
-            "n_units": len(units),
+            "vendors": list(VENDORS),
+        }
+        units = build_chip_units(geometry=self.geometry, **config)
+        manifest = dict(
+            config,
+            kind="characterization-campaign",
+            fingerprint=campaign_fingerprint(geometry=self.geometry, **config),
+            n_units=len(units),
             # Not part of the fingerprint (older run dirs lack it): the
             # lake's analytics layer uses it to turn raw failure counts
             # into per-bit failure rates.
-            "capacity_bits": int(self.geometry.capacity_bits),
-        }
-        if chips_per_unit is None:
-            chips_per_unit = default_chips_per_unit(
-                self.geometry.capacity_bits,
-                len(units),
-                backend.workers if isinstance(backend, ProcessPoolBackend) else 1,
-            )
+            capacity_bits=int(self.geometry.capacity_bits),
+        )
         engine = RunnerEngine(
             backend=backend,
             workers=workers,
@@ -299,6 +280,12 @@ class CharacterizationCampaign:
             observability=observability,  # type: ignore[arg-type]
             should_stop=should_stop,
         )
+        if chips_per_unit is None:
+            chips_per_unit = default_chips_per_unit(
+                self.geometry.capacity_bits, len(units), engine.backend.workers
+            )
+        # fleet_dispatch refuses a non-positive unit size before the run
+        # directory is opened.
         report = engine.run(
             measure_chip, units, manifest, dispatch=fleet_dispatch(chips_per_unit)
         )

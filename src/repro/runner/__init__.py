@@ -8,7 +8,8 @@ The subsystem behind population-scale characterization runs:
     Durable JSONL result store under a run directory; manifest-guarded
     resume.
 ``executors``
-    Serial and process-pool backends with in-worker bounded retry.
+    Serial and process-pool backends with in-worker bounded retry; the
+    worker count alone picks one.
 ``progress``
     Counts, throughput (mean since start) and ETA over the completion
     stream.
@@ -48,7 +49,6 @@ from .engine import (
     UnitDispatch,
 )
 from .executors import (
-    BACKEND_NAMES,
     Backend,
     ProcessPoolBackend,
     SerialBackend,
@@ -73,7 +73,6 @@ from .store import (
 from .units import UnitFailure, UnitResult, WorkUnit
 
 __all__ = [
-    "BACKEND_NAMES",
     "Backend",
     "CHIP_UNIT_KIND",
     "EVENTS_NAME",

@@ -77,7 +77,7 @@ def campaign_fingerprint(
     seed: int,
     intervals_s: Sequence[float],
     temperatures_c: Sequence[float],
-    vendor_names: Sequence[str],
+    vendors: Sequence[str],
 ) -> str:
     """Stable identity of one campaign configuration.
 
@@ -97,7 +97,7 @@ def campaign_fingerprint(
         "temperatures",
         *(repr(float(t)) for t in temperatures_c),
         "vendors",
-        *vendor_names,
+        *vendors,
     )
 
 
@@ -144,7 +144,7 @@ def build_chip_units(
     seed: int,
     intervals_s: Sequence[float],
     temperatures_c: Sequence[float],
-    vendor_names: Optional[Sequence[str]] = None,
+    vendors: Optional[Sequence[str]] = None,
 ) -> Tuple[WorkUnit, ...]:
     """One work unit per chip, ids and chip numbering matching a full bed.
 
@@ -154,7 +154,7 @@ def build_chip_units(
     """
     if chips_per_vendor <= 0:
         raise ConfigurationError("chips_per_vendor must be positive")
-    names = tuple(vendor_names) if vendor_names is not None else tuple(VENDORS)
+    names = tuple(vendors) if vendors is not None else tuple(VENDORS)
     units: List[WorkUnit] = []
     chip_id = 0
     for vendor_name in names:

@@ -8,8 +8,10 @@ function, a tuple of work units, and a run configuration, it
    fingerprint against any previous occupant,
 2. partitions units into *satisfied* (an ``ok`` row already persisted --
    the checkpoint/resume path) and *pending*,
-3. streams the pending units through the chosen backend, appending each
-   result row as it completes and feeding the progress tracker/callback,
+3. streams the pending units through the backend in the chunks a
+   :class:`UnitDispatch` groups them into (each unit its own chunk when
+   no dispatch is given), appending each result row as it completes and
+   feeding the progress tracker/callback,
 4. returns a :class:`RunReport` with every result keyed by unit id plus
    the run statistics.
 
@@ -31,11 +33,12 @@ When the observability layer (:mod:`repro.obs`) is enabled -- or an
 records per-unit wall time, retry, and queue-depth metrics and streams a
 run event log to ``<run_dir>/events.jsonl`` alongside ``results.jsonl``.
 Telemetry survives the process boundary: the backend captures each
-unit's worker-side instrumentation (:func:`repro.obs.capture`) and ships
-it back on the result, the engine merges the metric snapshots into the
-active registry (counters sum, histograms merge exactly, gauges take the
-latest observation) and replays the buffered worker events -- tagged
-with their ``unit_id`` -- into the run event log.  At run end the merged
+chunk's worker-side instrumentation (:func:`repro.obs.capture`) and ships
+it back on the result, and the engine merges it once, before the chunk's
+rows are stored: the metric snapshots fold into the active registry
+(counters sum, histograms merge exactly, gauges take the latest
+observation) and the buffered worker events -- tagged with the chunk's
+``unit_id`` -- replay into the run event log.  At run end the merged
 snapshot lands durably as ``<run_dir>/metrics.json``, the input to the
 ``python -m repro obs`` analyzer and exporters.
 """
@@ -133,10 +136,12 @@ class RunnerEngine:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"process"``, a backend instance, or ``None``
-        (auto: process pool when ``workers > 1``, else serial).
+        A backend instance (a shared pool, a test double), or ``None``:
+        a :class:`~repro.runner.executors.ProcessPoolBackend` of
+        ``workers`` processes when ``workers > 1``, else the
+        :class:`~repro.runner.executors.SerialBackend`.
     workers:
-        Pool size for the process backend; ignored by the serial one.
+        Worker count that picks the backend when ``backend`` is ``None``.
     run_dir:
         Durable run directory; ``None`` keeps results in memory only.
     resume:
@@ -162,7 +167,7 @@ class RunnerEngine:
 
     def __init__(
         self,
-        backend: Union[str, Backend, None] = "serial",
+        backend: Optional[Backend] = None,
         workers: Optional[int] = None,
         run_dir: Optional[str] = None,
         resume: bool = False,
@@ -202,16 +207,19 @@ class RunnerEngine:
         configuration; it guards the run directory against cross-campaign
         contamination on resume.
 
-        With ``dispatch``, pending units are regrouped into transport
-        chunks executed by ``dispatch.worker`` and expanded back to
-        per-unit results as each chunk completes -- ``worker`` is unused
-        for execution but keeps the per-unit contract documented at the
-        call site.  Everything persisted, tracked, and reported stays
-        per-unit, so dispatched and plain runs of the same campaign share
-        run directories freely.
+        Pending units travel in the chunks ``dispatch`` groups them into,
+        run by ``dispatch.worker`` and expanded back to per-unit results
+        as each chunk completes.  Without ``dispatch`` each unit is its
+        own chunk, run by ``worker``.  Everything persisted, tracked, and
+        reported stays per-unit, so run directories written with any
+        dispatch (or none) resume under any other.
         """
         units = tuple(units)
         check_unique_ids(units)
+        # Without a dispatch every unit is its own chunk, run by ``worker``.
+        dispatch = dispatch or UnitDispatch(
+            worker=worker, group=tuple, expand=lambda unit, result: (result,)
+        )
         store: Union[ResultStore, NullStore] = (
             ResultStore(self.run_dir) if self.run_dir is not None else NullStore()
         )
@@ -252,14 +260,9 @@ class RunnerEngine:
                     run_dir=str(store.run_dir) if store.run_dir is not None else None,
                 )
 
-            if dispatch is None:
-                exec_worker, exec_units = worker, pending
-                chunk_by_id: Dict[str, WorkUnit] = {}
-            else:
-                exec_worker = dispatch.worker
-                exec_units = tuple(dispatch.group(pending))
-                check_unique_ids(exec_units)
-                chunk_by_id = {unit.unit_id: unit for unit in exec_units}
+            chunks = tuple(dispatch.group(pending))
+            check_unique_ids(chunks)
+            chunk_by_id = {chunk.unit_id: chunk for chunk in chunks}
 
             results: Dict[str, UnitResult] = dict(satisfied)
             # Root a trace for this run when no caller (e.g. a service
@@ -274,42 +277,31 @@ class RunnerEngine:
                 if active is not None
                 else contextlib.nullcontext()
             )
-            # Custom backends predating cooperative cancellation may not
-            # take ``should_stop``; only pass it when a probe is installed.
-            backend_kwargs: Dict[str, Any] = {
-                "capture_telemetry": active is not None
-            }
-            if self.should_stop is not None:
-                backend_kwargs["should_stop"] = self.should_stop
             try:
                 with span as run_span:
-                    if run_span is not None and exec_units:
-                        # Stamp every dispatched unit with the run span's
-                        # context: worker-side spans parent to this run.
+                    if run_span is not None and chunks:
+                        # Stamp every chunk with the run span's context:
+                        # worker-side spans parent to this run.
                         trace_wire = run_span.context().to_json_dict()
-                        exec_units = tuple(
-                            dataclasses.replace(u, trace=trace_wire)
-                            for u in exec_units
+                        chunks = tuple(
+                            dataclasses.replace(chunk, trace=trace_wire)
+                            for chunk in chunks
                         )
                     for raw in self.backend.run(
-                        exec_worker,
-                        exec_units,
+                        dispatch.worker,
+                        chunks,
                         self.max_retries,
-                        **backend_kwargs,
+                        capture_telemetry=active is not None,
+                        should_stop=self.should_stop,
                     ):
-                        if dispatch is None:
-                            batch: Tuple[UnitResult, ...] = (raw,)
-                        else:
-                            # Telemetry was captured once for the whole
-                            # chunk; merge it before expansion so worker
-                            # events keep their chunk's unit id.
-                            if active is not None:
-                                self._merge_telemetry(active, raw)
-                            batch = tuple(
-                                dispatch.expand(chunk_by_id[raw.unit_id], raw)
-                            )
-                        # One flush per unit result: its rows land
-                        # together, before any of them is reported.
+                        # Telemetry was captured once for the whole chunk;
+                        # merge it before expansion so worker events keep
+                        # their chunk's unit id.
+                        if active is not None:
+                            self._merge_telemetry(active, raw)
+                        batch = tuple(dispatch.expand(chunk_by_id[raw.unit_id], raw))
+                        # One flush per chunk: its rows land together,
+                        # before any of them is reported.
                         with store.batch():
                             for result in batch:
                                 results[result.unit_id] = result
@@ -317,8 +309,6 @@ class RunnerEngine:
                         for result in batch:
                             tracker.update(result)
                             if active is not None:
-                                if dispatch is None:
-                                    self._merge_telemetry(active, result)
                                 self._record_unit(active, result, tracker)
                             if self.progress is not None:
                                 self.progress(result, tracker)
@@ -362,29 +352,13 @@ class RunnerEngine:
                         remaining=tracker.remaining,
                     )
                 active.observe("runner.run_seconds", stats.elapsed_s)
-                active.emit(
-                    "runner.finish",
-                    total=stats.total,
-                    executed=stats.executed,
-                    succeeded=stats.succeeded,
-                    skipped=stats.skipped,
-                    failed=stats.failed,
-                    elapsed_s=stats.elapsed_s,
-                )
+                counts = dataclasses.asdict(stats)
+                active.emit("runner.finish", **counts)
                 if store.run_dir is not None:
                     write_metrics_json(
                         active.snapshot(),
                         store.run_dir / METRICS_NAME,
-                        meta={
-                            "backend": self.backend.name,
-                            "total": stats.total,
-                            "executed": stats.executed,
-                            "succeeded": stats.succeeded,
-                            "skipped": stats.skipped,
-                            "failed": stats.failed,
-                            "elapsed_s": stats.elapsed_s,
-                            "interrupted": stats.interrupted,
-                        },
+                        meta={"backend": self.backend.name, **counts},
                     )
             return RunReport(results=results, stats=stats)
 

@@ -2,12 +2,13 @@
 
 Two interchangeable backends share one contract -- take a picklable worker
 function plus a tuple of :class:`~repro.runner.units.WorkUnit` and yield
-:class:`~repro.runner.units.UnitResult` objects *in completion order*:
+:class:`~repro.runner.units.UnitResult` objects *in completion order*,
+stopping early once the ``should_stop`` probe reads ``True``:
 
 ``SerialBackend``
-    Runs every unit in-process, in submission order.  The default: zero
-    overhead, zero new failure modes, and the reference behaviour the
-    parallel backend must reproduce byte-identically.
+    Runs every unit in-process, in submission order: one worker, zero
+    overhead, and the reference behaviour the pool must reproduce
+    byte-identically.
 
 ``ProcessPoolBackend``
     Fans units out across a :class:`concurrent.futures.ProcessPoolExecutor`
@@ -16,6 +17,10 @@ function plus a tuple of :class:`~repro.runner.units.WorkUnit` and yield
     self-contained and seeded by key (:func:`repro.rng.derive`), placement
     and completion order cannot change any unit's value -- parallelism is
     pure wall-clock.
+
+The worker count alone picks between them (:func:`backend_from_spec`):
+more than one worker runs the pool, else the serial backend.  Either has
+a ``workers`` width, which sizes the campaign's units.
 
 Retries happen *inside* the worker via :func:`execute_unit`, so an
 exception never crosses the pool boundary as an exception: after
@@ -139,6 +144,7 @@ class SerialBackend:
     """In-process, in-order execution; the reference backend."""
 
     name = "serial"
+    workers = 1
 
     def run(
         self,
@@ -282,29 +288,23 @@ class ProcessPoolBackend:
 
 Backend = Union[SerialBackend, ProcessPoolBackend]
 
-#: Backend names accepted by :func:`backend_from_spec` (and the CLI).
-BACKEND_NAMES = ("serial", "process")
-
 
 def backend_from_spec(
-    spec: Union[str, Backend, None], workers: Optional[int] = None
+    backend: Optional[Backend], workers: Optional[int] = None
 ) -> Backend:
-    """Resolve a backend from a name, an instance, or ``None``.
-
-    ``None`` picks :class:`ProcessPoolBackend` when ``workers`` asks for
-    more than one process, else :class:`SerialBackend` -- the conservative
-    default that leaves existing single-process behaviour untouched.
-    """
+    """The backend a run executes on: ``backend`` itself when given (the
+    service's shared pool, a test double), else :class:`ProcessPoolBackend`
+    when ``workers`` asks for more than one process and
+    :class:`SerialBackend` otherwise."""
+    if isinstance(backend, str):
+        raise ConfigurationError(
+            f"backend takes a backend instance or None, not the name {backend!r}; "
+            "pass workers=N instead (N > 1 runs a process pool)"
+        )
     if workers is not None and workers <= 0:
         raise ConfigurationError(f"workers must be positive, got {workers!r}")
-    if spec is None:
-        spec = "process" if workers is not None and workers > 1 else "serial"
-    if not isinstance(spec, str):
-        return spec
-    if spec == "serial":
-        return SerialBackend()
-    if spec == "process":
-        return ProcessPoolBackend(workers=workers)
-    raise ConfigurationError(
-        f"unknown backend {spec!r}; expected one of {', '.join(BACKEND_NAMES)}"
-    )
+    if backend is not None:
+        return backend
+    if workers is not None and workers > 1:
+        return ProcessPoolBackend(workers)
+    return SerialBackend()

@@ -20,11 +20,11 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
-from typing import Any, ContextManager, Dict, Mapping, Optional, Set, Union
+from typing import Any, ContextManager, Dict, Mapping, Optional, Union
 
 from ..errors import ConfigurationError
 from ..jsonfiles import JsonlLog, JsonlRows, read_json, write_json
-from .units import STATUS_OK, UnitResult
+from .units import UnitResult
 
 MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.jsonl"
@@ -164,12 +164,6 @@ class ResultStore:
             result = UnitResult.from_json_dict(row)
             results[result.unit_id] = result
         return results
-
-    def completed_ids(self) -> Set[str]:
-        """Ids of units with a persisted ``ok`` row (the resume skip-set)."""
-        return {
-            uid for uid, result in self.load_results().items() if result.status == STATUS_OK
-        }
 
     # ------------------------------------------------------------------
     # Writing

@@ -613,12 +613,12 @@ class JobManager:
         spec = job.spec
         run_dir = self._run_dir(job.tenant, job.job_id)
         campaign = spec.build_campaign()
+        # Without a shared pool (pool_workers=0) the job runs in this thread.
+        backend: Optional[ProcessPoolBackend] = None
         if self._pool is not None:
-            backend: Any = ProcessPoolBackend(
+            backend = ProcessPoolBackend(
                 workers=spec.workers or self.pool_workers, executor=self._pool
             )
-        else:
-            backend = "serial"
         layer = Observability(sink=job.sink)
         if job.trace is not None:
             # The engine roots its run span under this context, stamps it

@@ -131,7 +131,7 @@ def write_per_chip_run_dir(
         intervals_s=intervals_s,
         temperatures_c=temperatures_c,
     )
-    manifest = {"fingerprint": campaign_fingerprint(vendor_names=tuple(VENDORS), **grid)}
+    manifest = {"fingerprint": campaign_fingerprint(vendors=tuple(VENDORS), **grid)}
     RunnerEngine(run_dir=str(run_dir), resume=resume, progress=progress).run(
         worker, build_chip_units(**grid), manifest
     )
@@ -276,7 +276,7 @@ def canonical(summary_dict) -> str:
 
 
 def assert_campaign_matches_reference(
-    campaign, intervals_s, temperatures_c, *, chips_per_unit=None, backend="serial",
+    campaign, intervals_s, temperatures_c, *, chips_per_unit=None, backend=None,
     workers=None, observed=False, stop_after=None, resume_with=None,
 ):
     """Run ``campaign`` along one route and check it against the reference.

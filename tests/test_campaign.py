@@ -48,6 +48,8 @@ class TestCampaign:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             CharacterizationCampaign(chips_per_vendor=0)
+        with pytest.raises(ConfigurationError, match="iterations must be positive, got 0"):
+            CharacterizationCampaign(chips_per_vendor=1, iterations=0)
         campaign = CharacterizationCampaign(chips_per_vendor=1, geometry=TINY_GEOMETRY)
         with pytest.raises(ConfigurationError):
             campaign.run(intervals_s=())

@@ -203,7 +203,7 @@ def test_campaign_rows_and_summary_equal_the_reference(
         intervals,
         temperatures,
         chips_per_unit=chips_per_unit,
-        backend=pool if pooled else "serial",
+        backend=pool if pooled else None,
         observed=observed,
         stop_after=stop_after,
         resume_with=resume_with,

@@ -5,7 +5,8 @@ uninterrupted bytes.
 The torn-tail cases restart *twice*: the first restart appends after the
 damage and the second reads what that append left behind -- a row glued
 onto a torn fragment would be a corrupt line there (DESIGN.md,
-"Run-directory files").  The last cases cut a request body short, send
+"Run-directory files").  A campaign SIGKILLed with its process pool
+mid-unit resumes the same way.  The last cases cut a request body short, send
 a header line past the server's line limit, and check that requests
 refused while being read are still counted in ``/metrics``.
 """
@@ -14,8 +15,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
+import textwrap
 import time
+from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.dram.geometry import ChipGeometry
@@ -64,6 +75,68 @@ def test_torn_result_row_then_two_resumes_reproduce_the_golden_summary(tmp_path)
             for uid, result in ResultStore(run_dir).load_results().items()
         }
         assert resumed == uninterrupted
+
+
+KILL9_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    from repro.analysis.campaign import CharacterizationCampaign
+    from repro.dram.geometry import ChipGeometry
+
+    run_dir, case = sys.argv[1], json.loads(sys.argv[2])
+    chips, capacity_gbit, iterations, seed, intervals_s, temperatures_c = case
+    CharacterizationCampaign(
+        chips, ChipGeometry.from_capacity_gigabits(capacity_gbit), iterations, seed
+    ).run(
+        intervals_s, temperatures_c, workers=2, chips_per_unit=1, run_dir=run_dir,
+        progress=lambda result, tracker: print("UNIT", result.unit_id, flush=True),
+    )
+    """
+)
+
+
+@pytest.mark.slow
+def test_kill9_on_the_pool_then_two_resumes_reproduce_the_golden_summary(tmp_path):
+    """SIGKILL a pooled one-chip-unit campaign, workers included, as soon
+    as its first unit is stored; two pooled resumes reproduce the golden
+    summary, and the store ends with one ok row per chip."""
+    case = GOLDEN_CASES[GOLDEN_CASE]
+    chips, capacity_gbit, iterations, seed, intervals_s, temperatures_c = case
+    run_dir = tmp_path / "run"
+    src = Path(__file__).resolve().parents[1] / "src"
+    # A session of its own: killing its process group kills the pool
+    # workers too, so none outlives the test.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", KILL9_SCRIPT, str(run_dir), json.dumps(case)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        start_new_session=True,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 120.0)
+        first = proc.stdout.readline() if ready else ""
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    assert first.startswith("UNIT"), "the campaign never stored a unit"
+
+    campaign = CharacterizationCampaign(
+        chips, ChipGeometry.from_capacity_gigabits(capacity_gbit), iterations, seed
+    )
+    golden = json.loads(GOLDEN_PATH.read_text())["summaries"][GOLDEN_CASE]
+    for _ in range(2):
+        summary = campaign.run(
+            intervals_s, temperatures_c, workers=2, run_dir=str(run_dir), resume=True
+        )
+        assert canonical(summary.to_json_dict()) == canonical(golden)
+    rows = list(JsonlRows(run_dir / RESULTS_NAME, "result"))
+    assert all(row["status"] == "ok" for row in rows)
+    assert Counter(row["unit_id"] for row in rows) == Counter(
+        f"chip-{chip:05d}" for chip in range(3 * chips)
+    )
 
 
 TINY_SPEC = CampaignJobSpec(

@@ -754,7 +754,7 @@ class TestFleetCampaign:
         for route in (
             dict(),
             dict(chips_per_unit=2),
-            dict(backend="process", workers=2, chips_per_unit=4),
+            dict(workers=2, chips_per_unit=4),
         ):
             assert_campaign_matches_reference(fleet_campaign, **FLEET_CAMPAIGN_KW, **route)
 
@@ -832,9 +832,9 @@ class TestComputedUnitSize:
     @pytest.mark.parametrize(
         "backend_kw, expected",
         [
-            (dict(backend="serial"), 6),
-            (dict(backend="process", workers=2), 3),
-            (dict(backend=None, workers=4), 2),
+            (dict(), 6),
+            (dict(workers=2), 3),
+            (dict(workers=4), 2),
         ],
     )
     def test_campaign_sizes_units_from_the_backend(

@@ -386,10 +386,8 @@ class TestMultiprocessParity:
     def test_merged_report_matches_serial(self, campaign):
         # One unit size for both runs: the computed default differs with
         # the worker count, and so would the series structure.
-        serial_snap = _run_with_metrics(campaign, backend="serial", chips_per_unit=1)
-        pool_snap = _run_with_metrics(
-            campaign, backend=None, workers=4, chips_per_unit=1
-        )
+        serial_snap = _run_with_metrics(campaign, chips_per_unit=1)
+        pool_snap = _run_with_metrics(campaign, workers=4, chips_per_unit=1)
         serial_idx, pool_idx = _series_index(serial_snap), _series_index(pool_snap)
         # Identical series structure: every (name, labels) pair exists in
         # both runs -- the pool run lost no worker-side series.
@@ -426,5 +424,5 @@ class TestMultiprocessParity:
 
     def test_multiprocess_summary_byte_identical_obs_on_vs_off(self, campaign):
         assert_campaign_matches_reference(
-            campaign, **CAMPAIGN_KW, backend=None, workers=2, observed=True
+            campaign, **CAMPAIGN_KW, workers=2, observed=True
         )

@@ -20,7 +20,9 @@ import pytest
 
 from repro.analysis.campaign import CharacterizationCampaign
 from repro.errors import ConfigurationError
+from repro.obs import ListEventSink, Observability, load_metrics_json
 from repro.runner import (
+    METRICS_NAME,
     ProcessPoolBackend,
     ProgressTracker,
     ResultStore,
@@ -98,7 +100,7 @@ class TruncatingBackend:
     def __init__(self, keep):
         self.keep = keep
 
-    def run(self, worker, units, max_retries=1, capture_telemetry=False):
+    def run(self, worker, units, max_retries=1, capture_telemetry=False, should_stop=None):
         for unit in units[: self.keep]:
             yield execute_unit(worker, unit, max_retries, capture_telemetry)
 
@@ -159,16 +161,26 @@ class TestExecutors:
         assert result.attempts == 2
 
     def test_backend_spec_resolution(self):
-        assert isinstance(backend_from_spec("serial"), SerialBackend)
-        assert isinstance(backend_from_spec("process", workers=2), ProcessPoolBackend)
+        """The worker count alone picks the backend; an instance is kept,
+        and a backend name is refused in favour of ``workers``."""
         assert isinstance(backend_from_spec(None), SerialBackend)
-        assert isinstance(backend_from_spec(None, workers=4), ProcessPoolBackend)
-        with pytest.raises(ConfigurationError):
-            backend_from_spec("threads")
+        assert isinstance(backend_from_spec(None, workers=1), SerialBackend)
+        pool = backend_from_spec(None, workers=4)
+        assert isinstance(pool, ProcessPoolBackend) and pool.workers == 4
+        assert backend_from_spec(pool, workers=2) is pool
+        assert SerialBackend().workers == 1
+        for name in ("serial", "process", "threads"):
+            with pytest.raises(ConfigurationError, match="pass workers"):
+                RunnerEngine(backend=name, workers=2)
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(workers=0)
         with pytest.raises(ConfigurationError):
             backend_from_spec(None, workers=-3)
+
+
+def ok_ids(run_dir):
+    """Ids of the units with a stored ``ok`` row: the ones a resume skips."""
+    return {uid for uid, row in ResultStore(run_dir).load_results().items() if row.ok}
 
 
 class TestResultStore:
@@ -184,7 +196,7 @@ class TestResultStore:
         assert reloaded["a"].value == 1
         assert not reloaded["b"].ok
         # Failed rows are not completed: they rerun on resume.
-        assert ResultStore(tmp_path / "run").completed_ids() == {"a"}
+        assert ok_ids(tmp_path / "run") == {"a"}
 
     def test_torn_tail_is_skipped(self, tmp_path):
         store = ResultStore(tmp_path / "run")
@@ -193,7 +205,7 @@ class TestResultStore:
             store.append(UnitResult("a", "ok", value=1))
         with open(store.results_path, "a", encoding="utf-8") as handle:
             handle.write('{"unit_id": "b", "status": "ok", "val')  # crash artifact
-        assert ResultStore(tmp_path / "run").completed_ids() == {"a"}
+        assert ok_ids(tmp_path / "run") == {"a"}
 
     def test_interior_corruption_raises(self, tmp_path):
         store = ResultStore(tmp_path / "run")
@@ -215,7 +227,7 @@ class TestResultStore:
             store.append(UnitResult("a", "ok", value=1))
         with open(store.results_path, "a", encoding="utf-8") as handle:
             handle.write("[1, 2]")  # unterminated: a torn tail
-        assert ResultStore(tmp_path / "run").completed_ids() == {"a"}
+        assert ok_ids(tmp_path / "run") == {"a"}
         with open(store.results_path, "a", encoding="utf-8") as handle:
             handle.write("\n")  # now an interior line
         with pytest.raises(ConfigurationError, match=r"results\.jsonl:2: corrupt result row"):
@@ -467,8 +479,20 @@ CAMPAIGN_KW = dict(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
 
 class TestCampaignThroughRunner:
     def test_parallel_matches_serial_byte_identical(self, campaign):
-        for route in (dict(backend="serial"), dict(backend="process", workers=4)):
+        for route in (dict(), dict(workers=4)):
             assert_campaign_matches_reference(campaign, **CAMPAIGN_KW, **route)
+
+    def test_workers_alone_run_the_pool(self, campaign, tmp_path):
+        """No ``backend``: more than one worker runs the process pool, and
+        the run's ``metrics.json`` says so."""
+        for workers, expected in ((2, "process"), (None, "serial")):
+            run_dir = tmp_path / f"run-{workers}"
+            campaign.run(
+                **CAMPAIGN_KW, workers=workers, run_dir=str(run_dir),
+                observability=Observability(sink=ListEventSink()),
+            )
+            meta = load_metrics_json(run_dir / METRICS_NAME)["meta"]
+            assert meta["backend"] == expected
 
     def test_resume_completes_only_remaining_chips(self, campaign):
         # Keep only the first chip's row: the "crash" lost two of three.

@@ -97,7 +97,7 @@ def sample_specs(n_chips: int = 3):
         seed=TEST_SEED,
         intervals_s=(0.512,),
         temperatures_c=(45.0,),
-        vendor_names=("A", "B", "C"),
+        vendors=("A", "B", "C"),
     )[:n_chips]
     from repro.dram.shm import chip_sample_spec
 
@@ -296,7 +296,7 @@ def campaign():
 
 class TestCampaignSegment:
     def test_pooled_shm_matches_serial(self, campaign):
-        for route in (dict(), dict(backend="process", workers=2, chips_per_unit=2)):
+        for route in (dict(), dict(workers=2, chips_per_unit=2)):
             assert_campaign_matches_reference(campaign, **CAMPAIGN_KW, **route)
 
     @needs_dev_shm
@@ -339,7 +339,7 @@ class TestFleetChunkingEdges:
             seed=TEST_SEED,
             intervals_s=(0.512,),
             temperatures_c=(45.0,),
-            vendor_names=("A", "B", "C"),
+            vendors=("A", "B", "C"),
         )
         chunks = build_fleet_units(units, chips_per_unit=99)
         assert len(chunks) == 1
